@@ -192,13 +192,12 @@ fn main() {
             .map(|x| format!(", \"wire_measured_over_modeled\": {x:.4}"))
             .unwrap_or_default();
         entries.push(format!(
-            "    \"{}\": {{\"secs_per_iter\": {:.6}, \"vs_inproc\": {:.4}, \"tx_messages\": {}, \"tx_bytes\": {}, \"retries\": {}, \"recv_wait_s\": {:.6}, \"payload_precodec_bytes\": {}, \"payload_postcodec_bytes\": {}, \"encode_overlap_s\": {:.6}{}}}",
+            "    \"{}\": {{\"secs_per_iter\": {:.6}, \"vs_inproc\": {:.4}, \"tx_messages\": {}, \"tx_bytes\": {}, \"recv_wait_s\": {:.6}, \"payload_precodec_bytes\": {}, \"payload_postcodec_bytes\": {}, \"encode_overlap_s\": {:.6}{}}}",
             r.name,
             r.secs,
             r.secs / base,
             total.tx_messages,
             total.tx_bytes,
-            total.retries,
             r.recv_wait_s,
             total.payload_bytes_precodec,
             total.payload_bytes_postcodec,

@@ -1,9 +1,9 @@
 //! End-to-end training-iteration benchmark: the threaded pipeline
 //! runtime on a mini-Llama, measured as whole `train_step` iterations.
 //! Results are printed and written to `BENCH_train.json` at the repo
-//! root (`scripts/bench_train.sh`), alongside the pre-arena baseline
-//! that was measured on the same config before the tensor arena landed,
-//! so the recorded speedup is a real before/after.
+//! root (`scripts/bench_train.sh`). Every number in the file is measured
+//! in the same run on the same host; ratios compare scenarios of that
+//! run, never a constant recorded elsewhere.
 
 use std::time::{Duration, Instant};
 
@@ -49,28 +49,11 @@ fn time<F: FnMut()>(mut f: F) -> f64 {
     best
 }
 
-/// The benchmark model/pipeline shape. Fixed — the recorded baseline in
-/// `BENCH_train.json` was measured on exactly this config, so any change
-/// here invalidates the before/after comparison.
+/// The benchmark model/pipeline shape.
 const STAGES: usize = 2;
 const SLICES: usize = 8;
 const MICRO_BATCHES: usize = 4;
 const REPLICAS: usize = 2;
-
-/// Pre-arena baseline, measured on this exact config at commit
-/// `bbe7e18` (before the tensor arena and copy-elimination work) with
-/// the same min-of-5-runs protocol: seconds per iteration.
-const BASELINE_STEP_S: f64 = 0.046215; // 46.2 ms, 21.638 iters/s
-const BASELINE_DP_S: f64 = 0.047852; // 47.9 ms, 20.898 iters/s
-
-/// Pre-wire-path baseline for the multi-process `launch` scenario
-/// (see LAUNCH_ARGS: 4 worker processes over UDS, full wall time
-/// including process spawn, mesh rendezvous, the iteration, and the
-/// in-process reference run), measured at commit `a19b707` — before the
-/// zero-copy wire path: buffer lending, direct-read rx with the
-/// multi-peer sweep, inline sends and the lane-parallel checksum — as
-/// the min over 12 interleaved before/after launches on the same box.
-const BASELINE_LAUNCH_S: f64 = 0.128;
 
 /// The autotune scenario: start at this many slices on an emulated
 /// high-latency link, let the calibration loop fit the real wire cost
@@ -291,12 +274,10 @@ fn main() {
         stats.peak_bytes
     );
     println!(
-        "  arena: {:.1}% hit rate ({} hits / {} misses), baseline {:.1} ms/iter -> {:.2}x",
+        "  arena: {:.1}% hit rate ({} hits / {} misses)",
         arena.hit_rate() * 100.0,
         arena.hits,
         arena.misses,
-        BASELINE_STEP_S * 1e3,
-        BASELINE_STEP_S / t_step
     );
 
     // --- Observability overhead: the same iteration with span recording
@@ -323,13 +304,7 @@ fn main() {
             .expect("data-parallel iteration");
     });
     println!("== data parallel replicas={REPLICAS} ==");
-    println!(
-        "  {:.1} ms/iter ({:.3} iters/s), baseline {:.1} ms/iter -> {:.2}x",
-        t_dp * 1e3,
-        1.0 / t_dp,
-        BASELINE_DP_S * 1e3,
-        BASELINE_DP_S / t_dp
-    );
+    println!("  {:.1} ms/iter ({:.3} iters/s)", t_dp * 1e3, 1.0 / t_dp);
 
     // --- Scenario 2b: best synthesized schedule vs the SVPP template on
     // the same model — the end-to-end check that the synthesis layer's
@@ -416,18 +391,13 @@ fn main() {
     });
     match t_launch {
         Some(t) => println!(
-            "== multi-process launch stages=4 ==\n  {:.1} ms/launch, baseline {:.1} ms -> {:.2}x",
-            t * 1e3,
-            BASELINE_LAUNCH_S * 1e3,
-            BASELINE_LAUNCH_S / t
+            "== multi-process launch stages=4 ==\n  {:.1} ms/launch",
+            t * 1e3
         ),
         None => println!("== multi-process launch skipped (mepipe-worker not built) =="),
     }
     let launch_s = t_launch
         .map(|t| format!("{t:.6}"))
-        .unwrap_or_else(|| "null".into());
-    let launch_speedup = t_launch
-        .map(|t| format!("{:.4}", BASELINE_LAUNCH_S / t))
         .unwrap_or_else(|| "null".into());
 
     // --- Scenario 4: online autotuning on an emulated high-latency
@@ -556,19 +526,15 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"config\": {{\"stages\": {STAGES}, \"slices\": {SLICES}, \"micro_batches\": {MICRO_BATCHES}, \"seq_len\": {}, \"layers\": {}, \"hidden\": {}, \"replicas\": {REPLICAS}, \"wgrad_mode\": \"drain_on_wait\"}},\n  \"baseline\": {{\n    \"commit\": \"bbe7e18\",\n    \"train_step_s\": {BASELINE_STEP_S:.6},\n    \"train_step_iters_per_sec\": {:.4},\n    \"data_parallel_s\": {BASELINE_DP_S:.6},\n    \"data_parallel_iters_per_sec\": {:.4}\n  }},\n  \"current\": {{\n    \"train_step_s\": {t_step:.6},\n    \"train_step_iters_per_sec\": {iters_per_sec:.4},\n    \"train_step_speedup\": {:.4},\n    \"peak_bytes\": {:?},\n    \"arena_hit_rate\": {:.4},\n    \"arena_hits\": {},\n    \"arena_misses\": {},\n    \"tracing_untraced_s\": {t_plain:.6},\n    \"tracing_traced_s\": {t_traced:.6},\n    \"tracing_overhead\": {tracing_overhead:.4},\n    \"data_parallel_s\": {t_dp:.6},\n    \"data_parallel_iters_per_sec\": {:.4},\n    \"data_parallel_speedup\": {:.4},\n    \"launch_s\": {launch_s},\n    \"launch_baseline_s\": {BASELINE_LAUNCH_S:.6},\n    \"launch_speedup\": {launch_speedup},\n    \"autotune_link_latency_s\": {:.6},\n    \"autotune_before_s\": {t_at_before:.6},\n    \"autotune_after_s\": {t_at_after:.6},\n    \"autotune_slices_before\": {AUTOTUNE_SLICES},\n    \"autotune_slices_after\": {},\n    \"autotune_warmup\": {},\n    \"autotune_rescheduled\": {},\n    \"autotune_error_first\": {at_err_first:.4},\n    \"autotune_error_last\": {at_err_last:.4},\n    \"autotune_speedup\": {autotune_speedup:.4},\n    \"recovery_clean_s\": {recovery_clean_s},\n    \"recovery_chaos_s\": {recovery_chaos_s},\n    \"recovery_lost_iterations\": {recovery_lost},\n    \"recovery_overhead\": {recovery_overhead},\n    \"synthesized_vs_svpp\": {{\"schedule\": \"{synth_name}\", \"svpp_s\": {t_svpp:.6}, \"solver_s\": {t_solver:.6}, \"dualpipe_s\": {t_dual:.6}, \"synthesized_s\": {t_synth:.6}, \"speedup\": {synth_speedup:.4}}}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\"stages\": {STAGES}, \"slices\": {SLICES}, \"micro_batches\": {MICRO_BATCHES}, \"seq_len\": {}, \"layers\": {}, \"hidden\": {}, \"replicas\": {REPLICAS}, \"wgrad_mode\": \"drain_on_wait\"}},\n  \"current\": {{\n    \"train_step_s\": {t_step:.6},\n    \"train_step_iters_per_sec\": {iters_per_sec:.4},\n    \"peak_bytes\": {:?},\n    \"arena_hit_rate\": {:.4},\n    \"arena_hits\": {},\n    \"arena_misses\": {},\n    \"tracing_untraced_s\": {t_plain:.6},\n    \"tracing_traced_s\": {t_traced:.6},\n    \"tracing_overhead\": {tracing_overhead:.4},\n    \"data_parallel_s\": {t_dp:.6},\n    \"data_parallel_iters_per_sec\": {:.4},\n    \"launch_s\": {launch_s},\n    \"autotune_link_latency_s\": {:.6},\n    \"autotune_before_s\": {t_at_before:.6},\n    \"autotune_after_s\": {t_at_after:.6},\n    \"autotune_slices_before\": {AUTOTUNE_SLICES},\n    \"autotune_slices_after\": {},\n    \"autotune_warmup\": {},\n    \"autotune_rescheduled\": {},\n    \"autotune_error_first\": {at_err_first:.4},\n    \"autotune_error_last\": {at_err_last:.4},\n    \"autotune_speedup\": {autotune_speedup:.4},\n    \"recovery_clean_s\": {recovery_clean_s},\n    \"recovery_chaos_s\": {recovery_chaos_s},\n    \"recovery_lost_iterations\": {recovery_lost},\n    \"recovery_overhead\": {recovery_overhead},\n    \"synthesized_vs_svpp\": {{\"schedule\": \"{synth_name}\", \"svpp_s\": {t_svpp:.6}, \"solver_s\": {t_solver:.6}, \"dualpipe_s\": {t_dual:.6}, \"synthesized_s\": {t_synth:.6}, \"speedup\": {synth_speedup:.4}}}\n  }}\n}}\n",
         cfg.seq_len,
         cfg.layers,
         cfg.hidden,
-        1.0 / BASELINE_STEP_S,
-        1.0 / BASELINE_DP_S,
-        BASELINE_STEP_S / t_step,
         stats.peak_bytes,
         arena.hit_rate(),
         arena.hits,
         arena.misses,
         1.0 / t_dp,
-        BASELINE_DP_S / t_dp,
         AUTOTUNE_LINK.latency,
         proposal.slices,
         proposal.warmup,

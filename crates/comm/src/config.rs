@@ -1,7 +1,7 @@
 //! Builder-style tuning knobs shared by every transport backend.
 //!
 //! [`CommConfig`] replaces the positional constructor arguments the
-//! backends used to take (connect timeouts, retry budgets, fault specs)
+//! backends used to take (connect timeouts, buffer depths, delay plans)
 //! with one `#[non_exhaustive]` builder, following the `Dims` /
 //! `SvppConfig` convention: construct with [`CommConfig::new`], chain
 //! `with_*` methods, pass the result to a backend's `with_config`
@@ -17,8 +17,8 @@ use crate::emulated::FaultSpec;
 /// Tuning knobs for a transport backend. Which fields matter depends on
 /// the backend: sockets use the codec, tx depth, rx pool and connect
 /// timeout; the in-process queues use the codec and send deadline; the
-/// emulated reliable layer uses the codec, RTO bounds, retry budget and
-/// fault spec.
+/// emulated link uses the codec (to size each frame's wire hold) and the
+/// delay plan.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommConfig {
@@ -41,13 +41,7 @@ pub struct CommConfig {
     /// How long a send may stall on flow control before failing with
     /// `CommError::Backpressure`.
     pub send_deadline: Duration,
-    /// Initial retransmission timeout of the emulated reliable layer.
-    pub rto_initial: Duration,
-    /// Backoff ceiling for the retransmission timeout.
-    pub rto_max: Duration,
-    /// Retransmission budget per message.
-    pub max_retries: u32,
-    /// Deterministic fault-injection plan (inert by default).
+    /// Seeded delay jitter on emulated links (inert by default).
     pub faults: FaultSpec,
 }
 
@@ -60,16 +54,13 @@ impl Default for CommConfig {
             rx_pool: 32,
             connect_timeout: Duration::from_secs(20),
             send_deadline: Duration::from_secs(60),
-            rto_initial: Duration::from_millis(20),
-            rto_max: Duration::from_secs(1),
-            max_retries: 16,
             faults: FaultSpec::default(),
         }
     }
 }
 
 impl CommConfig {
-    /// Default knobs: f32 codec, depth-2 double buffering, inert faults.
+    /// Default knobs: f32 codec, depth-2 double buffering, no delays.
     pub fn new() -> Self {
         Self::default()
     }
@@ -117,22 +108,8 @@ impl CommConfig {
         self
     }
 
-    /// Sets the reliable layer's retransmission timeout bounds.
-    #[must_use]
-    pub fn with_rto(mut self, initial: Duration, max: Duration) -> Self {
-        self.rto_initial = initial;
-        self.rto_max = max;
-        self
-    }
-
-    /// Sets the per-message retransmission budget.
-    #[must_use]
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Sets the fault-injection plan.
+    /// Sets the emulated links' delay plan (a plan that can fire turns
+    /// emulation on in `build_transport`).
     #[must_use]
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
@@ -153,10 +130,8 @@ mod tests {
             .with_rx_pool(7)
             .with_connect_timeout(Duration::from_secs(3))
             .with_send_deadline(Duration::from_secs(9))
-            .with_rto(Duration::from_millis(5), Duration::from_millis(50))
-            .with_max_retries(3)
             .with_faults(FaultSpec {
-                drop_first_n: 1,
+                delay_permille: 1,
                 ..FaultSpec::default()
             });
         assert_eq!(c.codec, CodecId::Bf16);
@@ -165,9 +140,6 @@ mod tests {
         assert_eq!(c.rx_pool, 7);
         assert_eq!(c.connect_timeout, Duration::from_secs(3));
         assert_eq!(c.send_deadline, Duration::from_secs(9));
-        assert_eq!(c.rto_initial, Duration::from_millis(5));
-        assert_eq!(c.rto_max, Duration::from_millis(50));
-        assert_eq!(c.max_retries, 3);
         assert!(c.faults.is_active());
     }
 }

@@ -1,8 +1,8 @@
 //! The typed error surface of the transport layer.
 //!
-//! Every failure mode a link can hit — peer gone, retransmit budget
-//! exhausted, unrecoverable corruption, backpressure deadline, raw I/O —
-//! maps to one [`CommError`] variant. The pipeline runtime propagates
+//! Every failure mode a link can hit — peer gone, corrupt frame,
+//! backpressure deadline, raw I/O, wire-format mismatch — maps to one
+//! [`CommError`] variant. The pipeline runtime propagates
 //! these out of `run_iteration` instead of panicking, which is what turns
 //! a dead stage into a graceful whole-pipeline shutdown.
 
@@ -18,15 +18,7 @@ pub enum CommError {
         /// Stage whose endpoint observed the closure.
         stage: usize,
     },
-    /// A reliable send exhausted its retransmit budget without an ack.
-    Timeout {
-        /// Peer stage the send was addressed to.
-        peer: usize,
-        /// Transmission attempts made (first try + retries).
-        attempts: u32,
-    },
-    /// A frame failed checksum or structural validation on a backend
-    /// with no retransmit path to recover through.
+    /// A received frame's payload failed its checksum.
     Corrupt {
         /// Peer stage the frame claimed to come from.
         peer: usize,
@@ -58,11 +50,8 @@ impl fmt::Display for CommError {
             CommError::Closed { stage } => {
                 write!(f, "transport closed (observed on stage {stage})")
             }
-            CommError::Timeout { peer, attempts } => {
-                write!(f, "no ack from stage {peer} after {attempts} attempts")
-            }
             CommError::Corrupt { peer } => {
-                write!(f, "unrecoverable corrupt frame from stage {peer}")
+                write!(f, "corrupt frame from stage {peer}")
             }
             CommError::Backpressure { peer } => {
                 write!(

@@ -6,7 +6,7 @@
 //! offset  field        type  meaning
 //!      0  magic        u32   0x4D455043 ("MEPC")
 //!      4  version      u8    format version, currently 2
-//!      5  kind         u8    0 = fwd data, 1 = bwd data, 2 = ack, 3 = bye
+//!      5  kind         u8    0 = fwd data, 1 = bwd data, 3 = bye
 //!      6  from         u8    sending stage
 //!      7  codec        u8    payload codec id (see [`crate::codec`])
 //!      8  seq          u64   per-link data sequence number (1-based)
@@ -29,16 +29,16 @@
 //! header with a length/checksum placeholder into the caller's buffer,
 //! appends the codec-encoded payload directly behind it, then patches
 //! the two fields — no intermediate payload vector, no concatenation
-//! copy. Callers lend buffers through `Endpoint::lend_tx_buf` and the
-//! endpoint recycles them after the write, so steady-state sends
-//! allocate nothing.
+//! copy. The socket endpoint lends buffers from its pool and recycles
+//! them after the write, so steady-state sends allocate nothing.
 //!
-//! The checksum covers the payload only: the emulated fault injector
-//! corrupts payload bytes, and a receiver that sees a checksum mismatch
-//! silently refuses to ack, which is what drives the sender's
-//! retransmit. Structural header damage is caught by the magic/version/
-//! length validation instead. On stream transports the frame is preceded
-//! by a `u32` length prefix (see [`crate::socket`]).
+//! The checksum covers the payload only; a receiver rejects a mismatch
+//! as [`CommError::Corrupt`]. Structural header damage is caught by the
+//! magic/version/length validation instead. Kind byte 2 is reserved:
+//! older builds sent link-level acks with it under this same `VERSION`,
+//! so it is rejected like any unknown kind rather than given a new
+//! meaning. On stream transports the frame is preceded by a `u32`
+//! length prefix (see [`crate::socket`]).
 
 use crate::codec::{codec_from_wire, WireCodec};
 use crate::error::CommError;
@@ -50,9 +50,8 @@ pub const MAGIC: u32 = 0x4D45_5043;
 pub const VERSION: u8 = 2;
 /// Header length in bytes.
 pub const HEADER_BYTES: usize = 40;
-/// `kind` byte of an ack frame (data frames use [`MsgKind::to_wire`]).
-const KIND_ACK: u8 = 2;
-/// `kind` byte of a goodbye frame (clean shutdown announcement).
+/// `kind` byte of a goodbye frame (clean shutdown announcement; data
+/// frames use [`MsgKind::to_wire`]).
 const KIND_BYE: u8 = 3;
 
 /// What a frame carries.
@@ -60,8 +59,6 @@ const KIND_BYE: u8 = 3;
 pub enum FrameKind {
     /// A boundary tensor moving in `MsgKind`'s direction.
     Data(MsgKind),
-    /// A link-level cumulative acknowledgement.
-    Ack,
     /// A clean-shutdown goodbye: the sender finished its schedule.
     Bye,
 }
@@ -166,14 +163,6 @@ pub fn encode_data_into(
     patch_payload_fields(out);
 }
 
-/// Encodes an ack frame for link sequence `seq` from stage `from` into
-/// `out` (cleared first).
-pub fn encode_ack_into(out: &mut Vec<u8>, from: usize, seq: u64) {
-    out.clear();
-    push_header(out, KIND_ACK, from, 0, seq, 0, 0, 0);
-    patch_payload_fields(out);
-}
-
 /// Encodes a goodbye frame from stage `from` (clean shutdown) into
 /// `out` (cleared first).
 pub fn encode_bye_into(out: &mut Vec<u8>, from: usize) {
@@ -230,10 +219,9 @@ fn le_u64(b: &[u8]) -> u64 {
 ///
 /// Returns [`CommError::Version`] when the version byte is not ours
 /// (e.g. a pre-codec v1 sender), [`CommError::Protocol`] on any other
-/// structural mismatch. Checksum validation is separate
-/// ([`payload_intact`]) because a bad checksum is a *recoverable*
-/// condition (refuse to ack, wait for retransmit) while a bad header is
-/// not.
+/// structural mismatch, including an unknown kind byte. Checksum
+/// validation is separate ([`payload_intact`]) so a damaged payload can
+/// be reported as [`CommError::Corrupt`] for the peer the header names.
 pub fn decode_header(bytes: &[u8]) -> Result<Header, CommError> {
     if bytes.len() < HEADER_BYTES {
         return Err(CommError::Protocol(format!(
@@ -251,7 +239,6 @@ pub fn decode_header(bytes: &[u8]) -> Result<Header, CommError> {
         });
     }
     let kind = match bytes[5] {
-        KIND_ACK => FrameKind::Ack,
         KIND_BYE => FrameKind::Bye,
         k => FrameKind::Data(
             MsgKind::from_wire(k)
@@ -291,7 +278,7 @@ pub fn payload_intact(header: &Header, bytes: &[u8]) -> bool {
 ///
 /// Returns [`CommError::Version`] for an unknown codec id,
 /// [`CommError::Protocol`] if the payload is not a well-formed tensor
-/// encoding or the frame is an ack.
+/// encoding or the frame is a goodbye.
 pub fn decode_payload(header: &Header, bytes: &[u8]) -> Result<StageMsg, CommError> {
     let FrameKind::Data(kind) = header.kind else {
         return Err(CommError::Protocol("control frame has no payload".into()));
@@ -372,18 +359,22 @@ mod tests {
     }
 
     #[test]
-    fn ack_and_bye_frames_round_trip() {
+    fn bye_frames_round_trip() {
         let mut bytes = Vec::new();
-        encode_ack_into(&mut bytes, 2, 41);
-        let h = decode_header(&bytes).unwrap();
-        assert_eq!(h.kind, FrameKind::Ack);
-        assert_eq!((h.from, h.seq), (2, 41));
-        assert!(payload_intact(&h, &bytes));
-        let mut bye_bytes = Vec::new();
-        encode_bye_into(&mut bye_bytes, 3);
-        let bye = decode_header(&bye_bytes).unwrap();
+        encode_bye_into(&mut bytes, 3);
+        let bye = decode_header(&bytes).unwrap();
         assert_eq!(bye.kind, FrameKind::Bye);
         assert_eq!(bye.from, 3);
+        assert!(payload_intact(&bye, &bytes));
+    }
+
+    #[test]
+    fn unknown_kind_bytes_are_protocol_errors() {
+        for kind in [2u8, 4, 0xFF] {
+            let mut bytes = data_frame(CodecId::F32);
+            bytes[5] = kind;
+            assert!(matches!(decode_header(&bytes), Err(CommError::Protocol(_))));
+        }
     }
 
     #[test]

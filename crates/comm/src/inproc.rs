@@ -4,11 +4,9 @@
 //! This preserves the original runtime's semantics — tensors move
 //! between threads by value, no serialization, bit-identical results —
 //! while replacing its unbounded channels with *bounded* per-link
-//! credits: each sender may have at most `capacity` unconsumed data
-//! packets in a receiver's inbox and blocks (accumulating
-//! `send_stall_ns`) until the receiver dequeues one. Control packets
-//! (acks from a wrapping emulated layer) bypass credits, otherwise the
-//! retransmit protocol could deadlock against a full inbox.
+//! credits: each sender may have at most `capacity` unconsumed
+//! messages in a receiver's inbox and blocks (accumulating
+//! `send_stall_ns`) until the receiver dequeues one.
 //!
 //! Shutdown is cooperative: a cleanly closed endpoint flips its inbox
 //! shut (late senders get [`CommError::Closed`]); an endpoint dropped
@@ -26,7 +24,7 @@ use crate::codec::{codec, CodecId, WireCodec};
 use crate::config::CommConfig;
 use crate::error::CommError;
 use crate::frame::HEADER_BYTES;
-use crate::msg::{Packet, StageMsg};
+use crate::msg::StageMsg;
 use crate::stats::CommStats;
 use crate::{Endpoint, Transport};
 
@@ -35,8 +33,9 @@ use crate::{Endpoint, Transport};
 const POLL: Duration = Duration::from_millis(50);
 
 struct Slot {
-    queue: VecDeque<(Instant, Packet)>,
-    /// Outstanding data packets per sending stage (the used credits).
+    /// `(enqueued at, sending stage, message)` in arrival order.
+    queue: VecDeque<(Instant, usize, StageMsg)>,
+    /// Outstanding messages per sending stage (the used credits).
     credits_used: Vec<usize>,
     open: bool,
 }
@@ -54,12 +53,6 @@ struct Shared {
     /// Per-stage clean-close flags (recv gives up when all peers closed).
     closed: Vec<AtomicBool>,
     capacity: usize,
-    /// Recycled frame buffers shared by every endpoint: a wrapping
-    /// emulated layer lends from here (`lend_tx_buf`), the receiving
-    /// side returns consumed frames (`recycle_rx_buf`), so frame bytes
-    /// circulate instead of being reallocated per transmission.
-    buf_pool: Mutex<Vec<Vec<u8>>>,
-    buf_pool_cap: usize,
 }
 
 impl Shared {
@@ -87,8 +80,8 @@ impl InProcTransport {
 
     /// Like [`InProcTransport::new`] with explicit tuning knobs: the
     /// codec (applied as an in-memory round trip so results match the
-    /// serializing backends bit-for-bit under lossy codecs), the send
-    /// deadline, and the recycle-pool size.
+    /// serializing backends bit-for-bit under lossy codecs) and the send
+    /// deadline.
     pub fn with_config(stages: usize, capacity: usize, config: CommConfig) -> Self {
         let inboxes = (0..stages)
             .map(|_| {
@@ -109,8 +102,6 @@ impl InProcTransport {
                 abort: AtomicBool::new(false),
                 closed: (0..stages).map(|_| AtomicBool::new(false)).collect(),
                 capacity: capacity.max(1),
-                buf_pool: Mutex::new(Vec::new()),
-                buf_pool_cap: config.rx_pool,
             }),
             config,
             taken: Mutex::new(vec![false; stages]),
@@ -202,6 +193,72 @@ impl InProcEndpoint {
         self.scratch = scratch;
         Ok(())
     }
+
+    /// Puts `msg` into stage `to`'s inbox, blocking while this stage has
+    /// used up its credits there.
+    fn enqueue(&mut self, to: usize, msg: StageMsg) -> Result<(), CommError> {
+        self.err_if_aborted()?;
+        let inbox = &self.shared.inboxes[to];
+        let mut slot = inbox.slot.lock().expect("inbox lock");
+        let start = Instant::now();
+        while slot.open
+            && slot.credits_used[self.stage] >= self.shared.capacity
+            && !self.shared.abort.load(Ordering::Acquire)
+        {
+            if start.elapsed() > self.send_deadline {
+                self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
+                return Err(CommError::Backpressure { peer: to });
+            }
+            slot = inbox
+                .send_cv
+                .wait_timeout(slot, POLL)
+                .expect("inbox lock")
+                .0;
+        }
+        self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
+        if self.shared.abort.load(Ordering::Acquire) || !slot.open {
+            return Err(CommError::Closed { stage: self.stage });
+        }
+        slot.credits_used[self.stage] += 1;
+        slot.queue.push_back((Instant::now(), self.stage, msg));
+        inbox.recv_cv.notify_all();
+        Ok(())
+    }
+
+    /// Takes the oldest message from this stage's inbox, returning its
+    /// credit to the sender. Waits for one when `block` is set; otherwise
+    /// returns `Ok(None)` on an empty inbox.
+    fn dequeue(&mut self, block: bool) -> Result<Option<StageMsg>, CommError> {
+        let inbox = Arc::clone(&self.shared.inboxes[self.stage]);
+        let mut slot = inbox.slot.lock().expect("inbox lock");
+        loop {
+            if let Some((enqueued, from, msg)) = slot.queue.pop_front() {
+                slot.credits_used[from] -= 1;
+                inbox.send_cv.notify_all();
+                drop(slot);
+                let bytes = self.msg_wire_bytes(&msg);
+                let link = &mut self.stats.links[from];
+                link.queue_wait_ns += enqueued.elapsed().as_nanos() as u64;
+                link.rx_messages += 1;
+                link.rx_bytes += bytes;
+                return Ok(Some(msg));
+            }
+            if self.shared.abort.load(Ordering::Acquire) {
+                return Err(CommError::Closed { stage: self.stage });
+            }
+            if self.shared.all_peers_closed(self.stage) {
+                return Err(CommError::Closed { stage: self.stage });
+            }
+            if !block {
+                return Ok(None);
+            }
+            slot = inbox
+                .recv_cv
+                .wait_timeout(slot, POLL)
+                .expect("inbox lock")
+                .0;
+        }
+    }
 }
 
 impl Endpoint for InProcEndpoint {
@@ -220,13 +277,7 @@ impl Endpoint for InProcEndpoint {
         self.apply_codec(&mut msg)?;
         let codec_ns = t0.elapsed().as_nanos() as u64;
         let bytes = self.msg_wire_bytes(&msg);
-        self.send_packet(
-            to,
-            Packet::Msg {
-                from: self.stage,
-                msg,
-            },
-        )?;
+        self.enqueue(to, msg)?;
         let link = &mut self.stats.links[to];
         link.tx_messages += 1;
         link.tx_bytes += bytes;
@@ -238,130 +289,15 @@ impl Endpoint for InProcEndpoint {
 
     fn recv(&mut self) -> Result<StageMsg, CommError> {
         let t0 = Instant::now();
-        loop {
-            match self.recv_packet(None)? {
-                Some(Packet::Msg { from, msg }) => {
-                    let bytes = self.msg_wire_bytes(&msg);
-                    let link = &mut self.stats.links[from];
-                    link.rx_messages += 1;
-                    link.rx_bytes += bytes;
-                    self.stats.recv_wait_ns += t0.elapsed().as_nanos() as u64;
-                    return Ok(msg);
-                }
-                // Control traffic addressed at a wrapper that isn't
-                // there, or a peer closure notice: skip.
-                Some(_) => {}
-                None => unreachable!("blocking recv_packet returned None"),
-            }
-        }
+        let msg = self
+            .dequeue(true)?
+            .expect("a blocking dequeue returns a message or an error");
+        self.stats.recv_wait_ns += t0.elapsed().as_nanos() as u64;
+        Ok(msg)
     }
 
     fn try_recv(&mut self) -> Result<Option<StageMsg>, CommError> {
-        loop {
-            match self.recv_packet(Some(Duration::ZERO))? {
-                Some(Packet::Msg { from, msg }) => {
-                    let bytes = self.msg_wire_bytes(&msg);
-                    let link = &mut self.stats.links[from];
-                    link.rx_messages += 1;
-                    link.rx_bytes += bytes;
-                    return Ok(Some(msg));
-                }
-                Some(_) => {}
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn send_packet(&mut self, to: usize, pkt: Packet) -> Result<(), CommError> {
-        self.err_if_aborted()?;
-        let inbox = &self.shared.inboxes[to];
-        let takes_credit = pkt.takes_credit();
-        let mut slot = inbox.slot.lock().expect("inbox lock");
-        let start = Instant::now();
-        while slot.open
-            && takes_credit
-            && slot.credits_used[self.stage] >= self.shared.capacity
-            && !self.shared.abort.load(Ordering::Acquire)
-        {
-            if start.elapsed() > self.send_deadline {
-                self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
-                return Err(CommError::Backpressure { peer: to });
-            }
-            slot = inbox
-                .send_cv
-                .wait_timeout(slot, POLL)
-                .expect("inbox lock")
-                .0;
-        }
-        self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
-        if self.shared.abort.load(Ordering::Acquire) || !slot.open {
-            return Err(CommError::Closed { stage: self.stage });
-        }
-        if takes_credit {
-            slot.credits_used[self.stage] += 1;
-        }
-        slot.queue.push_back((Instant::now(), pkt));
-        inbox.recv_cv.notify_all();
-        Ok(())
-    }
-
-    fn recv_packet(&mut self, timeout: Option<Duration>) -> Result<Option<Packet>, CommError> {
-        let inbox = Arc::clone(&self.shared.inboxes[self.stage]);
-        let start = Instant::now();
-        let mut slot = inbox.slot.lock().expect("inbox lock");
-        loop {
-            if let Some((enqueued, pkt)) = slot.queue.pop_front() {
-                let from = pkt.from();
-                if pkt.takes_credit() {
-                    slot.credits_used[from] -= 1;
-                    inbox.send_cv.notify_all();
-                }
-                drop(slot);
-                self.stats.links[from].queue_wait_ns += enqueued.elapsed().as_nanos() as u64;
-                return Ok(Some(pkt));
-            }
-            if self.shared.abort.load(Ordering::Acquire) {
-                return Err(CommError::Closed { stage: self.stage });
-            }
-            if self.shared.all_peers_closed(self.stage) {
-                return Err(CommError::Closed { stage: self.stage });
-            }
-            let wait = match timeout {
-                Some(t) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= t {
-                        return Ok(None);
-                    }
-                    POLL.min(t - elapsed)
-                }
-                None => POLL,
-            };
-            if wait.is_zero() {
-                return Ok(None);
-            }
-            slot = inbox
-                .recv_cv
-                .wait_timeout(slot, wait)
-                .expect("inbox lock")
-                .0;
-        }
-    }
-
-    fn lend_tx_buf(&mut self) -> Vec<u8> {
-        self.shared
-            .buf_pool
-            .lock()
-            .expect("buf pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn recycle_rx_buf(&mut self, mut buf: Vec<u8>) {
-        let mut pool = self.shared.buf_pool.lock().expect("buf pool lock");
-        if pool.len() < self.shared.buf_pool_cap {
-            buf.clear();
-            pool.push(buf);
-        }
+        self.dequeue(false)
     }
 
     fn stats(&self) -> CommStats {

@@ -12,34 +12,34 @@
 //!   sockets or localhost TCP, so each stage can run as a separate OS
 //!   process (see the `mepipe-worker` binary in `mepipe-train`).
 //! * [`emulated::EmulatedTransport`] — wraps either of the above with
-//!   alpha–beta link timing from a [`LinkSpec`], deterministic seeded
-//!   fault injection, and stop-and-wait reliable delivery (retransmit on
-//!   drop or checksum rejection).
+//!   alpha–beta link timing from a [`LinkSpec`] (each send holds the
+//!   sender for latency + frame bytes / bandwidth) and optional seeded
+//!   delay jitter ([`FaultSpec`]). It only adds time: what arrives is
+//!   exactly what the inner backend delivers.
 //!
-//! The layering works because endpoints expose two levels: the typed
-//! [`Endpoint::send`]/[`Endpoint::recv`] used by the runtime, and the
-//! packet-level [`Endpoint::send_packet`]/[`Endpoint::recv_packet`] that
-//! wrappers use to move raw frames through the inner backend. The wire
-//! path is zero-copy by construction: senders lend a recycled buffer
-//! ([`Endpoint::lend_tx_buf`]), encode the frame in place
+//! The socket wire path is zero-copy by construction: the endpoint
+//! lends a recycled buffer, encodes the frame in place
 //! ([`frame::encode_data_into`] — header and codec-encoded payload in
-//! one buffer, no concatenation) and hand it back with
-//! [`Endpoint::send_frame`]; receivers recycle consumed frame buffers
-//! through [`Endpoint::recycle_rx_buf`]. Payloads travel in the wire
-//! codec negotiated per link ([`codec`] — raw f32 by default, bf16 to
-//! halve the bytes), and the socket backend double-buffers sends on an
-//! async writer so encoding microbatch *k+1* overlaps the wire time of
-//! *k*. Backend tuning lives in the builder-style [`CommConfig`].
+//! one buffer, no concatenation) and recycles it after the write;
+//! received frames are reassembled into pooled buffers. Payloads travel
+//! in the wire codec negotiated per link ([`codec`] — raw f32 by
+//! default, bf16 to halve the bytes), and the socket backend
+//! double-buffers sends on an async writer so encoding microbatch *k+1*
+//! overlaps the wire time of *k*. Backend tuning lives in the
+//! builder-style [`CommConfig`].
 //!
 //! Every backend reports uniform per-link counters ([`CommStats`]):
 //! bytes, messages, serialize/deserialize time, send stalls, queue wait,
-//! emulated wire occupancy, and fault/retry counts.
+//! emulated wire occupancy, injected delays and checksum rejections.
 //!
 //! Failure semantics replace the old `expect("channel closed")` panics:
 //! a cleanly closed peer ends blocked receives with
 //! [`CommError::Closed`] once all peers are done, and a peer that dies
 //! *without* closing (process crash, dirty drop) fails every blocked
-//! operation in the transport promptly instead of hanging.
+//! operation in the transport promptly instead of hanging. A frame whose
+//! payload fails its checksum surfaces as [`CommError::Corrupt`]; links
+//! are not retried, since the streams they run on are reliable and a
+//! worker that dies is restarted from its checkpoint by `mepipe-ctl`.
 
 pub mod codec;
 pub mod config;
@@ -53,14 +53,13 @@ pub mod socket;
 pub mod stats;
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 pub use codec::{codec, Bf16Codec, CodecId, F32Codec, LossyCodec, WireCodec};
 pub use config::CommConfig;
 pub use emulated::{EmulatedTransport, FaultSpec};
 pub use error::CommError;
 pub use inproc::InProcTransport;
-pub use msg::{MsgKind, Packet, StageMsg};
+pub use msg::{MsgKind, StageMsg};
 pub use socket::{SocketMode, SocketTransport};
 pub use stats::{CommStats, LinkStats};
 
@@ -87,8 +86,8 @@ pub trait Transport: Send + Sync {
 /// One stage's handle for exchanging boundary tensors with its peers.
 ///
 /// Endpoints are owned by their stage's thread and are deliberately
-/// `&mut self`: all waiting, retransmission, and tensor decoding happens
-/// on the stage thread, where the stage's `TensorArena` is installed.
+/// `&mut self`: all waiting and tensor decoding happens on the stage
+/// thread, where the stage's `TensorArena` is installed.
 pub trait Endpoint: Send {
     /// The stage this endpoint belongs to.
     fn stage(&self) -> usize;
@@ -96,15 +95,14 @@ pub trait Endpoint: Send {
     /// Total stages on the fabric.
     fn stages(&self) -> usize;
 
-    /// Sends `msg` to stage `to`, blocking on flow control (and, for
-    /// reliable backends, on acknowledgement).
+    /// Sends `msg` to stage `to`, blocking on flow control (and, for an
+    /// emulated link, for the message's wire time).
     ///
     /// # Errors
     ///
     /// [`CommError::Closed`] if the fabric is shut down,
     /// [`CommError::Backpressure`] if flow control stalls past its
-    /// deadline, [`CommError::Timeout`] if a reliable layer exhausts its
-    /// retransmission budget, [`CommError::Io`] on socket failures.
+    /// deadline, [`CommError::Io`] on socket failures.
     fn send(&mut self, to: usize, msg: StageMsg) -> Result<(), CommError>;
 
     /// Receives the next message from any peer, blocking until one
@@ -113,8 +111,8 @@ pub trait Endpoint: Send {
     /// # Errors
     ///
     /// [`CommError::Closed`] once every peer has cleanly closed (normal
-    /// end of run) or a peer died dirty; [`CommError::Corrupt`] if an
-    /// unreliable backend received a frame failing its checksum.
+    /// end of run) or a peer died dirty; [`CommError::Corrupt`] if a
+    /// received frame failed its payload checksum.
     fn recv(&mut self) -> Result<StageMsg, CommError>;
 
     /// Like [`Endpoint::recv`] but returns `Ok(None)` immediately when no
@@ -124,49 +122,6 @@ pub trait Endpoint: Send {
     ///
     /// Same conditions as [`Endpoint::recv`].
     fn try_recv(&mut self) -> Result<Option<StageMsg>, CommError>;
-
-    /// Packet-level send, used by wrapping backends to move raw frames
-    /// and control traffic through this backend.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Endpoint::send`].
-    fn send_packet(&mut self, to: usize, pkt: Packet) -> Result<(), CommError>;
-
-    /// Packet-level receive with an optional timeout (`None` blocks).
-    /// Returns `Ok(None)` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Closed`] when the fabric is finished or a peer died.
-    fn recv_packet(&mut self, timeout: Option<Duration>) -> Result<Option<Packet>, CommError>;
-
-    /// Lends a cleared transmit buffer to encode a frame into. Backends
-    /// with a recycle pool hand back a previously sent buffer (so
-    /// steady-state sends allocate nothing); the default mints a fresh
-    /// one. Pass the filled buffer to [`Endpoint::send_frame`], which
-    /// reclaims it.
-    fn lend_tx_buf(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Sends a complete encoded frame to stage `to`, consuming `frame`
-    /// back into the lend pool once it has been written (or queued on an
-    /// async writer). This is the zero-copy path wrapping layers use:
-    /// `lend_tx_buf` → `frame::encode_*_into` → `send_frame`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Endpoint::send`].
-    fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), CommError> {
-        let from = self.stage();
-        self.send_packet(to, Packet::Frame { from, bytes: frame })
-    }
-
-    /// Returns a consumed receive buffer to the endpoint's recycle pool
-    /// so the reading side can reuse it instead of allocating. No-op by
-    /// default.
-    fn recycle_rx_buf(&mut self, _buf: Vec<u8>) {}
 
     /// Snapshot of this endpoint's counters.
     fn stats(&self) -> CommStats;
@@ -200,11 +155,8 @@ pub struct TransportConfig {
     pub capacity: usize,
     /// When set, wrap the fabric in link emulation with this spec.
     pub link: Option<LinkSpec>,
-    /// Fault-injection plan (only meaningful with emulation; a default
-    /// spec injects nothing).
-    pub faults: FaultSpec,
-    /// Backend tuning knobs (codec, buffer depths, timeouts). The fault
-    /// plan in `faults` takes precedence over `comm.faults`.
+    /// Backend tuning knobs (codec, buffer depths, timeouts, delay
+    /// plan).
     pub comm: CommConfig,
 }
 
@@ -222,17 +174,6 @@ impl TransportConfig {
         self
     }
 
-    /// Sets the fault plan and ensures emulation is on (faults need the
-    /// reliable layer; defaults to a zero-cost loopback link).
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        if self.link.is_none() {
-            self.link = Some(LinkSpec::loopback());
-        }
-        self
-    }
-
     /// Sets the wire codec for every link of the transport.
     #[must_use]
     pub fn with_codec(mut self, codec: CodecId) -> Self {
@@ -247,9 +188,11 @@ impl TransportConfig {
         self
     }
 
-    /// Whether this config needs the reliable emulated layer.
+    /// Whether this config needs the emulated layer: a link to time, or
+    /// a delay plan that can fire (emulated over a zero-cost loopback
+    /// link when no link is set).
     pub fn emulated(&self) -> bool {
-        self.link.is_some() || self.faults.is_active()
+        self.link.is_some() || self.comm.faults.is_active()
     }
 }
 
@@ -272,14 +215,7 @@ pub fn build_transport(
     } else {
         config.capacity
     };
-    // The dedicated faults field wins over whatever the knob struct
-    // carries, preserving the pre-CommConfig behaviour of
-    // `TransportConfig::with_faults`.
-    let comm = if config.faults.is_active() {
-        config.comm.clone().with_faults(config.faults)
-    } else {
-        config.comm.clone()
-    };
+    let comm = &config.comm;
     let base: Box<dyn Transport> = match &config.backend {
         Backend::InProc => Box::new(InProcTransport::with_config(stages, capacity, comm.clone())),
         Backend::Uds(dir) => Box::new(SocketTransport::with_config(
@@ -295,7 +231,11 @@ pub fn build_transport(
     };
     if config.emulated() {
         let link = config.link.clone().unwrap_or_else(LinkSpec::loopback);
-        Ok(Box::new(EmulatedTransport::with_config(base, link, comm)))
+        Ok(Box::new(EmulatedTransport::with_config(
+            base,
+            link,
+            comm.clone(),
+        )))
     } else {
         Ok(base)
     }
@@ -322,12 +262,13 @@ mod tests {
     }
 
     #[test]
-    fn faults_imply_emulation() {
-        let cfg = TransportConfig::in_proc().with_faults(FaultSpec {
-            drop_first_n: 1,
+    fn delays_imply_emulation() {
+        let cfg = TransportConfig::in_proc().with_comm(CommConfig::new().with_faults(FaultSpec {
+            delay_permille: 10,
             ..FaultSpec::default()
-        });
+        }));
         assert!(cfg.emulated());
-        assert!(cfg.link.is_some());
+        assert!(cfg.link.is_none(), "emulation defaults to a loopback link");
+        assert_eq!(build_transport(&cfg, 2, 4).unwrap().stages(), 2);
     }
 }

@@ -1,11 +1,8 @@
-//! Message and packet types moved between stage endpoints.
-//!
-//! The public unit is [`StageMsg`] — a boundary tensor plus the
-//! `(direction, micro_batch, slice, global_pos)` tag the runtime routes
-//! on. Underneath, endpoints exchange [`Packet`]s: either a typed message
-//! (the in-process fast path, tensor moved by value, no copy), a raw
-//! serialized frame (the socket wire unit, and what the emulated layer
-//! injects faults into), or a link-level ack for reliable delivery.
+//! The message type moved between stage endpoints: [`StageMsg`], a
+//! boundary tensor plus the `(direction, micro_batch, slice,
+//! global_pos)` tag the runtime routes on. The in-process backend moves
+//! it by value; the socket backend serializes it into a
+//! [`crate::frame`].
 
 use mepipe_tensor::Tensor;
 
@@ -50,67 +47,4 @@ pub struct StageMsg {
     pub g: u32,
     /// The boundary tensor itself.
     pub tensor: Tensor,
-}
-
-/// The transport-internal unit of exchange.
-///
-/// Backends move packets; wrappers (the emulated layer) speak the packet
-/// interface of their inner backend, which is how emulation composes
-/// over both the in-process and the socket transports.
-#[derive(Debug)]
-pub enum Packet {
-    /// Typed fast path: the tensor crosses by value (in-process only).
-    Msg {
-        /// Sending stage.
-        from: usize,
-        /// The message.
-        msg: StageMsg,
-    },
-    /// A serialized frame (header + checksum + tensor payload bytes).
-    Frame {
-        /// Sending stage (as claimed by the envelope, pre-validation).
-        from: usize,
-        /// Complete frame bytes, [`crate::frame`] layout.
-        bytes: Vec<u8>,
-    },
-    /// Link-level cumulative ack: `seq` (and everything before it on this
-    /// link) arrived intact.
-    Ack {
-        /// Acknowledging stage.
-        from: usize,
-        /// Highest contiguous data sequence number received.
-        seq: u64,
-    },
-    /// The peer's endpoint shut down *cleanly* (it finished its schedule
-    /// and said goodbye before closing).
-    Closed {
-        /// Stage that went away.
-        from: usize,
-    },
-    /// The peer vanished without a goodbye — a worker death. Receivers
-    /// fail fast instead of waiting for messages that will never come.
-    Fault {
-        /// Stage that died.
-        from: usize,
-    },
-}
-
-impl Packet {
-    /// Whether this packet consumes a flow-control credit (data does,
-    /// control traffic must not — acks that can't enter the queue would
-    /// deadlock the retransmit protocol against a full inbox).
-    pub(crate) fn takes_credit(&self) -> bool {
-        matches!(self, Packet::Msg { .. } | Packet::Frame { .. })
-    }
-
-    /// The sending stage of any packet variant.
-    pub(crate) fn from(&self) -> usize {
-        match self {
-            Packet::Msg { from, .. }
-            | Packet::Frame { from, .. }
-            | Packet::Ack { from, .. }
-            | Packet::Closed { from }
-            | Packet::Fault { from } => *from,
-        }
-    }
 }

@@ -11,8 +11,8 @@
 //! The wire path is zero-copy in both directions and involves no relay
 //! threads on the hot path:
 //!
-//! * **Sends** lend a recycled buffer ([`Endpoint::lend_tx_buf`]),
-//!   encode the frame in place, and put it on the wire with one
+//! * **Sends** lend a recycled buffer from the endpoint's transmit
+//!   pool, encode the frame in place, and put it on the wire with one
 //!   vectored write (length prefix + frame, no concatenation copy).
 //!   Frames up to `CommConfig::inline_max_bytes` are written
 //!   synchronously on the sending thread while the writer is idle —
@@ -25,7 +25,7 @@
 //! * **Receives** happen directly on the stage thread: `recv` performs
 //!   timed reads over the peer streams, reassembling length-prefixed
 //!   frames into pooled buffers (frames may straddle read boundaries)
-//!   that are recycled after decode via [`Endpoint::recycle_rx_buf`].
+//!   that go back to the endpoint's receive pool after decode.
 //!   Decoding runs where the stage's `TensorArena` is installed, so
 //!   receive tensors are pooled like every other tensor (see
 //!   `mepipe_tensor::wire`). Compared to the previous per-peer reader
@@ -37,7 +37,9 @@
 //! data, joins the writer, then closes the streams. A receiver hitting
 //! EOF *without* having seen the goodbye reports the peer as dead,
 //! which fails the local stage fast instead of leaving it blocked on a
-//! message that will never arrive.
+//! message that will never arrive. A data frame whose payload fails its
+//! checksum is rejected with [`CommError::Corrupt`]: a stream socket
+//! does not corrupt bytes on its own, so there is nothing to retry.
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
@@ -51,7 +53,7 @@ use crate::codec::{codec, CodecId};
 use crate::config::CommConfig;
 use crate::error::CommError;
 use crate::frame::{self, FrameKind};
-use crate::msg::{Packet, StageMsg};
+use crate::msg::StageMsg;
 use crate::stats::CommStats;
 use crate::{Endpoint, Transport};
 
@@ -210,12 +212,9 @@ struct TxShared {
     cv_room: Condvar,
 }
 
-impl Transport for SocketTransport {
-    fn stages(&self) -> usize {
-        self.stages
-    }
-
-    fn endpoint(&self, stage: usize) -> Result<Box<dyn Endpoint>, CommError> {
+impl SocketTransport {
+    /// Performs `stage`'s side of the mesh rendezvous.
+    fn open(&self, stage: usize) -> Result<SocketEndpoint, CommError> {
         if stage >= self.stages {
             return Err(CommError::Protocol(format!(
                 "stage {stage} out of range for {} stages",
@@ -321,7 +320,7 @@ impl Transport for SocketTransport {
             cv_send: Condvar::new(),
             cv_room: Condvar::new(),
         });
-        Ok(Box::new(SocketEndpoint {
+        Ok(SocketEndpoint {
             stage,
             stages: p,
             codec: self.config.codec,
@@ -341,7 +340,17 @@ impl Transport for SocketTransport {
             stats: CommStats::new(stage, p),
             closed: false,
             uds_path,
-        }))
+        })
+    }
+}
+
+impl Transport for SocketTransport {
+    fn stages(&self) -> usize {
+        self.stages
+    }
+
+    fn endpoint(&self, stage: usize) -> Result<Box<dyn Endpoint>, CommError> {
+        Ok(Box::new(self.open(stage)?))
     }
 }
 
@@ -680,18 +689,41 @@ impl SocketEndpoint {
             .all(|(s, &c)| s == self.stage || c)
     }
 
+    /// Lends a cleared transmit buffer: one the writer recycled after a
+    /// previous send when the pool has one (so steady-state sends
+    /// allocate nothing), a fresh one otherwise.
+    fn lend_tx_buf(&self) -> Vec<u8> {
+        self.tx
+            .state
+            .lock()
+            .expect("tx lock")
+            .pool
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// Returns a consumed receive buffer to the receive pool.
+    fn recycle_rx_buf(&mut self, mut buf: Vec<u8>) {
+        if self.rx_pool.len() < self.rx_pool_cap {
+            buf.clear();
+            self.rx_pool.push(buf);
+        }
+    }
+
     /// Handles a data frame on the stage thread: checksum + decode,
     /// then the frame buffer goes back to the receive pool.
-    fn open_frame(&mut self, from: usize, bytes: Vec<u8>) -> Result<StageMsg, CommError> {
-        let h = frame::decode_header(&bytes)?;
-        if !frame::payload_intact(&h, &bytes) {
-            // The bare socket backend has no retransmit protocol to
-            // recover through (wrap it in Emulated for that).
+    fn open_frame(
+        &mut self,
+        from: usize,
+        h: &frame::Header,
+        bytes: Vec<u8>,
+    ) -> Result<StageMsg, CommError> {
+        if !frame::payload_intact(h, &bytes) {
             self.stats.links[from].rejected_checksums += 1;
             return Err(CommError::Corrupt { peer: from });
         }
         let t0 = Instant::now();
-        let msg = frame::decode_payload(&h, &bytes)?;
+        let msg = frame::decode_payload(h, &bytes)?;
         let n = bytes.len() as u64;
         self.recycle_rx_buf(bytes);
         let link = &mut self.stats.links[from];
@@ -699,6 +731,90 @@ impl SocketEndpoint {
         link.rx_messages += 1;
         link.rx_bytes += n;
         Ok(msg)
+    }
+
+    /// Reads the next data frame from any live peer, consuming goodbyes
+    /// on the way. Waits for one when `block` is set; otherwise makes one
+    /// nonblocking sweep (so kernel-buffered frames are seen, not just
+    /// already-reassembled ones) and returns `Ok(None)` if it found none.
+    fn next_frame(
+        &mut self,
+        block: bool,
+    ) -> Result<Option<(usize, frame::Header, Vec<u8>)>, CommError> {
+        let mut nap = RX_NAP_MIN;
+        let mut sweeps = 0usize;
+        loop {
+            if self.all_peers_closed() {
+                return Err(CommError::Closed { stage: self.stage });
+            }
+            let live = (0..self.stages)
+                .filter(|&p| self.rx[p].is_some() && !self.peer_closed[p])
+                .count();
+            // With one live peer, blocking on its stream is exactly
+            // right. With several there is nothing to block *on* (no
+            // poll without libc): parking a timed read on peer A while
+            // peer B's frame sits in the kernel buffer convoys the whole
+            // pipeline, so sweep every peer non-blockingly and nap
+            // between empty sweeps instead.
+            let single = live == 1;
+            let mode = if single && block {
+                RxMode::Timed(POLL)
+            } else {
+                RxMode::NonBlocking
+            };
+            self.rx_cursor = self.rx_cursor.wrapping_add(1);
+            'peers: for idx in 0..self.stages {
+                let peer = (self.rx_cursor + idx) % self.stages;
+                if self.rx[peer].is_none() || self.peer_closed[peer] {
+                    continue 'peers;
+                }
+                let rx = self.rx[peer].as_mut().expect("live peer stream");
+                let pumped = rx
+                    .pump(mode, &mut self.rx_pool)
+                    .map_err(|e| CommError::Io(e.to_string()))?;
+                match pumped {
+                    Pump::Frame(bytes) => {
+                        let h = frame::decode_header(&bytes).inspect_err(|_| {
+                            // A structurally broken stream has no
+                            // recovery path: treat the peer as dead.
+                            self.peer_closed[peer] = true;
+                        })?;
+                        match h.kind {
+                            FrameKind::Bye => {
+                                self.recycle_rx_buf(bytes);
+                                self.peer_closed[peer] = true;
+                                break; // live set changed: recompute
+                            }
+                            FrameKind::Data(_) => return Ok(Some((peer, h, bytes))),
+                        }
+                    }
+                    Pump::Idle => {}
+                    Pump::Eof => {
+                        // EOF without a goodbye: the peer died dirty.
+                        self.peer_closed[peer] = true;
+                        return Err(CommError::Closed { stage: peer });
+                    }
+                }
+            }
+            if !block {
+                return Ok(None);
+            }
+            if !single {
+                // Empty sweep: cede the core (2-CPU boxes run several
+                // stages per core). The first few empty sweeps only
+                // yield — if a peer stage is runnable it gets the core
+                // and its frame arrives by the next sweep — then fall
+                // back to naps with doubling backoff, which survive the
+                // kernel's ~50us timer slack without busy-spinning.
+                sweeps += 1;
+                if sweeps <= RX_YIELD_SWEEPS {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(nap);
+                    nap = (nap * 2).min(RX_NAP_MAX);
+                }
+            }
+        }
     }
 }
 
@@ -736,163 +852,17 @@ impl Endpoint for SocketEndpoint {
 
     fn recv(&mut self) -> Result<StageMsg, CommError> {
         let t0 = Instant::now();
-        loop {
-            match self.recv_packet(None)? {
-                Some(Packet::Frame { from, bytes }) => {
-                    self.stats.recv_wait_ns += t0.elapsed().as_nanos() as u64;
-                    return self.open_frame(from, bytes);
-                }
-                Some(_) => {} // acks: a wrapping layer's business
-                None => unreachable!("blocking recv_packet returned None"),
-            }
-        }
+        let (from, h, bytes) = self
+            .next_frame(true)?
+            .expect("a blocking read returns a frame or an error");
+        self.stats.recv_wait_ns += t0.elapsed().as_nanos() as u64;
+        self.open_frame(from, &h, bytes)
     }
 
     fn try_recv(&mut self) -> Result<Option<StageMsg>, CommError> {
-        loop {
-            match self.recv_packet(Some(Duration::ZERO))? {
-                Some(Packet::Frame { from, bytes }) => {
-                    return self.open_frame(from, bytes).map(Some);
-                }
-                Some(_) => {}
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn send_packet(&mut self, to: usize, pkt: Packet) -> Result<(), CommError> {
-        match pkt {
-            Packet::Frame { bytes, .. } => self.dispatch_frame(to, bytes),
-            Packet::Ack { from, seq } => {
-                let mut buf = self.lend_tx_buf();
-                frame::encode_ack_into(&mut buf, from, seq);
-                self.dispatch_frame(to, buf)
-            }
-            Packet::Msg { msg, .. } => self.send(to, msg),
-            Packet::Closed { .. } | Packet::Fault { .. } => Err(CommError::Protocol(
-                "closure packets are not sendable".into(),
-            )),
-        }
-    }
-
-    fn recv_packet(&mut self, timeout: Option<Duration>) -> Result<Option<Packet>, CommError> {
-        let start = Instant::now();
-        let mut nap = RX_NAP_MIN;
-        let mut sweeps = 0usize;
-        loop {
-            if self.all_peers_closed() {
-                return Err(CommError::Closed { stage: self.stage });
-            }
-            let live = (0..self.stages)
-                .filter(|&p| self.rx[p].is_some() && !self.peer_closed[p])
-                .count();
-            // With one live peer, blocking on its stream is exactly
-            // right. With several there is nothing to block *on* (no
-            // poll without libc): parking a timed read on peer A while
-            // peer B's frame sits in the kernel buffer convoys the whole
-            // pipeline, so sweep every peer non-blockingly and nap
-            // between empty sweeps instead.
-            let single = live == 1;
-            self.rx_cursor = self.rx_cursor.wrapping_add(1);
-            'peers: for idx in 0..self.stages {
-                let peer = (self.rx_cursor + idx) % self.stages;
-                if self.rx[peer].is_none() || self.peer_closed[peer] {
-                    continue 'peers;
-                }
-                let mode = if !single {
-                    RxMode::NonBlocking
-                } else {
-                    match timeout {
-                        // An expired budget still does one nonblocking
-                        // read so kernel-buffered frames are seen, not
-                        // just already-reassembled ones.
-                        Some(t) => match t.saturating_sub(start.elapsed()) {
-                            Duration::ZERO => RxMode::NonBlocking,
-                            remaining => RxMode::Timed(POLL.min(remaining)),
-                        },
-                        None => RxMode::Timed(POLL),
-                    }
-                };
-                let rx = self.rx[peer].as_mut().expect("live peer stream");
-                let pumped = rx
-                    .pump(mode, &mut self.rx_pool)
-                    .map_err(|e| CommError::Io(e.to_string()))?;
-                match pumped {
-                    Pump::Frame(bytes) => {
-                        let h = frame::decode_header(&bytes).inspect_err(|_| {
-                            // A structurally broken stream has no
-                            // recovery path: treat the peer as dead.
-                            self.peer_closed[peer] = true;
-                        })?;
-                        match h.kind {
-                            FrameKind::Bye => {
-                                self.recycle_rx_buf(bytes);
-                                self.peer_closed[peer] = true;
-                                break; // live set changed: recompute
-                            }
-                            FrameKind::Ack => {
-                                self.recycle_rx_buf(bytes);
-                                return Ok(Some(Packet::Ack {
-                                    from: peer,
-                                    seq: h.seq,
-                                }));
-                            }
-                            FrameKind::Data(_) => {
-                                return Ok(Some(Packet::Frame { from: peer, bytes }));
-                            }
-                        }
-                    }
-                    Pump::Idle => {}
-                    Pump::Eof => {
-                        // EOF without a goodbye: the peer died dirty.
-                        self.peer_closed[peer] = true;
-                        return Err(CommError::Closed { stage: peer });
-                    }
-                }
-            }
-            if let Some(t) = timeout {
-                if start.elapsed() >= t {
-                    return Ok(None);
-                }
-            }
-            if !single {
-                // Empty sweep: cede the core (2-CPU boxes run several
-                // stages per core). The first few empty sweeps only
-                // yield — if a peer stage is runnable it gets the core
-                // and its frame arrives by the next sweep — then fall
-                // back to naps with doubling backoff, which survive the
-                // kernel's ~50us timer slack without busy-spinning.
-                sweeps += 1;
-                if sweeps <= RX_YIELD_SWEEPS {
-                    std::thread::yield_now();
-                } else {
-                    let mut d = nap;
-                    if let Some(t) = timeout {
-                        d = d.min(t.saturating_sub(start.elapsed()));
-                    }
-                    if !d.is_zero() {
-                        std::thread::sleep(d);
-                    }
-                    nap = (nap * 2).min(RX_NAP_MAX);
-                }
-            }
-        }
-    }
-
-    fn lend_tx_buf(&mut self) -> Vec<u8> {
-        self.tx
-            .state
-            .lock()
-            .expect("tx lock")
-            .pool
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn recycle_rx_buf(&mut self, mut buf: Vec<u8>) {
-        if self.rx_pool.len() < self.rx_pool_cap {
-            buf.clear();
-            self.rx_pool.push(buf);
+        match self.next_frame(false)? {
+            Some((from, h, bytes)) => self.open_frame(from, &h, bytes).map(Some),
+            None => Ok(None),
         }
     }
 
@@ -1111,7 +1081,7 @@ mod tests {
         std::thread::scope(|s| {
             let t0 = &t;
             s.spawn(move || {
-                let mut e = t0.endpoint(0).unwrap();
+                let mut e = t0.open(0).unwrap();
                 for i in 0..8 {
                     e.send(1, msg(i as f32, 1)).unwrap();
                 }
@@ -1129,6 +1099,44 @@ mod tests {
             }
             // All frames arrived through the pooled rx path.
             assert_eq!(e.stats().total().rx_messages, 8);
+            e.close();
+        });
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn corrupt_payload_is_rejected_as_a_typed_error() {
+        // Stage 1's side of the mesh is a raw stream: connect to stage
+        // 0's listener, say hello, then write one length-prefixed data
+        // frame whose last payload byte is flipped after the checksum
+        // was stamped.
+        let dir = tmp_dir("corrupt");
+        let t = SocketTransport::new(SocketMode::Uds(dir.clone()), 2);
+        let path = SocketTransport::uds_path(&dir, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut raw = loop {
+                    match UnixStream::connect(&path) {
+                        Ok(raw) => break raw,
+                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                    }
+                };
+                raw.write_all(&[1]).unwrap();
+                let mut bytes = Vec::new();
+                frame::encode_data_into(&mut bytes, 1, 1, &msg(4.0, 0), codec(CodecId::F32));
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+                raw.write_all(&(bytes.len() as u32).to_le_bytes()).unwrap();
+                raw.write_all(&bytes).unwrap();
+                // Hold the stream open until stage 0 has read the frame.
+                let mut rest = Vec::new();
+                let _ = raw.read_to_end(&mut rest);
+            });
+            let mut e = t.endpoint(0).unwrap();
+            let err = e.recv().unwrap_err();
+            assert_eq!(err, CommError::Corrupt { peer: 1 });
+            assert_eq!(e.stats().links[1].rejected_checksums, 1);
+            assert_eq!(e.stats().links[1].rx_messages, 0);
             e.close();
         });
         let _ = std::fs::remove_dir_all(dir);

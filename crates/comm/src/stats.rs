@@ -24,26 +24,15 @@ pub struct LinkStats {
     pub deserialize_ns: u64,
     /// Time sends stalled on flow-control credits or socket writes.
     pub send_stall_ns: u64,
-    /// Time packets from this peer sat in the inbox before the stage
+    /// Time messages from this peer sat in the inbox before the stage
     /// dequeued them.
     pub queue_wait_ns: u64,
-    /// Emulated wire occupancy: the bandwidth/latency sleeps alone, so
+    /// Emulated wire occupancy: the bandwidth/latency holds alone, so
     /// the counter is directly comparable to the alpha–beta link model.
     pub wire_ns: u64,
-    /// Time the reliable layer spent waiting for acknowledgements after
-    /// a transmission (draining inbound traffic until the peer acks).
-    /// Dominated by the *receiver's* schedule, not the link, so it is
-    /// kept apart from `wire_ns`.
-    pub ack_wait_ns: u64,
-    /// Retransmissions performed by the reliable layer.
-    pub retries: u64,
-    /// Frames the fault injector dropped.
-    pub injected_drops: u64,
-    /// Frames the fault injector corrupted.
-    pub injected_corrupts: u64,
-    /// Frames the fault injector delayed.
+    /// Sends the emulated link's seeded jitter delayed.
     pub injected_delays: u64,
-    /// Frames this endpoint refused to ack because the checksum failed.
+    /// Frames rejected because their payload checksum failed.
     pub rejected_checksums: u64,
     /// Tensor payload bytes before the wire codec ran (raw f32 size).
     pub payload_bytes_precodec: u64,
@@ -71,10 +60,6 @@ impl LinkStats {
             send_stall_ns: self.send_stall_ns + o.send_stall_ns,
             queue_wait_ns: self.queue_wait_ns + o.queue_wait_ns,
             wire_ns: self.wire_ns + o.wire_ns,
-            ack_wait_ns: self.ack_wait_ns + o.ack_wait_ns,
-            retries: self.retries + o.retries,
-            injected_drops: self.injected_drops + o.injected_drops,
-            injected_corrupts: self.injected_corrupts + o.injected_corrupts,
             injected_delays: self.injected_delays + o.injected_delays,
             rejected_checksums: self.rejected_checksums + o.rejected_checksums,
             payload_bytes_precodec: self.payload_bytes_precodec + o.payload_bytes_precodec,
@@ -146,10 +131,10 @@ mod tests {
         a.recv_wait_ns = 10;
         let mut b = CommStats::new(0, 2);
         b.links[1].tx_messages = 4;
-        b.links[1].retries = 2;
+        b.links[1].injected_delays = 2;
         let m = a.merged(&b);
         assert_eq!(m.links[1].tx_messages, 7);
-        assert_eq!(m.links[1].retries, 2);
+        assert_eq!(m.links[1].injected_delays, 2);
         assert_eq!(m.recv_wait_ns, 10);
         assert_eq!(m.total().tx_messages, 7);
     }

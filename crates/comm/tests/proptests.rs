@@ -145,7 +145,7 @@ proptest! {
     }
 
     /// Any single corrupted payload byte fails the checksum for every
-    /// codec (what drives the reliable layer's retransmit).
+    /// codec (a receiver rejects such a frame as `CommError::Corrupt`).
     #[test]
     fn corrupt_payload_bytes_are_detected(
         seed in 0u64..u64::MAX,

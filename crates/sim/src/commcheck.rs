@@ -9,28 +9,18 @@
 //! traffic and reports measured/modeled per directed link.
 //!
 //! The measured side can only exceed the model, but not by much: the
-//! emulator sleeps for at least the modeled wire time per transmission,
-//! and `wire_ns` counts exactly those sleeps (plus OS timer overshoot)
-//! — ack waiting is accounted separately in `ack_wait_ns`, because it
-//! measures the receiver's schedule rather than the link. Ratios should
-//! therefore sit near 1.0; [`CommCheckReport::warnings`] names every
-//! link whose ratio falls outside [`RATIO_WARN_LO`, `RATIO_WARN_HI`],
-//! which indicates either a cost-model bug or heavy timer interference
-//! — exactly the signal the paper's profile-predict-execute loop needs.
+//! emulator holds each send for at least the modeled wire time, and
+//! `wire_ns` counts exactly those holds (plus OS timer overshoot).
+//! Ratios should therefore sit near 1.0; [`CommCheckReport::warnings`]
+//! names every link whose ratio falls outside
+//! [[`RATIO_WARN_LO`], [`RATIO_WARN_HI`]], which indicates either a
+//! cost-model bug or heavy timer interference — exactly the signal the
+//! paper's profile-predict-execute loop needs.
 
 use mepipe_comm::CommStats;
 use mepipe_hw::LinkSpec;
 
-/// Below this measured/modeled ratio a link is flagged: the emulator
-/// slept less than the model predicts, i.e. the model over-prices the
-/// link.
-pub const RATIO_WARN_LO: f64 = 0.5;
-
-/// Above this measured/modeled ratio a link is flagged: the wire spent
-/// far longer occupied than the model predicts, i.e. the model
-/// under-prices the link (the old ack-wait accounting bug produced
-/// ratios in the hundreds here).
-pub const RATIO_WARN_HI: f64 = 2.0;
+use crate::{RATIO_WARN_HI, RATIO_WARN_LO};
 
 /// Measured vs modeled times for one directed link (stage → peer).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,16 +29,16 @@ pub struct LinkCheck {
     pub stage: usize,
     /// Receiving peer.
     pub peer: usize,
-    /// Messages transmitted (including retransmissions).
+    /// Messages transmitted.
     pub tx_messages: u64,
-    /// Bytes transmitted (including retransmissions).
+    /// Bytes transmitted (frame headers included).
     pub tx_bytes: u64,
     /// Tensor payload bytes before wire-codec encoding.
     pub payload_bytes_precodec: u64,
     /// Tensor payload bytes after wire-codec encoding (what the wire
     /// actually carried).
     pub payload_bytes_postcodec: u64,
-    /// What the emulator actually spent on the wire, seconds.
+    /// What the emulator actually held the wire for, seconds.
     pub measured_s: f64,
     /// What the alpha-beta model predicts for the same traffic, seconds.
     pub modeled_s: f64,
@@ -134,7 +124,7 @@ impl CommCheckReport {
         self.measured_total() / self.modeled_total()
     }
 
-    /// Every link's emulation slept at least the modeled wire time
+    /// Every link's emulation held at least the modeled wire time
     /// (minus `tolerance_s` of accounting slack per link). The emulator
     /// guarantees this by construction; a violation means its sleeps or
     /// counters disagree with the cost model.
@@ -283,8 +273,8 @@ mod tests {
 
     #[test]
     fn wire_ratio_lands_near_one_with_no_warnings() {
-        // Post-fix, wire_ns is the sleeps alone, so even a slow link
-        // that forces the receiver to wait lands inside [0.5, 2.0].
+        // wire_ns is the wire holds alone, so even a slow link that
+        // keeps the receiver waiting lands inside the healthy band.
         let link = LinkSpec {
             name: "test-slow",
             bandwidth: 1e6,

@@ -35,3 +35,12 @@ pub use engine::{simulate, SimConfig, SimResult, SimSummary};
 pub use memcheck::{MemCheckReport, StageMemCheck};
 pub use timeline::{Segment, SegmentKind};
 pub use trace::{replicas_to_chrome_trace, to_chrome_trace};
+
+/// Lower edge of the healthy measured/modeled band shared by the
+/// fidelity checks ([`commcheck`] wire time, [`memcheck`] activation
+/// memory). Below it the model over-prices what was measured.
+pub const RATIO_WARN_LO: f64 = 0.5;
+
+/// Upper edge of the healthy measured/modeled band: above it the run
+/// spent far more than the model knows about.
+pub const RATIO_WARN_HI: f64 = 2.0;

@@ -21,16 +21,7 @@
 use mepipe_schedule::ir::Schedule;
 use mepipe_schedule::validate::peak_in_flight;
 
-/// Below this measured/modeled ratio a stage is flagged: the runtime
-/// held far less than the schedule models, i.e. the model over-prices
-/// activations (stale unit bytes, recompute not modeled).
-pub const MEM_RATIO_WARN_LO: f64 = 0.5;
-
-/// Above this measured/modeled ratio a stage is flagged: the runtime
-/// held far more than the schedule models — retained buffers the model
-/// does not know about (leaked saves, unreclaimed KV, deferred-W
-/// operands past their drain point).
-pub const MEM_RATIO_WARN_HI: f64 = 2.0;
+use crate::{RATIO_WARN_HI, RATIO_WARN_LO};
 
 /// Measured vs modeled peak activation bytes for one stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,8 +112,12 @@ impl MemCheckReport {
 
     /// Named `MEM_MODEL_MISMATCH` warnings for every stage whose
     /// measured/modeled ratio falls outside
-    /// [[`MEM_RATIO_WARN_LO`], [`MEM_RATIO_WARN_HI`]]. Stages the model
-    /// prices at zero (no forward units scheduled) are exempt. A
+    /// [[`RATIO_WARN_LO`], [`RATIO_WARN_HI`]]: below it the model
+    /// over-prices activations (stale unit bytes, recompute not modeled),
+    /// above it the runtime retains buffers the model does not know about
+    /// (leaked saves, unreclaimed KV, deferred-W operands past their
+    /// drain point). Stages the model prices at zero (no forward units
+    /// scheduled) are exempt. A
     /// `MEM_HWM_MISMATCH` warning is added if the trackers' summed peak
     /// exceeds the OS-reported process high-water mark — measured live
     /// bytes the process never actually held means broken accounting.
@@ -133,12 +128,12 @@ impl MemCheckReport {
             .filter(|s| s.modeled_bytes > 0.0)
             .filter(|s| {
                 let r = s.ratio();
-                !(MEM_RATIO_WARN_LO..=MEM_RATIO_WARN_HI).contains(&r)
+                !(RATIO_WARN_LO..=RATIO_WARN_HI).contains(&r)
             })
             .map(|s| {
                 format!(
                     "MEM_MODEL_MISMATCH: stage {} measured/modeled = {:.2} \
-                     (outside [{MEM_RATIO_WARN_LO}, {MEM_RATIO_WARN_HI}]; \
+                     (outside [{RATIO_WARN_LO}, {RATIO_WARN_HI}]; \
                      measured {:.1} KiB, modeled {:.1} KiB = {} units x {:.1} KiB)",
                     s.stage,
                     s.ratio(),

@@ -52,7 +52,9 @@ pub fn write_stage_trace(path: &Path, st: &StageTrace) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the malformed line on any format violation.
+/// Returns a message naming the malformed line on any format violation,
+/// including a tag that does not fit its `u32` field and a span that
+/// ends before it starts.
 pub fn stage_trace_from_text(text: &str) -> Result<StageTrace, String> {
     let mut lines = text.lines();
     if lines.next() != Some(DUMP_HEADER) {
@@ -78,21 +80,20 @@ pub fn stage_trace_from_text(text: &str) -> Result<StageTrace, String> {
                 .next()
                 .and_then(|s| s.chars().next())
                 .ok_or_else(|| format!("span line missing kind: {line}"))?;
-            let mut num = |what: &str| -> Result<u64, String> {
-                f.next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or_else(|| format!("span line missing {what}: {line}"))
-            };
-            Ok(Span {
+            let span = Span {
                 kind: SpanKind::from_letter(letter)
                     .ok_or_else(|| format!("unknown span letter {letter}"))?,
-                mb: num("mb")? as u32,
-                slice: num("slice")? as u32,
-                chunk: num("chunk")? as u32,
-                peer: num("peer")? as u32,
-                start_ns: num("start_ns")?,
-                end_ns: num("end_ns")?,
-            })
+                mb: span_field(&mut f, "mb", line)?,
+                slice: span_field(&mut f, "slice", line)?,
+                chunk: span_field(&mut f, "chunk", line)?,
+                peer: span_field(&mut f, "peer", line)?,
+                start_ns: span_field(&mut f, "start_ns", line)?,
+                end_ns: span_field(&mut f, "end_ns", line)?,
+            };
+            if span.end_ns < span.start_ns {
+                return Err(format!("span ends before it starts: {line}"));
+            }
+            Ok(span)
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(StageTrace {
@@ -102,6 +103,20 @@ pub fn stage_trace_from_text(text: &str) -> Result<StageTrace, String> {
         spans,
         dropped,
     })
+}
+
+/// Parses the next field of a span line as `T` (a `u32` tag or a `u64`
+/// timestamp), rejecting values that do not fit rather than wrapping.
+fn span_field<T: std::str::FromStr>(
+    fields: &mut std::str::SplitWhitespace<'_>,
+    what: &str,
+    line: &str,
+) -> Result<T, String> {
+    let v = fields
+        .next()
+        .ok_or_else(|| format!("span line missing {what}: {line}"))?;
+    v.parse()
+        .map_err(|_| format!("bad span {what} {v:?}: {line}"))
 }
 
 /// Reads a stage-trace dump file written by [`write_stage_trace`].
@@ -170,5 +185,18 @@ mod tests {
         assert!(stage_trace_from_text(&missing_field).is_err());
         let bad_span = format!("{text}span ? broken\n");
         assert!(stage_trace_from_text(&bad_span).is_err());
+    }
+
+    #[test]
+    fn out_of_range_tags_and_backwards_spans_are_rejected() {
+        let text = stage_trace_to_text(&sample());
+        // 2^32 would wrap to micro-batch 0 under a cast.
+        let wide_tag = format!("{text}span F 4294967296 0 0 0 1 2\n");
+        assert!(stage_trace_from_text(&wide_tag).is_err());
+        let max_tag = format!("{text}span F 4294967295 0 0 0 1 2\n");
+        assert!(stage_trace_from_text(&max_tag).is_ok());
+        let backwards = format!("{text}span F 0 0 0 0 10 5\n");
+        let err = stage_trace_from_text(&backwards).unwrap_err();
+        assert!(err.contains("ends before it starts"), "{err}");
     }
 }

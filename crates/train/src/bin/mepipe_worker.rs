@@ -57,11 +57,6 @@
 //!   Asserts the traced loss is bit-identical to an untraced run and
 //!   that the trace's busy time reconciles with the runtime's busy/idle
 //!   counters.
-//! * `selftest-faults [opts]` — run one iteration on the emulated
-//!   transport with seeded fault injection (first frame of every
-//!   endpoint dropped, plus random delays) and verify the loss is
-//!   bit-identical to the clean run, with retransmissions actually
-//!   observed and no panic anywhere.
 //! * `memcheck [opts]` — measured-vs-modeled activation memory: a
 //!   1-micro-batch probe run prices one in-flight unit per stage, then
 //!   the full schedule runs on live tensors and the per-stage peaks are
@@ -83,9 +78,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use mepipe_comm::{
-    CodecId, CommConfig, FaultSpec, SocketMode, SocketTransport, Transport, TransportConfig,
-};
+use mepipe_comm::{CodecId, CommConfig, SocketMode, SocketTransport, Transport, TransportConfig};
 use mepipe_core::reschedule::reschedule_backwards;
 use mepipe_core::svpp::Mepipe;
 use mepipe_core::Synth;
@@ -96,7 +89,7 @@ use mepipe_schedule::validate::peak_in_flight;
 use mepipe_schedule::{Blocks, DualPipe};
 use mepipe_sim::engine::{simulate, SimConfig};
 use mepipe_sim::memcheck::{vm_hwm_bytes, MemCheckReport, StageMemCheck};
-use mepipe_sim::{to_chrome_trace, BubbleCheckReport};
+use mepipe_sim::{to_chrome_trace, BubbleCheckReport, RATIO_WARN_HI, RATIO_WARN_LO};
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_trace::{
     bubble, chrome::traces_to_chrome, dump, http_get, EventLog, HttpExporter, IterationTrace,
@@ -1103,56 +1096,6 @@ fn run_autotune(args: &Args) {
     );
 }
 
-/// `selftest-faults`: fault injection recovers to a bit-identical loss.
-fn run_selftest_faults(args: &Args) {
-    let sc = &args.scenario;
-    let schedule = sc.schedule();
-    let batch = sc.batch();
-
-    let clean = sc
-        .runtime()
-        .run_iteration(&schedule, &batch, sc.mode, None)
-        .expect("clean run");
-
-    let faults = FaultSpec {
-        drop_first_n: 1, // every endpoint's first frame is lost
-        delay_permille: 200,
-        delay_us: 500,
-        corrupt_permille: 50,
-        seed: sc.seed,
-        ..FaultSpec::default()
-    };
-    let rt = sc
-        .runtime()
-        .with_transport(TransportConfig::in_proc().with_faults(faults));
-    let faulted = rt
-        .run_iteration(&schedule, &batch, sc.mode, None)
-        .expect("faulted run completes via retransmission");
-
-    let totals = faulted
-        .comm
-        .iter()
-        .map(|c| c.total())
-        .fold(mepipe_comm::LinkStats::default(), |a, l| a.merged(&l));
-    println!(
-        "faulted run: loss {:.6}, drops {} corrupts {} delays {} retries {} checksum rejects {}",
-        faulted.loss,
-        totals.injected_drops,
-        totals.injected_corrupts,
-        totals.injected_delays,
-        totals.retries,
-        totals.rejected_checksums,
-    );
-    assert!(totals.injected_drops >= 1, "no drop was injected");
-    assert!(totals.retries >= 1, "no retransmission happened");
-    assert_eq!(
-        clean.loss.to_bits(),
-        faulted.loss.to_bits(),
-        "faulted loss is not bit-identical to the clean run"
-    );
-    println!("OK: dropped/corrupted frames recovered, loss bit-identical");
-}
-
 /// `memcheck`: the measured-vs-modeled memory reconciliation.
 ///
 /// A one-micro-batch probe run prices each stage's in-flight unit (its
@@ -1230,8 +1173,8 @@ fn run_memcheck(args: &Args) {
     println!(
         "OK: measured/modeled = {:.2} per-stage within [{}, {}]; metric names lint clean",
         report.ratio(),
-        mepipe_sim::memcheck::MEM_RATIO_WARN_LO,
-        mepipe_sim::memcheck::MEM_RATIO_WARN_HI,
+        RATIO_WARN_LO,
+        RATIO_WARN_HI,
     );
 }
 
@@ -1260,7 +1203,7 @@ fn run_http_get(rest: &[String]) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (mode, rest) = argv.split_first().expect(
-        "usage: mepipe-worker <worker|job|launch|autotune|trace-report|selftest-faults|memcheck|http-get> [flags]",
+        "usage: mepipe-worker <worker|job|launch|autotune|trace-report|memcheck|http-get> [flags]",
     );
     if mode == "http-get" {
         run_http_get(rest);
@@ -1273,10 +1216,9 @@ fn main() {
         "launch" => run_launch(&args),
         "autotune" => run_autotune(&args),
         "trace-report" => run_trace_report(&args),
-        "selftest-faults" => run_selftest_faults(&args),
         "memcheck" => run_memcheck(&args),
         m => panic!(
-            "unknown mode {m} (expected worker|job|launch|autotune|trace-report|selftest-faults|memcheck|http-get)"
+            "unknown mode {m} (expected worker|job|launch|autotune|trace-report|memcheck|http-get)"
         ),
     }
 }

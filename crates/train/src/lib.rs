@@ -4,7 +4,8 @@
 //! *same schedule IR* on real tensors across real OS threads, one thread
 //! per pipeline stage, with a pluggable `mepipe-comm` transport standing
 //! in for the interconnect (bounded in-process queues, sockets for
-//! multi-process runs, or an emulated link with fault injection). It
+//! multi-process runs, or an emulated link that adds alpha–beta wire time
+//! and seeded delay jitter). It
 //! demonstrates that SVPP's dependency structure is correct:
 //!
 //! * slice-wise forward with per-layer KV caches equals full-sequence

@@ -97,12 +97,6 @@ pub fn record_run(reg: &mut MetricsRegistry, stats: &RunStats) {
             t.rx_bytes as f64,
         );
         reg.counter(
-            "mepipe_comm_retries_total",
-            "Retransmissions by the reliable layer",
-            &labels,
-            t.retries as f64,
-        );
-        reg.counter(
             "mepipe_comm_send_stall_seconds_total",
             "Time sends stalled on flow control or socket writes",
             &labels,

@@ -34,11 +34,12 @@
 //! default (credits sized from the schedule's peak in-flight message
 //! count), Unix-domain/TCP sockets so each stage can be its own OS
 //! process (see the `mepipe-worker` binary), and an emulated layer that
-//! adds link timing and seeded fault injection on top of either. All
-//! transport failures — a dead peer, exhausted retransmissions,
+//! adds alpha–beta link timing and seeded delay jitter on top of either.
+//! All transport failures — a dead peer, a frame failing its checksum,
 //! backpressure deadlines — surface as a typed [`CommError`] from
 //! [`PipelineRuntime::run_iteration`] instead of the old
-//! `expect("channel closed")` panics, and the delivered bytes are
+//! `expect("channel closed")` panics; restarting a dead worker process
+//! from its checkpoint is `mepipe-ctl`'s job. The delivered bytes are
 //! bit-identical across backends, so the loss and gradients of a run do
 //! not depend on which interconnect carried it.
 
@@ -101,7 +102,8 @@ pub struct RunStats {
     /// (near-)nothing.
     pub arena: Vec<ArenaStats>,
     /// Per-stage transport counters: bytes, messages, serialize time,
-    /// stalls, retries and injected faults (see [`CommStats`]).
+    /// stalls, emulated wire time and injected delays (see
+    /// [`CommStats`]).
     pub comm: Vec<CommStats>,
     /// Wall-clock seconds each stage spent computing (F/B/W plus drained
     /// weight GEMMs), measured from a shared [`ClockAnchor`] whether or
@@ -289,8 +291,7 @@ impl PipelineRuntime {
     /// # Errors
     ///
     /// Returns the root-cause [`CommError`] if any stage's transport
-    /// fails (peer death, retransmission timeout, backpressure
-    /// deadline). The remaining stages shut down promptly: an endpoint
+    /// fails (peer death, corrupt frame, backpressure deadline). The remaining stages shut down promptly: an endpoint
     /// dropped on the error path signals every blocked peer.
     ///
     /// # Panics
@@ -394,8 +395,8 @@ impl PipelineRuntime {
         }
 
         // Merge per-worker results. On failure, report the root cause: a
-        // stage that timed out or hit backpressure, not the `Closed`
-        // cascade its death triggered on the other stages.
+        // stage that hit a corrupt frame or backpressure, not the
+        // `Closed` cascade its death triggered on the other stages.
         let mut first_err: Option<CommError> = None;
         let mut outs: Vec<Option<WorkerOut>> = (0..p).map(|_| None).collect();
         for (w, out) in results.into_iter().enumerate() {

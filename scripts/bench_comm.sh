@@ -9,8 +9,9 @@
 # each row carries payload_precodec_bytes / payload_postcodec_bytes /
 # encode_overlap_s from the per-link codec counters. Emulated rows include the
 # measured/modeled wire-time ratio from mepipe_sim::commcheck; expect it
-# well above 1 on fast links, where per-frame sleeps are dominated by OS
-# timer granularity and ack round trips (see crates/sim/src/commcheck.rs).
+# near 1 (each send holds the sender for exactly its modeled wire time,
+# sleeping the bulk and spinning the rest) and inside the [0.5, 2] band
+# the check warns outside of (see crates/sim/src/commcheck.rs).
 #
 # Numbers are machine-dependent — re-run after touching the transport,
 # the frame codec, or the pipeline runtime so the checked-in JSON matches

@@ -8,9 +8,9 @@
 # time before vs after the calibrated hot-swap), and the chaos-recovery
 # scenario (the same job clean vs chaos-killed under the mepipe-ctl
 # daemon; `recovery_overhead` is the wall-clock price of detection +
-# restart + re-running at most one checkpoint interval). The JSON also records
-# the pre-arena baseline measured on the same config, so the speedup
-# field is a real before/after; see crates/bench/benches/train.rs.
+# restart + re-running at most one checkpoint interval). Every field is
+# measured in the same run; there are no baselines carried over from
+# other commits or hosts. See crates/bench/benches/train.rs.
 #
 # Numbers are machine-dependent — re-run this after touching the arena,
 # the kernels, the pipeline runtime, or the calibration loop so the

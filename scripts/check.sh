@@ -67,9 +67,6 @@ cargo run --release -p mepipe-train --bin mepipe-worker -- autotune \
   --stages 4 --rounds 2 --dir "$AUTOTUNE_DIR"
 rm -rf "$AUTOTUNE_DIR"
 
-echo "==> fault-injection smoke (dropped/corrupted frames, retried, same loss)"
-cargo run --release -p mepipe-train --bin mepipe-worker -- selftest-faults
-
 echo "==> memcheck smoke (measured stage peaks vs the schedule's in-flight model, Fig-8 shape)"
 # The binary exits non-zero when any stage's measured/modeled ratio
 # leaves the [0.5, 2] warning band or a metric name fails the lint.
@@ -188,5 +185,10 @@ rm -rf "$CTL_DIR"
 
 echo "==> cargo test -q --workspace (tier-1 + workspace suites)"
 cargo test -q --workspace
+
+echo "==> benchmark selftest (perfbench is its own workspace: every workload, untraced + traced)"
+# Neither the workspace build nor the tests above compile perfbench/, so
+# this is what catches an API change in crates/* that breaks it.
+python3 perfbench/selftest.py
 
 echo "All checks passed."
