@@ -67,3 +67,40 @@ fn figure4a_structure_invariants() {
         }
     }
 }
+
+#[test]
+fn synth_order_search_golden() {
+    // Pins the solver end to end: the warmup-sweep seed and the beam's
+    // order search (which improves this shape's seed under the default
+    // 1F/2B costs), rendered at unit cost.
+    let sch = mepipe::core::Synth::new()
+        .generate(&Dims::new(4, 4).slices(2))
+        .unwrap();
+    let got = render(&sch, &UnitCost::ones()).unwrap();
+    let want = "\
+stage 0: Fa0 Fa1 Fb0 Fb1 Fc0 ... ... ... ba1 ba0 Fc1 Fd0 Wa1 bb1 bb0 Fd1 Wa0 Wb1 bc1 Wb0 bc0 Wc1 bd1 bd0 Wc0 Wd1 Wd0
+stage 1: ... Fa0 Fa1 Fb0 Fb1 ... ... ba1 ba0 Fc0 Wa1 Fc1 bb1 bb0 Fd0 Wa0 Fd1 bc1 Wb1 bc0 Wb0 bd1 bd0 Wc1 Wc0 Wd1 Wd0
+stage 2: ... ... Fa0 Fa1 Fb0 ... ba1 ba0 Fb1 Wa1 Fc0 bb1 bb0 Fc1 Wa0 Fd0 bc1 Fd1 bc0 Wb1 bd1 bd0 Wb0 Wc1 Wc0 Wd1 Wd0
+stage 3: ... ... ... Fa0 Fa1 ba1 ba0 Fb0 Wa1 Fb1 bb1 bb0 Fc0 Wa0 Fc1 bc1 bc0 Fd0 Fd1 bd1 bd0 Wb1 Wb0 Wc1 Wc0 Wd1 Wd0
+";
+    assert_eq!(got, want, "Synth timeline drifted:\n{got}");
+}
+
+#[test]
+fn rescheduled_svpp_v2_golden() {
+    // Pins the Section 4.3 backward rescheduling on a v=2 SVPP schedule
+    // whose tail bubbles it removes (46 -> 40 ticks at unit cost).
+    let sch = Svpp::new()
+        .warmup_cap(5)
+        .generate(&Dims::new(4, 4).virtual_chunks(2))
+        .unwrap();
+    let r = mepipe::core::reschedule::reschedule_backwards(&sch).unwrap();
+    let got = render(&r, &UnitCost::ones()).unwrap();
+    let want = "\
+stage 0: Fa0 Fb0 ... ... FA0 Fc0 ... ... ... ... ... BA0 FB0 ... ... Ba0 Fd0 ... ... BB0 FC0 ... ... Bb0 ... ... ... BC0 FD0 ... ... Bc0 ... ... ... BD0 ... ... ... Bd0
+stage 1: ... Fa0 Fb0 ... ... FA0 ... ... ... ... BA0 ... ... FB0 Ba0 Fc0 ... ... BB0 ... ... FC0 Bb0 Fd0 ... ... BC0 ... ... FD0 Bc0 ... ... ... BD0 ... ... ... Bd0 ...
+stage 2: ... ... Fa0 ... ... ... FA0 ... ... BA0 Fb0 ... ... Ba0 FB0 ... ... BB0 Fc0 ... ... Bb0 FC0 ... ... BC0 Fd0 ... ... Bc0 FD0 ... ... BD0 ... ... ... Bd0 ... ...
+stage 3: ... ... ... Fa0 ... ... ... FA0 BA0 ... ... Fb0 Ba0 ... ... FB0 BB0 ... ... Fc0 Bb0 ... ... FC0 BC0 ... ... Fd0 Bc0 ... ... FD0 BD0 ... ... ... Bd0 ... ... ...
+";
+    assert_eq!(got, want, "rescheduled SVPP v=2 timeline drifted:\n{got}");
+}
