@@ -9,11 +9,9 @@ use mepipe_model::{
     cost::ExecutionCost,
     partition::{PartitionSpec, SequenceSplit},
 };
+use mepipe_schedule::exec::{simulate, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-use mepipe_sim::{
-    engine::{simulate, SimConfig},
-    ModelCost,
-};
+use mepipe_sim::ModelCost;
 use mepipe_strategy::{evaluate, Candidate, Method};
 
 fn mepipe_13b_setup() -> (mepipe_schedule::ir::Schedule, ModelCost) {

@@ -9,12 +9,10 @@ use mepipe_model::{
     cost::ExecutionCost,
     partition::{PartitionSpec, SequenceSplit},
 };
+use mepipe_schedule::exec::{simulate, Cost, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
 use mepipe_schedule::ir::Op;
-use mepipe_sim::{
-    engine::{simulate, SimConfig},
-    ModelCost, SimCost,
-};
+use mepipe_sim::ModelCost;
 
 use crate::report::{format_table, ExperimentReport};
 
@@ -36,7 +34,7 @@ fn mepipe_sim(slices: usize, gbs: usize, wgrad_units: usize) -> f64 {
         inner: ModelCost,
         units: usize,
     }
-    impl SimCost for Granular {
+    impl Cost for Granular {
         fn duration(&self, s: usize, o: Op) -> f64 {
             self.inner.duration(s, o)
         }
@@ -86,7 +84,6 @@ fn mepipe_sim(slices: usize, gbs: usize, wgrad_units: usize) -> f64 {
         &SimConfig {
             dynamic_wgrad: true,
             memory_limit_bytes: Some(budget),
-            ..Default::default()
         },
     )
     .unwrap()
@@ -168,7 +165,6 @@ pub fn abl_variants() -> ExperimentReport {
             &SimConfig {
                 dynamic_wgrad: true,
                 memory_limit_bytes: Some(budget),
-                ..Default::default()
             },
         )
         .unwrap();

@@ -11,11 +11,11 @@ use mepipe_model::{
     cost::ExecutionCost,
     partition::{PartitionSpec, SequenceSplit},
 };
+use mepipe_schedule::exec::{simulate, Cost, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
 use mepipe_sim::{
-    engine::{simulate, SimConfig},
     timeline::{render_strips, stage_activity},
-    ModelCost, SimCost,
+    ModelCost,
 };
 
 use crate::report::ExperimentReport;
@@ -28,7 +28,7 @@ pub fn fig7() -> ExperimentReport {
         "Fine-grained weight-gradient computation, p=4, s=2, v=1, n=4 (imbalanced slices)",
     );
     struct Imbalanced;
-    impl SimCost for Imbalanced {
+    impl Cost for Imbalanced {
         fn duration(&self, _s: usize, op: mepipe_schedule::ir::Op) -> f64 {
             let scale = if op.slice == 0 { 0.75 } else { 1.0 };
             match op.kind {

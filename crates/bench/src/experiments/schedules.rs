@@ -5,7 +5,7 @@ use mepipe_core::{
     svpp::{Svpp, SvppConfig},
 };
 use mepipe_schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generator::{Dapple, Dims, ScheduleGenerator, TeraPipe},
     render::render,
     validate::peak_in_flight,
@@ -26,18 +26,8 @@ fn svpp(p: usize, v: usize, s: usize, n: usize, f: Option<usize>) -> mepipe_sche
 pub fn fig2() -> ExperimentReport {
     let mut rep = ExperimentReport::new("fig2", "1F1B pipeline scheduling in DAPPLE");
     let sch = Dapple.generate(&Dims::new(4, 4)).unwrap();
-    rep.line(
-        render(
-            &sch,
-            &UnitCost {
-                fwd: 1.0,
-                bwd: 2.0,
-                wgrad: 0.0,
-            },
-        )
-        .unwrap(),
-    );
-    let t = execute(&sch, &UnitCost::ones()).unwrap();
+    rep.line(render(&sch, &UnitCost::one_two()).unwrap());
+    let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
     rep.line(format!(
         "bubble ratio {:.1}% — first stage holds {} micro-batches of activations",
         t.bubble_ratio() * 100.0,
@@ -94,7 +84,7 @@ pub fn fig5() -> ExperimentReport {
     let base = SvppConfig::new(4, 2, 2).virtual_chunks(2);
     for f in (base.min_warmup()..=base.max_warmup()).rev() {
         let sch = svpp(4, 2, 2, 2, Some(f));
-        let t = execute(&sch, &UnitCost::ones()).unwrap();
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let peak = peak_in_flight(&sch)[0];
         if f == base.max_warmup() || f == base.min_warmup() {
             rep.line(format!("--- timeline at f = {f} ---"));
@@ -127,8 +117,8 @@ pub fn fig6() -> ExperimentReport {
     );
     let sch = svpp(4, 2, 2, 2, None);
     let opt = reschedule_backwards(&sch).unwrap();
-    let tb = execute(&sch, &UnitCost::ones()).unwrap();
-    let ta = execute(&opt, &UnitCost::ones()).unwrap();
+    let tb = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
+    let ta = simulate(&opt, &UnitCost::ones(), &SimConfig::default()).unwrap();
     rep.line("--- before ---");
     rep.line(render(&sch, &UnitCost::ones()).unwrap());
     rep.line("--- after rescheduling ---");

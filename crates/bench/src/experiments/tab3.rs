@@ -7,7 +7,7 @@ use mepipe_core::{
     svpp::Svpp,
 };
 use mepipe_schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generator::{Dapple, Dims, ScheduleGenerator, TeraPipe, Vpp},
 };
 
@@ -78,9 +78,10 @@ pub fn run() -> ExperimentReport {
         (
             "DAPPLE",
             mepipe_core::analytic::dapple(a).bubble_ratio.unwrap(),
-            execute(
+            simulate(
                 &Dapple.generate(&Dims::new(4, 8)).unwrap(),
                 &UnitCost::ones(),
+                &SimConfig::default(),
             )
             .unwrap()
             .bubble_ratio(),
@@ -90,9 +91,10 @@ pub fn run() -> ExperimentReport {
             mepipe_core::analytic::vpp(AnalysisParams { v: 2, ..a })
                 .bubble_ratio
                 .unwrap(),
-            execute(
+            simulate(
                 &Vpp.generate(&Dims::new(4, 8).virtual_chunks(2)).unwrap(),
                 &UnitCost::ones(),
+                &SimConfig::default(),
             )
             .unwrap()
             .bubble_ratio(),
@@ -100,9 +102,10 @@ pub fn run() -> ExperimentReport {
         (
             "TeraPipe",
             mepipe_core::analytic::terapipe(a).bubble_ratio.unwrap(),
-            execute(
+            simulate(
                 &TeraPipe.generate(&Dims::new(4, 8).slices(4)).unwrap(),
                 &UnitCost::ones(),
+                &SimConfig::default(),
             )
             .unwrap()
             .bubble_ratio(),
@@ -110,9 +113,10 @@ pub fn run() -> ExperimentReport {
         (
             "SVPP",
             mepipe_core::analytic::svpp(a).bubble_ratio.unwrap(),
-            execute(
+            simulate(
                 &Svpp::new().generate(&Dims::new(4, 8).slices(4)).unwrap(),
                 &UnitCost::ones(),
+                &SimConfig::default(),
             )
             .unwrap()
             .bubble_ratio(),

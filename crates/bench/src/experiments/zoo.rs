@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use mepipe_core::{Mepipe, Svpp, Synth};
 use mepipe_schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generator::{Dapple, Dims, GPipe, Hanayo, ScheduleGenerator, TeraPipe, Vpp, Zb, Zbv},
     render::render,
     validate::{peak_in_flight, validate},
@@ -69,7 +69,7 @@ pub fn run() -> ExperimentReport {
             g.name()
         );
         let gen_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t = execute(&sch, &UnitCost::ones())
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default())
             .unwrap_or_else(|e| panic!("{} failed to execute at {dims}: {e}", g.name()));
         let peak = peak_in_flight(&sch)[0];
         rep.line(format!("--- {} @ {dims} ---", g.name()));
@@ -91,7 +91,7 @@ pub fn run() -> ExperimentReport {
 }
 
 /// The solver smoke: full synthesis on a few grid points, each under
-/// [`SOLVER_BUDGET_S`] wall-clock, schedules validated, beam statistics
+/// `SOLVER_BUDGET_S` wall-clock, schedules validated, beam statistics
 /// reported.
 pub fn solver() -> ExperimentReport {
     let mut rep = ExperimentReport::new(

@@ -22,7 +22,7 @@
 //! ([`frame::encode_data_into`] — header and codec-encoded payload in
 //! one buffer, no concatenation) and recycles it after the write;
 //! received frames are reassembled into pooled buffers. Payloads travel
-//! in the wire codec negotiated per link ([`codec`] — raw f32 by
+//! in the wire codec negotiated per link ([`codec`](mod@codec) — raw f32 by
 //! default, bf16 to halve the bytes), and the socket backend
 //! double-buffers sends on an async writer so encoding microbatch *k+1*
 //! overlaps the wire time of *k*. Backend tuning lives in the

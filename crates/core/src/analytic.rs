@@ -244,6 +244,7 @@ pub fn table3(a: AnalysisParams) -> Vec<AnalysisRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
 
     fn small() -> AnalysisParams {
         AnalysisParams {
@@ -363,8 +364,7 @@ mod tests {
             use mepipe_schedule::generator::{Dapple, Dims, ScheduleGenerator};
             Dapple.generate(&Dims::new(4, 8)).unwrap()
         };
-        let t =
-            mepipe_schedule::exec::execute(&sch, &mepipe_schedule::exec::UnitCost::ones()).unwrap();
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
         assert!((t.bubble_ratio() - dapple(a).bubble_ratio.unwrap()).abs() < 1e-9);
     }
 
@@ -435,8 +435,7 @@ mod tests {
         };
         let cfg = crate::svpp::SvppConfig::new(4, 4, 8);
         let sch = crate::svpp::fused(&cfg).unwrap();
-        let t =
-            mepipe_schedule::exec::execute(&sch, &mepipe_schedule::exec::UnitCost::ones()).unwrap();
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let formula = svpp(a).bubble_ratio.unwrap();
         assert!(
             (t.bubble_ratio() - formula).abs() < 0.05,

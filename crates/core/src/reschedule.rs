@@ -20,6 +20,7 @@ use std::collections::HashMap;
 
 use mepipe_schedule::{
     deps::{backward_descendants, dependencies},
+    exec::{simulate, SimConfig, UnitCost},
     ir::{Op, OpKind, Schedule},
 };
 
@@ -143,10 +144,10 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
     // The optimisation targets the tail bubbles of v > 1 schedules; on
     // shapes where the descendant-priority order does not help, keep the
     // input (the paper applies the pass only where it removes bubbles).
-    let unit = mepipe_schedule::exec::UnitCost::ones();
-    let before = mepipe_schedule::exec::execute(schedule, &unit)?;
-    let after = mepipe_schedule::exec::execute(&rescheduled, &unit)?;
-    if after.makespan <= before.makespan {
+    let makespan =
+        |s: &Schedule| simulate(s, &UnitCost::ones(), &SimConfig::default()).map(|r| r.makespan);
+    let before = makespan(schedule)?;
+    if makespan(&rescheduled)? <= before {
         Ok(rescheduled)
     } else {
         Ok(schedule.clone())
@@ -157,7 +158,6 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
 mod tests {
     use super::*;
     use crate::svpp::{fused, SvppConfig};
-    use mepipe_schedule::exec::{execute, UnitCost};
     use mepipe_schedule::validate::{peak_in_flight, validate};
 
     fn figure5a_config() -> SvppConfig {
@@ -183,8 +183,8 @@ mod tests {
             let cfg = SvppConfig::new(p, s, n).virtual_chunks(v);
             let before = fused(&cfg).unwrap();
             let after = reschedule_backwards(&before).unwrap();
-            let tb = execute(&before, &UnitCost::ones()).unwrap();
-            let ta = execute(&after, &UnitCost::ones()).unwrap();
+            let tb = simulate(&before, &UnitCost::ones(), &SimConfig::default()).unwrap();
+            let ta = simulate(&after, &UnitCost::ones(), &SimConfig::default()).unwrap();
             assert!(
                 ta.makespan <= tb.makespan + 1e-9,
                 "p={p} v={v} s={s} n={n}: {} > {}",

@@ -7,19 +7,20 @@
 //! strictly less bubble time, especially where the forward/backward cost
 //! ratio departs from the 1:2 the heuristics were tuned for.
 //!
-//! [`synthesize`] searches that space directly in the schedule IR:
+//! [`Synth`] searches that space directly in the schedule IR:
 //!
 //! 1. **Seeds** — every hot-swap-shaped MEPipe variant (the full warmup
 //!    sweep) is generated and priced exactly with list-order execution
-//!    ([`mepipe_schedule::exec::execute`]); the fastest memory-feasible
+//!    ([`mepipe_schedule::exec::simulate`]); the fastest memory-feasible
 //!    one becomes the incumbent, so the solver is never worse than the
 //!    best hand-written template of the same shape.
 //! 2. **Beam search over orders** — a tick-synchronous constructive
 //!    search branches on the one genuine scheduling decision a worker
-//!    faces (run the ready forward or the ready backward), keeps the
-//!    `beam` cheapest partial states, and prunes with a *sound* bound:
-//!    a partial state cannot finish before `max_w(free_w + remaining
-//!    busy work of w)`, nor before the closed-form analytic floor
+//!    faces (run the ready forward or the ready backward), times every
+//!    placed op on the same engine ([`mepipe_schedule::exec::Engine`]),
+//!    keeps the `BEAM` cheapest partial states, and prunes with a *sound*
+//!    bound: a partial state cannot finish before `max_w(free_w +
+//!    remaining busy work of w)`, nor before the closed-form analytic floor
 //!    ([`crate::analytic::compute_floor_seconds`] — "Bubbles,
 //!    communication stalls and memory-induced drains only push the
 //!    simulated time above this floor").
@@ -31,10 +32,10 @@
 //! split backward, same `p/v/n`), which makes it eligible for the
 //! `retune_mepipe` hot-swap path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use mepipe_schedule::{
-    exec::{self, CostFn},
+    exec::{simulate, Engine, SimConfig, UnitCost},
     generate::{cap_floor, default_caps, dependents, greedy_generate},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
@@ -44,71 +45,36 @@ use mepipe_schedule::{
 use crate::analytic::{compute_floor_seconds, AnalysisParams, FloorInputs};
 use crate::svpp::SvppConfig;
 
-/// Per-slice-unit op costs the solver prices orders with, in seconds (or
-/// abstract units — only ratios matter for the order search).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SliceCosts {
-    /// One forward pass of one slice through one chunk.
-    pub fwd: f64,
-    /// One input-gradient backward of one slice.
-    pub bwd: f64,
-    /// One weight-gradient op.
-    pub wgrad: f64,
-    /// One cross-stage boundary transfer.
-    pub hop: f64,
-}
+/// The solver's order pricing: the conventional 1F/2B weighting with unit
+/// weight gradients and free transfers — deterministic,
+/// machine-independent costs every process of a launch regenerates
+/// identically from CLI flags. Only ratios matter for the order search.
+const COSTS: UnitCost = UnitCost {
+    bwd: 2.0,
+    ..UnitCost::ones()
+};
+/// Beam width of the order search.
+const BEAM: usize = 6;
+/// Hard budget on expanded search nodes; the search stops (keeping the
+/// best complete order found so far) when it is exhausted. Keeps a grid
+/// point well under the check.sh smoke cap.
+const NODE_BUDGET: usize = 20_000;
 
-impl Default for SliceCosts {
-    /// The conventional 1F/2B weighting with unit weight gradients and
-    /// free transfers — deterministic, machine-independent defaults every
-    /// process of a launch regenerates identically from CLI flags.
-    fn default() -> Self {
-        Self {
-            fwd: 1.0,
-            bwd: 2.0,
-            wgrad: 1.0,
-            hop: 0.0,
-        }
-    }
-}
-
-impl CostFn for SliceCosts {
-    fn duration(&self, _stage: usize, op: Op) -> f64 {
-        match op.kind {
-            OpKind::Forward => self.fwd,
-            OpKind::Backward | OpKind::BackwardInput => self.bwd,
-            OpKind::BackwardWeight => self.wgrad,
-        }
-    }
-
-    fn transfer(&self, _from: usize, _to: usize, _op: Op) -> f64 {
-        self.hop
-    }
-}
-
-/// Solver knobs. The defaults keep a grid point well under the check.sh
-/// smoke cap; raise `beam`/`node_budget` for deeper searches.
+/// Solver inputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SolverConfig {
+pub(crate) struct SolverConfig {
     /// Pricing model for orders.
-    pub costs: SliceCosts,
+    costs: UnitCost,
     /// Per-worker in-flight unit cap (activation-memory gate). `None`
     /// leaves memory unconstrained.
-    pub cap: Option<usize>,
-    /// Beam width of the order search.
-    pub beam: usize,
-    /// Hard budget on expanded search nodes; the search stops (keeping
-    /// the best complete order found so far) when it is exhausted.
-    pub node_budget: usize,
+    cap: Option<usize>,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            costs: SliceCosts::default(),
+            costs: COSTS,
             cap: None,
-            beam: 6,
-            node_budget: 20_000,
         }
     }
 }
@@ -152,7 +118,7 @@ const BEAM_OPS_LIMIT: usize = 6_000;
 const IMPROVE_MARGIN: f64 = 1e-9;
 
 /// Synthesizes a per-worker op order for MEPipe-shaped dims under `cfg`.
-pub fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, ScheduleError> {
+pub(crate) fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, ScheduleError> {
     let meta = ScheduleMeta {
         name: "Synth".into(),
         stages: dims.p,
@@ -203,12 +169,14 @@ pub fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, Schedule
                 continue;
             }
         }
-        let trace = exec::execute(&sched, &cfg.costs).map_err(ScheduleError::InvalidShape)?;
+        let makespan = simulate(&sched, &cfg.costs, &SimConfig::default())
+            .map_err(ScheduleError::InvalidShape)?
+            .makespan;
         if best
             .as_ref()
-            .is_none_or(|&(_, _, t)| trace.makespan < t - IMPROVE_MARGIN)
+            .is_none_or(|&(_, _, t)| makespan < t - IMPROVE_MARGIN)
         {
-            best = Some((sched, f, trace.makespan));
+            best = Some((sched, f, makespan));
         }
     }
     let (seed_schedule, warmup, seed_makespan) =
@@ -244,15 +212,9 @@ pub fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, Schedule
                 .collect(),
             None => default_caps(&meta, warmup),
         };
-        if let Some((sched, makespan)) = beam_search(
-            &meta,
-            &caps,
-            &cfg.costs,
-            cfg.beam,
-            cfg.node_budget,
-            seed_makespan,
-            &mut stats,
-        ) {
+        if let Some((sched, makespan)) =
+            beam_search(&meta, &caps, &cfg.costs, seed_makespan, &mut stats)
+        {
             if makespan < seed_makespan - IMPROVE_MARGIN {
                 stats.makespan = makespan;
                 stats.improved = true;
@@ -268,11 +230,11 @@ pub fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, Schedule
 }
 
 /// One partial construction state of the order search. Ticks are
-/// synchronous (each worker places at most one unit per tick), timing is
-/// exact list-order execution maintained incrementally.
+/// synchronous (each worker places at most one unit per tick); the
+/// engine times each placed op as it is appended to its worker's list.
 #[derive(Clone)]
-struct State {
-    lists: Vec<Vec<Op>>,
+struct State<'a> {
+    timing: Engine<'a>,
     ready_fwd: Vec<Vec<Op>>,
     ready_bwd: Vec<Vec<Op>>,
     /// Weight ops whose input-gradient half has run but which have not
@@ -280,9 +242,6 @@ struct State {
     /// ticks where the worker would otherwise idle.
     pending_w: Vec<Vec<Op>>,
     queued: HashSet<(usize, Op)>,
-    finish: HashMap<(usize, Op), f64>,
-    free: Vec<f64>,
-    busy: Vec<f64>,
     in_flight: Vec<usize>,
     reserved: Vec<usize>,
     prefer_forward: Vec<bool>,
@@ -292,15 +251,14 @@ struct State {
     remaining: usize,
 }
 
-impl State {
+impl State<'_> {
     /// Sound completion bound: worker `w`'s unplaced work must run on `w`
     /// after its last placed op ends.
-    fn lower_bound(&self, costs: &SliceCosts) -> f64 {
-        self.free
-            .iter()
-            .enumerate()
-            .map(|(w, &t)| {
-                t + self.remaining_fwd[w] as f64 * costs.fwd
+    fn lower_bound(&self, costs: &UnitCost) -> f64 {
+        (0..self.remaining_fwd.len())
+            .map(|w| {
+                self.timing.free_at(w)
+                    + self.remaining_fwd[w] as f64 * costs.fwd
                     + self.remaining_bwd[w] as f64 * costs.bwd
                     + self.remaining_w[w] as f64 * costs.wgrad
             })
@@ -308,7 +266,31 @@ impl State {
     }
 
     fn makespan(&self) -> f64 {
-        self.free.iter().copied().fold(0.0, f64::max)
+        (0..self.remaining_fwd.len())
+            .map(|w| self.timing.free_at(w))
+            .fold(0.0, f64::max)
+    }
+
+    /// Appends `op` to worker `w`'s list; its producers have all run.
+    fn place(&mut self, w: usize, op: Op) {
+        assert!(self.timing.try_run(w, op), "placed {op} before a producer");
+    }
+
+    /// The per-worker lists placed so far.
+    fn schedule(&self, meta: &ScheduleMeta) -> Schedule {
+        let workers = (0..meta.stages)
+            .map(|w| {
+                self.timing
+                    .segments(w)
+                    .iter()
+                    .filter_map(|s| s.op)
+                    .collect()
+            })
+            .collect();
+        Schedule {
+            meta: meta.clone(),
+            workers,
+        }
     }
 }
 
@@ -320,27 +302,21 @@ enum Action {
     Bwd(usize),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn beam_search(
     meta: &ScheduleMeta,
     caps: &[usize],
-    costs: &SliceCosts,
-    beam_width: usize,
-    node_budget: usize,
+    costs: &UnitCost,
     incumbent: f64,
     stats: &mut SolverStats,
 ) -> Option<(Schedule, f64)> {
     let p = meta.stages;
     let units = meta.units_per_worker();
     let mut init = State {
-        lists: vec![Vec::with_capacity(3 * units); p],
+        timing: Engine::new(meta, costs, SimConfig::default()),
         ready_fwd: vec![Vec::new(); p],
         ready_bwd: vec![Vec::new(); p],
         pending_w: vec![Vec::new(); p],
         queued: HashSet::new(),
-        finish: HashMap::with_capacity(3 * units * p),
-        free: vec![0.0; p],
-        busy: vec![0.0; p],
         in_flight: vec![0; p],
         reserved: vec![0; p],
         prefer_forward: vec![false; p],
@@ -360,7 +336,7 @@ fn beam_search(
     // Branch on at most this many genuinely contested workers per tick.
     const BRANCH_WORKERS: usize = 2;
 
-    while !beam.is_empty() && stats.nodes_expanded < node_budget {
+    while !beam.is_empty() && stats.nodes_expanded < NODE_BUDGET {
         let mut children: Vec<State> = Vec::new();
         for state in beam.drain(..) {
             stats.nodes_expanded += 1;
@@ -443,18 +419,12 @@ fn beam_search(
                         (None, None) => Action::Idle,
                     };
                 }
-                let child = apply_tick(meta, costs, &state, &actions);
+                let child = apply_tick(meta, &state, &actions);
                 if child.remaining == 0 {
                     let t = child.makespan();
                     if t < best_time - IMPROVE_MARGIN {
                         best_time = t;
-                        best = Some((
-                            Schedule {
-                                meta: meta.clone(),
-                                workers: child.lists.clone(),
-                            },
-                            t,
-                        ));
+                        best = Some((child.schedule(meta), t));
                     }
                     continue;
                 }
@@ -472,14 +442,14 @@ fn beam_search(
                 .total_cmp(&b.lower_bound(costs))
                 .then(a.remaining.cmp(&b.remaining))
         });
-        children.truncate(beam_width);
+        children.truncate(BEAM);
         beam = children;
     }
     best
 }
 
 /// Applies one tick's joint actions, returning the advanced state.
-fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &[Action]) -> State {
+fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) -> State<'a> {
     let mut s = state.clone();
     let mut fresh: Vec<(usize, Op)> = Vec::new();
     for (w, action) in actions.iter().enumerate() {
@@ -487,7 +457,7 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
             Action::Idle => {}
             Action::Fwd(i) => {
                 let op = s.ready_fwd[w].swap_remove(i);
-                place(meta, costs, &mut s, w, op);
+                s.place(w, op);
                 let shallow = (0..meta.virtual_chunks)
                     .min_by_key(|&c| meta.placement.global_pos(meta.stages, w, c))
                     .expect("chunk");
@@ -504,7 +474,7 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
             }
             Action::Bwd(i) => {
                 let op = s.ready_bwd[w].swap_remove(i);
-                place(meta, costs, &mut s, w, op);
+                s.place(w, op);
                 // Zero-bubble deferral: the weight op joins the pool and
                 // runs in a tick where this worker would otherwise idle.
                 s.pending_w[w].push(op.with_kind(OpKind::BackwardWeight));
@@ -521,7 +491,7 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
     for (w, action) in actions.iter().enumerate() {
         if *action == Action::Idle && !s.pending_w[w].is_empty() {
             let wop = s.pending_w[w].remove(0);
-            place(meta, costs, &mut s, w, wop);
+            s.place(w, wop);
             s.remaining_w[w] -= 1;
             s.remaining -= 1;
         }
@@ -535,7 +505,7 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
         for (dw, dep) in dependents(meta, w, op, backward_kind) {
             let all_done = mepipe_schedule::deps::dependencies(meta, dw, dep)
                 .iter()
-                .all(|d| s.finish.contains_key(&(d.stage, d.op)));
+                .all(|d| s.timing.finish_time(d.stage, d.op).is_some());
             if all_done && s.queued.insert((dw, dep)) {
                 match dep.kind {
                     OpKind::Forward => s.ready_fwd[dw].push(dep),
@@ -547,22 +517,6 @@ fn apply_tick(meta: &ScheduleMeta, costs: &SliceCosts, state: &State, actions: &
     s
 }
 
-/// Appends `op` to worker `w`'s list with exact list-order timing.
-fn place(meta: &ScheduleMeta, costs: &SliceCosts, s: &mut State, w: usize, op: Op) {
-    let mut start = s.free[w];
-    for d in mepipe_schedule::deps::dependencies(meta, w, op) {
-        let t = s.finish[&(d.stage, d.op)];
-        let arrival = if d.cross_stage { t + costs.hop } else { t };
-        start = start.max(arrival);
-    }
-    let dur = costs.duration(w, op);
-    let end = start + dur;
-    s.finish.insert((w, op), end);
-    s.free[w] = end;
-    s.busy[w] += dur;
-    s.lists[w].push(op);
-}
-
 /// The solver as a [`ScheduleGenerator`], with deterministic default
 /// costs so every process of a launch regenerates the identical order
 /// from CLI flags alone.
@@ -572,15 +526,9 @@ pub struct Synth {
 }
 
 impl Synth {
-    /// A solver generator with default configuration.
+    /// A solver generator with no memory cap.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the full solver configuration.
-    pub fn config(mut self, cfg: SolverConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Sets the memory cap (per-worker in-flight units).
@@ -673,13 +621,13 @@ mod tests {
         // alternation default is far from optimal, so the beam should
         // find a strictly better order on at least one small shape.
         let cfg = SolverConfig {
-            costs: SliceCosts {
+            costs: UnitCost {
                 fwd: 3.0,
                 bwd: 1.0,
                 wgrad: 0.5,
-                hop: 0.0,
+                ..UnitCost::ones()
             },
-            ..Default::default()
+            cap: None,
         };
         let improved = [
             Dims::new(2, 4).slices(2),

@@ -213,7 +213,7 @@ impl ScheduleGenerator for Mepipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mepipe_schedule::exec::{execute, UnitCost};
+    use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
     use mepipe_schedule::generator::{Dapple, Dims, TeraPipe};
     use mepipe_schedule::validate::{peak_in_flight, validate};
 
@@ -271,7 +271,7 @@ mod tests {
                 ..base
             };
             let s = fused(&c).unwrap();
-            let t = execute(&s, &UnitCost::ones()).unwrap();
+            let t = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
             assert!(
                 t.bubble_ratio() >= last_bubble - 1e-9,
                 "f={f}: bubble {} < previous {last_bubble}",
@@ -286,22 +286,16 @@ mod tests {
         // p=4, n=8 micro-batches; SVPP with s=4 slices, same total work.
         let sv = fused(&cfg(4, 1, 4, 8)).unwrap();
         let da = Dapple.generate(&Dims::new(4, 8)).unwrap();
-        let ts = execute(
-            &sv,
-            &UnitCost {
-                fwd: 1.0,
-                bwd: 2.0,
-                wgrad: 0.0,
-            },
-        )
-        .unwrap();
-        let td = execute(
+        let ts = simulate(&sv, &UnitCost::one_two(), &SimConfig::default()).unwrap();
+        let td = simulate(
             &da,
             &UnitCost {
                 fwd: 4.0,
                 bwd: 8.0,
                 wgrad: 0.0,
+                ..UnitCost::ones()
             },
+            &SimConfig::default(),
         )
         .unwrap();
         assert!(
@@ -352,8 +346,8 @@ mod tests {
         let s = fused(&cfg(4, 1, 1, 8)).unwrap();
         let da = Dapple.generate(&Dims::new(4, 8)).unwrap();
         assert_eq!(peak_in_flight(&s), peak_in_flight(&da));
-        let ts = execute(&s, &UnitCost::ones()).unwrap();
-        let td = execute(&da, &UnitCost::ones()).unwrap();
+        let ts = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
+        let td = simulate(&da, &UnitCost::ones(), &SimConfig::default()).unwrap();
         assert_eq!(ts.makespan, td.makespan);
     }
 }

@@ -3,7 +3,7 @@
 
 use mepipe_core::analytic::{self, AnalysisParams};
 use mepipe_core::svpp::Svpp;
-use mepipe_schedule::exec::{execute, UnitCost};
+use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
 use mepipe_schedule::generator::{Dapple, Dims, ScheduleGenerator};
 use mepipe_schedule::validate::{peak_in_flight, validate};
 
@@ -18,7 +18,7 @@ fn svpp_formula_tracks_generated_schedule_below_p() {
     };
     let sch = Svpp::new().generate(&Dims::new(8, 4).slices(2)).unwrap();
     validate(&sch).unwrap();
-    let t = execute(&sch, &UnitCost::ones()).unwrap();
+    let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
     let formula = analytic::svpp(a).bubble_ratio.unwrap();
     assert!(
         (t.bubble_ratio() - formula).abs() < 0.08,
@@ -33,22 +33,16 @@ fn svpp_still_beats_dapple_below_p() {
     let (p, n, s) = (8usize, 4usize, 4usize);
     let sv = Svpp::new().generate(&Dims::new(p, n).slices(s)).unwrap();
     let da = Dapple.generate(&Dims::new(p, n)).unwrap();
-    let ts = execute(
-        &sv,
-        &UnitCost {
-            fwd: 1.0,
-            bwd: 2.0,
-            wgrad: 0.0,
-        },
-    )
-    .unwrap();
-    let td = execute(
+    let ts = simulate(&sv, &UnitCost::one_two(), &SimConfig::default()).unwrap();
+    let td = simulate(
         &da,
         &UnitCost {
             fwd: s as f64,
             bwd: 2.0 * s as f64,
             wgrad: 0.0,
+            ..UnitCost::ones()
         },
+        &SimConfig::default(),
     )
     .unwrap();
     assert!(ts.makespan < td.makespan);

@@ -18,7 +18,7 @@
 //! (stage-process supervision: spawn, heartbeat, reap-as-a-unit),
 //! [`daemon`] (the lifecycle state machine: admission with priority and
 //! backfill, recovery, re-sharding, metrics, replay verification),
-//! [`serve`] (the UDS control socket, spool directory, and client).
+//! [`serve`](mod@serve) (the UDS control socket, spool directory, and client).
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -64,7 +64,7 @@ pub(crate) fn one_f_one_b_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -93,7 +93,7 @@ mod tests {
         // fwd = bwd = 1 the makespan is 2n + 2(p-1).
         for (p, n) in [(4usize, 8usize), (8, 16), (4, 4)] {
             let s = build(p, n).unwrap();
-            let t = execute(&s, &UnitCost::ones()).unwrap();
+            let t = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
             let expected = (p as f64 - 1.0) / (p as f64 - 1.0 + n as f64);
             assert!(
                 (t.bubble_ratio() - expected).abs() < 1e-9,

@@ -40,7 +40,7 @@ pub(crate) fn build(stages: usize, micro_batches: usize) -> Result<Schedule, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -58,7 +58,7 @@ mod tests {
         // 2(p-1) / (2n + 2(p-1)).
         let (p, n) = (4usize, 8usize);
         let s = build(p, n).unwrap();
-        let t = execute(&s, &UnitCost::ones()).unwrap();
+        let t = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let expected = 2.0 * (p as f64 - 1.0) / (2.0 * n as f64 + 2.0 * (p as f64 - 1.0));
         assert!(
             (t.bubble_ratio() - expected).abs() < 1e-9,

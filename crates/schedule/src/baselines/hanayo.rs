@@ -41,7 +41,7 @@ pub(crate) fn build(stages: usize, waves: usize, micro_batches: usize) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -81,7 +81,7 @@ mod tests {
         // Table 3: (p−1)/(p−1+n·v). Waves shorten fill/drain like VPP.
         let (p, v, n) = (4usize, 2usize, 8usize);
         let s = build(p, v, n).unwrap();
-        let t = execute(&s, &UnitCost::ones()).unwrap();
+        let t = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let expected = (p as f64 - 1.0) / (p as f64 - 1.0 + (n * v) as f64);
         assert!(
             (t.bubble_ratio() - expected).abs() < 0.08,
@@ -95,14 +95,16 @@ mod tests {
         let (p, n) = (4usize, 8usize);
         let h = build(p, 2, n).unwrap();
         let d = crate::baselines::dapple::build(p, n).unwrap();
-        let th = execute(&h, &UnitCost::ones()).unwrap();
-        let td = execute(
+        let th = simulate(&h, &UnitCost::ones(), &SimConfig::default()).unwrap();
+        let td = simulate(
             &d,
             &UnitCost {
                 fwd: 2.0,
                 bwd: 2.0,
                 wgrad: 0.0,
+                ..UnitCost::ones()
             },
+            &SimConfig::default(),
         )
         .unwrap();
         assert!(

@@ -53,7 +53,7 @@ pub(crate) fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -78,7 +78,7 @@ mod tests {
         // ns + p - 1 and the backward phase the same, both with p-1 idle.
         for (p, n, s) in [(4usize, 8usize, 2usize), (4, 4, 4), (8, 8, 2)] {
             let sch = build(p, n, s).unwrap();
-            let t = execute(&sch, &UnitCost::ones()).unwrap();
+            let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
             let expected = (p as f64 - 1.0) / (n as f64 * s as f64 + p as f64 - 1.0);
             assert!(
                 (t.bubble_ratio() - expected).abs() < 1e-9,
@@ -92,8 +92,12 @@ mod tests {
     fn finer_slices_shrink_bubbles() {
         let coarse = build(4, 4, 1).unwrap();
         let fine = build(4, 4, 8).unwrap();
-        let bc = execute(&coarse, &UnitCost::ones()).unwrap().bubble_ratio();
-        let bf = execute(&fine, &UnitCost::ones()).unwrap().bubble_ratio();
+        let bc = simulate(&coarse, &UnitCost::ones(), &SimConfig::default())
+            .unwrap()
+            .bubble_ratio();
+        let bf = simulate(&fine, &UnitCost::ones(), &SimConfig::default())
+            .unwrap()
+            .bubble_ratio();
         assert!(bf < bc);
     }
 }

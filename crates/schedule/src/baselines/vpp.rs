@@ -87,7 +87,7 @@ pub(crate) fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -129,11 +129,10 @@ mod tests {
                 let s = build(p, v, n).unwrap();
                 // Chunk passes take 1/v the time of a full-stage pass.
                 let cost = UnitCost {
-                    fwd: 1.0,
-                    bwd: 1.0,
                     wgrad: 0.0,
+                    ..UnitCost::ones()
                 };
-                let t = execute(&s, &cost).unwrap();
+                let t = simulate(&s, &cost, &SimConfig::default()).unwrap();
                 // Normalise: busy work per worker is 2·n·v ticks regardless
                 // of v only because chunk ticks shrink; compare ratios.
                 t.bubble_ratio()
@@ -149,7 +148,7 @@ mod tests {
         // extra transition bubbles, so allow a modest tolerance.
         let (p, v, n) = (4usize, 2usize, 16usize);
         let s = build(p, v, n).unwrap();
-        let t = execute(&s, &UnitCost::ones()).unwrap();
+        let t = simulate(&s, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let expected = (p as f64 - 1.0) / (p as f64 - 1.0 + (n * v) as f64);
         assert!(
             (t.bubble_ratio() - expected).abs() < 0.06,

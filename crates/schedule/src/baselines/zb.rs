@@ -36,7 +36,7 @@ pub(crate) fn build(stages: usize, micro_batches: usize) -> Result<Schedule, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::ir::OpKind;
     use crate::validate::{peak_in_flight, validate};
 
@@ -74,24 +74,8 @@ mod tests {
         let (p, n) = (4usize, 8usize);
         let zb = build(p, n).unwrap();
         let da = crate::baselines::dapple::build(p, n).unwrap();
-        let tz = execute(
-            &zb,
-            &UnitCost {
-                fwd: 1.0,
-                bwd: 1.0,
-                wgrad: 1.0,
-            },
-        )
-        .unwrap();
-        let td = execute(
-            &da,
-            &UnitCost {
-                fwd: 1.0,
-                bwd: 2.0,
-                wgrad: 0.0,
-            },
-        )
-        .unwrap();
+        let tz = simulate(&zb, &UnitCost::ones(), &SimConfig::default()).unwrap();
+        let td = simulate(&da, &UnitCost::one_two(), &SimConfig::default()).unwrap();
         assert!(tz.makespan <= td.makespan);
     }
 }

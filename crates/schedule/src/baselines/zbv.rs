@@ -42,7 +42,7 @@ pub(crate) fn build(stages: usize, micro_batches: usize) -> Result<Schedule, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, UnitCost};
+    use crate::exec::{simulate, SimConfig, UnitCost};
     use crate::validate::{peak_in_flight, validate};
 
     #[test]
@@ -68,22 +68,16 @@ mod tests {
         let da = crate::baselines::dapple::build(p, n).unwrap();
         // ZBV chunk ops are half-size: F/B/W = 1 tick each per half-chunk
         // vs DAPPLE's 2-tick forward / 4-tick fused backward.
-        let tz = execute(
-            &zbv,
-            &UnitCost {
-                fwd: 1.0,
-                bwd: 1.0,
-                wgrad: 1.0,
-            },
-        )
-        .unwrap();
-        let td = execute(
+        let tz = simulate(&zbv, &UnitCost::ones(), &SimConfig::default()).unwrap();
+        let td = simulate(
             &da,
             &UnitCost {
                 fwd: 2.0,
                 bwd: 4.0,
                 wgrad: 0.0,
+                ..UnitCost::ones()
             },
+            &SimConfig::default(),
         )
         .unwrap();
         assert!(

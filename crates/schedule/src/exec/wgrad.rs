@@ -10,27 +10,29 @@
 //! slice imbalance) and lets deep stages defer W work past the last
 //! backward, erasing tail bubbles (Figures 7, 11, 12).
 //!
-//! This module provides the queue the simulator and the threaded runtime
-//! share, with the memory accounting the paper requires: a deferred entry
-//! retains its activations *and* activation gradients until fully drained.
+//! This module provides the queue the timing engine drains, with the
+//! memory accounting the paper requires: a deferred entry retains its
+//! activations *and* activation gradients until fully drained. (The
+//! threaded runtime in `mepipe-train` drains its own queue of real
+//! weight-gradient closures.)
 
 use std::collections::VecDeque;
 
-use mepipe_schedule::ir::Op;
+use crate::ir::Op;
 
 /// One deferred weight-gradient computation (one unit's W pass, divisible
 /// into `units_left` GEMMs).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WgradEntry {
+struct WgradEntry {
     /// The weight op this entry realises.
-    pub op: Op,
+    op: Op,
     /// GEMMs not yet executed.
-    pub units_left: usize,
+    units_left: usize,
     /// Duration of one GEMM in seconds.
-    pub unit_time: f64,
+    unit_time: f64,
     /// Bytes retained (activations + activation gradients) while any GEMM
     /// of this entry is outstanding.
-    pub retained_bytes: f64,
+    retained_bytes: f64,
 }
 
 /// FIFO queue of deferred weight-gradient GEMMs with retained-memory
@@ -39,7 +41,7 @@ pub struct WgradEntry {
 /// # Examples
 ///
 /// ```
-/// use mepipe_core::wgrad::WgradQueue;
+/// use mepipe_schedule::exec::WgradQueue;
 /// use mepipe_schedule::ir::{Op, OpKind};
 ///
 /// let mut q = WgradQueue::new();
@@ -163,7 +165,7 @@ impl WgradQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mepipe_schedule::ir::OpKind;
+    use crate::ir::OpKind;
 
     fn wop(mb: usize) -> Op {
         Op::new(OpKind::BackwardWeight, mb, 0, 0)

@@ -4,8 +4,8 @@
 //! backward, split input-/weight-gradient backward) over micro-batches ×
 //! sequence slices × virtual model chunks. Dependencies between operations
 //! are *derived* from the training semantics ([`deps`]), never stored, so a
-//! single validator and a single executor serve every scheduling method —
-//! the baselines here, and SVPP in `mepipe-core`.
+//! single validator and a single timing engine ([`exec`]) serve every
+//! scheduling method — the baselines here, and SVPP in `mepipe-core`.
 //!
 //! Baselines implemented (Section 2 of the paper):
 //!

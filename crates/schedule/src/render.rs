@@ -12,11 +12,12 @@
 //! Bubbles render as dots, making idle time visually obvious.
 
 use crate::{
-    exec::{execute, CostFn, ExecTrace},
+    exec::{simulate, Cost, SimConfig},
     ir::{OpKind, Schedule},
 };
 
-/// Renders a schedule using the given (integral-duration) cost function.
+/// Renders a schedule's list-order timeline under the given
+/// (integral-duration) costs.
 ///
 /// Returns `Err` if the schedule deadlocks or a duration is not a positive
 /// whole number of ticks.
@@ -30,31 +31,29 @@ use crate::{
 /// let out = render(&Dapple.generate(&Dims::new(2, 2)).unwrap(), &UnitCost::ones()).unwrap();
 /// assert!(out.starts_with("stage 0: Fa0"));
 /// ```
-pub fn render(schedule: &Schedule, cost: &dyn CostFn) -> Result<String, String> {
-    let trace = execute(schedule, cost)?;
-    render_trace(schedule, &trace)
-}
-
-/// Renders a pre-computed execution trace.
-pub fn render_trace(schedule: &Schedule, trace: &ExecTrace) -> Result<String, String> {
-    let ticks = trace.makespan.round() as usize;
-    if (trace.makespan - ticks as f64).abs() > 1e-6 {
+pub fn render(schedule: &Schedule, cost: &dyn Cost) -> Result<String, String> {
+    let result = simulate(schedule, cost, &SimConfig::default())?;
+    let ticks = result.makespan.round() as usize;
+    if (result.makespan - ticks as f64).abs() > 1e-6 {
         return Err(format!(
             "non-integral makespan {} cannot be rendered",
-            trace.makespan
+            result.makespan
         ));
     }
-    let nw = schedule.num_workers();
-    let mut grid = vec![vec!["...".to_string(); ticks]; nw];
-    for p in &trace.placed {
-        let s = p.start.round() as usize;
-        let e = p.end.round() as usize;
-        if (p.start - s as f64).abs() > 1e-6 || (p.end - e as f64).abs() > 1e-6 {
-            return Err(format!("op {} has non-integral times", p.op));
-        }
-        let token = op_token(p.op.kind, p.op.micro_batch, p.op.slice, p.op.chunk);
-        for cell in grid[p.stage].iter_mut().take(e).skip(s) {
-            *cell = token.clone();
+    let mut grid = vec![vec!["...".to_string(); ticks]; schedule.num_workers()];
+    for (row, segments) in grid.iter_mut().zip(&result.segments) {
+        for seg in segments {
+            // Static execution books one segment per listed op.
+            let Some(op) = seg.op else { continue };
+            let s = seg.start.round() as usize;
+            let e = seg.end.round() as usize;
+            if (seg.start - s as f64).abs() > 1e-6 || (seg.end - e as f64).abs() > 1e-6 {
+                return Err(format!("op {op} has non-integral times"));
+            }
+            let token = op_token(op.kind, op.micro_batch, op.slice, op.chunk);
+            for cell in row.iter_mut().take(e).skip(s) {
+                *cell = token.clone();
+            }
         }
     }
     let mut out = String::new();
@@ -140,8 +139,7 @@ mod tests {
     fn non_integral_durations_are_rejected() {
         let cost = UnitCost {
             fwd: 0.5,
-            bwd: 1.0,
-            wgrad: 0.0,
+            ..UnitCost::ones()
         };
         assert!(render(&tiny(), &cost).is_err());
     }

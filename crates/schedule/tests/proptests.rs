@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use mepipe_schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generate::{default_caps, greedy_generate},
     generator::{Dapple, Dims, GPipe, ScheduleGenerator, TeraPipe},
     ir::{ChunkPlacement, ScheduleMeta},
@@ -74,7 +74,7 @@ proptest! {
         let caps = vec![(p * v).max(v); p];
         let sch = greedy_generate(&m, &caps).unwrap();
         validate(&sch).unwrap();
-        execute(&sch, &UnitCost::ones()).unwrap();
+        simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
     }
 
     /// Executing any baseline under any positive costs keeps busy time
@@ -87,8 +87,8 @@ proptest! {
         bwd in 0.5f64..3.0,
     ) {
         let sch = Dapple.generate(&Dims::new(p, n)).unwrap();
-        let cost = UnitCost { fwd, bwd, wgrad: 0.0 };
-        let t = execute(&sch, &cost).unwrap();
+        let cost = UnitCost { fwd, bwd, wgrad: 0.0, ..UnitCost::ones() };
+        let t = simulate(&sch, &cost, &SimConfig::default()).unwrap();
         let expected = (fwd + bwd) * n as f64;
         for w in 0..p {
             prop_assert!((t.busy[w] - expected).abs() < 1e-6);
@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn gpipe_makespan_formula(p in 1usize..=8, n in 1usize..=12) {
         let sch = GPipe.generate(&Dims::new(p, n)).unwrap();
-        let t = execute(&sch, &UnitCost::ones()).unwrap();
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
         prop_assert!((t.makespan - (2 * n + 2 * (p - 1)) as f64).abs() < 1e-9);
     }
 
@@ -117,7 +117,7 @@ proptest! {
     #[test]
     fn terapipe_bubble_formula(p in 1usize..=6, n in 1usize..=8, s in 1usize..=4) {
         let sch = TeraPipe.generate(&Dims::new(p, n).slices(s)).unwrap();
-        let t = execute(&sch, &UnitCost::ones()).unwrap();
+        let t = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
         let expected = (p as f64 - 1.0) / ((n * s) as f64 + p as f64 - 1.0);
         prop_assert!((t.bubble_ratio() - expected).abs() < 1e-9);
     }

@@ -13,8 +13,7 @@
 
 use mepipe_trace::{bubble, IterationTrace};
 
-use crate::engine::SimResult;
-use crate::timeline::SegmentKind;
+use mepipe_schedule::exec::{SegmentKind, SimResult};
 
 /// Measured vs modeled time for one op kind on one stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,11 +219,8 @@ impl BubbleCheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        cost::UniformSimCost,
-        engine::{simulate, SimConfig},
-    };
     use mepipe_core::svpp::Mepipe;
+    use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
     use mepipe_trace::{Span, SpanKind, StageTrace, NO_TAG};
 
@@ -240,7 +236,7 @@ mod tests {
 
     /// A measured trace fabricated from the simulator's own segments:
     /// the comparison against it must fit perfectly.
-    fn trace_from_sim(sim: &crate::engine::SimResult) -> IterationTrace {
+    fn trace_from_sim(sim: &SimResult) -> IterationTrace {
         IterationTrace {
             stages: sim
                 .segments
@@ -271,7 +267,7 @@ mod tests {
     #[test]
     fn sim_derived_trace_fits_perfectly() {
         let sch = Mepipe::new().generate(&Dims::new(2, 4).slices(2)).unwrap();
-        let sim = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
+        let sim = simulate(&sch, &UnitCost::default(), &SimConfig::default()).unwrap();
         let trace = trace_from_sim(&sim);
         let r = BubbleCheckReport::from_run(&trace, &sim);
         assert!(!r.ops.is_empty());
@@ -292,7 +288,7 @@ mod tests {
     #[test]
     fn inflated_measurements_show_up_in_the_ratio() {
         let sch = Mepipe::new().generate(&Dims::new(2, 2).slices(2)).unwrap();
-        let sim = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
+        let sim = simulate(&sch, &UnitCost::default(), &SimConfig::default()).unwrap();
         let mut trace = trace_from_sim(&sim);
         // Double every measured duration in place.
         for st in &mut trace.stages {
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn render_names_every_stage_and_kind() {
         let sch = Mepipe::new().generate(&Dims::new(2, 2).slices(2)).unwrap();
-        let sim = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
+        let sim = simulate(&sch, &UnitCost::default(), &SimConfig::default()).unwrap();
         let r = BubbleCheckReport::from_run(&trace_from_sim(&sim), &sim);
         let text = r.render();
         assert!(text.contains("bubblecheck"));

@@ -224,7 +224,6 @@ impl ConvergenceReport {
 mod tests {
     use super::*;
     use crate::cost::ModelCost;
-    use crate::engine::{simulate, SimConfig, SimResult};
     use mepipe_core::svpp::Mepipe;
     use mepipe_hw::{accelerator::AcceleratorSpec, link::LinkSpec, topology::ClusterSpec};
     use mepipe_model::{
@@ -232,6 +231,7 @@ mod tests {
         gemm::GemmEfficiency,
         partition::{PartitionSpec, SequenceSplit},
     };
+    use mepipe_schedule::exec::{simulate, SegmentKind, SimConfig, SimResult};
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
     use mepipe_trace::{Span, StageTrace, NO_TAG};
 
@@ -259,8 +259,7 @@ mod tests {
         ExecutionCost::new(cfg, spec, &cluster).unwrap()
     }
 
-    fn span_kind(kind: crate::timeline::SegmentKind) -> SpanKind {
-        use crate::timeline::SegmentKind;
+    fn span_kind(kind: SegmentKind) -> SpanKind {
         match kind {
             SegmentKind::Forward => SpanKind::Forward,
             SegmentKind::Backward => SpanKind::Backward,
@@ -303,8 +302,6 @@ mod tests {
     fn sim_cfg() -> SimConfig {
         SimConfig {
             dynamic_wgrad: true,
-            include_dp_sync: false,
-            include_optimizer: false,
             ..Default::default()
         }
     }

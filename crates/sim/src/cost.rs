@@ -1,103 +1,12 @@
-//! Cost-model interface for the simulator and its two implementations.
+//! The production cost model behind the engine's
+//! [`Cost`] trait.
 
 use mepipe_model::cost::ExecutionCost;
+use mepipe_schedule::exec::Cost;
 use mepipe_schedule::ir::{Op, OpKind};
 
-/// Everything the engine needs to price one schedule execution.
-pub trait SimCost {
-    /// Duration of a forward / input-gradient / fused-backward op. Weight
-    /// ops are priced via [`SimCost::wgrad_time`].
-    fn duration(&self, stage: usize, op: Op) -> f64;
-
-    /// Inter-stage transfer time for one unit's boundary tensor.
-    fn transfer_time(&self, from_stage: usize, to_stage: usize) -> f64;
-
-    /// Total duration of one unit's weight-gradient work.
-    fn wgrad_time(&self, stage: usize, op: Op) -> f64;
-
-    /// Number of individually schedulable GEMMs inside one weight op.
-    fn wgrad_units(&self) -> usize;
-
-    /// Activation bytes retained per in-flight forward unit.
-    fn activation_bytes(&self) -> f64;
-
-    /// Extra bytes retained per unit whose weight work is deferred.
-    fn deferred_bytes(&self) -> f64;
-
-    /// End-of-iteration data-parallel synchronisation time.
-    fn dp_sync_time(&self) -> f64 {
-        0.0
-    }
-
-    /// End-of-iteration optimizer step time.
-    fn optimizer_time(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Uniform costs for unit tests and analytic cross-checks.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformSimCost {
-    /// Forward duration.
-    pub fwd: f64,
-    /// Input-gradient (or fused-backward) duration.
-    pub bwd: f64,
-    /// Weight-gradient duration (whole op).
-    pub wgrad: f64,
-    /// Transfer time per hop.
-    pub comm: f64,
-    /// GEMMs per weight op.
-    pub wgrad_units: usize,
-    /// Bytes per in-flight forward unit.
-    pub act_bytes: f64,
-}
-
-impl Default for UniformSimCost {
-    fn default() -> Self {
-        Self {
-            fwd: 1.0,
-            bwd: 1.0,
-            wgrad: 1.0,
-            comm: 0.0,
-            wgrad_units: 1,
-            act_bytes: 1.0,
-        }
-    }
-}
-
-impl SimCost for UniformSimCost {
-    fn duration(&self, _stage: usize, op: Op) -> f64 {
-        match op.kind {
-            OpKind::Forward => self.fwd,
-            OpKind::BackwardInput => self.bwd,
-            OpKind::Backward => self.bwd + self.wgrad,
-            OpKind::BackwardWeight => self.wgrad,
-        }
-    }
-
-    fn transfer_time(&self, _from: usize, _to: usize) -> f64 {
-        self.comm
-    }
-
-    fn wgrad_time(&self, _stage: usize, _op: Op) -> f64 {
-        self.wgrad
-    }
-
-    fn wgrad_units(&self) -> usize {
-        self.wgrad_units
-    }
-
-    fn activation_bytes(&self) -> f64 {
-        self.act_bytes
-    }
-
-    fn deferred_bytes(&self) -> f64 {
-        self.act_bytes * 0.5
-    }
-}
-
 /// The production cost model: adapts [`ExecutionCost`] (model × partition ×
-/// cluster) to the simulator interface.
+/// cluster) to the engine's [`Cost`] interface.
 #[derive(Debug, Clone)]
 pub struct ModelCost {
     inner: ExecutionCost,
@@ -167,7 +76,7 @@ impl ModelCost {
     }
 }
 
-impl SimCost for ModelCost {
+impl Cost for ModelCost {
     fn duration(&self, _stage: usize, op: Op) -> f64 {
         match op.kind {
             OpKind::Forward => self.inner.forward_time(op.slice),
@@ -288,16 +197,5 @@ mod tests {
         let a100 =
             ModelCost::new(ExecutionCost::new(cfg, half, &ClusterSpec::a100_cluster()).unwrap());
         assert_ne!(base.fingerprint(), a100.fingerprint());
-    }
-
-    #[test]
-    fn uniform_cost_fused_backward_includes_weight() {
-        let c = UniformSimCost {
-            bwd: 2.0,
-            wgrad: 1.5,
-            ..Default::default()
-        };
-        let fused = Op::new(OpKind::Backward, 0, 0, 0);
-        assert_eq!(c.duration(0, fused), 3.5);
     }
 }

@@ -1,20 +1,21 @@
-//! Discrete-event simulator for pipeline-parallel training iterations.
+//! Pricing, calibration, fidelity checks and trace output around the
+//! list-order timing engine.
 //!
-//! The simulator executes a [`mepipe_schedule::ir::Schedule`] under a
-//! pluggable cost model ([`cost::SimCost`]) and produces a full timeline,
-//! iteration time, bubble ratio, peak activation memory and communication
-//! statistics. It layers the behaviours the static list executor cannot
-//! express:
+//! The engine itself — per-worker list order, link occupancy, dynamic
+//! weight-gradient draining (Section 5) and memory tracking against a
+//! device cap — lives in [`mepipe_schedule::exec`]; [`engine`] re-exports
+//! it. This crate supplies what surrounds it:
 //!
-//! * **dynamic weight-gradient draining** (Section 5) — weight-gradient
-//!   GEMMs queue at input-gradient completion and fill the gaps where a
-//!   worker waits on inter-stage transfers, at per-GEMM granularity for
-//!   MEPipe and per-op granularity for zero-bubble baselines;
-//! * **memory tracking with a device cap** — activations are charged at
-//!   forward start and released at (fused) backward or weight-gradient
-//!   completion; deferred weight work retains activations *and* activation
-//!   gradients; exceeding the cap first forces a drain, then reports OOM;
-//! * **inter-stage transfer pricing** from the cluster's links.
+//! * **pricing** — [`ModelCost`] adapts the analytic model × partition ×
+//!   cluster cost to the engine's [`Cost`](mepipe_schedule::exec::Cost)
+//!   trait, at per-GEMM weight granularity for MEPipe and per-op
+//!   granularity for zero-bubble baselines;
+//! * **calibration** — [`calibrate`] fits that cost to measured trace
+//!   spans;
+//! * **fidelity checks** — [`bubblecheck`], [`commcheck`] and
+//!   [`memcheck`] compare measured runs with the engine's prediction;
+//! * **output** — Chrome traces ([`trace`]), per-stage activity strips
+//!   ([`timeline`]) and headline metrics ([`metrics`]).
 #![warn(missing_docs)]
 
 pub mod bubblecheck;
@@ -30,10 +31,8 @@ pub mod trace;
 pub use bubblecheck::BubbleCheckReport;
 pub use calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples};
 pub use commcheck::{CommCheckReport, LinkCheck};
-pub use cost::{ModelCost, SimCost, UniformSimCost};
-pub use engine::{simulate, SimConfig, SimResult, SimSummary};
+pub use cost::ModelCost;
 pub use memcheck::{MemCheckReport, StageMemCheck};
-pub use timeline::{Segment, SegmentKind};
 pub use trace::{replicas_to_chrome_trace, to_chrome_trace};
 
 /// Lower edge of the healthy measured/modeled band shared by the

@@ -1,8 +1,7 @@
 //! Derived performance metrics: throughput, MFU, cost-effectiveness.
 
 use mepipe_model::cost::ExecutionCost;
-
-use crate::engine::SimResult;
+use mepipe_schedule::exec::SimResult;
 
 /// Achieved model FLOPs per second per worker for a simulated iteration.
 pub fn achieved_flops_per_worker(result: &SimResult, cost: &ExecutionCost) -> f64 {
@@ -31,16 +30,14 @@ pub fn tokens_per_second(result: &SimResult, cost: &ExecutionCost) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        cost::ModelCost,
-        engine::{simulate, SimConfig},
-    };
+    use crate::cost::ModelCost;
     use mepipe_core::svpp::Mepipe;
     use mepipe_hw::topology::ClusterSpec;
     use mepipe_model::{
         config::TransformerConfig,
         partition::{PartitionSpec, SequenceSplit},
     };
+    use mepipe_schedule::exec::{simulate, SimConfig};
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
 
     #[test]

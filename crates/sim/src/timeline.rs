@@ -1,65 +1,7 @@
-//! Timeline segments and the per-stage activity summaries behind
+//! Per-stage activity summaries of the engine's timeline segments, behind
 //! Figures 11 and 12.
 
-use mepipe_schedule::ir::{Op, OpKind};
-
-/// What a worker was doing during a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// A forward pass.
-    Forward,
-    /// A fused backward pass.
-    Backward,
-    /// An input-gradient backward pass.
-    BackwardInput,
-    /// A weight-gradient op executed at its static list position.
-    BackwardWeight,
-    /// Weight-gradient GEMMs drained opportunistically into a wait gap.
-    WgradDrain,
-}
-
-impl SegmentKind {
-    /// Maps a schedule op kind to its segment kind.
-    pub fn from_op(kind: OpKind) -> Self {
-        match kind {
-            OpKind::Forward => SegmentKind::Forward,
-            OpKind::Backward => SegmentKind::Backward,
-            OpKind::BackwardInput => SegmentKind::BackwardInput,
-            OpKind::BackwardWeight => SegmentKind::BackwardWeight,
-        }
-    }
-
-    /// Single-letter tag for rendering.
-    pub fn letter(self) -> char {
-        match self {
-            SegmentKind::Forward => 'F',
-            SegmentKind::Backward => 'B',
-            SegmentKind::BackwardInput => 'b',
-            SegmentKind::BackwardWeight => 'W',
-            SegmentKind::WgradDrain => 'w',
-        }
-    }
-}
-
-/// One contiguous activity interval on one worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// Activity class.
-    pub kind: SegmentKind,
-    /// The schedule op, when the segment corresponds to exactly one.
-    pub op: Option<Op>,
-    /// Start time in seconds.
-    pub start: f64,
-    /// End time in seconds.
-    pub end: f64,
-}
-
-impl Segment {
-    /// Segment duration.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
+use mepipe_schedule::exec::{Segment, SegmentKind};
 
 /// Activity breakdown of one worker over an iteration (the quantities the
 /// Figure 11/12 timelines visualise).

@@ -8,10 +8,9 @@
 //! data-parallel replica gets its own process track (`pid`), with one
 //! thread track (`tid`) per pipeline stage.
 
+use mepipe_schedule::exec::{Segment, SegmentKind};
 use mepipe_schedule::ir::Op;
 use mepipe_trace::ChromeTraceWriter;
-
-use crate::timeline::{Segment, SegmentKind};
 
 /// Serialises one replica's per-stage segments as a Chrome Trace Event
 /// Format JSON string (all tracks under `pid` 0).
@@ -69,16 +68,13 @@ fn segment_name(kind: SegmentKind, op: Option<Op>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        cost::UniformSimCost,
-        engine::{simulate, SimConfig},
-    };
+    use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
     use mepipe_schedule::generator::{Dapple, Dims, ScheduleGenerator};
 
     #[test]
     fn trace_is_valid_json_with_one_event_per_segment() {
         let sch = Dapple.generate(&Dims::new(2, 2)).unwrap();
-        let r = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
+        let r = simulate(&sch, &UnitCost::default(), &SimConfig::default()).unwrap();
         let json = to_chrome_trace(&r.segments);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = parsed.as_array().expect("array");
@@ -99,7 +95,7 @@ mod tests {
     #[test]
     fn replicas_get_distinct_pids() {
         let sch = Dapple.generate(&Dims::new(2, 2)).unwrap();
-        let r = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
+        let r = simulate(&sch, &UnitCost::default(), &SimConfig::default()).unwrap();
         let json = replicas_to_chrome_trace(&[r.segments.clone(), r.segments.clone()]);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let pids: std::collections::BTreeSet<u64> = parsed

@@ -4,11 +4,8 @@
 use proptest::prelude::*;
 
 use mepipe_core::svpp::{Mepipe, Svpp, SvppConfig};
+use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
 use mepipe_schedule::generator::{Dapple, Dims, GPipe, ScheduleGenerator};
-use mepipe_sim::{
-    engine::{simulate, SimConfig},
-    UniformSimCost,
-};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -18,7 +15,7 @@ proptest! {
     #[test]
     fn exact_limit_is_feasible(p in 1usize..=6, n in 1usize..=8) {
         let sch = Dapple.generate(&Dims::new(p, n)).unwrap();
-        let cost = UniformSimCost { act_bytes: 2.0, ..Default::default() };
+        let cost = UnitCost { act_bytes: 2.0, ..Default::default() };
         let free = simulate(&sch, &cost, &SimConfig::default()).unwrap();
         let peak = free.peak_activation_bytes.iter().copied().fold(0.0, f64::max);
         let capped = simulate(
@@ -36,7 +33,7 @@ proptest! {
     #[test]
     fn impossible_limit_always_ooms(p in 1usize..=5, n in 1usize..=6) {
         let sch = GPipe.generate(&Dims::new(p, n)).unwrap();
-        let cost = UniformSimCost { act_bytes: 2.0, ..Default::default() };
+        let cost = UnitCost { act_bytes: 2.0, ..Default::default() };
         let r = simulate(
             &sch,
             &cost,
@@ -52,7 +49,7 @@ proptest! {
     fn capped_peak_is_bounded(p in 2usize..=5, s in 1usize..=3, n in 2usize..=6) {
         let cfg = SvppConfig::new(p, s, n);
         let sch = Mepipe::new().generate(&Dims::new(p, n).slices(s)).unwrap();
-        let cost = UniformSimCost { act_bytes: 1.0, wgrad_units: 4, ..Default::default() };
+        let cost = UnitCost { act_bytes: 1.0, wgrad_units: 4, ..Default::default() };
         let cap = (cfg.max_warmup() as f64) * 1.6; // Room for some retention.
         let r = simulate(
             &sch,
@@ -60,7 +57,6 @@ proptest! {
             &SimConfig {
                 dynamic_wgrad: true,
                 memory_limit_bytes: Some(cap),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -78,7 +74,7 @@ proptest! {
         let s = 4usize;
         // DAPPLE's stage-0 floor is p whole-micro-batch units of size s.
         let dapple = Dapple.generate(&Dims::new(p, n)).unwrap();
-        let d_cost = UniformSimCost { act_bytes: s as f64, ..Default::default() };
+        let d_cost = UnitCost { act_bytes: s as f64, ..Default::default() };
         // A cap of (s + p - 1) slice units: below DAPPLE's p*s.
         let cap = (s + p - 1) as f64;
         let rd = simulate(
@@ -92,7 +88,7 @@ proptest! {
             .warmup_cap(s + p - 1)
             .generate(&Dims::new(p, n).slices(s))
             .unwrap();
-        let s_cost = UniformSimCost { act_bytes: 1.0, ..Default::default() };
+        let s_cost = UnitCost { act_bytes: 1.0, ..Default::default() };
         let rs = simulate(
             &svpp,
             &s_cost,

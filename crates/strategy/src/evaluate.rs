@@ -7,14 +7,12 @@ use mepipe_core::Synth;
 use mepipe_hw::topology::ClusterSpec;
 use mepipe_model::{config::TransformerConfig, cost::ExecutionCost, memory};
 use mepipe_schedule::{
+    exec::{simulate, SimConfig},
     generator::{ScheduleError, ScheduleGenerator},
     ir::Schedule,
     validate, Blocks, DualPipe,
 };
-use mepipe_sim::{
-    engine::{simulate, SimConfig},
-    metrics, ModelCost,
-};
+use mepipe_sim::{metrics, ModelCost};
 
 use crate::engine::{ScheduleCache, ScheduleKey};
 use crate::space::{Candidate, Method};
@@ -206,7 +204,6 @@ pub(crate) fn evaluate_with(
         &SimConfig {
             dynamic_wgrad: dynamic,
             memory_limit_bytes: Some(budget),
-            ..Default::default()
         },
     )?;
     let summary = result.summary();

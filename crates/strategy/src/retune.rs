@@ -21,14 +21,12 @@ use mepipe_core::svpp::{self, SvppConfig};
 use mepipe_core::Synth;
 use mepipe_model::cost::ExecutionCost;
 use mepipe_schedule::{
+    exec::{simulate, SimConfig},
     generator::{Dims, ScheduleGenerator},
     ir::Schedule,
     validate,
 };
-use mepipe_sim::{
-    engine::{simulate, SimConfig},
-    ModelCost,
-};
+use mepipe_sim::ModelCost;
 
 use crate::engine::{ScheduleKey, SearchEngine};
 use crate::space::Method;
@@ -71,7 +69,7 @@ impl SearchEngine {
     /// The stage count, virtual chunks and micro-batch count are taken
     /// from `fitted.partition()` — those are frozen by hot-swap
     /// compatibility. Candidates vary the slice count over divisors of
-    /// the sequence length (capped at [`MAX_SLICES`]) and the warmup cap
+    /// the sequence length (capped at `MAX_SLICES`) and the warmup cap
     /// over the full `[min_warmup, max_warmup]` range. Candidates whose
     /// peak in-flight units exceed `max_units` (when given) are dropped
     /// — the same memory gate the offline search applies.
@@ -135,7 +133,7 @@ impl SearchEngine {
                 });
             }
             // One solver row per slice count. The order search prices
-            // with the *default* deterministic SliceCosts — not the
+            // with its fixed deterministic unit costs — not the
             // fitted model — so peer workers can regenerate the same
             // schedule from the broadcast knob alone; the fitted model
             // still does the ranking below, like every other row.

@@ -9,17 +9,17 @@
 //!   optimizer step and can float — this is the GEMM MEPipe queues and
 //!   drains opportunistically (Section 5).
 //!
-//! All three share one engine ([`gemm`]): the right-hand operand is
+//! All three share one engine (`gemm`): the right-hand operand is
 //! packed once into `NR`-wide column strips, each `MC`-row block of the
 //! output packs its left-hand panel into `MR`-tall micro-panels, and a
 //! register-tiled `MR×NR` micro-kernel accumulates along the inner
 //! dimension with no per-element branches — written so the
 //! autovectorizer emits SIMD for the `NR`-wide inner loop and keeps the
 //! accumulator tile in registers. The transposed operands of the two
-//! gradient halves are absorbed by the packing routines ([`View`]), so
+//! gradient halves are absorbed by the packing routines (`View`), so
 //! no transposed temporary is ever materialised. Row blocks are
 //! distributed over a [`KernelPool`] — unless the GEMM is below its
-//! parallel break-even size ([`PAR_FLOP_FLOOR`]), where the spawn/join
+//! parallel break-even size (`PAR_FLOP_FLOOR`), where the spawn/join
 //! overhead loses and the blocks run inline instead. Because every
 //! output element is written by exactly one block and the accumulation
 //! order along the inner dimension is fixed, results are bit-identical

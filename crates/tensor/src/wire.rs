@@ -12,7 +12,7 @@
 //!    process is bit-identical to the one encoded. This is what lets the
 //!    multi-process runtime reproduce the in-process loss exactly.
 //! 2. **Arena-backed decode.** [`Tensor::decode`] allocates its output
-//!    through [`Tensor::uninit`], so when the decoding thread has a
+//!    through `Tensor::uninit`, so when the decoding thread has a
 //!    [`crate::TensorArena`] installed the receive buffer is served from
 //!    (and recycled into) the stage's shape-keyed free lists — receiving
 //!    a tensor in the steady state allocates nothing. The transport
@@ -352,10 +352,10 @@ impl Tensor {
     }
 
     /// Appends the error-bounded lossy wire encoding to `out`: the shape
-    /// header, then one block per [`LOSSY_BLOCK`] elements. A block is a
+    /// header, then one block per `LOSSY_BLOCK` elements. A block is a
     /// tag byte plus either an anchor-exponent byte and one minifloat
-    /// byte per element ([`LOSSY_MODE_MINI`]), or two bf16 bytes per
-    /// element ([`LOSSY_MODE_BF16`]) when the block holds nonfinite,
+    /// byte per element (`LOSSY_MODE_MINI`), or two bf16 bytes per
+    /// element (`LOSSY_MODE_BF16`) when the block holds nonfinite,
     /// subnormal, or wider-than-14-octave values. Relative error per
     /// normal element is bounded by [`LOSSY_MAX_REL_ERR`]; payloads
     /// always shrink versus f32 (≤ ~0.26x typical, ≤ 0.52x worst case).

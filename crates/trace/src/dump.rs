@@ -53,8 +53,11 @@ pub fn write_stage_trace(path: &Path, st: &StageTrace) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Returns a message naming the malformed line on any format violation,
-/// including a tag that does not fit its `u32` field and a span that
-/// ends before it starts.
+/// including a tag that does not fit its `u32` field, a span that ends
+/// before it starts and a span that ends past the `u64` nanosecond clock
+/// once shifted by the epoch. Every accepted span therefore satisfies
+/// `start_ns + shift <= end_ns + epoch_ns <= u64::MAX` for any shift up
+/// to its epoch, which is what merging dumps onto one axis adds.
 pub fn stage_trace_from_text(text: &str) -> Result<StageTrace, String> {
     let mut lines = text.lines();
     if lines.next() != Some(DUMP_HEADER) {
@@ -92,6 +95,11 @@ pub fn stage_trace_from_text(text: &str) -> Result<StageTrace, String> {
             };
             if span.end_ns < span.start_ns {
                 return Err(format!("span ends before it starts: {line}"));
+            }
+            if epoch_ns.checked_add(span.end_ns).is_none() {
+                return Err(format!(
+                    "span ends past the u64 clock at epoch {epoch_ns}: {line}"
+                ));
             }
             Ok(span)
         })
@@ -198,5 +206,21 @@ mod tests {
         let backwards = format!("{text}span F 0 0 0 0 10 5\n");
         let err = stage_trace_from_text(&backwards).unwrap_err();
         assert!(err.contains("ends before it starts"), "{err}");
+    }
+
+    #[test]
+    fn spans_past_the_u64_clock_are_rejected() {
+        let far = StageTrace {
+            epoch_ns: u64::MAX - 5,
+            ..sample()
+        };
+        // The sample's spans end at 20 and 22 ns: past the clock.
+        let err = stage_trace_from_text(&stage_trace_to_text(&far)).unwrap_err();
+        assert!(err.contains("past the u64 clock"), "{err}");
+        let fits = StageTrace {
+            epoch_ns: u64::MAX - 22,
+            ..sample()
+        };
+        assert!(stage_trace_from_text(&stage_trace_to_text(&fits)).is_ok());
     }
 }

@@ -52,7 +52,7 @@ impl SpanKind {
         }
     }
 
-    /// Single-letter tag matching `sim::timeline::SegmentKind::letter`.
+    /// Single-letter tag matching `schedule::exec::SegmentKind::letter`.
     pub fn letter(self) -> char {
         match self {
             SpanKind::Forward => 'F',

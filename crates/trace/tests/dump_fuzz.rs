@@ -1,13 +1,15 @@
 //! Stage-trace dumps are outside bytes (files other processes wrote), so
 //! the decoder must turn any damage into an `Err`, and whatever it
 //! accepts must be safe to analyse: mutated dump text never panics the
-//! decoder or `bubble::attribute`.
+//! decoder or `bubble::attribute`, and dumps accepted one by one stay
+//! safe when merged onto one time axis.
 
 use proptest::prelude::*;
 
 use mepipe_trace::bubble;
+use mepipe_trace::chrome::traces_to_chrome;
 use mepipe_trace::dump::{stage_trace_from_text, stage_trace_to_text};
-use mepipe_trace::{IterationTrace, Span, SpanKind, StageTrace, NO_TAG};
+use mepipe_trace::{IterationTrace, PidKey, Span, SpanKind, StageTrace, NO_TAG};
 
 /// splitmix64 — deterministic streams from a seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -28,8 +30,8 @@ const KINDS: [SpanKind; 7] = [
     SpanKind::RecvWait,
 ];
 
-/// A well-formed dump with `n` back-to-back spans of random kinds.
-fn valid_dump(seed: u64, n: usize) -> String {
+/// A well-formed trace with `n` back-to-back spans of random kinds.
+fn valid_trace(seed: u64, n: usize) -> StageTrace {
     let mut s = seed;
     let mut t = splitmix(&mut s) % 1_000;
     let spans = (0..n)
@@ -55,13 +57,18 @@ fn valid_dump(seed: u64, n: usize) -> String {
             }
         })
         .collect();
-    stage_trace_to_text(&StageTrace {
+    StageTrace {
         stage: 0,
         replica: 0,
         epoch_ns: splitmix(&mut s) % 1_000_000,
         spans,
         dropped: 0,
-    })
+    }
+}
+
+/// [`valid_trace`] as dump text.
+fn valid_dump(seed: u64, n: usize) -> String {
+    stage_trace_to_text(&valid_trace(seed, n))
 }
 
 /// Replacement tokens: numbers and separators that keep lines parseable
@@ -125,6 +132,38 @@ proptest! {
             }
             let report = bubble::attribute(&IterationTrace { stages: vec![st] });
             prop_assert!(report.makespan_s >= 0.0);
+        }
+    }
+
+    /// Two dumps the decoder accepts one by one stay safe merged: one
+    /// near epoch 0, the other near the top of the `u64` clock, so the
+    /// shift onto the shared axis is as large as it gets. The decoder
+    /// rejects exactly the spans that would overflow once shifted, and
+    /// neither the bubble attribution nor the Chrome export overflows on
+    /// what it accepts.
+    #[test]
+    fn merged_dumps_with_far_apart_epochs_never_overflow(
+        seed in 0u64..u64::MAX,
+        n in 1usize..4,
+        near_epoch in 0u64..1_000,
+        headroom in 0u64..3_000,
+    ) {
+        let near = StageTrace { epoch_ns: near_epoch, ..valid_trace(seed, n) };
+        let far = StageTrace {
+            stage: 1,
+            epoch_ns: u64::MAX - headroom,
+            ..valid_trace(seed ^ 0x5EED, n)
+        };
+        let fits = far.spans.iter().all(|s| far.epoch_ns.checked_add(s.end_ns).is_some());
+        let near = stage_trace_from_text(&stage_trace_to_text(&near)).unwrap();
+        let far = stage_trace_from_text(&stage_trace_to_text(&far));
+        prop_assert_eq!(far.is_ok(), fits);
+        if let Ok(far) = far {
+            let merged = IterationTrace { stages: vec![near, far] };
+            let report = bubble::attribute(&merged);
+            prop_assert!(report.makespan_s >= 0.0);
+            let json = traces_to_chrome(&merged, PidKey::Stage);
+            prop_assert!(json.starts_with('['), "{}", json);
         }
     }
 }

@@ -83,11 +83,11 @@ use mepipe_core::reschedule::reschedule_backwards;
 use mepipe_core::svpp::Mepipe;
 use mepipe_core::Synth;
 use mepipe_model::config::TransformerConfig;
+use mepipe_schedule::exec::{simulate, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
 use mepipe_schedule::ir::Schedule;
 use mepipe_schedule::validate::peak_in_flight;
 use mepipe_schedule::{Blocks, DualPipe};
-use mepipe_sim::engine::{simulate, SimConfig};
 use mepipe_sim::memcheck::{vm_hwm_bytes, MemCheckReport, StageMemCheck};
 use mepipe_sim::{to_chrome_trace, BubbleCheckReport, RATIO_WARN_HI, RATIO_WARN_LO};
 use mepipe_tensor::init::synthetic_tokens;
@@ -945,8 +945,6 @@ fn run_trace_report(args: &Args) {
         &profiled,
         &SimConfig {
             dynamic_wgrad: true,
-            include_dp_sync: false,
-            include_optimizer: false,
             ..Default::default()
         },
     )

@@ -35,11 +35,11 @@ use mepipe_model::{
     cost::ExecutionCost,
     partition::{PartitionSpec, SequenceSplit},
 };
+use mepipe_schedule::exec::{simulate, SimConfig};
 use mepipe_schedule::ir::Schedule;
 use mepipe_sim::{
     bubblecheck::BubbleCheckReport,
     calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples},
-    engine::{simulate, SimConfig},
     ModelCost,
 };
 use mepipe_strategy::SearchEngine;
@@ -131,14 +131,13 @@ impl Calibrator {
         ExecutionCost::new(cfg, spec, &cluster)
     }
 
-    /// How the runtime is modeled when scoring fits: dynamic wgrad drain
-    /// (the execution mode the traces come from), no DP sync or optimizer
-    /// (neither happens inside `run_iteration`).
+    /// How the runtime is modeled when scoring fits: dynamic wgrad drain,
+    /// the execution mode the traces come from. Fits are scored on the
+    /// makespan and the segments, which leave out DP sync and the
+    /// optimizer (neither happens inside `run_iteration`).
     fn sim_config() -> SimConfig {
         SimConfig {
             dynamic_wgrad: true,
-            include_dp_sync: false,
-            include_optimizer: false,
             ..Default::default()
         }
     }

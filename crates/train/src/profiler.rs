@@ -8,14 +8,14 @@
 //! forward, input-gradient and weight-gradient passes standalone on one
 //! model chunk, takes the fastest of several trials (standard
 //! noise-rejection for wall-clock profiling), and measures the retained
-//! activation bytes exactly. The result implements
-//! [`mepipe_sim::SimCost`], closing the loop: profile → schedule →
-//! simulate → execute on the same numbers.
+//! activation bytes exactly. The result implements the timing engine's
+//! [`Cost`] trait, closing the loop: profile → schedule → simulate →
+//! execute on the same numbers.
 
 use std::time::Instant;
 
+use mepipe_schedule::exec::Cost;
 use mepipe_schedule::ir::{Op, OpKind};
-use mepipe_sim::SimCost;
 use mepipe_tensor::{init, KernelPool, Tensor, TensorArena};
 
 use crate::{
@@ -168,7 +168,7 @@ pub fn profile_chunk_in(
     }
 }
 
-impl SimCost for ProfiledCosts {
+impl Cost for ProfiledCosts {
     fn duration(&self, _stage: usize, op: Op) -> f64 {
         match op.kind {
             OpKind::Forward => self.forward[op.slice],
@@ -204,8 +204,8 @@ mod tests {
     use super::*;
     use mepipe_core::svpp::Mepipe;
     use mepipe_model::config::TransformerConfig;
+    use mepipe_schedule::exec::{simulate, SimConfig};
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-    use mepipe_sim::engine::{simulate, SimConfig};
 
     fn profiled() -> ProfiledCosts {
         let cfg = TransformerConfig {

@@ -9,13 +9,13 @@ use mepipe_comm::{Backend, TransportConfig};
 use mepipe_core::svpp::Mepipe;
 use mepipe_core::{Svpp, Synth};
 use mepipe_model::config::TransformerConfig;
+use mepipe_schedule::exec::{simulate, SimConfig, UnitCost};
 use mepipe_schedule::generator::{
     Dapple, Dims, GPipe, Hanayo, ScheduleGenerator, TeraPipe, Vpp, Zb, Zbv,
 };
 use mepipe_schedule::ir::Schedule;
 use mepipe_schedule::validate::validate;
 use mepipe_schedule::{Blocks, DualPipe};
-use mepipe_sim::{simulate, SimConfig, UniformSimCost};
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_train::{
     optim::ModelGrads,
@@ -298,7 +298,7 @@ proptest! {
                 .generate(&dims)
                 .unwrap_or_else(|e| panic!("{} rejected {dims}: {e}", g.name()));
             validate(&sch).unwrap_or_else(|e| panic!("{} invalid at {dims}: {e}", g.name()));
-            let sim = simulate(&sch, &UniformSimCost::default(), &SimConfig::default())
+            let sim = simulate(&sch, &UnitCost::default(), &SimConfig::default())
                 .unwrap_or_else(|e| panic!("{} failed to simulate at {dims}: {e}", g.name()));
             prop_assert!(
                 sim.makespan > 0.0,

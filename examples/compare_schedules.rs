@@ -7,7 +7,7 @@
 //! ```
 
 use mepipe::schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generator::{Dapple, GPipe, TeraPipe},
     render::render,
     validate::{peak_in_flight, validate},
@@ -17,7 +17,7 @@ use mepipe::{Dims, ScheduleGenerator, Svpp};
 
 fn show(name: &str, schedule: &Schedule, cost: &UnitCost, unit_fraction: usize) {
     validate(schedule).expect("schedule must validate");
-    let t = execute(schedule, cost).expect("schedule must execute");
+    let t = simulate(schedule, cost, &SimConfig::default()).expect("schedule must execute");
     println!("=== {name} ===");
     println!("{}", render(schedule, cost).expect("renderable"));
     let peaks = peak_in_flight(schedule);
@@ -39,6 +39,7 @@ fn main() {
         fwd: s as f64,
         bwd: 2.0 * s as f64,
         wgrad: 0.0,
+        ..UnitCost::ones()
     };
     show(
         "GPipe",
@@ -54,11 +55,7 @@ fn main() {
     );
 
     // Slice-level methods: one unit = A/(p·s).
-    let fine = UnitCost {
-        fwd: 1.0,
-        bwd: 2.0,
-        wgrad: 0.0,
-    };
+    let fine = UnitCost::one_two();
     show(
         "TeraPipe",
         &TeraPipe.generate(&Dims::new(p, n).slices(s)).unwrap(),

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use mepipe::model::config::TransformerConfig;
-use mepipe::sim::engine::{simulate, SimConfig};
+use mepipe::schedule::exec::{simulate, SimConfig};
 use mepipe::tensor::init::synthetic_tokens;
 use mepipe::train::{
     params::ModelParams,
@@ -52,8 +52,6 @@ fn main() {
         &profiled,
         &SimConfig {
             dynamic_wgrad: true,
-            include_dp_sync: false,
-            include_optimizer: false,
             ..Default::default()
         },
     )

@@ -11,11 +11,9 @@ use mepipe::model::{
     cost::ExecutionCost,
     partition::{PartitionSpec, SequenceSplit},
 };
+use mepipe::schedule::exec::{simulate, SimConfig};
 use mepipe::schedule::validate::validate;
-use mepipe::sim::{
-    engine::{simulate, SimConfig},
-    metrics, ModelCost,
-};
+use mepipe::sim::{metrics, ModelCost};
 use mepipe::{Dims, Mepipe, ScheduleGenerator, SvppConfig};
 
 fn main() -> Result<(), String> {
@@ -62,7 +60,6 @@ fn main() -> Result<(), String> {
         &SimConfig {
             dynamic_wgrad: true,
             memory_limit_bytes: Some(budget),
-            ..Default::default()
         },
     )?;
     if let Some((worker, bytes)) = result.oom {

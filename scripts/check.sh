@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (intra-doc links must resolve and must not point at private items)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 

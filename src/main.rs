@@ -19,17 +19,14 @@ use mepipe::model::{
     partition::{PartitionSpec, SequenceSplit},
 };
 use mepipe::schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, SimConfig, UnitCost},
     generator::{self, ScheduleGenerator},
     render::render,
     stats::message_stats,
     validate::{peak_in_flight, validate},
     Schedule,
 };
-use mepipe::sim::{
-    engine::{simulate, SimConfig},
-    metrics, to_chrome_trace, ModelCost,
-};
+use mepipe::sim::{metrics, to_chrome_trace, ModelCost};
 use mepipe::strategy::{search_all, search_verbose, Method};
 use mepipe::{Dims, Mepipe, Svpp};
 
@@ -178,7 +175,7 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let schedule: Schedule = generator.generate(&dims)?;
     validate(&schedule)?;
-    let t = execute(&schedule, &UnitCost::ones())?;
+    let t = simulate(&schedule, &UnitCost::ones(), &SimConfig::default())?;
     let peaks = peak_in_flight(&schedule);
     let msgs = message_stats(&schedule);
     println!(
@@ -245,7 +242,6 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         &SimConfig {
             dynamic_wgrad: true,
             memory_limit_bytes: Some(budget),
-            ..Default::default()
         },
     )?;
     if let Some((w, bytes)) = r.oom {

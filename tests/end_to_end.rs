@@ -9,14 +9,12 @@ use mepipe::model::{
     partition::{PartitionSpec, SequenceSplit},
 };
 use mepipe::schedule::{
+    exec::{simulate, SimConfig, UnitCost},
     generator::{Dapple, GPipe, TeraPipe, Vpp, Zb, Zbv},
     validate::validate,
     Schedule,
 };
-use mepipe::sim::{
-    engine::{simulate, SimConfig},
-    metrics, ModelCost,
-};
+use mepipe::sim::{metrics, ModelCost};
 use mepipe::strategy::{search_all, Method};
 use mepipe::tensor::init::synthetic_tokens;
 use mepipe::train::{
@@ -45,7 +43,7 @@ fn every_method_schedule(p: usize, n: usize, s: usize) -> Vec<Schedule> {
 fn every_method_validates_and_simulates() {
     for sch in every_method_schedule(4, 8, 2) {
         validate(&sch).unwrap_or_else(|e| panic!("{}: {e}", sch.meta.name));
-        let cost = mepipe::sim::UniformSimCost::default();
+        let cost = UnitCost::default();
         let r = simulate(&sch, &cost, &SimConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", sch.meta.name));
         assert!(r.makespan > 0.0, "{}", sch.meta.name);
@@ -88,7 +86,6 @@ fn mepipe_13b_full_stack() {
         &SimConfig {
             dynamic_wgrad: true,
             memory_limit_bytes: Some(budget),
-            ..Default::default()
         },
     )
     .unwrap();

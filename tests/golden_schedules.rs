@@ -15,15 +15,7 @@ fn figure2_dapple_golden() {
     let sch = mepipe::schedule::generator::Dapple
         .generate(&Dims::new(4, 4))
         .unwrap();
-    let got = render(
-        &sch,
-        &UnitCost {
-            fwd: 1.0,
-            bwd: 2.0,
-            wgrad: 0.0,
-        },
-    )
-    .unwrap();
+    let got = render(&sch, &UnitCost::one_two()).unwrap();
     let want = "\
 stage 0: Fa0 Fb0 Fc0 Fd0 ... ... ... ... ... ... Ba0 Ba0 ... Bb0 Bb0 ... Bc0 Bc0 ... Bd0 Bd0
 stage 1: ... Fa0 Fb0 Fc0 ... ... ... ... Ba0 Ba0 Fd0 Bb0 Bb0 ... Bc0 Bc0 ... Bd0 Bd0 ... ...

@@ -6,13 +6,9 @@ use proptest::prelude::*;
 use mepipe::core::reschedule::reschedule_backwards;
 use mepipe::core::svpp::SvppConfig;
 use mepipe::schedule::{
-    exec::{execute, UnitCost},
+    exec::{simulate, Engine, SimConfig, UnitCost},
     generator::{Dapple, GPipe, TeraPipe, Vpp, Zb, Zbv},
     validate::{peak_in_flight, validate},
-};
-use mepipe::sim::{
-    engine::{simulate, SimConfig},
-    UniformSimCost,
 };
 use mepipe::tensor::{
     init::{rng, uniform},
@@ -51,7 +47,7 @@ proptest! {
     fn svpp_split_always_valid(p in 1usize..=6, s in 1usize..=4, n in 1usize..=6) {
         let sch = Mepipe::new().generate(&Dims::new(p, n).slices(s)).unwrap();
         validate(&sch).unwrap();
-        execute(&sch, &UnitCost::ones()).unwrap();
+        simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
     }
 
     /// Every baseline generator produces valid schedules across its whole
@@ -69,14 +65,59 @@ proptest! {
         }
     }
 
-    /// The static executor and the simulator agree whenever the simulator
-    /// runs without dynamic behaviours.
+    /// The engine's results do not depend on the order its workers are
+    /// advanced in: running one op at a time on a seeded random worker
+    /// whose next op is ready reproduces `simulate` bit for bit —
+    /// timelines, busy time, peaks, makespan and the OOM verdict — with
+    /// and without dynamic weight draining and a memory cap.
     #[test]
-    fn simulator_matches_executor(p in 1usize..=6, n in 1usize..=8) {
-        let sch = Dapple.generate(&Dims::new(p, n)).unwrap();
-        let t = execute(&sch, &UnitCost { fwd: 1.0, bwd: 2.0, wgrad: 0.0 }).unwrap();
-        let r = simulate(&sch, &UniformSimCost::default(), &SimConfig::default()).unwrap();
-        prop_assert!((t.makespan - r.makespan).abs() < 1e-9);
+    fn engine_ignores_worker_order(
+        p in 1usize..=5,
+        n in 1usize..=6,
+        s in 1usize..=3,
+        which in 0usize..4,
+        dynamic in proptest::bool::ANY,
+        capped in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let sch = match which {
+            0 => Dapple.generate(&Dims::new(p, n)),
+            1 => Zb.generate(&Dims::new(p, n)),
+            2 => GPipe.generate(&Dims::new(p, n)),
+            _ => Mepipe::new().generate(&Dims::new(p, n).slices(s)),
+        }
+        .unwrap();
+        let cost = UnitCost { comm: 0.3, wgrad_units: 3, ..Default::default() };
+        let config = SimConfig { dynamic_wgrad: dynamic, memory_limit_bytes: capped.then_some(3.0) };
+        let want = simulate(&sch, &cost, &config).unwrap();
+
+        let mut engine = Engine::new(&sch.meta, &cost, config);
+        let mut next = vec![0usize; p];
+        let mut rng = seed;
+        loop {
+            let mut pending: Vec<usize> = (0..p).filter(|&w| next[w] < sch.workers[w].len()).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let mut ran = false;
+            while !pending.is_empty() {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let w = pending.swap_remove((rng >> 33) as usize % pending.len());
+                if engine.try_run(w, sch.workers[w][next[w]]) {
+                    next[w] += 1;
+                    ran = true;
+                    break;
+                }
+            }
+            prop_assert!(ran, "no worker could advance");
+        }
+        let got = engine.finish();
+        prop_assert_eq!(&got.segments, &want.segments);
+        prop_assert_eq!(&got.busy, &want.busy);
+        prop_assert_eq!(&got.peak_activation_bytes, &want.peak_activation_bytes);
+        prop_assert_eq!(got.makespan, want.makespan);
+        prop_assert_eq!(got.iteration_time, want.iteration_time);
+        prop_assert_eq!(got.oom, want.oom);
     }
 
     /// Rescheduling backwards never increases the unit-cost makespan and
@@ -88,8 +129,8 @@ proptest! {
             .unwrap();
         let opt = reschedule_backwards(&sch).unwrap();
         validate(&opt).unwrap();
-        let tb = execute(&sch, &UnitCost::ones()).unwrap();
-        let ta = execute(&opt, &UnitCost::ones()).unwrap();
+        let tb = simulate(&sch, &UnitCost::ones(), &SimConfig::default()).unwrap();
+        let ta = simulate(&opt, &UnitCost::ones(), &SimConfig::default()).unwrap();
         prop_assert!(ta.makespan <= tb.makespan + 1e-9);
         prop_assert!(peak_in_flight(&opt)[0] <= peak_in_flight(&sch)[0]);
     }
@@ -99,7 +140,7 @@ proptest! {
     #[test]
     fn dynamic_drain_conserves_work(p in 2usize..=5, n in 1usize..=6) {
         let sch = Zb.generate(&Dims::new(p, n)).unwrap();
-        let cost = UniformSimCost { comm: 0.25, wgrad_units: 4, ..Default::default() };
+        let cost = UnitCost { comm: 0.25, wgrad_units: 4, ..Default::default() };
         let stat = simulate(&sch, &cost, &SimConfig { dynamic_wgrad: false, ..Default::default() }).unwrap();
         let dynr = simulate(&sch, &cost, &SimConfig { dynamic_wgrad: true, ..Default::default() }).unwrap();
         let bs: f64 = stat.busy.iter().sum();
@@ -158,7 +199,7 @@ proptest! {
     #[test]
     fn memory_accounting_consistent(p in 1usize..=6, n in 1usize..=8) {
         let sch = Dapple.generate(&Dims::new(p, n)).unwrap();
-        let cost = UniformSimCost { act_bytes: 3.0, ..Default::default() };
+        let cost = UnitCost { act_bytes: 3.0, ..Default::default() };
         let r = simulate(&sch, &cost, &SimConfig::default()).unwrap();
         let peaks = peak_in_flight(&sch);
         for (units, bytes) in peaks.iter().zip(&r.peak_activation_bytes) {
