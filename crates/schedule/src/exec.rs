@@ -336,7 +336,7 @@ impl WorkerState {
 /// producers' finish times: link occupancy is keyed by the consuming
 /// worker, and the weight-gradient queue and memory admission are
 /// per-worker state. So the order in which workers are advanced never
-/// changes a result, and a driver may advance each worker for as long as
+/// changes a result, and a caller may advance each worker for as long as
 /// its next op's producers have finished.
 #[derive(Clone)]
 pub struct Engine<'a> {

@@ -1,5 +1,4 @@
-//! The production cost model behind the engine's
-//! [`Cost`] trait.
+//! The production cost model behind the engine's [`Cost`] trait.
 
 use mepipe_model::cost::ExecutionCost;
 use mepipe_schedule::exec::Cost;

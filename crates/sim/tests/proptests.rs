@@ -1,5 +1,5 @@
-//! Property tests for the simulator's memory semantics and dynamic
-//! weight-gradient draining.
+//! Tests of the timing engine's memory semantics and dynamic
+//! weight-gradient draining on baseline and SVPP-family schedules.
 
 use proptest::prelude::*;
 
@@ -97,4 +97,62 @@ proptest! {
         .unwrap();
         prop_assert!(rs.oom.is_none(), "SVPP must fit {} slice units", cap);
     }
+}
+
+#[test]
+fn finer_wgrad_units_fill_gaps_better() {
+    let sch = Mepipe::new().generate(&Dims::new(4, 8).slices(2)).unwrap();
+    let coarse = UnitCost {
+        comm: 0.3,
+        wgrad_units: 1,
+        ..Default::default()
+    };
+    let fine = UnitCost {
+        comm: 0.3,
+        wgrad_units: 8,
+        ..Default::default()
+    };
+    let conf = SimConfig {
+        dynamic_wgrad: true,
+        ..Default::default()
+    };
+    let rc = simulate(&sch, &coarse, &conf).unwrap();
+    let rf = simulate(&sch, &fine, &conf).unwrap();
+    assert!(
+        rf.makespan <= rc.makespan + 1e-9,
+        "fine {} vs coarse {}",
+        rf.makespan,
+        rc.makespan
+    );
+}
+
+#[test]
+fn svpp_fits_where_dapple_ooms() {
+    let p = 4;
+    let n = 8;
+    // Budget of 6 slice units at s=4: DAPPLE needs p whole units = 16.
+    let limit = 6.0;
+    let da = Dapple.generate(&Dims::new(p, n)).unwrap();
+    let da_cost = UnitCost {
+        act_bytes: 4.0,
+        ..Default::default()
+    };
+    let conf = SimConfig {
+        memory_limit_bytes: Some(limit),
+        ..Default::default()
+    };
+    let rd = simulate(&da, &da_cost, &conf).unwrap();
+    assert!(rd.oom.is_some());
+    // The SVPP variant with warmup budget f = 6 fits the 6-unit cap
+    // (Section 4.2's memory-for-bubbles trade).
+    let sv = Svpp::new()
+        .warmup_cap(6)
+        .generate(&Dims::new(p, n).slices(4))
+        .unwrap();
+    let sv_cost = UnitCost {
+        act_bytes: 1.0,
+        ..Default::default()
+    };
+    let rs = simulate(&sv, &sv_cost, &conf).unwrap();
+    assert!(rs.oom.is_none(), "peaks: {:?}", rs.peak_activation_bytes);
 }

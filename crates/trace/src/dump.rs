@@ -206,15 +206,12 @@ mod tests {
         let backwards = format!("{text}span F 0 0 0 0 10 5\n");
         let err = stage_trace_from_text(&backwards).unwrap_err();
         assert!(err.contains("ends before it starts"), "{err}");
-    }
-
-    #[test]
-    fn spans_past_the_u64_clock_are_rejected() {
+        // The sample's spans end at 20 and 22 ns: past the u64 clock from
+        // an epoch 5 ns below it, just inside it from 22 ns below.
         let far = StageTrace {
             epoch_ns: u64::MAX - 5,
             ..sample()
         };
-        // The sample's spans end at 20 and 22 ns: past the clock.
         let err = stage_trace_from_text(&stage_trace_to_text(&far)).unwrap_err();
         assert!(err.contains("past the u64 clock"), "{err}");
         let fits = StageTrace {
