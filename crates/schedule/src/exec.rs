@@ -536,7 +536,11 @@ impl<'a> Engine<'a> {
             makespan,
             busy: self.workers.iter().map(|s| s.busy).collect(),
             peak_activation_bytes: self.workers.iter().map(|s| s.peak_bytes).collect(),
-            oom: (self.workers.iter().enumerate()).find_map(|(w, s)| s.oom.map(|b| (w, b))),
+            oom: self
+                .workers
+                .iter()
+                .enumerate()
+                .find_map(|(w, s)| s.oom.map(|b| (w, b))),
             segments: self.workers.into_iter().map(|s| s.segments).collect(),
         }
     }
@@ -586,13 +590,9 @@ pub fn simulate(
             }
         }
     }
-    if let Some((w, ops)) =
-        (schedule.workers.iter().enumerate()).find(|(w, ops)| next[*w] < ops.len())
-    {
-        return Err(format!(
-            "simulation deadlock at worker {w}: {}",
-            ops[next[w]]
-        ));
+    let mut pending = schedule.workers.iter().zip(&next).enumerate();
+    if let Some((w, (ops, &i))) = pending.find(|(_, (ops, &i))| i < ops.len()) {
+        return Err(format!("simulation deadlock at worker {w}: {}", ops[i]));
     }
     Ok(engine.finish())
 }
