@@ -6,7 +6,7 @@
 //! (`scripts/bench_comm.sh`).
 //!
 //! The emulated rows also report the measured/modeled wire-time ratio
-//! from `mepipe_sim::commcheck` — the loop that validates the emulator
+//! from `mepipe_sim::fidelity::wire` — the loop that validates the emulator
 //! against the simulator's alpha-beta link model on live traffic.
 
 use std::time::Instant;
@@ -17,7 +17,7 @@ use mepipe_core::svpp::Mepipe;
 use mepipe_hw::LinkSpec;
 use mepipe_model::config::TransformerConfig;
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-use mepipe_sim::commcheck::CommCheckReport;
+use mepipe_sim::fidelity;
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_train::{
     metrics::run_metrics, params::ModelParams, pipeline::WgradMode, PipelineRuntime, RunStats,
@@ -132,7 +132,7 @@ fn main() {
             black_box(run());
         });
         let stats = run();
-        let ratio = link.map(|l| CommCheckReport::from_run(&stats.comm, &l).ratio());
+        let ratio = link.map(|l| fidelity::wire(&stats.comm, &l).ratio());
         // Stall time via the unified metrics registry rather than raw
         // CommStats — the same numbers every exporter sees.
         let reg = run_metrics(&stats);

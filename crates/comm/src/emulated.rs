@@ -6,7 +6,7 @@
 //! for the alpha–beta transfer time of the configured [`LinkSpec`]
 //! (latency + frame bytes / bandwidth, with the frame sized under the
 //! link's codec). The hold is counted in `LinkStats::wire_ns`, the number
-//! `mepipe_sim::commcheck` compares against the cost model. Receives pass
+//! `mepipe_sim::fidelity::wire` compares against the cost model. Receives pass
 //! straight through to the inner endpoint.
 //!
 //! An optional [`FaultSpec`] delays a seeded fraction of sends by a fixed
@@ -139,8 +139,8 @@ impl EmulatedEndpoint {
     ///
     /// `thread::sleep` can overshoot small requests by tens of
     /// microseconds, which inflated `wire_ns` by two orders of magnitude
-    /// on µs-scale links (PCIe/IB emulation) and pushed commcheck's
-    /// measured/modeled ratio far outside the healthy band. Sleep only
+    /// on µs-scale links (PCIe/IB emulation) and pushed the measured/
+    /// modeled wire ratio far outside the healthy band. Sleep only
     /// for the bulk of long waits and spin the remainder, so occupancy
     /// tracks the model at sub-microsecond precision.
     fn wire_hold(&mut self, to: usize, bytes: usize) {

@@ -1,12 +1,12 @@
 //! Measured-span → cost-model calibration, and the convergence report
 //! that proves it worked.
 //!
-//! [`bubblecheck`](crate::bubblecheck) diffs a measured trace against the
-//! model's prediction; this module *closes* that loop. It extracts
-//! per-(op-kind, shape) samples from the measured spans
+//! [`fidelity::time`](crate::fidelity::time) diffs a measured trace
+//! against the model's prediction; this module *closes* that loop. It
+//! extracts per-(op-kind, shape) samples from the measured spans
 //! ([`extract_samples`]), fits the model's GEMM-efficiency curve and
 //! pipeline-link alpha–beta through `mepipe_model::calibrate`
-//! ([`fit_execution_cost`]), and accumulates one bubblecheck row per
+//! ([`fit_execution_cost`]), and accumulates one time comparison per
 //! calibration round into a [`ConvergenceReport`] whose mean relative
 //! error must shrink as the fits take hold.
 //!
@@ -18,7 +18,7 @@ use mepipe_model::calibrate::{fit_gemm_efficiency, fit_link, GemmSample, LinkSam
 use mepipe_model::cost::ExecutionCost;
 use mepipe_trace::{IterationTrace, SpanKind};
 
-use crate::bubblecheck::BubbleCheckReport;
+use crate::fidelity::{Kind, Report};
 
 /// Per-(op-kind, shape) samples extracted from measured traces, in the
 /// regressor form `mepipe_model::calibrate` fits. Samples from several
@@ -147,10 +147,10 @@ pub fn fit_execution_cost(prior: &ExecutionCost, samples: &MeasuredSamples) -> E
 pub struct CalibrationRound {
     /// Round index (0 = uncalibrated model).
     pub round: usize,
-    /// [`BubbleCheckReport::mean_relative_error`] of the model in force
-    /// *before* this round's refit, against this round's measurement.
+    /// [`Report::mean_relative_error`] of the model in force *before*
+    /// this round's refit, against this round's measurement.
     pub mean_rel_error: f64,
-    /// [`BubbleCheckReport::max_misfit`] of the same comparison.
+    /// [`Report::max_misfit`] of the same comparison.
     pub max_misfit: f64,
     /// Measured makespan, seconds.
     pub measured_makespan_s: f64,
@@ -172,14 +172,20 @@ pub struct ConvergenceReport {
 }
 
 impl ConvergenceReport {
-    /// Appends one round from its bubblecheck comparison.
-    pub fn push_round(&mut self, check: &BubbleCheckReport) {
+    /// Appends one round from its
+    /// [`fidelity::time`](crate::fidelity::time) comparison (any
+    /// other kind of report leaves the round's makespans `NaN`).
+    pub fn push_round(&mut self, check: &Report) {
+        let (measured_makespan_s, modeled_makespan_s) = match &check.kind {
+            Kind::Time { makespan, .. } => (makespan.measured, makespan.modeled),
+            Kind::Wire { .. } | Kind::Memory { .. } => (f64::NAN, f64::NAN),
+        };
         self.rounds.push(CalibrationRound {
             round: self.rounds.len(),
             mean_rel_error: check.mean_relative_error(),
             max_misfit: check.max_misfit(),
-            measured_makespan_s: check.measured_makespan_s,
-            modeled_makespan_s: check.modeled_makespan_s,
+            measured_makespan_s,
+            modeled_makespan_s,
         });
     }
 
@@ -224,6 +230,7 @@ impl ConvergenceReport {
 mod tests {
     use super::*;
     use crate::cost::ModelCost;
+    use crate::fidelity::{self, trace_from_sim};
     use mepipe_core::svpp::Mepipe;
     use mepipe_hw::{accelerator::AcceleratorSpec, link::LinkSpec, topology::ClusterSpec};
     use mepipe_model::{
@@ -231,9 +238,8 @@ mod tests {
         gemm::GemmEfficiency,
         partition::{PartitionSpec, SequenceSplit},
     };
-    use mepipe_schedule::exec::{simulate, SegmentKind, SimConfig, SimResult};
+    use mepipe_schedule::exec::{simulate, SimConfig};
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-    use mepipe_trace::{Span, StageTrace, NO_TAG};
 
     fn tiny_cost() -> ExecutionCost {
         let cfg = TransformerConfig {
@@ -257,46 +263,6 @@ mod tests {
             inter_node: LinkSpec::ib_100g(),
         };
         ExecutionCost::new(cfg, spec, &cluster).unwrap()
-    }
-
-    fn span_kind(kind: SegmentKind) -> SpanKind {
-        match kind {
-            SegmentKind::Forward => SpanKind::Forward,
-            SegmentKind::Backward => SpanKind::Backward,
-            SegmentKind::BackwardInput => SpanKind::BackwardInput,
-            SegmentKind::BackwardWeight => SpanKind::BackwardWeight,
-            SegmentKind::WgradDrain => SpanKind::WgradDrain,
-        }
-    }
-
-    /// A "measured" trace fabricated from a ground-truth simulation, so
-    /// the fit target is known exactly.
-    fn trace_from_sim(sim: &SimResult) -> IterationTrace {
-        IterationTrace {
-            stages: sim
-                .segments
-                .iter()
-                .enumerate()
-                .map(|(stage, segs)| StageTrace {
-                    stage,
-                    replica: 0,
-                    epoch_ns: 0,
-                    spans: segs
-                        .iter()
-                        .map(|s| Span {
-                            kind: span_kind(s.kind),
-                            mb: s.op.map_or(NO_TAG, |o| o.micro_batch as u32),
-                            slice: s.op.map_or(NO_TAG, |o| o.slice as u32),
-                            chunk: s.op.map_or(NO_TAG, |o| o.chunk as u32),
-                            peer: NO_TAG,
-                            start_ns: (s.start * 1e9).round() as u64,
-                            end_ns: (s.end * 1e9).round() as u64,
-                        })
-                        .collect(),
-                    dropped: 0,
-                })
-                .collect(),
-        }
     }
 
     fn sim_cfg() -> SimConfig {
@@ -327,7 +293,7 @@ mod tests {
 
         let err = |cost: &ExecutionCost| {
             let sim = simulate(&sch, &ModelCost::new(cost.clone()), &sim_cfg()).unwrap();
-            BubbleCheckReport::from_run(&trace, &sim).mean_relative_error()
+            fidelity::time(&trace, &sim).mean_relative_error()
         };
         let before = err(&prior);
         let after = err(&fitted);
@@ -355,7 +321,7 @@ mod tests {
         let mut pooled = MeasuredSamples::default();
         for _ in 0..3 {
             let sim = simulate(&sch, &ModelCost::new(current.clone()), &sim_cfg()).unwrap();
-            report.push_round(&BubbleCheckReport::from_run(&trace, &sim));
+            report.push_round(&fidelity::time(&trace, &sim));
             pooled.merge(&extract_samples(&trace, &current));
             current = fit_execution_cost(&current, &pooled);
         }

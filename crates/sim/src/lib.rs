@@ -12,32 +12,27 @@
 //!   granularity for zero-bubble baselines;
 //! * **calibration** — [`calibrate`] fits that cost to measured trace
 //!   spans;
-//! * **fidelity checks** — [`bubblecheck`], [`commcheck`] and
-//!   [`memcheck`] compare measured runs with the engine's prediction;
+//! * **fidelity** — [`fidelity`] compares measured time, wire time and
+//!   memory with the model's prediction, one ratio row at a time;
 //! * **output** — Chrome traces ([`trace`]), per-stage activity strips
 //!   ([`timeline`]) and headline metrics ([`metrics`]).
 #![warn(missing_docs)]
 
-pub mod bubblecheck;
 pub mod calibrate;
-pub mod commcheck;
 pub mod cost;
 pub mod engine;
-pub mod memcheck;
+pub mod fidelity;
 pub mod metrics;
 pub mod timeline;
 pub mod trace;
 
-pub use bubblecheck::BubbleCheckReport;
 pub use calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples};
-pub use commcheck::{CommCheckReport, LinkCheck};
 pub use cost::ModelCost;
-pub use memcheck::{MemCheckReport, StageMemCheck};
 pub use trace::{replicas_to_chrome_trace, to_chrome_trace};
 
-/// Lower edge of the healthy measured/modeled band shared by the
-/// fidelity checks ([`commcheck`] wire time, [`memcheck`] activation
-/// memory). Below it the model over-prices what was measured.
+/// Lower edge of the healthy measured/modeled band that
+/// [`fidelity::Report::warnings`] applies to every row. Below it the
+/// model over-prices what was measured.
 pub const RATIO_WARN_LO: f64 = 0.5;
 
 /// Upper edge of the healthy measured/modeled band: above it the run

@@ -201,9 +201,11 @@ mod tests {
     };
 
     fn fitted(stages: usize, slices: usize, pp_link: LinkSpec) -> ExecutionCost {
+        // `layers + 2` pipeline slots (embedding and head count one each)
+        // must split evenly: 4 layers on 2 stages, 6 on 4.
         let cfg = TransformerConfig {
             seq_len: 64,
-            ..TransformerConfig::tiny(4)
+            ..TransformerConfig::tiny(stages + 2)
         };
         let spec = PartitionSpec {
             pp: stages,
@@ -301,6 +303,32 @@ mod tests {
             best_synth <= best_template * 1.10,
             "solver rows uncompetitive: {best_synth} vs {best_template}"
         );
+    }
+
+    #[test]
+    fn every_row_regenerates_from_its_broadcast_fields() {
+        // A proposal crosses process boundaries as `(synthesized, slices,
+        // warmup)` alone; each worker must rebuild the identical schedule.
+        let engine = SearchEngine::new();
+        for (stages, slices) in [(2, 4), (4, 4), (2, 8)] {
+            let rows = engine
+                .retune_mepipe(&fitted(stages, slices, LinkSpec::pcie4()), None)
+                .unwrap();
+            for r in &rows {
+                let dims = Dims::new(stages, 4).slices(r.slices);
+                let regenerated = if r.synthesized {
+                    Synth::new().cap(r.warmup).generate(&dims)
+                } else {
+                    svpp::Mepipe::new().warmup_cap(r.warmup).generate(&dims)
+                }
+                .unwrap();
+                assert_eq!(
+                    regenerated, *r.schedule,
+                    "p={stages} s={} warmup={} synthesized={}",
+                    r.slices, r.warmup, r.synthesized
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 struct Inner {
     workers: usize,
     /// How many `for_each` calls actually fanned out over threads —
-    /// observability for tests and the profiler.
+    /// observability for tests.
     parallel_dispatches: AtomicUsize,
 }
 

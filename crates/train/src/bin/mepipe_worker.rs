@@ -39,31 +39,10 @@
 //!   family every process regenerates from flags — `dualpipe` runs the
 //!   bidirectional two-stream schedule (stage 0 and stage P−1 both act
 //!   as entry and loss stages), `synth` the per-worker order solver.
-//! * `autotune --rounds R --calibrate-iters N [opts]` — the closed
-//!   calibration loop: R fit cycles of N traced mesh iterations each,
-//!   merging every round's per-process span dumps, scoring the model in
-//!   force against the measurement, and refitting from the pooled
-//!   samples. Asserts the round-by-round mean relative error strictly
-//!   decreases, then re-searches the hot-swap-compatible schedule space
-//!   under the fitted costs and — when a different shape wins — runs one
-//!   mesh iteration under the swapped schedule (regenerated from
-//!   `--slices/--warmup/--reschedule` flags by every worker) and checks
-//!   its loss bit-identical to in-process.
-//! * `trace-report [opts]` — the full measured-vs-modeled loop in one
-//!   command: run one traced iteration in-process, profile the same
-//!   model, simulate the same schedule, and write measured trace,
-//!   simulated trace, bubble-attribution report, measured-vs-modeled
-//!   bubblecheck, and metrics (JSON + Prometheus) into `--out DIR`.
-//!   Asserts the traced loss is bit-identical to an untraced run and
-//!   that the trace's busy time reconciles with the runtime's busy/idle
-//!   counters.
-//! * `memcheck [opts]` — measured-vs-modeled activation memory: a
-//!   1-micro-batch probe run prices one in-flight unit per stage, then
-//!   the full schedule runs on live tensors and the per-stage peaks are
-//!   reconciled against `peak_in_flight × unit` — the paper's linear
-//!   in-flight scaling claim, asserted to land inside the warning band.
-//!   Also lints every exported metric name against the Prometheus
-//!   grammar.
+//!   `--warmup K` sets the family's memory knob and `--reschedule`
+//!   applies backward rescheduling; both are deterministic, so a
+//!   calibrated proposal (`calibrate::Proposal`) crosses process
+//!   boundaries as flags alone.
 //! * `http-get ADDR [PATH]` — dependency-free scrape client for the
 //!   observability endpoints (`mepipe-ctl serve --http`, `job --http`):
 //!   prints the response body, exits 0 only on HTTP 200.
@@ -83,21 +62,17 @@ use mepipe_core::reschedule::reschedule_backwards;
 use mepipe_core::svpp::Mepipe;
 use mepipe_core::Synth;
 use mepipe_model::config::TransformerConfig;
-use mepipe_schedule::exec::{simulate, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
 use mepipe_schedule::ir::Schedule;
-use mepipe_schedule::validate::peak_in_flight;
 use mepipe_schedule::{Blocks, DualPipe};
-use mepipe_sim::memcheck::{vm_hwm_bytes, MemCheckReport, StageMemCheck};
-use mepipe_sim::{to_chrome_trace, BubbleCheckReport, RATIO_WARN_HI, RATIO_WARN_LO};
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_trace::{
     bubble, chrome::traces_to_chrome, dump, http_get, EventLog, HttpExporter, IterationTrace,
     Level, MetricsRegistry, PidKey,
 };
 use mepipe_train::{
-    calibrate::Calibrator, checkpoint, data::batch_for_iter, metrics::run_metrics, optim::Sgd,
-    params::ModelParams, profiler::profile_chunk, PipelineRuntime, WgradMode,
+    checkpoint, data::batch_for_iter, metrics::run_metrics, optim::Sgd, params::ModelParams,
+    PipelineRuntime, WgradMode,
 };
 
 /// Which schedule family the scenario regenerates from flags.
@@ -148,8 +123,9 @@ struct Scenario {
     /// Schedule family to regenerate (`--schedule`).
     schedule: ScheduleKind,
     /// The family's memory knob (`None` = generator default): SVPP/
-    /// DualPipe warmup cap, Blocks lifespan, solver unit cap. Set by the
-    /// autotuner so spawned workers regenerate its chosen schedule.
+    /// DualPipe warmup cap, Blocks lifespan, solver unit cap — with
+    /// `schedule` and `slices`, the fields a calibrated proposal
+    /// broadcasts so every process regenerates its schedule.
     warmup: Option<usize>,
     /// Apply the backward-rescheduling polish after generation
     /// (deterministic, so every process computes the same schedule).
@@ -278,11 +254,6 @@ struct Args {
     dir: PathBuf,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    out: PathBuf,
-    /// Calibration fit cycles for `autotune`.
-    rounds: usize,
-    /// Traced mesh iterations per calibration round.
-    calibrate_iters: usize,
     /// `job`: target iteration count (exclusive upper bound).
     iters: usize,
     /// `job`: first iteration to run (the restore point).
@@ -327,9 +298,6 @@ fn parse_args(rest: &[String]) -> Args {
     let mut dir = std::env::temp_dir().join(format!("mepipe-mesh-{}", std::process::id()));
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut out = PathBuf::from("target/trace-report");
-    let mut rounds = 2usize;
-    let mut calibrate_iters = 1usize;
     let mut iters = 1usize;
     let mut start_iter = 0usize;
     let mut ckpt_interval = 0usize;
@@ -358,8 +326,6 @@ fn parse_args(rest: &[String]) -> Args {
             "--seed" => scenario.seed = value().parse().expect("--seed"),
             "--warmup" => scenario.warmup = Some(value().parse().expect("--warmup")),
             "--reschedule" => scenario.reschedule = true,
-            "--rounds" => rounds = value().parse().expect("--rounds"),
-            "--calibrate-iters" => calibrate_iters = value().parse().expect("--calibrate-iters"),
             "--iters" => iters = value().parse().expect("--iters"),
             "--start-iter" => start_iter = value().parse().expect("--start-iter"),
             "--ckpt-interval" => ckpt_interval = value().parse().expect("--ckpt-interval"),
@@ -374,7 +340,6 @@ fn parse_args(rest: &[String]) -> Args {
             "--dir" => dir = PathBuf::from(value()),
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
             "--metrics-out" => metrics_out = Some(PathBuf::from(value())),
-            "--out" => out = PathBuf::from(value()),
             "--mode" => {
                 scenario.mode = match value().as_str() {
                     "immediate" => WgradMode::Immediate,
@@ -403,9 +368,6 @@ fn parse_args(rest: &[String]) -> Args {
         dir,
         trace_out,
         metrics_out,
-        out,
-        rounds,
-        calibrate_iters,
         iters,
         start_iter,
         ckpt_interval,
@@ -513,8 +475,7 @@ fn run_worker(args: &Args) {
 
 /// Spawns one multi-process mesh iteration under `dir` and returns the
 /// stage-order loss sum plus the merged per-process trace (when
-/// `traced`). The mesh directory is removed afterwards, so callers can
-/// run many iterations back to back with distinct dirs.
+/// `traced`). The mesh directory is removed afterwards.
 ///
 /// Children are polled rather than awaited in stage order: a stage that
 /// dies mid-iteration leaves its peers blocked in transport waits, so
@@ -885,297 +846,6 @@ fn job_status_json(
     )
 }
 
-/// `trace-report`: one traced iteration, profiled + simulated, with
-/// every observability artifact written to `--out`.
-fn run_trace_report(args: &Args) {
-    let sc = &args.scenario;
-    let schedule = sc.schedule();
-    let batch = sc.batch();
-
-    // Traced vs untraced: tracing is an observer, the loss bits agree.
-    let plain = sc
-        .runtime()
-        .run_iteration(&schedule, &batch, sc.mode, None)
-        .expect("untraced run");
-    let traced = sc
-        .runtime()
-        .with_tracing(true)
-        .run_iteration(&schedule, &batch, sc.mode, None)
-        .expect("traced run");
-    assert_eq!(
-        plain.loss.to_bits(),
-        traced.loss.to_bits(),
-        "tracing changed the loss bits"
-    );
-    let trace = traced.trace.as_ref().expect("traced run carries a trace");
-
-    // The spans and the runtime's busy counters come from the same clock
-    // and the same intervals; they must agree per stage.
-    for st in &trace.stages {
-        let span_busy = st.busy_ns() as f64 * 1e-9;
-        let counted = traced.busy_seconds[st.stage];
-        assert!(
-            (span_busy - counted).abs() < 1e-6,
-            "stage {}: trace says {span_busy} s busy, runtime counted {counted} s",
-            st.stage
-        );
-    }
-    let report = bubble::attribute(trace);
-    for b in &report.stages {
-        assert!(
-            (b.busy_s + b.idle.total() - report.makespan_s).abs() < 1e-9,
-            "stage {} busy+idle does not reconcile with the window",
-            b.stage
-        );
-    }
-
-    // Profile this machine, simulate the same schedule, diff the two.
-    let cfg = TransformerConfig {
-        seq_len: sc.seq_len,
-        ..TransformerConfig::tiny(sc.layers)
-    };
-    let profiled = profile_chunk(
-        &ModelParams::init(cfg, sc.seed),
-        sc.layers / sc.stages,
-        sc.slices,
-        2,
-    );
-    let prediction = simulate(
-        &schedule,
-        &profiled,
-        &SimConfig {
-            dynamic_wgrad: true,
-            ..Default::default()
-        },
-    )
-    .expect("simulation of the measured schedule");
-    let check = BubbleCheckReport::from_run(trace, &prediction);
-
-    let out = &args.out;
-    std::fs::create_dir_all(out).expect("report dir");
-    let measured_json = traces_to_chrome(trace, PidKey::Replica);
-    validate_chrome_trace(&measured_json, sc.stages);
-    let trace_path = args
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| out.join("measured.trace.json"));
-    std::fs::write(&trace_path, &measured_json).expect("write measured trace");
-    std::fs::write(
-        out.join("sim.trace.json"),
-        to_chrome_trace(&prediction.segments),
-    )
-    .expect("write simulated trace");
-    std::fs::write(out.join("bubble.txt"), report.render()).expect("write bubble report");
-    std::fs::write(out.join("bubblecheck.txt"), check.render()).expect("write bubblecheck");
-    let reg = run_metrics(&traced);
-    let metrics_path = args
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| out.join("metrics.json"));
-    write_metrics(&metrics_path, &reg);
-    write_metrics(&out.join("metrics.prom"), &reg);
-
-    print!("{}", report.render());
-    print!("{}", check.render());
-    println!(
-        "wrote measured trace ({}), simulated trace, bubble reports and metrics to {}",
-        trace_path.display(),
-        out.display()
-    );
-    println!("OK: traced loss bit-identical to untraced; busy/idle reconciled per stage");
-}
-
-/// `autotune`: the closed calibration loop over the multi-process mesh.
-///
-/// Runs `--rounds` fit cycles of `--calibrate-iters` traced mesh
-/// iterations each; every round scores the model in force against the
-/// measurement, pools the samples and refits. The error trajectory must
-/// strictly decrease (asserted — `scripts/check.sh` relies on it). The
-/// fitted model then re-searches the hot-swap-compatible schedule space;
-/// when it proposes a different shape, one mesh iteration runs under the
-/// swapped schedule — regenerated purely from flags by every worker
-/// process — and its loss is verified bit-identical to an in-process run.
-fn run_autotune(args: &Args) {
-    let sc = &args.scenario;
-    let cfg = TransformerConfig {
-        seq_len: sc.seq_len,
-        ..TransformerConfig::tiny(sc.layers)
-    };
-    let prior = Calibrator::prior_for(&cfg, sc.stages, sc.slices, sc.micro_batches)
-        .expect("prior cost model");
-    let mut cal = Calibrator::new(prior);
-    let schedule = sc.schedule();
-    let mut first_makespan = None;
-    for round in 0..args.rounds.max(1) {
-        let mut last = None;
-        for iter in 0..args.calibrate_iters.max(1) {
-            let dir = args.dir.join(format!("round-{round}-iter-{iter}"));
-            let (_, trace) =
-                mesh_iteration(sc, &dir, true, None).expect("calibration mesh iteration");
-            let trace = trace.expect("traced mesh run");
-            cal.absorb(&trace);
-            last = Some(trace);
-        }
-        let trace = last.expect("at least one iteration per round");
-        if first_makespan.is_none() {
-            first_makespan = Some(bubble::attribute(&trace).makespan_s);
-        }
-        let err = cal.record_round(&schedule, &trace).expect("round scoring");
-        println!("round {round}: mean relative error {err:.4}");
-        cal.refit();
-    }
-    print!("{}", cal.report().render());
-    assert!(
-        cal.report().is_strictly_decreasing(),
-        "calibration error did not strictly decrease:\n{}",
-        cal.report().render()
-    );
-    let Some(p) = cal.propose(None).expect("calibrated re-search") else {
-        println!("no swap candidate generated; keeping the running schedule");
-        return;
-    };
-    println!(
-        "fitted search proposes slices={} warmup={} (predicted {:.3} ms/iter{})",
-        p.slices,
-        p.warmup,
-        p.predicted_s * 1e3,
-        if p.rescheduled {
-            ", backward-rescheduled"
-        } else {
-            ""
-        },
-    );
-    if p.schedule.workers == schedule.workers {
-        println!("OK: calibration error strictly decreased; running schedule already optimal under the fitted model");
-        return;
-    }
-    // Regenerate the chosen schedule purely from flags, exactly as every
-    // worker process will, and check that reproduces the proposal. A
-    // synthesized winner regenerates through the solver (deterministic
-    // from its default costs), a template winner through SVPP.
-    let swapped = Scenario {
-        slices: p.slices,
-        warmup: Some(p.warmup),
-        reschedule: p.rescheduled,
-        schedule: if p.synthesized {
-            ScheduleKind::Synth
-        } else {
-            ScheduleKind::Mepipe
-        },
-        ..sc.clone()
-    };
-    assert_eq!(
-        swapped.schedule().workers,
-        p.schedule.workers,
-        "flag-regenerated schedule does not reproduce the proposal"
-    );
-    let (loss, trace) = mesh_iteration(&swapped, &args.dir.join("swapped"), true, None)
-        .expect("swapped mesh iteration");
-    let reference = swapped
-        .runtime()
-        .with_transport(TransportConfig::in_proc().with_codec(sc.codec))
-        .run_iteration(&swapped.schedule(), &swapped.batch(), sc.mode, None)
-        .expect("in-process reference of the swapped schedule");
-    assert_eq!(
-        loss.to_bits(),
-        reference.loss.to_bits(),
-        "swapped-schedule mesh loss is not bit-identical to in-process"
-    );
-    let after = bubble::attribute(&trace.expect("traced swapped run")).makespan_s;
-    println!(
-        "measured makespan {:.3} ms under {} slices -> {:.3} ms under {} slices",
-        first_makespan.unwrap_or(f64::NAN) * 1e3,
-        sc.slices,
-        after * 1e3,
-        p.slices,
-    );
-    println!(
-        "OK: calibration error strictly decreased; swapped schedule bit-identical across processes"
-    );
-}
-
-/// `memcheck`: the measured-vs-modeled memory reconciliation.
-///
-/// A one-micro-batch probe run prices each stage's in-flight unit (its
-/// measured peak divided by its scheduled peak units), then the full
-/// schedule runs and the per-stage measured peaks are compared against
-/// `peak_in_flight × unit` — testing exactly the paper's claim that
-/// peak activation memory scales linearly with the *scheduled* in-flight
-/// count. Exits nonzero when any stage leaves the warning band.
-fn run_memcheck(args: &Args) {
-    // Fused backward only: the in-flight model charges a unit at forward
-    // and credits it at backward, which is exactly when the fused-B
-    // runtime frees its saves. Deferred-W modes retain operands past the
-    // credit point — real memory the model deliberately does not price,
-    // and precisely what the warning band exists to flag.
-    let sc = Scenario {
-        mode: WgradMode::Immediate,
-        ..args.scenario.clone()
-    };
-    let probe_sc = Scenario {
-        micro_batches: 1,
-        ..sc.clone()
-    };
-    let probe_schedule = probe_sc.schedule();
-    let probe_units = peak_in_flight(&probe_schedule);
-    let probe = probe_sc
-        .runtime()
-        .run_iteration(&probe_schedule, &probe_sc.batch(), sc.mode, None)
-        .expect("probe run");
-
-    let schedule = sc.schedule();
-    let units = peak_in_flight(&schedule);
-    let run = sc
-        .runtime()
-        .run_iteration(&schedule, &sc.batch(), sc.mode, None)
-        .expect("full run");
-
-    // Per-stage unit prices from the probe: sharper than one global
-    // price, since entry/loss stages hold different tensors per unit.
-    let unit_prices: Vec<f64> = probe
-        .peak_bytes
-        .iter()
-        .zip(&probe_units)
-        .map(|(&bytes, &u)| bytes as f64 / u.max(1) as f64)
-        .collect();
-    let mean_unit = unit_prices.iter().sum::<f64>() / unit_prices.len().max(1) as f64;
-    let stages: Vec<StageMemCheck> = run
-        .peak_bytes
-        .iter()
-        .zip(&units)
-        .zip(&unit_prices)
-        .enumerate()
-        .map(|(stage, ((&measured, &peak_units), &unit))| StageMemCheck {
-            stage,
-            peak_units,
-            measured_bytes: measured as f64,
-            modeled_bytes: peak_units as f64 * unit,
-        })
-        .collect();
-    let report = MemCheckReport {
-        unit_bytes: mean_unit,
-        stages,
-        process_hwm_bytes: vm_hwm_bytes(),
-    };
-    print!("{}", report.render());
-
-    // The metrics the run exports must also survive the naming lint —
-    // the same gate `/metrics` consumers rely on.
-    let violations = run_metrics(&run).lint_names();
-    assert!(violations.is_empty(), "metric name lint: {violations:?}");
-
-    if !report.in_band() {
-        eprintln!("memcheck: measured/modeled outside the warning band");
-        std::process::exit(1);
-    }
-    println!(
-        "OK: measured/modeled = {:.2} per-stage within [{}, {}]; metric names lint clean",
-        report.ratio(),
-        RATIO_WARN_LO,
-        RATIO_WARN_HI,
-    );
-}
-
 /// `http-get`: scrape an observability endpoint with the exporter's own
 /// client — no curl in the loop, so `scripts/check.sh` stays
 /// dependency-free. Prints the body; exit 0 only on HTTP 200.
@@ -1200,9 +870,9 @@ fn run_http_get(rest: &[String]) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, rest) = argv.split_first().expect(
-        "usage: mepipe-worker <worker|job|launch|autotune|trace-report|memcheck|http-get> [flags]",
-    );
+    let (mode, rest) = argv
+        .split_first()
+        .expect("usage: mepipe-worker <worker|job|launch|http-get> [flags]");
     if mode == "http-get" {
         run_http_get(rest);
         return;
@@ -1212,11 +882,6 @@ fn main() {
         "worker" => run_worker(&args),
         "job" => run_job(&args),
         "launch" => run_launch(&args),
-        "autotune" => run_autotune(&args),
-        "trace-report" => run_trace_report(&args),
-        "memcheck" => run_memcheck(&args),
-        m => panic!(
-            "unknown mode {m} (expected worker|job|launch|autotune|trace-report|memcheck|http-get)"
-        ),
+        m => panic!("unknown mode {m} (expected worker|job|launch|http-get)"),
     }
 }

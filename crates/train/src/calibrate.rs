@@ -10,7 +10,7 @@
 //!    or merged from multi-process stage dumps — the trace format is the
 //!    same either way);
 //! 2. **score** the model currently in force against each round's
-//!    measurement (`sim::bubblecheck`) into a
+//!    measurement (`sim::fidelity::time`) into a
 //!    [`ConvergenceReport`] — round 0 records the uncalibrated error;
 //! 3. **fit** the GEMM-efficiency curve and the pipeline-link alpha–beta
 //!    to the pooled samples (`sim::calibrate` over
@@ -38,9 +38,8 @@ use mepipe_model::{
 use mepipe_schedule::exec::{simulate, SimConfig};
 use mepipe_schedule::ir::Schedule;
 use mepipe_sim::{
-    bubblecheck::BubbleCheckReport,
     calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples},
-    ModelCost,
+    fidelity, ModelCost,
 };
 use mepipe_strategy::SearchEngine;
 use mepipe_trace::IterationTrace;
@@ -159,8 +158,7 @@ impl Calibrator {
             &ModelCost::new(self.current.clone()),
             &Self::sim_config(),
         )?;
-        self.report
-            .push_round(&BubbleCheckReport::from_run(trace, &sim));
+        self.report.push_round(&fidelity::time(trace, &sim));
         Ok(self
             .report
             .rounds
@@ -338,6 +336,7 @@ mod tests {
     use super::*;
     use mepipe_comm::TransportConfig;
     use mepipe_core::svpp::Mepipe;
+    use mepipe_core::Synth;
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
     use mepipe_tensor::init::synthetic_tokens;
 
@@ -439,6 +438,52 @@ mod tests {
                 out.losses.last().unwrap().to_bits(),
                 fresh(&p.schedule).to_bits(),
                 "post-swap loss differs from running the new schedule from scratch"
+            );
+        }
+    }
+
+    #[test]
+    fn proposal_regenerates_from_its_broadcast_fields() {
+        // Worker processes rebuild a proposal from `(synthesized, slices,
+        // warmup, rescheduled)` alone; that must give back its schedule.
+        // A long sequence on a fast link proposes a sliced schedule, and a
+        // memory cap a lower warmup.
+        let long = TransformerConfig {
+            seq_len: 8192,
+            hidden: 4096,
+            ffn_hidden: 8192,
+            heads: 8,
+            kv_heads: 8,
+            ..TransformerConfig::tiny(8)
+        };
+        for (cfg, stages, link, cap) in [
+            (tiny_cfg(), 2, LinkSpec::pcie4(), None),
+            (long, 4, LinkSpec::nvlink3(), None),
+            (long, 4, LinkSpec::nvlink3(), Some(3)),
+        ] {
+            let prior = Calibrator::prior_for(&cfg, stages, 4, 4)
+                .unwrap()
+                .with_pp_link(link);
+            let p = Calibrator::new(prior)
+                .propose(cap)
+                .unwrap()
+                .expect("a proposal");
+            let dims = Dims::new(stages, 4).slices(p.slices);
+            let generated = if p.synthesized {
+                Synth::new().cap(p.warmup).generate(&dims)
+            } else {
+                Mepipe::new().warmup_cap(p.warmup).generate(&dims)
+            }
+            .unwrap();
+            let regenerated = if p.rescheduled {
+                reschedule_backwards(&generated).unwrap()
+            } else {
+                generated
+            };
+            assert_eq!(
+                regenerated, *p.schedule,
+                "slices={} warmup={} synthesized={} rescheduled={}",
+                p.slices, p.warmup, p.synthesized, p.rescheduled
             );
         }
     }

@@ -21,13 +21,12 @@
 //! (slice-wise decoder layer with explicit backward), [`mod@reference`]
 //! (single-device baseline), [`pipeline`] (the threaded runtime),
 //! [`optim`] (SGD/Adam), [`memtrack`] (live activation accounting),
-//! [`profiler`] (measures real per-slice op times and feeds them to the
-//! simulator — the paper's profiler → scheduler → engine pipeline),
 //! [`metrics`] (bridges run statistics into a `mepipe-trace` metrics
-//! registry for JSON / Prometheus exposition), [`calibrate`] (the online
-//! loop that fits the cost model to measured spans, re-searches the
-//! schedule space under the fitted costs, and hot-swaps the winner into
-//! the running job).
+//! registry for JSON / Prometheus exposition), [`calibrate`] (the
+//! paper's profiler → scheduler → engine pipeline as an online loop: it
+//! fits the cost model to measured spans, re-searches the schedule space
+//! under the fitted costs, and hot-swaps the winner into the running
+//! job).
 #![warn(missing_docs)]
 
 pub mod calibrate;
@@ -40,7 +39,6 @@ pub mod metrics;
 pub mod optim;
 pub mod params;
 pub mod pipeline;
-pub mod profiler;
 pub mod reference;
 pub mod tp;
 

@@ -11,7 +11,7 @@
 ///
 /// The OOM rows of the Tables 5–8 reproduction used to travel as
 /// formatted strings; machine consumers (the status exporter, the
-/// memcheck report, the strategy evaluator) want the numbers.
+/// memory fidelity report, the strategy evaluator) want the numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemError {
     /// Live bytes at the moment the cap was exceeded.

@@ -8,10 +8,10 @@
 # the JSON records the payload compression alongside the f32 baseline;
 # each row carries payload_precodec_bytes / payload_postcodec_bytes /
 # encode_overlap_s from the per-link codec counters. Emulated rows include the
-# measured/modeled wire-time ratio from mepipe_sim::commcheck; expect it
+# measured/modeled wire-time ratio from mepipe_sim::fidelity::wire; expect it
 # near 1 (each send holds the sender for exactly its modeled wire time,
 # sleeping the bulk and spinning the rest) and inside the [0.5, 2] band
-# the check warns outside of (see crates/sim/src/commcheck.rs).
+# the report warns outside of (see crates/sim/src/fidelity.rs).
 #
 # Numbers are machine-dependent — re-run after touching the transport,
 # the frame codec, or the pipeline runtime so the checked-in JSON matches

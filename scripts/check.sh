@@ -43,17 +43,6 @@ cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4
 echo "==> multi-process codec smoke (2 workers, bf16 wire codec)"
 cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 2 --codec bf16
 
-echo "==> trace-report smoke (traced 2-stage iteration: measured+sim traces, bubble, metrics)"
-TRACE_DIR="$(mktemp -d)"
-# The binary itself validates the trace JSON parses and holds one
-# compute track per stage, and that tracing is bit-invisible.
-cargo run --release -p mepipe-train --bin mepipe-worker -- trace-report \
-  --stages 2 --micro-batches 2 --slices 4 --seq-len 32 --layers 4 --out "$TRACE_DIR"
-for f in measured.trace.json sim.trace.json bubble.txt bubblecheck.txt metrics.json metrics.prom; do
-  test -s "$TRACE_DIR/$f" || { echo "trace-report did not write $f"; exit 1; }
-done
-rm -rf "$TRACE_DIR"
-
 echo "==> merged-trace smoke (4 worker processes, one epoch-aligned Chrome JSON)"
 MERGE_DIR="$(mktemp -d)"
 cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4 \
@@ -62,20 +51,13 @@ test -s "$MERGE_DIR/merged.trace.json" || { echo "launch did not write a merged 
 test -s "$MERGE_DIR/metrics.prom" || { echo "launch did not write metrics"; exit 1; }
 rm -rf "$MERGE_DIR"
 
-echo "==> autotune smoke (4 workers over UDS, 2 calibration rounds, strict error decrease)"
-# The binary asserts the bubblecheck mean relative error strictly
-# decreases across rounds and that the hot-swapped schedule reproduces
-# the in-process loss bit for bit.
-AUTOTUNE_DIR="$(mktemp -d)"
-cargo run --release -p mepipe-train --bin mepipe-worker -- autotune \
-  --stages 4 --rounds 2 --dir "$AUTOTUNE_DIR"
-rm -rf "$AUTOTUNE_DIR"
-
-echo "==> memcheck smoke (measured stage peaks vs the schedule's in-flight model, Fig-8 shape)"
-# The binary exits non-zero when any stage's measured/modeled ratio
-# leaves the [0.5, 2] warning band or a metric name fails the lint.
-cargo run --release -p mepipe-train --bin mepipe-worker -- memcheck \
-  --stages 4 --micro-batches 8 --slices 2 --seq-len 32 --layers 4
+echo "==> regenerated-schedule smoke (4 workers rebuild a synthesized, rescheduled schedule from flags)"
+# Every process regenerates the solver's schedule and the backward
+# rescheduling polish from --schedule/--warmup/--reschedule alone — the
+# way a calibrated proposal crosses process boundaries; the loss must
+# stay bit-identical to in-process.
+cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4 --slices 2 \
+  --schedule synth --warmup 6 --reschedule
 
 echo "==> control-plane smoke 1/2 (oneshot: 2 spooled jobs, one chaos-killed, on a 1x4 fleet)"
 # The serve exit code is the assertion: 0 only if every job completed
