@@ -460,8 +460,8 @@ fn main() {
         "  {:.1} ms/iter at {AUTOTUNE_SLICES} slices -> {:.1} ms/iter at {} slices (warmup {}) = {autotune_speedup:.2}x",
         t_at_before * 1e3,
         t_at_after * 1e3,
-        proposal.slices,
-        proposal.warmup
+        proposal.spec.dims.s,
+        proposal.spec.warmup.expect("retune rows carry a knob")
     );
     println!(
         "  model error {at_err_first:.4} -> {at_err_last:.4} over {} rounds",
@@ -536,9 +536,9 @@ fn main() {
         arena.misses,
         1.0 / t_dp,
         AUTOTUNE_LINK.latency,
-        proposal.slices,
-        proposal.warmup,
-        proposal.rescheduled,
+        proposal.spec.dims.s,
+        proposal.spec.warmup.expect("retune rows carry a knob"),
+        proposal.spec.reschedule,
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     std::fs::write(out, &json).expect("write BENCH_train.json");

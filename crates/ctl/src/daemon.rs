@@ -12,8 +12,9 @@
 //! lost-beyond-interval counter whose invariant value is zero: a
 //! failure never costs more than one checkpoint interval of work.
 //!
-//! Determinism is the load-bearing property. Workers regenerate their
-//! schedule from flags, batches derive from `(seed, iteration)`, SGD on
+//! Determinism is the load-bearing property. Every job and segment
+//! names its schedule with one `ScheduleSpec`, which the workers decode
+//! from flags and regenerate, batches derive from `(seed, iteration)`, SGD on
 //! a zero gradient is a bitwise no-op, and per-stage checkpoints are
 //! authoritative for exactly the layers a stage owns. Consequently a
 //! job's final loss is bit-identical to a single-process replay of its
@@ -24,17 +25,13 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use mepipe_comm::control::{Request, Response};
-use mepipe_core::svpp::Mepipe;
-use mepipe_core::Synth;
 use mepipe_hw::accelerator::AcceleratorSpec;
 use mepipe_hw::link::LinkSpec;
 use mepipe_hw::topology::ClusterSpec;
 use mepipe_hw::{Fleet, GangAlloc};
 use mepipe_model::config::TransformerConfig;
 use mepipe_model::partition::{PartitionSpec, SequenceSplit};
-use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-use mepipe_schedule::ir::Schedule;
-use mepipe_strategy::SearchEngine;
+use mepipe_strategy::{ScheduleSpec, SearchEngine};
 use mepipe_trace::chrome::{push_json_string, traces_to_chrome};
 use mepipe_trace::{
     dump, EventLog, IterationTrace, Level, MetricsRegistry, PidKey, StragglerDetector,
@@ -44,7 +41,7 @@ use mepipe_train::data::batch_for_iter;
 use mepipe_train::params::ModelParams;
 use mepipe_train::{checkpoint, PipelineRuntime, WgradMode};
 
-use crate::gang::{Gang, GangConfig, GangPoll, GangShape};
+use crate::gang::{Gang, GangConfig, GangPoll};
 use crate::spec::{derive_checkpoint_interval, JobSpec};
 
 /// Where a job is in its lifecycle.
@@ -96,16 +93,16 @@ impl JobState {
     }
 }
 
-/// One span of a job's iteration history run under a fixed shape —
+/// One span of a job's iteration history run under a fixed schedule —
 /// the record [`verify_replay`] walks. A new segment starts at every
-/// re-shard boundary; plain recovery (same shape, same trajectory)
+/// re-shard boundary; plain recovery (same schedule, same trajectory)
 /// does not create one.
 #[derive(Debug, Clone)]
 pub struct Segment {
-    /// First iteration run under this shape.
+    /// First iteration run under this schedule.
     pub start_iter: usize,
-    /// The shape itself.
-    pub shape: GangShape,
+    /// The schedule itself.
+    pub schedule: ScheduleSpec,
 }
 
 /// A submitted job and everything the daemon knows about it.
@@ -118,8 +115,8 @@ pub struct Job {
     pub interval: usize,
     /// How the interval was chosen, when it was derived.
     pub interval_note: Option<String>,
-    /// Current pipeline shape (admission may have shrunk the request).
-    pub shape: GangShape,
+    /// Current schedule (admission may have shrunk the requested stages).
+    pub schedule: ScheduleSpec,
     /// Iterations completed (the slowest stage's count).
     pub completed: usize,
     /// Gang relaunches after failures.
@@ -162,19 +159,13 @@ pub struct Job {
 
 impl Job {
     fn new(spec: JobSpec, interval: usize, interval_note: Option<String>) -> Self {
-        let shape = GangShape {
-            stages: spec.stages,
-            slices: spec.slices,
-            warmup: None,
-            synthesized: false,
-        };
         let chaos = spec.kill_stage.zip(spec.kill_at_iter);
         Job {
+            schedule: spec.schedule(),
             spec,
             state: JobState::Pending,
             interval,
             interval_note,
-            shape,
             completed: 0,
             restarts: 0,
             reshards: 0,
@@ -197,31 +188,7 @@ impl Job {
     }
 }
 
-/// Regenerates the schedule a shape denotes, exactly as every worker
-/// process does from its flags.
-///
-/// # Errors
-///
-/// Returns the generator's rejection message for infeasible dims.
-pub fn make_schedule(shape: &GangShape, micro_batches: usize) -> Result<Schedule, String> {
-    let dims = Dims::new(shape.stages, micro_batches).slices(shape.slices);
-    let sch = if shape.synthesized {
-        let mut gen = Synth::new();
-        if let Some(c) = shape.warmup {
-            gen = gen.cap(c);
-        }
-        gen.generate(&dims)
-    } else {
-        let mut gen = Mepipe::new();
-        if let Some(f) = shape.warmup {
-            gen = gen.warmup_cap(f);
-        }
-        gen.generate(&dims)
-    };
-    sch.map_err(|e| format!("schedule generation for {shape:?}: {e}"))
-}
-
-/// Runs the strategy search for the best shape a job can take on
+/// Runs the strategy search for the best schedule a job can take on
 /// `max_stages` slots: sweep feasible stage counts through the
 /// re-shard engine (priced with the `layers - 2` convention of
 /// `Calibrator::prior_for`, so modeled pipeline slots equal runtime
@@ -235,7 +202,7 @@ pub fn best_shape(
     engine: &SearchEngine,
     spec: &JobSpec,
     max_stages: usize,
-) -> Result<GangShape, String> {
+) -> Result<ScheduleSpec, String> {
     if max_stages == 0 {
         return Err("no capacity".to_string());
     }
@@ -264,13 +231,8 @@ pub fn best_shape(
     };
     let rows = engine.reshard_mepipe(&priced, &template, &cluster, max_stages, None)?;
     rows.into_iter()
-        .find(|r| spec.seq_len.is_multiple_of(r.row.slices) && spec.layers.is_multiple_of(r.stages))
-        .map(|r| GangShape {
-            stages: r.stages,
-            slices: r.row.slices,
-            warmup: Some(r.row.warmup),
-            synthesized: r.row.synthesized,
-        })
+        .map(|r| r.spec)
+        .find(|s| spec.seq_len.is_multiple_of(s.dims.s) && spec.layers.is_multiple_of(s.dims.p))
         .ok_or_else(|| "no re-shard candidate survives runtime divisibility".to_string())
 }
 
@@ -313,7 +275,7 @@ pub fn restore_point(epoch_dir: &Path, stages: usize) -> usize {
 /// Replays a job's full iteration history in-process and returns the
 /// final-iteration loss. One runtime per segment, the model carried
 /// across shape changes; because workers regenerate identical schedules
-/// from the same shape parameters and batches derive from
+/// from the same `ScheduleSpec` and batches derive from
 /// `(seed, iteration)`, the result must be bit-identical to what the
 /// gang reported — the end-to-end correctness check for the whole
 /// recovery and re-sharding machinery.
@@ -331,8 +293,11 @@ pub fn verify_replay(spec: &JobSpec, segments: &[Segment]) -> Result<f64, String
     let mut last = f64::NAN;
     for (si, seg) in segments.iter().enumerate() {
         let end = segments.get(si + 1).map_or(spec.iters, |s| s.start_iter);
-        let schedule = make_schedule(&seg.shape, spec.micro_batches)?;
-        let mut rt = PipelineRuntime::new(model, seg.shape.stages, 1);
+        let schedule = seg
+            .schedule
+            .generate()
+            .map_err(|e| format!("schedule generation for {:?}: {e}", seg.schedule))?;
+        let mut rt = PipelineRuntime::new(model, seg.schedule.dims.p, seg.schedule.dims.v);
         for k in seg.start_iter..end {
             let batch = batch_for_iter(&cfg, spec.micro_batches, spec.seed, k);
             let stats = rt
@@ -517,10 +482,10 @@ impl Daemon {
             }
             let held = self.jobs[i].alloc.as_ref().map_or(0, GangAlloc::total);
             let ceiling = (held + self.fleet.free_slots()).min(self.jobs[i].spec.micro_batches);
-            let Ok(shape) = best_shape(&self.engine, &self.jobs[i].spec, ceiling) else {
+            let Ok(best) = best_shape(&self.engine, &self.jobs[i].spec, ceiling) else {
                 continue;
             };
-            if shape.stages > self.jobs[i].shape.stages {
+            if best.dims.p > self.jobs[i].schedule.dims.p {
                 self.displace(i, "fleet grew".to_string());
                 expanded += 1;
             }
@@ -711,7 +676,7 @@ impl Daemon {
             return;
         };
         let cfg = gang.config();
-        let stages: Result<Vec<_>, String> = (0..cfg.shape.stages)
+        let stages: Result<Vec<_>, String> = (0..cfg.schedule.dims.p)
             .map(|s| dump::read_stage_trace(&cfg.trace_path(s)))
             .collect();
         match stages {
@@ -760,7 +725,7 @@ impl Daemon {
             return;
         }
         // Account the lost work now so metrics show it while recovering.
-        let c = restore_point(&epoch_dir, job.shape.stages).max(job.epoch_base.0);
+        let c = restore_point(&epoch_dir, job.schedule.dims.p).max(job.epoch_base.0);
         let lost = job.completed.saturating_sub(c);
         job.lost_iters += lost as u64;
         job.lost_beyond += lost.saturating_sub(job.interval) as u64;
@@ -801,7 +766,7 @@ impl Daemon {
     fn relaunch(&mut self, i: usize) {
         let epoch_dir = self.epoch_dir(i);
         let job = &self.jobs[i];
-        let stages = job.shape.stages;
+        let stages = job.schedule.dims.p;
         let (base_iter, base_file) = job.epoch_base.clone();
         let c = restore_point(&epoch_dir, stages).max(base_iter);
         let restore_from: Vec<Option<PathBuf>> = if c == 0 {
@@ -832,13 +797,13 @@ impl Daemon {
         let old_epoch_dir = self.epoch_dir(i);
         let job_dir = self.job_dir(&self.jobs[i].spec.name);
         let job = &self.jobs[i];
-        let old_stages = job.shape.stages;
+        let old_stages = job.schedule.dims.p;
         let (base_iter, base_file) = job.epoch_base.clone();
         let c_parts = restore_point(&old_epoch_dir, old_stages);
         let c = c_parts.max(base_iter);
 
         let max = self.fleet.free_slots().min(self.jobs[i].spec.micro_batches);
-        let shape = match best_shape(&self.engine, &self.jobs[i].spec, max) {
+        let schedule = match best_shape(&self.engine, &self.jobs[i].spec, max) {
             Ok(s) => s,
             Err(e) => {
                 // Stays Resharding; record why for status output.
@@ -846,7 +811,7 @@ impl Daemon {
                 return;
             }
         };
-        let Some(alloc) = self.fleet.allocate(shape.stages) else {
+        let Some(alloc) = self.fleet.allocate(schedule.dims.p) else {
             return;
         };
 
@@ -896,12 +861,12 @@ impl Daemon {
         job.epoch += 1;
         job.epoch_base = (c, restore.clone());
         job.alloc = Some(alloc);
-        let old_shape = job.shape;
-        job.shape = shape;
+        let old = job.schedule.dims;
+        job.schedule = schedule;
         job.segments.retain(|s| s.start_iter < c);
         job.segments.push(Segment {
             start_iter: c,
-            shape,
+            schedule,
         });
         self.events.event(
             Level::Info,
@@ -909,11 +874,11 @@ impl Daemon {
             None,
             format!(
                 "re-sharded {} -> {} stage(s) (slices {} -> {}), resuming at iteration {c}",
-                old_shape.stages, shape.stages, old_shape.slices, shape.slices
+                old.p, schedule.dims.p, old.s, schedule.dims.s
             ),
             &[],
         );
-        let stages = shape.stages;
+        let stages = schedule.dims.p;
         self.launch_attempt(i, c, vec![restore; stages]);
     }
 
@@ -932,42 +897,37 @@ impl Daemon {
                 break;
             }
             let spec = &self.jobs[i].spec;
-            let shape = if free >= spec.stages {
-                GangShape {
-                    stages: spec.stages,
-                    slices: spec.slices,
-                    warmup: None,
-                    synthesized: false,
-                }
+            let schedule = if free >= spec.stages {
+                spec.schedule()
             } else {
                 match best_shape(&self.engine, spec, free) {
                     Ok(s) => s,
                     Err(_) => continue, // backfill: try the next job
                 }
             };
-            let Some(alloc) = self.fleet.allocate(shape.stages) else {
+            let stages = schedule.dims.p;
+            let Some(alloc) = self.fleet.allocate(stages) else {
                 continue;
             };
             let job = &mut self.jobs[i];
-            if shape.stages < job.spec.stages {
+            if stages < job.spec.stages {
                 self.events.event(
                     Level::Warn,
                     Some(&job.spec.name),
                     None,
                     format!(
                         "admitted shrunk to {} of {} requested stage(s)",
-                        shape.stages, job.spec.stages
+                        stages, job.spec.stages
                     ),
                     &[],
                 );
             }
             job.alloc = Some(alloc);
-            job.shape = shape;
+            job.schedule = schedule;
             job.segments = vec![Segment {
                 start_iter: 0,
-                shape,
+                schedule,
             }];
-            let stages = shape.stages;
             self.launch_attempt(i, 0, vec![None; stages]);
         }
     }
@@ -980,8 +940,7 @@ impl Daemon {
         job.attempt += 1;
         let cfg = GangConfig {
             worker_bin,
-            shape: job.shape,
-            micro_batches: job.spec.micro_batches,
+            schedule: job.schedule,
             seq_len: job.spec.seq_len,
             layers: job.spec.layers,
             seed: job.spec.seed,
@@ -1032,7 +991,7 @@ impl Daemon {
                 "mepipe_ctl_job_stages",
                 "Pipeline stages in the job's current shape",
                 &l,
-                job.shape.stages as f64,
+                job.schedule.dims.p as f64,
             );
             reg.gauge(
                 "mepipe_ctl_job_checkpoint_interval",
@@ -1179,8 +1138,8 @@ impl Daemon {
                 job.state.name(),
                 job.completed,
                 job.spec.iters,
-                job.shape.stages,
-                job.shape.slices,
+                job.schedule.dims.p,
+                job.schedule.dims.s,
                 job.interval,
                 job.restarts,
                 job.reshards,
@@ -1237,8 +1196,8 @@ impl Daemon {
                  \"lost_iterations\":{},\"lost_beyond_interval\":{}",
                 job.completed,
                 job.spec.iters,
-                job.shape.stages,
-                job.shape.slices,
+                job.schedule.dims.p,
+                job.schedule.dims.s,
                 job.interval,
                 job.restarts,
                 job.reshards,
@@ -1269,7 +1228,7 @@ impl Daemon {
                 }
                 out.push_str(&format!(
                     "{{\"start_iter\":{},\"stages\":{},\"slices\":{}}}",
-                    seg.start_iter, seg.shape.stages, seg.shape.slices
+                    seg.start_iter, seg.schedule.dims.p, seg.schedule.dims.s
                 ));
             }
             out.push(']');
@@ -1326,16 +1285,15 @@ fn parse_stage_tag(why: &str) -> Option<usize> {
 /// Measures one real in-process iteration of the spec's model at its
 /// requested shape — the `T_iter` input to Young's formula.
 fn measure_iteration_seconds(spec: &JobSpec) -> f64 {
-    let shape = GangShape {
-        stages: spec.stages,
-        slices: spec.slices,
-        warmup: None,
-        synthesized: false,
-    };
-    let Ok(schedule) = make_schedule(&shape, spec.micro_batches) else {
+    let requested = spec.schedule();
+    let Ok(schedule) = requested.generate() else {
         return 0.05; // infeasible shapes are rejected later; any prior works
     };
-    let rt = PipelineRuntime::new(ModelParams::init(spec.config(), spec.seed), spec.stages, 1);
+    let rt = PipelineRuntime::new(
+        ModelParams::init(spec.config(), spec.seed),
+        requested.dims.p,
+        requested.dims.v,
+    );
     let batch = batch_for_iter(&spec.config(), spec.micro_batches, spec.seed, 0);
     let t0 = Instant::now();
     match rt.run_iteration(&schedule, &batch, WgradMode::DrainOnWait, None) {
@@ -1359,12 +1317,12 @@ mod tests {
             "name = \"j\"\niters = 4\nstages = 2\nlayers = 4\nmicro_batches = 4\nslices = 2\nseq_len = 16\n",
         );
         // 4 slots: the search may use up to 4 stages (4 layers divide).
-        let wide = best_shape(&engine, &s, 4).unwrap();
-        assert!(wide.stages <= 4 && s.layers.is_multiple_of(wide.stages));
-        assert!(s.seq_len.is_multiple_of(wide.slices));
+        let wide = best_shape(&engine, &s, 4).unwrap().dims;
+        assert!(wide.p <= 4 && s.layers.is_multiple_of(wide.p));
+        assert!(s.seq_len.is_multiple_of(wide.s));
         // 1 slot: must collapse to a single stage.
-        let narrow = best_shape(&engine, &s, 1).unwrap();
-        assert_eq!(narrow.stages, 1);
+        let narrow = best_shape(&engine, &s, 1).unwrap().dims;
+        assert_eq!(narrow.p, 1);
         assert!(best_shape(&engine, &s, 0).is_err());
     }
 
@@ -1393,17 +1351,12 @@ mod tests {
         let s = spec(
             "name = \"j\"\niters = 3\nstages = 2\nlayers = 2\nmicro_batches = 2\nslices = 2\nseq_len = 16\n",
         );
-        let shape = GangShape {
-            stages: 2,
-            slices: 2,
-            warmup: None,
-            synthesized: false,
-        };
+        let schedule = s.schedule();
         let whole = verify_replay(
             &s,
             &[Segment {
                 start_iter: 0,
-                shape,
+                schedule,
             }],
         )
         .unwrap();
@@ -1412,11 +1365,11 @@ mod tests {
             &[
                 Segment {
                     start_iter: 0,
-                    shape,
+                    schedule,
                 },
                 Segment {
                     start_iter: 2,
-                    shape,
+                    schedule,
                 },
             ],
         )

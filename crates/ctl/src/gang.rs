@@ -15,32 +15,16 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-/// The pipeline shape a gang runs — everything a worker needs to
-/// regenerate the schedule deterministically from flags, and everything
-/// the verifier needs to replay it in-process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GangShape {
-    /// Pipeline stages (= processes = fleet slots).
-    pub stages: usize,
-    /// Sequence slices per micro-batch.
-    pub slices: usize,
-    /// Generator memory knob (`--warmup`): SVPP warmup cap, or the
-    /// order solver's unit cap for synthesized schedules.
-    pub warmup: Option<usize>,
-    /// Regenerate through the order solver (`--schedule synth`) rather
-    /// than the hand-written SVPP generator.
-    pub synthesized: bool,
-}
+use mepipe_strategy::ScheduleSpec;
 
 /// Everything needed to launch one gang attempt.
 #[derive(Debug, Clone)]
 pub struct GangConfig {
     /// Path to the `mepipe-worker` binary.
     pub worker_bin: PathBuf,
-    /// Pipeline shape for this attempt.
-    pub shape: GangShape,
-    /// Micro-batches per iteration.
-    pub micro_batches: usize,
+    /// The schedule every stage regenerates from its flags (stages =
+    /// processes = fleet slots) and the verifier replays in-process.
+    pub schedule: ScheduleSpec,
     /// Sequence length.
     pub seq_len: usize,
     /// Decoder layers.
@@ -83,12 +67,7 @@ impl GangConfig {
         cmd.arg("job")
             .arg("--stage")
             .arg(stage.to_string())
-            .arg("--stages")
-            .arg(self.shape.stages.to_string())
-            .arg("--micro-batches")
-            .arg(self.micro_batches.to_string())
-            .arg("--slices")
-            .arg(self.shape.slices.to_string())
+            .args(self.schedule.to_args())
             .arg("--seq-len")
             .arg(self.seq_len.to_string())
             .arg("--layers")
@@ -109,12 +88,6 @@ impl GangConfig {
             .arg(self.work_dir.join("mesh"))
             .arg("--progress")
             .arg(self.progress_path(stage));
-        if let Some(w) = self.shape.warmup {
-            cmd.arg("--warmup").arg(w.to_string());
-        }
-        if self.shape.synthesized {
-            cmd.arg("--schedule").arg("synth");
-        }
         if let Some(path) = self.restore_from.get(stage).and_then(Option::as_ref) {
             cmd.arg("--restore-from").arg(path);
         }
@@ -179,8 +152,8 @@ impl Gang {
             .map_err(|e| format!("create gang work dir {}: {e}", cfg.work_dir.display()))?;
         std::fs::create_dir_all(&cfg.ckpt_dir)
             .map_err(|e| format!("create checkpoint dir {}: {e}", cfg.ckpt_dir.display()))?;
-        let mut members = Vec::with_capacity(cfg.shape.stages);
-        for stage in 0..cfg.shape.stages {
+        let mut members = Vec::with_capacity(cfg.schedule.dims.p);
+        for stage in 0..cfg.schedule.dims.p {
             let mut child = match cfg.stage_command(stage).spawn() {
                 Ok(c) => c,
                 Err(e) => {
@@ -231,7 +204,7 @@ impl Gang {
     /// survive the processes, which is what makes post-mortem loss
     /// accounting possible.
     pub fn progress_iters(&self) -> Vec<usize> {
-        (0..self.cfg.shape.stages)
+        (0..self.cfg.schedule.dims.p)
             .map(|stage| {
                 let text =
                     std::fs::read_to_string(self.cfg.progress_path(stage)).unwrap_or_default();

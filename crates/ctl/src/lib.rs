@@ -9,7 +9,9 @@
 //! re-running the strategy search and re-sharding the pipeline live.
 //! This crate is that operator. It composes pieces the rest of the
 //! workspace already proves correct: `mepipe-worker job` stage
-//! processes (bit-deterministic from flags), per-stage checkpoints with
+//! processes (each regenerates its schedule bit-identically from a
+//! `mepipe_strategy::ScheduleSpec`'s flags, as the replay verifier
+//! does in-process), per-stage checkpoints with
 //! `merge_stage_parts` for shape changes, Young's formula for the
 //! checkpoint interval, the re-shard strategy search, and the metrics
 //! and Chrome-trace plumbing in `mepipe-trace`.
@@ -27,6 +29,6 @@ pub mod serve;
 pub mod spec;
 
 pub use daemon::{best_shape, restore_point, verify_replay, Daemon, Job, JobState, Segment};
-pub use gang::{Gang, GangConfig, GangPoll, GangShape};
+pub use gang::{Gang, GangConfig, GangPoll};
 pub use serve::{request, serve, ServeOptions};
 pub use spec::{derive_checkpoint_interval, DerivedInterval, JobSpec};

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use mepipe_model::config::TransformerConfig;
+use mepipe_schedule::generator::Dims;
+use mepipe_strategy::{Method, ScheduleSpec};
 use mepipe_train::checkpoint;
 use mepipe_train::params::ModelParams;
 
@@ -257,6 +259,15 @@ impl JobSpec {
             seq_len: self.seq_len,
             ..TransformerConfig::tiny(self.layers)
         }
+    }
+
+    /// The schedule the job asks for: MEPipe at the requested stages,
+    /// micro-batches and slices, with the generator's default knob.
+    pub fn schedule(&self) -> ScheduleSpec {
+        ScheduleSpec::new(
+            Method::Mepipe,
+            Dims::new(self.stages, self.micro_batches).slices(self.slices),
+        )
     }
 }
 

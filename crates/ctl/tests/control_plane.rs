@@ -188,7 +188,7 @@ fn drain_reshards_live_and_the_replay_spans_the_shape_change() {
     assert_eq!(job.lost_beyond, 0);
     assert!(job.segments.len() >= 2, "shape history records the switch");
     // The replacement gang fits on undrained capacity only.
-    assert!(job.segments.last().unwrap().shape.stages <= 2);
+    assert!(job.segments.last().unwrap().schedule.dims.p <= 2);
     assert_eq!(
         job.verified,
         Some(true),

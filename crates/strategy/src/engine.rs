@@ -22,12 +22,12 @@
 //!    worse than the final optimum, so the argmin — and every metric of
 //!    the returned [`Evaluated`] — is unchanged. Candidates are visited
 //!    in ascending-floor order so the incumbent drops fast.
-//! 3. **Memoization** — generated schedules are cached by
-//!    `(method, p, v, s, n, warmup)` and shared via [`Arc`]; full
-//!    evaluations are cached by the candidate's partition plus the
-//!    [`ModelCost::fingerprint`] of every price the simulator can
-//!    observe, so repeated searches across an experiment grid (Figures
-//!    8/10, Tables 5–8) re-simulate nothing.
+//! 3. **Memoization** — generated schedules are cached by their
+//!    [`ScheduleSpec`] and shared via [`Arc`]; full evaluations are
+//!    cached by the candidate's partition plus the
+//!    [`mepipe_sim::ModelCost::fingerprint`] of every price the
+//!    simulator can observe, so repeated searches across an experiment
+//!    grid (Figures 8/10, Tables 5–8) re-simulate nothing.
 //!
 //! Work is distributed over [`std::thread::scope`] workers (no external
 //! thread-pool dependency); the deterministic reduction picks the lowest
@@ -40,16 +40,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mepipe_core::analytic::{self, AnalysisParams};
-use mepipe_core::svpp::SvppConfig;
 use mepipe_hw::topology::ClusterSpec;
 use mepipe_model::{
     config::TransformerConfig, cost::ExecutionCost, memory, partition::PartitionSpec,
 };
 use mepipe_schedule::{generator::ScheduleError, ir::Schedule};
-use mepipe_sim::ModelCost;
 
-use crate::evaluate::{evaluate_with, Evaluated};
-use crate::space::{enumerate_candidates, Candidate, Method};
+use crate::evaluate::{evaluate_with, memory_knob, sim_cost, Evaluated};
+use crate::space::{enumerate_candidates, Candidate, Method, ScheduleSpec};
 
 /// Relative safety margin for bound pruning: a candidate is discarded
 /// only when its analytic floor exceeds the incumbent by more than this
@@ -58,53 +56,32 @@ use crate::space::{enumerate_candidates, Candidate, Method};
 /// the margin is nine orders of magnitude wider).
 const PRUNE_MARGIN: f64 = 1e-9;
 
-/// Key of one generated schedule: everything generation depends on.
-///
-/// Candidates that differ only in pricing knobs (DP size, recomputation,
-/// context-parallel degree) share the same schedule object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScheduleKey {
-    /// Scheduling method.
-    pub method: Method,
-    /// Pipeline stages.
-    pub p: usize,
-    /// Virtual chunks.
-    pub v: usize,
-    /// Sequence slices.
-    pub s: usize,
-    /// Micro-batches.
-    pub n: usize,
-    /// SVPP warmup cap (MEPipe only; `None` = method default).
-    pub warmup: Option<usize>,
-}
-
-/// Content-addressed cache of generated schedules, shared across an
-/// experiment grid via [`Arc`] so evaluation never re-generates.
+/// Content-addressed cache of generated schedules, keyed by their
+/// [`ScheduleSpec`] and shared across an experiment grid via [`Arc`] so
+/// evaluation never re-generates. Candidates that differ only in pricing
+/// knobs (DP size, recomputation, context-parallel degree) share one
+/// schedule object.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    map: Mutex<HashMap<ScheduleKey, Arc<Schedule>>>,
+    map: Mutex<HashMap<ScheduleSpec, Arc<Schedule>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
 impl ScheduleCache {
-    /// Returns the cached schedule for `key`, generating (and caching)
-    /// it with `build` on a miss.
-    pub fn get_or_build(
-        &self,
-        key: ScheduleKey,
-        build: impl FnOnce() -> Result<Schedule, ScheduleError>,
-    ) -> Result<Arc<Schedule>, ScheduleError> {
-        if let Some(hit) = self.map.lock().unwrap().get(&key) {
+    /// Returns the cached schedule for `spec`, generating (and caching)
+    /// it on a miss.
+    pub fn get_or_generate(&self, spec: &ScheduleSpec) -> Result<Arc<Schedule>, ScheduleError> {
+        if let Some(hit) = self.map.lock().unwrap().get(spec) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(hit));
         }
         // Build outside the lock; concurrent duplicate builds are rare
         // and harmless (generation is deterministic).
-        let built = Arc::new(build()?);
+        let built = Arc::new(spec.generate()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock().unwrap();
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
+        Ok(Arc::clone(map.entry(*spec).or_insert(built)))
     }
 }
 
@@ -293,18 +270,12 @@ impl SearchEngine {
         cluster: &ClusterSpec,
     ) -> Option<EvalKey> {
         let cost = ExecutionCost::new(*model, candidate.spec, cluster).ok()?;
-        let sim_cost = match candidate.method {
-            Method::Mepipe | Method::DualPipe | Method::Blocks | Method::Synth => {
-                ModelCost::new(cost)
-            }
-            _ => ModelCost::new_coarse(cost),
-        };
         let usable = cluster.accelerator.usable_memory_bytes();
         let budget = memory::activation_budget_bytes(model, &candidate.spec, usable);
         Some(EvalKey {
             method: candidate.method,
             spec: candidate.spec,
-            cost_fingerprint: sim_cost.fingerprint(),
+            cost_fingerprint: sim_cost(candidate.method, cost).fingerprint(),
             budget_bits: budget.to_bits(),
             max_units: memory::max_in_flight_units(model, &candidate.spec, usable),
         })
@@ -334,20 +305,13 @@ impl SearchEngine {
             s: dims.s,
             n: dims.n,
         };
-        let fits = match candidate.method {
-            // `evaluate` rejects MEPipe (and the solver tier, which seeds
-            // from the same family) when even the f = v·s floor exceeds
-            // the units that fit; otherwise it lowers f to fit.
-            Method::Mepipe | Method::Synth => {
-                SvppConfig::from_dims(&dims).min_warmup() <= max_units
-            }
-            // A bidirectional entry stage admits at least one
-            // micro-batch's slices per direction.
-            Method::DualPipe => dims.s <= max_units,
-            // The lifespan-0 member of the family pins every stage at v·s.
-            Method::Blocks => dims.v * dims.s <= max_units,
-            // 1F1B-family schedules hold at least the warmup floor.
-            _ => analytic::warmup_units_floor(params) <= max_units,
+        // `evaluate` rejects a knobbed family whose floor setting does not
+        // fit (and otherwise lowers the knob to fit); 1F1B-family
+        // schedules hold at least the warmup floor.
+        let fits = if candidate.method.is_slice_level() {
+            memory_knob(candidate.method, &dims, max_units).is_ok()
+        } else {
+            analytic::warmup_units_floor(params) <= max_units
         };
         if !fits {
             return Prepass::Infeasible;

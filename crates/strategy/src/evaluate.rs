@@ -2,20 +2,18 @@
 
 use std::sync::Arc;
 
-use mepipe_core::svpp::{self, SvppConfig};
-use mepipe_core::Synth;
+use mepipe_core::svpp::SvppConfig;
 use mepipe_hw::topology::ClusterSpec;
 use mepipe_model::{config::TransformerConfig, cost::ExecutionCost, memory};
 use mepipe_schedule::{
     exec::{simulate, SimConfig},
-    generator::{ScheduleError, ScheduleGenerator},
-    ir::Schedule,
+    generator::Dims,
     validate, Blocks, DualPipe,
 };
 use mepipe_sim::{metrics, ModelCost};
 
-use crate::engine::{ScheduleCache, ScheduleKey};
-use crate::space::{Candidate, Method};
+use crate::engine::ScheduleCache;
+use crate::space::{Candidate, Method, ScheduleSpec};
 
 /// Outcome of evaluating one candidate.
 #[derive(Debug, Clone)]
@@ -88,86 +86,14 @@ pub(crate) fn evaluate_with(
     };
 
     let dims = candidate.dims();
-    let build = |warmup: Option<usize>,
-                 gen: &dyn Fn() -> Result<Schedule, ScheduleError>|
-     -> Result<Arc<Schedule>, ScheduleError> {
-        let key = ScheduleKey {
-            method: candidate.method,
-            p: dims.p,
-            v: dims.v,
-            s: dims.s,
-            n: dims.n,
-            warmup,
-        };
-        match schedules {
-            Some(cache) => cache.get_or_build(key, gen),
-            None => Ok(Arc::new(gen()?)),
-        }
+    let warmup = memory_knob(candidate.method, &dims, max_units)?;
+    let schedule_spec = ScheduleSpec {
+        warmup,
+        ..ScheduleSpec::new(candidate.method, dims)
     };
-    let (schedule, warmup): (Arc<Schedule>, Option<usize>) = match candidate.method {
-        Method::Mepipe => {
-            let base = SvppConfig::from_dims(&dims);
-            if max_units < base.min_warmup() {
-                return Err(format!(
-                    "even the f = v*s = {} floor needs more than the {} units that fit",
-                    base.min_warmup(),
-                    max_units
-                ));
-            }
-            let f = max_units.min(base.max_warmup());
-            (
-                build(Some(f), &|| {
-                    svpp::Mepipe::new().warmup_cap(f).generate(&dims)
-                })?,
-                Some(f),
-            )
-        }
-        Method::DualPipe => {
-            let f_min = DualPipe::min_warmup(&dims);
-            if max_units < f_min {
-                return Err(format!(
-                    "even the f = s = {f_min} floor needs more than the {max_units} units that fit"
-                ));
-            }
-            // Both directions ramp at once and pass through each other's
-            // stages, so a worker can hold both streams' admissions:
-            // budget each direction half the units that fit.
-            let f = (max_units / 2).max(f_min).min(DualPipe::max_warmup(&dims));
-            (
-                build(Some(f), &|| DualPipe::new().warmup_cap(f).generate(&dims))?,
-                Some(f),
-            )
-        }
-        Method::Blocks => {
-            let floor = dims.v * dims.s;
-            if max_units < floor {
-                return Err(format!(
-                    "even the lifespan-0 floor of {floor} units needs more than the {max_units} that fit"
-                ));
-            }
-            let k = (max_units - floor).min(Blocks::max_lifespan(&dims));
-            (
-                build(Some(k), &|| Blocks::uniform().lifespan(k).generate(&dims))?,
-                Some(k),
-            )
-        }
-        Method::Synth => {
-            let base = SvppConfig::from_dims(&dims);
-            if max_units < base.min_warmup() {
-                return Err(format!(
-                    "even the f = v*s = {} floor needs more than the {} units that fit",
-                    base.min_warmup(),
-                    max_units
-                ));
-            }
-            (
-                build(Some(max_units), &|| {
-                    Synth::new().cap(max_units).generate(&dims)
-                })?,
-                Some(max_units),
-            )
-        }
-        _ => (build(None, &|| candidate.method.generate(&dims))?, None),
+    let schedule = match schedules {
+        Some(cache) => cache.get_or_generate(&schedule_spec)?,
+        None => Arc::new(schedule_spec.generate()?),
     };
 
     // Static memory feasibility: the schedule's peak in-flight units must
@@ -182,22 +108,10 @@ pub(crate) fn evaluate_with(
         ));
     }
 
-    // The synthesized tiers run on the MEPipe runtime and inherit its
-    // per-GEMM weight-gradient granularity; the zero-bubble baselines
-    // defer whole weight ops.
-    let sim_cost = match candidate.method {
-        Method::Mepipe | Method::DualPipe | Method::Blocks | Method::Synth => ModelCost::new(cost),
-        _ => ModelCost::new_coarse(cost),
-    };
-    let dynamic = matches!(
-        candidate.method,
-        Method::Zb
-            | Method::Zbv
-            | Method::Mepipe
-            | Method::DualPipe
-            | Method::Blocks
-            | Method::Synth
-    );
+    let sim_cost = sim_cost(candidate.method, cost);
+    // Zero-bubble schedules defer weight ops into bubbles too.
+    let dynamic =
+        candidate.method.is_slice_level() || matches!(candidate.method, Method::Zb | Method::Zbv);
     let result = simulate(
         &schedule,
         &sim_cost,
@@ -221,6 +135,70 @@ pub(crate) fn evaluate_with(
         mfu: metrics::mfu(&result, sim_cost.execution_cost()),
         warmup,
     })
+}
+
+/// The memory knob `evaluate` gives `method` at `dims` when `max_units`
+/// activation units fit: the largest useful setting that fits, `None` for
+/// knob-free methods, `Err` when even the family's floor does not fit.
+pub(crate) fn memory_knob(
+    method: Method,
+    dims: &Dims,
+    max_units: usize,
+) -> Result<Option<usize>, String> {
+    match method {
+        Method::Mepipe | Method::Synth => {
+            let base = SvppConfig::from_dims(dims);
+            if max_units < base.min_warmup() {
+                return Err(format!(
+                    "even the f = v*s = {} floor needs more than the {} units that fit",
+                    base.min_warmup(),
+                    max_units
+                ));
+            }
+            // The solver takes the whole budget as its unit cap.
+            Ok(Some(if method == Method::Synth {
+                max_units
+            } else {
+                max_units.min(base.max_warmup())
+            }))
+        }
+        Method::DualPipe => {
+            let f_min = DualPipe::min_warmup(dims);
+            if max_units < f_min {
+                return Err(format!(
+                    "even the f = s = {f_min} floor needs more than the {max_units} units that fit"
+                ));
+            }
+            // Both directions ramp at once and pass through each other's
+            // stages, so a worker can hold both streams' admissions:
+            // budget each direction half the units that fit.
+            Ok(Some(
+                (max_units / 2).max(f_min).min(DualPipe::max_warmup(dims)),
+            ))
+        }
+        Method::Blocks => {
+            let floor = dims.v * dims.s;
+            if max_units < floor {
+                return Err(format!(
+                    "even the lifespan-0 floor of {floor} units needs more than the {max_units} that fit"
+                ));
+            }
+            Ok(Some((max_units - floor).min(Blocks::max_lifespan(dims))))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// How `method` is priced: the slice-level families run on the MEPipe
+/// runtime and inherit its per-GEMM weight-gradient granularity; the
+/// zero-bubble baselines defer whole weight ops. The memo key prices
+/// through this too, so it answers for exactly the cost `evaluate` uses.
+pub(crate) fn sim_cost(method: Method, cost: ExecutionCost) -> ModelCost {
+    if method.is_slice_level() {
+        ModelCost::new(cost)
+    } else {
+        ModelCost::new_coarse(cost)
+    }
 }
 
 #[cfg(test)]

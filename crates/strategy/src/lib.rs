@@ -15,9 +15,8 @@ pub mod retune;
 pub mod search;
 pub mod space;
 
-pub use engine::{EngineStats, ScheduleCache, ScheduleKey, SearchEngine};
+pub use engine::{EngineStats, ScheduleCache, SearchEngine};
 pub use evaluate::{evaluate, Evaluated};
-pub use reshard::Reshard;
 pub use retune::Retuned;
 pub use search::{search, search_all, search_serial, search_verbose};
-pub use space::{enumerate_candidates, Candidate, Method};
+pub use space::{enumerate_candidates, Candidate, Method, ScheduleArgError, ScheduleSpec};

@@ -21,7 +21,7 @@ use mepipe_model::cost::ExecutionCost;
 use mepipe_model::partition::PartitionSpec;
 
 use crate::engine::SearchEngine;
-use crate::retune::Retuned;
+use crate::retune::{rank, Retuned};
 
 /// The slice of `cluster` a `p`-stage gang would actually occupy, since
 /// the cost model insists the partition fill its cluster exactly. The
@@ -53,17 +53,8 @@ fn subcluster(cluster: &ClusterSpec, p: usize) -> ClusterSpec {
     }
 }
 
-/// One re-shard candidate: a stage count plus a retuned schedule for it.
-#[derive(Debug, Clone)]
-pub struct Reshard {
-    /// Pipeline stages (= processes the gang needs = fleet slots).
-    pub stages: usize,
-    /// The priced schedule at that stage count.
-    pub row: Retuned,
-}
-
 impl SearchEngine {
-    /// Ranks `(stages, slices, warmup)` triples for a job restarting
+    /// Ranks schedules of every feasible stage count for a job restarting
     /// from a checkpoint onto a fleet with `max_stages` free slots.
     ///
     /// `template` fixes everything re-sharding must preserve — virtual
@@ -94,7 +85,7 @@ impl SearchEngine {
         cluster: &ClusterSpec,
         max_stages: usize,
         max_units: Option<usize>,
-    ) -> Result<Vec<Reshard>, String> {
+    ) -> Result<Vec<Retuned>, String> {
         let n = template.micro_batches();
         let slots = cfg.pipeline_slots();
         let mut rows = Vec::new();
@@ -107,24 +98,14 @@ impl SearchEngine {
             let spec = PartitionSpec { pp: p, ..*template };
             let cost = ExecutionCost::new(*cfg, spec, &subcluster(cluster, p))
                 .map_err(|e| format!("cost model at p={p}: {e}"))?;
-            for row in self.retune_mepipe(&cost, max_units)? {
-                rows.push(Reshard { stages: p, row });
-            }
+            rows.extend(self.retune_mepipe(&cost, max_units)?);
         }
         if feasible == 0 {
             return Err(format!(
                 "no feasible stage count: slots={slots}, micro_batches={n}, max_stages={max_stages}"
             ));
         }
-        rows.sort_by(|a, b| {
-            a.row
-                .iteration_time
-                .total_cmp(&b.row.iteration_time)
-                .then(a.stages.cmp(&b.stages))
-                .then(a.row.synthesized.cmp(&b.row.synthesized))
-                .then(a.row.slices.cmp(&b.row.slices))
-                .then(a.row.warmup.cmp(&b.row.warmup))
-        });
+        rank(&mut rows);
         Ok(rows)
     }
 }
@@ -169,17 +150,17 @@ mod tests {
         let rows = engine
             .reshard_mepipe(&cfg, &template, &cluster, 4, None)
             .unwrap();
-        let mut stages: Vec<usize> = rows.iter().map(|r| r.stages).collect();
+        let mut stages: Vec<usize> = rows.iter().map(|r| r.spec.dims.p).collect();
         stages.sort_unstable();
         stages.dedup();
         // 4 slots, 4 micro-batches: p ∈ {1, 2, 4} divide the slots.
         assert_eq!(stages, vec![1, 2, 4]);
         for w in rows.windows(2) {
-            assert!(w[0].row.iteration_time <= w[1].row.iteration_time);
+            assert!(w[0].iteration_time <= w[1].iteration_time);
         }
         for r in &rows {
-            assert_eq!(r.row.schedule.num_workers(), r.stages);
-            validate::validate(&r.row.schedule).unwrap();
+            assert_eq!(r.schedule.num_workers(), r.spec.dims.p);
+            validate::validate(&r.schedule).unwrap();
         }
     }
 
@@ -191,10 +172,10 @@ mod tests {
             .reshard_mepipe(&cfg, &template, &cluster, 3, None)
             .unwrap();
         assert!(
-            rows.iter().all(|r| r.stages <= 2),
+            rows.iter().all(|r| r.spec.dims.p <= 2),
             "p=3 infeasible, p=4 capped"
         );
-        assert!(rows.iter().any(|r| r.stages == 2));
+        assert!(rows.iter().any(|r| r.spec.dims.p == 2));
     }
 
     #[test]
@@ -221,7 +202,7 @@ mod tests {
             .reshard_mepipe(&cfg, &template, &cluster, 4, None)
             .unwrap()
             .remove(0);
-        assert_eq!(narrow.stages, 1);
-        assert!(wide.row.iteration_time <= narrow.row.iteration_time);
+        assert_eq!(narrow.spec.dims.p, 1);
+        assert!(wide.iteration_time <= narrow.iteration_time);
     }
 }

@@ -17,19 +17,18 @@
 
 use std::sync::Arc;
 
-use mepipe_core::svpp::{self, SvppConfig};
-use mepipe_core::Synth;
+use mepipe_core::svpp::SvppConfig;
 use mepipe_model::cost::ExecutionCost;
 use mepipe_schedule::{
     exec::{simulate, SimConfig},
-    generator::{Dims, ScheduleGenerator},
+    generator::Dims,
     ir::Schedule,
     validate,
 };
 use mepipe_sim::ModelCost;
 
-use crate::engine::{ScheduleKey, SearchEngine};
-use crate::space::Method;
+use crate::engine::SearchEngine;
+use crate::space::{Method, ScheduleSpec};
 
 /// Slice counts above this are never proposed: per-slice GEMMs degrade
 /// (Figure 9) and the schedule itself balloons, so the paper's grids stop
@@ -39,18 +38,13 @@ const MAX_SLICES: usize = 64;
 /// One hot-swap candidate, priced under the supplied cost model.
 #[derive(Debug, Clone)]
 pub struct Retuned {
-    /// Sequence slices per micro-batch.
-    pub slices: usize,
-    /// The regeneration knob: SVPP warmup cap `f` for template rows, the
-    /// solver's per-worker unit cap for synthesized rows. Broadcasting
-    /// `(synthesized, slices, warmup)` lets every worker rebuild the
-    /// identical schedule.
-    pub warmup: usize,
-    /// Whether this row came out of the order solver ([`Synth`]) rather
-    /// than the hand-written SVPP generator. Solver output is
-    /// MEPipe-shaped (same stages, chunks, micro-batches, split
-    /// backward), so it is hot-swap compatible too.
-    pub synthesized: bool,
+    /// The schedule's name: the hand-written SVPP generator with its
+    /// warmup cap, or the order solver ([`Method::Synth`]) with its unit
+    /// cap. Solver output is MEPipe-shaped (same stages, chunks,
+    /// micro-batches, split backward), so it is hot-swap compatible too.
+    /// Broadcasting the spec lets every worker rebuild the identical
+    /// schedule.
+    pub spec: ScheduleSpec,
     /// The generated schedule, ready to hand to a trainer.
     pub schedule: Arc<Schedule>,
     /// Iteration time under the supplied cost model, in seconds.
@@ -59,6 +53,25 @@ pub struct Retuned {
     pub bubble_ratio: f64,
     /// Peak in-flight units on the most loaded stage.
     pub peak_units: usize,
+}
+
+/// Sorts rows fastest-first, ties broken by fewer stages, template rows
+/// before solver rows, fewer slices, then lower warmup.
+pub(crate) fn rank(rows: &mut [Retuned]) {
+    let tie_break = |r: &Retuned| {
+        let ScheduleSpec {
+            method,
+            dims,
+            warmup,
+            ..
+        } = r.spec;
+        (dims.p, method == Method::Synth, dims.s, warmup)
+    };
+    rows.sort_by(|a, b| {
+        a.iteration_time
+            .total_cmp(&b.iteration_time)
+            .then(tie_break(a).cmp(&tie_break(b)))
+    });
 }
 
 impl SearchEngine {
@@ -82,29 +95,36 @@ impl SearchEngine {
         fitted: &ExecutionCost,
         max_units: Option<usize>,
     ) -> Result<Vec<Retuned>, String> {
-        let spec = fitted.partition();
-        let p = spec.pp;
-        let v = spec.vp;
-        let n = spec.micro_batches();
+        let partition = fitted.partition();
+        let p = partition.pp;
+        let v = partition.vp;
+        let n = partition.micro_batches();
         let seq = fitted.config().seq_len;
         let mut rows = Vec::new();
         for s in (1..=seq.min(MAX_SLICES)).filter(|s| seq.is_multiple_of(*s)) {
             let cost = fitted.clone().with_slices(s)?;
             let dims = Dims::new(p, n).virtual_chunks(v).slices(s);
             let base = SvppConfig::from_dims(&dims);
-            for f in base.min_warmup()..=base.max_warmup() {
-                let key = ScheduleKey {
-                    method: Method::Mepipe,
-                    p,
-                    v,
-                    s,
-                    n,
-                    warmup: Some(f),
+            let templates = (base.min_warmup()..=base.max_warmup()).map(|f| (Method::Mepipe, f));
+            // One solver row per slice count. The order search prices
+            // with its fixed deterministic unit costs — not the fitted
+            // model — so peer workers can regenerate the same schedule
+            // from the broadcast knob alone; the fitted model still does
+            // the ranking below, like every other row.
+            let total_units = n * v * s;
+            let cap = max_units.map_or(total_units, |c| c.min(total_units));
+            for (method, knob) in templates.chain([(Method::Synth, cap)]) {
+                let spec = ScheduleSpec {
+                    warmup: Some(knob),
+                    ..ScheduleSpec::new(method, dims)
                 };
-                let schedule = self
-                    .schedules()
-                    .get_or_build(key, || svpp::Mepipe::new().warmup_cap(f).generate(&dims))
-                    .map_err(|e| format!("generate p={p} s={s} f={f}: {e}"))?;
+                let schedule = match self.schedules().get_or_generate(&spec) {
+                    Ok(schedule) => schedule,
+                    // An infeasible cap (below the SVPP floor) just means
+                    // no solver row at this slice count.
+                    Err(_) if method == Method::Synth => continue,
+                    Err(e) => return Err(format!("generate p={p} s={s} f={knob}: {e}")),
+                };
                 let peak_units = validate::peak_in_flight(&schedule)
                     .into_iter()
                     .max()
@@ -112,10 +132,9 @@ impl SearchEngine {
                 if max_units.is_some_and(|cap| peak_units > cap) {
                     continue;
                 }
-                let sim_cost = ModelCost::new(cost.clone());
                 let result = simulate(
                     &schedule,
-                    &sim_cost,
+                    &ModelCost::new(cost.clone()),
                     &SimConfig {
                         dynamic_wgrad: true,
                         ..Default::default()
@@ -123,70 +142,15 @@ impl SearchEngine {
                 )?;
                 let summary = result.summary();
                 rows.push(Retuned {
-                    slices: s,
-                    warmup: f,
-                    synthesized: false,
+                    spec,
                     schedule,
                     iteration_time: summary.iteration_time,
                     bubble_ratio: summary.bubble_ratio,
                     peak_units,
                 });
             }
-            // One solver row per slice count. The order search prices
-            // with its fixed deterministic unit costs — not the
-            // fitted model — so peer workers can regenerate the same
-            // schedule from the broadcast knob alone; the fitted model
-            // still does the ranking below, like every other row.
-            let total_units = n * v * s;
-            let cap = max_units.map_or(total_units, |c| c.min(total_units));
-            let key = ScheduleKey {
-                method: Method::Synth,
-                p,
-                v,
-                s,
-                n,
-                warmup: Some(cap),
-            };
-            let built = self
-                .schedules()
-                .get_or_build(key, || Synth::new().cap(cap).generate(&dims));
-            // An infeasible cap (below the SVPP floor) just means no
-            // solver row at this slice count.
-            if let Ok(schedule) = built {
-                let peak_units = validate::peak_in_flight(&schedule)
-                    .into_iter()
-                    .max()
-                    .unwrap_or(0);
-                if max_units.is_none_or(|cap| peak_units <= cap) {
-                    let sim_cost = ModelCost::new(cost.clone());
-                    let result = simulate(
-                        &schedule,
-                        &sim_cost,
-                        &SimConfig {
-                            dynamic_wgrad: true,
-                            ..Default::default()
-                        },
-                    )?;
-                    let summary = result.summary();
-                    rows.push(Retuned {
-                        slices: s,
-                        warmup: cap,
-                        synthesized: true,
-                        schedule,
-                        iteration_time: summary.iteration_time,
-                        bubble_ratio: summary.bubble_ratio,
-                        peak_units,
-                    });
-                }
-            }
         }
-        rows.sort_by(|a, b| {
-            a.iteration_time
-                .total_cmp(&b.iteration_time)
-                .then(a.synthesized.cmp(&b.synthesized))
-                .then(a.slices.cmp(&b.slices))
-                .then(a.warmup.cmp(&b.warmup))
-        });
+        rank(&mut rows);
         Ok(rows)
     }
 }
@@ -241,7 +205,7 @@ mod tests {
         for r in &rows {
             // Hot-swap invariants: stage count fixed, slices divide seq.
             assert_eq!(r.schedule.num_workers(), 2);
-            assert_eq!(64 % r.slices, 0);
+            assert_eq!(64 % r.spec.dims.s, 0);
         }
     }
 
@@ -265,12 +229,16 @@ mod tests {
             .unwrap()
             .remove(0);
         assert!(
-            best_laggy.slices <= best_fast.slices,
+            best_laggy.spec.dims.s <= best_fast.spec.dims.s,
             "laggy link picked {} slices, fast link {}",
-            best_laggy.slices,
-            best_fast.slices
+            best_laggy.spec.dims.s,
+            best_fast.spec.dims.s
         );
-        assert!(best_laggy.slices <= 2, "laggy best: {}", best_laggy.slices);
+        assert!(
+            best_laggy.spec.dims.s <= 2,
+            "laggy best: {}",
+            best_laggy.spec.dims.s
+        );
     }
 
     #[test]
@@ -279,11 +247,14 @@ mod tests {
         let rows = engine
             .retune_mepipe(&fitted(2, 4, LinkSpec::pcie4()), None)
             .unwrap();
-        let synth: Vec<_> = rows.iter().filter(|r| r.synthesized).collect();
+        let synth: Vec<_> = rows
+            .iter()
+            .filter(|r| r.spec.method == Method::Synth)
+            .collect();
         assert!(!synth.is_empty(), "no solver rows in the retune ranking");
         for r in &synth {
             assert_eq!(r.schedule.num_workers(), 2);
-            assert_eq!(64 % r.slices, 0);
+            assert_eq!(64 % r.spec.dims.s, 0);
             validate::validate(&r.schedule).unwrap();
         }
         // The solver row at a given slice count is never slower than the
@@ -292,7 +263,7 @@ mod tests {
         // the same ballpark (within 10%) of the best template overall.
         let best_template = rows
             .iter()
-            .filter(|r| !r.synthesized)
+            .filter(|r| r.spec.method != Method::Synth)
             .map(|r| r.iteration_time)
             .fold(f64::INFINITY, f64::min);
         let best_synth = synth
@@ -307,26 +278,16 @@ mod tests {
 
     #[test]
     fn every_row_regenerates_from_its_broadcast_fields() {
-        // A proposal crosses process boundaries as `(synthesized, slices,
-        // warmup)` alone; each worker must rebuild the identical schedule.
+        // A proposal crosses process boundaries as its `ScheduleSpec`
+        // alone; each worker must rebuild the identical schedule.
         let engine = SearchEngine::new();
         for (stages, slices) in [(2, 4), (4, 4), (2, 8)] {
             let rows = engine
                 .retune_mepipe(&fitted(stages, slices, LinkSpec::pcie4()), None)
                 .unwrap();
             for r in &rows {
-                let dims = Dims::new(stages, 4).slices(r.slices);
-                let regenerated = if r.synthesized {
-                    Synth::new().cap(r.warmup).generate(&dims)
-                } else {
-                    svpp::Mepipe::new().warmup_cap(r.warmup).generate(&dims)
-                }
-                .unwrap();
-                assert_eq!(
-                    regenerated, *r.schedule,
-                    "p={stages} s={} warmup={} synthesized={}",
-                    r.slices, r.warmup, r.synthesized
-                );
+                assert_eq!(ScheduleSpec::from_args(&r.spec.to_args()), Ok(r.spec));
+                assert_eq!(r.spec.generate().unwrap(), *r.schedule, "{:?}", r.spec);
             }
         }
     }

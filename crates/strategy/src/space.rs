@@ -1,6 +1,8 @@
 //! The strategy search space, per scheduling method.
 
-use mepipe_core::svpp;
+use std::fmt;
+
+use mepipe_core::{reschedule::reschedule_backwards, svpp, Synth};
 use mepipe_hw::topology::ClusterSpec;
 use mepipe_model::{
     config::TransformerConfig,
@@ -9,6 +11,7 @@ use mepipe_model::{
 use mepipe_schedule::{
     generator::{self, Dims, ScheduleError, ScheduleGenerator},
     ir::Schedule,
+    Blocks, DualPipe,
 };
 
 /// The five systems compared in Section 7, plus the three synthesized
@@ -89,6 +92,14 @@ impl Method {
         }
     }
 
+    /// The method whose lower-cased [`Method::name`] is `name` (the
+    /// `--schedule` spelling), ignoring ASCII case.
+    pub fn from_name(name: &str) -> Option<Method> {
+        Method::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+    }
+
     /// Whether the method can use activation recomputation (the paper
     /// notes it is incompatible with zero-bubble W deferral, and MEPipe
     /// never needs it).
@@ -96,27 +107,231 @@ impl Method {
         matches!(self, Method::Dapple | Method::Vpp)
     }
 
-    /// This method's [`ScheduleGenerator`] with default knobs (MEPipe's
-    /// lowest-bubble warmup; `evaluate` tightens it to the memory budget).
-    pub fn generator(self) -> Box<dyn ScheduleGenerator> {
-        match self {
-            Method::Dapple => Box::new(generator::Dapple),
-            Method::Vpp => Box::new(generator::Vpp),
-            Method::Zb => Box::new(generator::Zb),
-            Method::Zbv => Box::new(generator::Zbv),
-            Method::Mepipe => Box::new(svpp::Mepipe::new()),
-            Method::DualPipe => Box::new(mepipe_schedule::DualPipe::new()),
-            Method::Blocks => Box::new(mepipe_schedule::Blocks::uniform()),
-            Method::Synth => Box::new(mepipe_core::Synth::new()),
+    /// Whether the method is a slice-level family of the MEPipe runtime:
+    /// it pipelines sequence slices (SPP, consuming no workers), drains
+    /// weight gradients per GEMM, and has a memory knob
+    /// ([`ScheduleSpec::warmup`]).
+    pub fn is_slice_level(self) -> bool {
+        matches!(
+            self,
+            Method::Mepipe | Method::DualPipe | Method::Blocks | Method::Synth
+        )
+    }
+
+    /// Builds this method's schedule for `dims` with the generator's
+    /// default knob — [`ScheduleSpec::generate`] with no knob and no
+    /// rescheduling.
+    pub fn generate(&self, dims: &Dims) -> Result<Schedule, ScheduleError> {
+        ScheduleSpec::new(*self, *dims).generate()
+    }
+}
+
+/// A schedule by name: the method, its dimensions, its memory knob and
+/// the backward-rescheduling polish — everything generation depends on.
+///
+/// [`ScheduleSpec::generate`] is the one recipe from a name to a
+/// schedule, and [`ScheduleSpec::to_args`] / [`ScheduleSpec::from_args`]
+/// the one flag codec, so the planner's choice, every `mepipe-worker`
+/// process and the control plane's replay build the same schedule bit
+/// for bit. It is also the key of the search's schedule cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ScheduleSpec {
+    /// Scheduling method.
+    pub method: Method,
+    /// Pipeline dimensions (`v = 2` for DualPipe and ZBV).
+    pub dims: Dims,
+    /// The memory knob (`None` = the generator's default): SVPP warmup
+    /// cap `f` (MEPipe), per-direction admissions (DualPipe), lifespan
+    /// (Blocks) or the solver's unit cap (Synth). Only the slice-level
+    /// families ([`Method::is_slice_level`]) have one; the others
+    /// ignore it.
+    pub warmup: Option<usize>,
+    /// Polish the generated order with backward rescheduling (Section
+    /// 4.3); not defined for the bidirectional DualPipe.
+    pub reschedule: bool,
+}
+
+impl ScheduleSpec {
+    /// `method` at `dims` with the default knob and no rescheduling.
+    /// DualPipe's two directions and ZBV's V are two chunks per stage by
+    /// definition, so their `v` is pinned to 2.
+    pub fn new(method: Method, dims: Dims) -> Self {
+        ScheduleSpec {
+            method,
+            dims: pin_chunks(method, dims),
+            warmup: None,
+            reschedule: false,
         }
     }
 
-    /// Builds this method's schedule for `dims` — the single generation
-    /// entry point of the unified API.
-    pub fn generate(&self, dims: &Dims) -> Result<Schedule, ScheduleError> {
-        self.generator().generate(dims)
+    /// Rejects rescheduling a bidirectional schedule, which the
+    /// rescheduler does not define.
+    fn check(&self) -> Result<(), ScheduleError> {
+        if self.reschedule && self.method == Method::DualPipe {
+            return Err(ScheduleError::Unsupported {
+                method: self.method.name(),
+                reason: "backward rescheduling is not defined for bidirectional schedules".into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Builds the schedule this spec names.
+    ///
+    /// # Errors
+    ///
+    /// The generator's rejection of the dims or knob, or
+    /// [`ScheduleError::Unsupported`] for rescheduling DualPipe.
+    pub fn generate(&self) -> Result<Schedule, ScheduleError> {
+        self.check()?;
+        let dims = pin_chunks(self.method, self.dims);
+        let schedule = match (self.method, self.warmup) {
+            (Method::Dapple, _) => generator::Dapple.generate(&dims),
+            (Method::Vpp, _) => generator::Vpp.generate(&dims),
+            (Method::Zb, _) => generator::Zb.generate(&dims),
+            (Method::Zbv, _) => generator::Zbv.generate(&dims),
+            (Method::Mepipe, None) => svpp::Mepipe::new().generate(&dims),
+            (Method::Mepipe, Some(f)) => svpp::Mepipe::new().warmup_cap(f).generate(&dims),
+            (Method::DualPipe, None) => DualPipe::new().generate(&dims),
+            (Method::DualPipe, Some(f)) => DualPipe::new().warmup_cap(f).generate(&dims),
+            (Method::Blocks, None) => Blocks::uniform().generate(&dims),
+            (Method::Blocks, Some(k)) => Blocks::uniform().lifespan(k).generate(&dims),
+            // The solver prices with fixed deterministic unit costs, so
+            // every process derives the same order from the spec alone.
+            (Method::Synth, None) => Synth::new().generate(&dims),
+            (Method::Synth, Some(c)) => Synth::new().cap(c).generate(&dims),
+        }?;
+        if self.reschedule {
+            Ok(reschedule_backwards(&schedule)?)
+        } else {
+            Ok(schedule)
+        }
+    }
+
+    /// The spec as `mepipe-worker` flags: `--schedule NAME --stages P
+    /// --micro-batches N --slices S [--warmup K] [--reschedule]`, `NAME`
+    /// being the lower-cased [`Method::name`]. The flags carry no `v`:
+    /// [`ScheduleSpec::new`] pins it.
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = vec![
+            "--schedule".to_string(),
+            self.method.name().to_lowercase(),
+            "--stages".to_string(),
+            self.dims.p.to_string(),
+            "--micro-batches".to_string(),
+            self.dims.n.to_string(),
+            "--slices".to_string(),
+            self.dims.s.to_string(),
+        ];
+        if let Some(k) = self.warmup {
+            args.extend(["--warmup".to_string(), k.to_string()]);
+        }
+        if self.reschedule {
+            args.push("--reschedule".to_string());
+        }
+        args
+    }
+
+    /// Decodes [`ScheduleSpec::to_args`] flags; a repeated flag's last
+    /// value wins, so a caller can prepend defaults.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ScheduleArgError`] for a flag that is not a schedule
+    /// flag, a missing flag or value, an unknown method, a non-numeric
+    /// value, or a spec [`ScheduleSpec::generate`] would reject up front.
+    pub fn from_args(args: &[String]) -> Result<Self, ScheduleArgError> {
+        fn number(flag: &'static str, value: Option<&String>) -> Result<usize, ScheduleArgError> {
+            let value = value.ok_or(ScheduleArgError::Missing(flag))?;
+            value.parse().map_err(|_| ScheduleArgError::NotANumber {
+                flag,
+                value: value.clone(),
+            })
+        }
+        let (mut method, mut p, mut n, mut s) = (None, None, None, None);
+        let (mut warmup, mut reschedule) = (None, false);
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--schedule" => {
+                    let name = it.next().ok_or(ScheduleArgError::Missing("--schedule"))?;
+                    method = Some(
+                        Method::from_name(name)
+                            .ok_or_else(|| ScheduleArgError::UnknownSchedule(name.clone()))?,
+                    );
+                }
+                "--stages" => p = Some(number("--stages", it.next())?),
+                "--micro-batches" => n = Some(number("--micro-batches", it.next())?),
+                "--slices" => s = Some(number("--slices", it.next())?),
+                "--warmup" => warmup = Some(number("--warmup", it.next())?),
+                "--reschedule" => reschedule = true,
+                other => return Err(ScheduleArgError::UnknownFlag(other.to_string())),
+            }
+        }
+        let dims = Dims::new(
+            p.ok_or(ScheduleArgError::Missing("--stages"))?,
+            n.ok_or(ScheduleArgError::Missing("--micro-batches"))?,
+        )
+        .slices(s.ok_or(ScheduleArgError::Missing("--slices"))?);
+        let method = method.ok_or(ScheduleArgError::Missing("--schedule"))?;
+        let spec = ScheduleSpec {
+            warmup,
+            reschedule,
+            ..ScheduleSpec::new(method, dims)
+        };
+        spec.check().map_err(ScheduleArgError::Unsupported)?;
+        Ok(spec)
     }
 }
+
+/// `v = 2` for the two-chunk-by-definition methods, `dims` otherwise.
+fn pin_chunks(method: Method, dims: Dims) -> Dims {
+    match method {
+        Method::DualPipe | Method::Zbv => dims.virtual_chunks(2),
+        _ => dims,
+    }
+}
+
+/// Why [`ScheduleSpec::from_args`] rejected its flags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScheduleArgError {
+    /// A token that is not a schedule flag.
+    UnknownFlag(String),
+    /// A required flag, or a flag's value, is absent.
+    Missing(&'static str),
+    /// `--schedule` names no [`Method`].
+    UnknownSchedule(String),
+    /// A numeric flag's value does not parse as a non-negative integer.
+    NotANumber {
+        /// The flag.
+        flag: &'static str,
+        /// Its value as given.
+        value: String,
+    },
+    /// The flags name a spec no generator defines (`--reschedule` with
+    /// `dualpipe`).
+    Unsupported(ScheduleError),
+}
+
+impl fmt::Display for ScheduleArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScheduleArgError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
+            ScheduleArgError::Missing(flag) => write!(f, "missing {flag} or its value"),
+            ScheduleArgError::UnknownSchedule(name) => write!(
+                f,
+                "unknown --schedule {name} (expected one of: {})",
+                Method::all().map(|m| m.name().to_lowercase()).join(", ")
+            ),
+            ScheduleArgError::NotANumber { flag, value } => {
+                write!(f, "{flag} expects a non-negative integer, got {value:?}")
+            }
+            ScheduleArgError::Unsupported(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleArgError {}
 
 /// One point of the search space.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,13 +352,10 @@ impl Candidate {
     /// partition keeps `vp = 1` (each op prices `L/p` layers) while the
     /// schedule dims carry `v = 2`.
     pub fn dims(&self) -> Dims {
-        let v = match self.method {
-            Method::DualPipe => 2,
-            _ => self.spec.vp,
-        };
-        Dims::new(self.spec.pp, self.spec.micro_batches())
-            .virtual_chunks(v)
-            .slices(self.spec.seq.spp_slices())
+        let dims = Dims::new(self.spec.pp, self.spec.micro_batches())
+            .virtual_chunks(self.spec.vp)
+            .slices(self.spec.seq.spp_slices());
+        ScheduleSpec::new(self.method, dims).dims
     }
 
     /// Compact label like `(8, 4, 1, ✗)` — (PP, CP/SPP, VP, recompute), the
@@ -187,7 +399,6 @@ pub fn enumerate_candidates(
     };
     let seqs: &[usize] = match method {
         Method::Mepipe | Method::Synth => &[1, 2, 4, 8, 16],
-        Method::DualPipe | Method::Blocks => &[1, 2, 4, 8],
         _ => &[1, 2, 4, 8],
     };
     let recomputes: &[bool] = if method.supports_recompute() {
@@ -202,14 +413,14 @@ pub fn enumerate_candidates(
                 continue;
             }
             for &seq in seqs {
-                let seq_split = match method {
-                    // Slice-level schedules: SPP shares the sequence
-                    // across pipeline time, consuming no workers.
-                    Method::Mepipe | Method::DualPipe | Method::Blocks | Method::Synth => {
-                        SequenceSplit::SlicePipeline { slices: seq }
-                    }
-                    _ if seq == 1 => SequenceSplit::None,
-                    _ => SequenceSplit::Context { size: seq },
+                // Slice-level schedules: SPP shares the sequence across
+                // pipeline time, consuming no workers.
+                let seq_split = if method.is_slice_level() {
+                    SequenceSplit::SlicePipeline { slices: seq }
+                } else if seq == 1 {
+                    SequenceSplit::None
+                } else {
+                    SequenceSplit::Context { size: seq }
                 };
                 let cp_workers = seq_split.cp_size();
                 if pp * cp_workers > devices {
@@ -351,6 +562,43 @@ mod tests {
                 assert!(c.spec.validate(&model, 64).is_ok(), "{:?}", c);
             }
         }
+    }
+
+    fn from_args(flags: &str) -> Result<ScheduleSpec, ScheduleArgError> {
+        let args: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        ScheduleSpec::from_args(&args)
+    }
+
+    #[test]
+    fn unknown_schedule_flag_is_a_typed_error() {
+        assert_eq!(
+            from_args("--schedule gpipe --stages 4 --micro-batches 4 --slices 1"),
+            Err(ScheduleArgError::UnknownSchedule("gpipe".into()))
+        );
+    }
+
+    #[test]
+    fn non_numeric_schedule_flag_is_a_typed_error() {
+        assert_eq!(
+            from_args("--schedule mepipe --stages four --micro-batches 4 --slices 1"),
+            Err(ScheduleArgError::NotANumber {
+                flag: "--stages",
+                value: "four".into()
+            })
+        );
+    }
+
+    #[test]
+    fn rescheduling_dualpipe_is_a_typed_error() {
+        let spec = ScheduleSpec {
+            reschedule: true,
+            ..ScheduleSpec::new(Method::DualPipe, Dims::new(4, 4))
+        };
+        let refused = spec.generate().unwrap_err();
+        assert_eq!(
+            ScheduleSpec::from_args(&spec.to_args()),
+            Err(ScheduleArgError::Unsupported(refused))
+        );
     }
 
     #[test]

@@ -35,14 +35,14 @@
 //!   anything else JSON). `--codec {f32,bf16,lossy}` selects the wire
 //!   codec on every link; the in-process reference applies the same
 //!   codec, so the bit-identity check holds for lossy codecs too.
-//!   `--schedule {mepipe,dualpipe,blocks,synth}` picks the schedule
-//!   family every process regenerates from flags — `dualpipe` runs the
-//!   bidirectional two-stream schedule (stage 0 and stage P−1 both act
-//!   as entry and loss stages), `synth` the per-worker order solver.
-//!   `--warmup K` sets the family's memory knob and `--reschedule`
-//!   applies backward rescheduling; both are deterministic, so a
-//!   calibrated proposal (`calibrate::Proposal`) crosses process
-//!   boundaries as flags alone.
+//!   The schedule flags `--schedule NAME --stages P --micro-batches N
+//!   --slices S [--warmup K] [--reschedule]` are the codec of
+//!   `mepipe_strategy::ScheduleSpec`, which every process regenerates
+//!   through, so a calibrated proposal or a control-plane segment crosses
+//!   process boundaries as flags alone. `NAME` is a lower-case method
+//!   name (default `mepipe`; under `dualpipe` stages 0 and P−1 are both
+//!   entry and loss stages). A malformed or undefined schedule exits 2
+//!   with the reason before any process joins a mesh.
 //! * `http-get ADDR [PATH]` — dependency-free scrape client for the
 //!   observability endpoints (`mepipe-ctl serve --http`, `job --http`):
 //!   prints the response body, exits 0 only on HTTP 200.
@@ -58,13 +58,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use mepipe_comm::{CodecId, CommConfig, SocketMode, SocketTransport, Transport, TransportConfig};
-use mepipe_core::reschedule::reschedule_backwards;
-use mepipe_core::svpp::Mepipe;
-use mepipe_core::Synth;
 use mepipe_model::config::TransformerConfig;
-use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-use mepipe_schedule::ir::Schedule;
-use mepipe_schedule::{Blocks, DualPipe};
+use mepipe_schedule::generator::Dims;
+use mepipe_strategy::{Method, ScheduleArgError, ScheduleSpec};
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_trace::{
     bubble, chrome::traces_to_chrome, dump, http_get, EventLog, HttpExporter, IterationTrace,
@@ -75,123 +71,30 @@ use mepipe_train::{
     PipelineRuntime, WgradMode,
 };
 
-/// Which schedule family the scenario regenerates from flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScheduleKind {
-    /// Hand-written SVPP with split backward (the default).
-    Mepipe,
-    /// Bidirectional two-stream scheduling (`--schedule dualpipe`).
-    DualPipe,
-    /// Controllable-memory building blocks (`--schedule blocks`).
-    Blocks,
-    /// The per-worker order solver (`--schedule synth`).
-    Synth,
-}
-
-impl ScheduleKind {
-    fn name(self) -> &'static str {
-        match self {
-            ScheduleKind::Mepipe => "mepipe",
-            ScheduleKind::DualPipe => "dualpipe",
-            ScheduleKind::Blocks => "blocks",
-            ScheduleKind::Synth => "synth",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "mepipe" => Some(Self::Mepipe),
-            "dualpipe" => Some(Self::DualPipe),
-            "blocks" => Some(Self::Blocks),
-            "synth" => Some(Self::Synth),
-            _ => None,
-        }
-    }
-}
-
 /// The deterministic scenario every process reconstructs from flags.
 #[derive(Debug, Clone)]
 struct Scenario {
-    stages: usize,
-    micro_batches: usize,
-    slices: usize,
+    /// The schedule every process regenerates (stages and micro-batches
+    /// included).
+    schedule: ScheduleSpec,
     seq_len: usize,
     layers: usize,
     seed: u64,
     mode: WgradMode,
     codec: CodecId,
-    /// Schedule family to regenerate (`--schedule`).
-    schedule: ScheduleKind,
-    /// The family's memory knob (`None` = generator default): SVPP/
-    /// DualPipe warmup cap, Blocks lifespan, solver unit cap — with
-    /// `schedule` and `slices`, the fields a calibrated proposal
-    /// broadcasts so every process regenerates its schedule.
-    warmup: Option<usize>,
-    /// Apply the backward-rescheduling polish after generation
-    /// (deterministic, so every process computes the same schedule).
-    reschedule: bool,
+}
+
+/// Reports a malformed or undefined schedule and exits 2.
+fn bad_schedule(e: impl std::fmt::Display) -> ! {
+    eprintln!("mepipe-worker: {e}");
+    std::process::exit(2)
 }
 
 impl Scenario {
-    fn schedule(&self) -> Schedule {
-        let dims = Dims::new(self.stages, self.micro_batches).slices(self.slices);
-        let sch = match self.schedule {
-            ScheduleKind::Mepipe => {
-                let mut gen = Mepipe::new();
-                if let Some(f) = self.warmup {
-                    gen = gen.warmup_cap(f);
-                }
-                gen.generate(&dims)
-            }
-            ScheduleKind::DualPipe => {
-                let mut gen = DualPipe::new();
-                if let Some(f) = self.warmup {
-                    gen = gen.warmup_cap(f);
-                }
-                gen.generate(&dims.virtual_chunks(2))
-            }
-            ScheduleKind::Blocks => {
-                let mut gen = Blocks::uniform();
-                if let Some(k) = self.warmup {
-                    gen = gen.lifespan(k);
-                }
-                gen.generate(&dims)
-            }
-            // The solver prices with its default deterministic costs, so
-            // every process derives the identical op order from flags.
-            ScheduleKind::Synth => {
-                let mut gen = Synth::new();
-                if let Some(c) = self.warmup {
-                    gen = gen.cap(c);
-                }
-                gen.generate(&dims)
-            }
-        }
-        .expect("schedule generation");
-        if self.reschedule {
-            assert_ne!(
-                self.schedule,
-                ScheduleKind::DualPipe,
-                "--reschedule is not defined for bidirectional schedules"
-            );
-            reschedule_backwards(&sch).expect("backward rescheduling")
-        } else {
-            sch
-        }
-    }
-
     fn config(&self) -> TransformerConfig {
         TransformerConfig {
             seq_len: self.seq_len,
             ..TransformerConfig::tiny(self.layers)
-        }
-    }
-
-    fn virtual_chunks(&self) -> usize {
-        if self.schedule == ScheduleKind::DualPipe {
-            2
-        } else {
-            1
         }
     }
 
@@ -202,24 +105,19 @@ impl Scenario {
     /// A runtime around an existing model (a restored checkpoint) with
     /// this scenario's pipeline shape.
     fn runtime_from(&self, model: ModelParams) -> PipelineRuntime {
-        PipelineRuntime::new(model, self.stages, self.virtual_chunks())
+        PipelineRuntime::new(model, self.schedule.dims.p, self.schedule.dims.v)
     }
 
     fn batch(&self) -> Vec<Vec<usize>> {
         let cfg = self.config();
-        (0..self.micro_batches)
+        (0..self.schedule.dims.n)
             .map(|i| synthetic_tokens(cfg.seq_len + 1, cfg.vocab, self.seed + 1000 + i as u64))
             .collect()
     }
 
     fn as_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--stages".into(),
-            self.stages.to_string(),
-            "--micro-batches".into(),
-            self.micro_batches.to_string(),
-            "--slices".into(),
-            self.slices.to_string(),
+        let mut args = self.schedule.to_args();
+        args.extend([
             "--seq-len".into(),
             self.seq_len.to_string(),
             "--layers".into(),
@@ -234,16 +132,7 @@ impl Scenario {
             },
             "--codec".into(),
             self.codec.name().into(),
-            "--schedule".into(),
-            self.schedule.name().into(),
-        ];
-        if let Some(f) = self.warmup {
-            args.push("--warmup".into());
-            args.push(f.to_string());
-        }
-        if self.reschedule {
-            args.push("--reschedule".into());
-        }
+        ]);
         args
     }
 }
@@ -280,20 +169,19 @@ struct Args {
     postmortem: Option<PathBuf>,
 }
 
-fn parse_args(rest: &[String]) -> Args {
+fn parse_args(rest: &[String]) -> Result<Args, ScheduleArgError> {
     let mut scenario = Scenario {
-        stages: 4,
-        micro_batches: 4,
-        slices: 4,
+        schedule: ScheduleSpec::new(Method::Mepipe, Dims::new(4, 4).slices(4)),
         seq_len: 32,
         layers: 4,
         seed: 7,
         mode: WgradMode::DrainOnWait,
         codec: CodecId::F32,
-        schedule: ScheduleKind::Mepipe,
-        warmup: None,
-        reschedule: false,
     };
+    // Every token this loop does not own belongs to a schedule flag; in
+    // order and after the default spec's flags (a later flag wins), they
+    // decode through `ScheduleSpec::from_args`.
+    let mut schedule_args = scenario.schedule.to_args();
     let mut stage = None;
     let mut dir = std::env::temp_dir().join(format!("mepipe-mesh-{}", std::process::id()));
     let mut trace_out = None;
@@ -318,14 +206,9 @@ fn parse_args(rest: &[String]) -> Args {
         };
         match flag.as_str() {
             "--stage" => stage = Some(value().parse().expect("--stage")),
-            "--stages" => scenario.stages = value().parse().expect("--stages"),
-            "--micro-batches" => scenario.micro_batches = value().parse().expect("--micro-batches"),
-            "--slices" => scenario.slices = value().parse().expect("--slices"),
             "--seq-len" => scenario.seq_len = value().parse().expect("--seq-len"),
             "--layers" => scenario.layers = value().parse().expect("--layers"),
             "--seed" => scenario.seed = value().parse().expect("--seed"),
-            "--warmup" => scenario.warmup = Some(value().parse().expect("--warmup")),
-            "--reschedule" => scenario.reschedule = true,
             "--iters" => iters = value().parse().expect("--iters"),
             "--start-iter" => start_iter = value().parse().expect("--start-iter"),
             "--ckpt-interval" => ckpt_interval = value().parse().expect("--ckpt-interval"),
@@ -353,16 +236,11 @@ fn parse_args(rest: &[String]) -> Args {
                 scenario.codec = CodecId::parse(&v)
                     .unwrap_or_else(|| panic!("unknown --codec {v} (expected f32|bf16|lossy)"));
             }
-            "--schedule" => {
-                let v = value();
-                scenario.schedule = ScheduleKind::parse(&v).unwrap_or_else(|| {
-                    panic!("unknown --schedule {v} (expected mepipe|dualpipe|blocks|synth)")
-                });
-            }
-            f => panic!("unknown flag {f}"),
+            _ => schedule_args.push(flag.clone()),
         }
     }
-    Args {
+    scenario.schedule = ScheduleSpec::from_args(&schedule_args)?;
+    Ok(Args {
         scenario,
         stage,
         dir,
@@ -379,7 +257,7 @@ fn parse_args(rest: &[String]) -> Args {
         chaos_stage,
         http,
         postmortem,
-    }
+    })
 }
 
 /// Writes a metrics registry to `path`: Prometheus text exposition when
@@ -445,11 +323,11 @@ fn run_worker(args: &Args) {
     }
     let sc = &args.scenario;
     let rt = sc.runtime().with_tracing(args.trace_out.is_some());
-    let schedule = sc.schedule();
+    let schedule = sc.schedule.generate().unwrap_or_else(|e| bad_schedule(e));
     let batch = sc.batch();
     let transport = SocketTransport::with_config(
         SocketMode::Uds(args.dir.clone()),
-        sc.stages,
+        sc.schedule.dims.p,
         CommConfig::new().with_codec(sc.codec),
     );
     let ep = transport.endpoint(stage).expect("claim stage endpoint");
@@ -490,7 +368,7 @@ fn mesh_iteration(
     let exe = std::env::current_exe().expect("current exe");
     std::fs::create_dir_all(dir).expect("mesh dir");
     let stage_trace_path = |stage: usize| dir.join(format!("trace-stage-{stage}.txt"));
-    let mut children: Vec<_> = (0..sc.stages)
+    let mut children: Vec<_> = (0..sc.schedule.dims.p)
         .map(|stage| {
             let mut cmd = Command::new(&exe);
             cmd.arg("worker")
@@ -520,9 +398,9 @@ fn mesh_iteration(
         })
         .collect();
 
-    let mut outputs: Vec<Option<String>> = (0..sc.stages).map(|_| None).collect();
+    let mut outputs: Vec<Option<String>> = (0..sc.schedule.dims.p).map(|_| None).collect();
     let mut first_failure: Option<(usize, std::process::ExitStatus)> = None;
-    let mut live = sc.stages;
+    let mut live = sc.schedule.dims.p;
     while live > 0 && first_failure.is_none() {
         let mut progressed = false;
         for (stage, child, reader) in children.iter_mut() {
@@ -587,7 +465,7 @@ fn mesh_iteration(
     // lets the traces line up across processes.
     let merged = if traced {
         Some(IterationTrace {
-            stages: (0..sc.stages)
+            stages: (0..sc.schedule.dims.p)
                 .map(|stage| {
                     dump::read_stage_trace(&stage_trace_path(stage)).expect("merge stage trace")
                 })
@@ -603,6 +481,7 @@ fn mesh_iteration(
 /// `launch`: the multi-process mesh, verified against in-process.
 fn run_launch(args: &Args) {
     let sc = &args.scenario;
+    let schedule = sc.schedule.generate().unwrap_or_else(|e| bad_schedule(e));
     let (loss, merged) = mesh_iteration(sc, &args.dir, args.trace_out.is_some(), args.chaos_stage)
         .unwrap_or_else(|e| {
             eprintln!("launch failed: {e}");
@@ -611,7 +490,7 @@ fn run_launch(args: &Args) {
 
     if let (Some(trace_out), Some(merged)) = (&args.trace_out, &merged) {
         let json = traces_to_chrome(merged, PidKey::Stage);
-        let complete = validate_chrome_trace(&json, sc.stages);
+        let complete = validate_chrome_trace(&json, sc.schedule.dims.p);
         if let Some(parent) = trace_out.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
@@ -619,7 +498,7 @@ fn run_launch(args: &Args) {
         println!(
             "merged {} spans from {} worker processes into {}",
             complete,
-            sc.stages,
+            sc.schedule.dims.p,
             trace_out.display()
         );
         print!("{}", bubble::attribute(merged).render());
@@ -631,7 +510,7 @@ fn run_launch(args: &Args) {
     let reference = sc
         .runtime()
         .with_transport(TransportConfig::in_proc().with_codec(sc.codec))
-        .run_iteration(&sc.schedule(), &sc.batch(), sc.mode, None)
+        .run_iteration(&schedule, &sc.batch(), sc.mode, None)
         .expect("in-process reference run");
     if let Some(metrics_out) = &args.metrics_out {
         write_metrics(metrics_out, &run_metrics(&reference));
@@ -639,7 +518,7 @@ fn run_launch(args: &Args) {
     }
     println!(
         "multi-process loss {loss:.6} ({} workers over uds, {} codec), in-process loss {:.6}",
-        sc.stages,
+        sc.schedule.dims.p,
         sc.codec.name(),
         reference.loss
     );
@@ -690,7 +569,7 @@ fn run_job(args: &Args) {
         None => sc.runtime(),
     }
     .with_tracing(args.trace_out.is_some());
-    let schedule = sc.schedule();
+    let schedule = sc.schedule.generate().unwrap_or_else(|e| bad_schedule(e));
     let progress = |line: String| {
         if let Some(path) = &args.progress {
             use std::io::Write;
@@ -722,11 +601,11 @@ fn run_job(args: &Args) {
         std::fs::create_dir_all(&mesh).expect("mesh dir");
         let transport = SocketTransport::with_config(
             SocketMode::Uds(mesh),
-            sc.stages,
+            sc.schedule.dims.p,
             CommConfig::new().with_codec(sc.codec),
         );
         let ep = transport.endpoint(stage).expect("claim stage endpoint");
-        let batch = batch_for_iter(&cfg, sc.micro_batches, sc.seed, k);
+        let batch = batch_for_iter(&cfg, sc.schedule.dims.n, sc.seed, k);
         let t0 = std::time::Instant::now();
         let out = rt
             .run_stage(&schedule, stage, &batch, sc.mode, None, ep)
@@ -877,7 +756,7 @@ fn main() {
         run_http_get(rest);
         return;
     }
-    let args = parse_args(rest);
+    let args = parse_args(rest).unwrap_or_else(|e| bad_schedule(e));
     match mode.as_str() {
         "worker" => run_worker(&args),
         "job" => run_job(&args),

@@ -41,7 +41,7 @@ use mepipe_sim::{
     calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples},
     fidelity, ModelCost,
 };
-use mepipe_strategy::SearchEngine;
+use mepipe_strategy::{ScheduleSpec, SearchEngine};
 use mepipe_trace::IterationTrace;
 
 use crate::pipeline::{PipelineRuntime, WgradMode};
@@ -49,21 +49,15 @@ use crate::pipeline::{PipelineRuntime, WgradMode};
 /// A schedule the calibrated search recommends swapping to.
 #[derive(Debug, Clone)]
 pub struct Proposal {
-    /// Sequence slices per micro-batch.
-    pub slices: usize,
-    /// Regeneration knob: SVPP warmup cap for template rows, the
-    /// solver's unit cap for synthesized rows.
-    pub warmup: usize,
-    /// Whether the winning row came out of the order solver rather than
-    /// the hand-written SVPP generator (both are MEPipe-shaped and
-    /// hot-swap compatible).
-    pub synthesized: bool,
+    /// The winning row's name — the SVPP generator or the order solver
+    /// (both MEPipe-shaped and hot-swap compatible) with its knob —
+    /// with `reschedule` set only when the polish changed the op order.
+    /// Worker processes regenerate `schedule` from it alone.
+    pub spec: ScheduleSpec,
     /// Iteration time the fitted model predicts, seconds.
     pub predicted_s: f64,
     /// The schedule, already polished by backward rescheduling.
     pub schedule: Arc<Schedule>,
-    /// Whether the backward-rescheduling polish changed the op order.
-    pub rescheduled: bool,
 }
 
 /// Online cost-model calibration from measured span traces.
@@ -216,16 +210,16 @@ impl Calibrator {
         let polished = reschedule_backwards(&best.schedule)?;
         let rescheduled = polished.workers != best.schedule.workers;
         Ok(Some(Proposal {
-            slices: best.slices,
-            warmup: best.warmup,
-            synthesized: best.synthesized,
+            spec: ScheduleSpec {
+                reschedule: rescheduled,
+                ..best.spec
+            },
             predicted_s: best.iteration_time,
             schedule: if rescheduled {
                 Arc::new(polished)
             } else {
                 best.schedule
             },
-            rescheduled,
         }))
     }
 }
@@ -315,7 +309,7 @@ pub fn autotune(
     }
     let proposal = cal.propose(None)?;
     let swapped = proposal.as_ref().is_some_and(|p| {
-        p.slices != schedule.meta.slices || p.schedule.workers != schedule.workers
+        p.spec.dims.s != schedule.meta.slices || p.schedule.workers != schedule.workers
     });
     if let (true, Some(p)) = (swapped, &proposal) {
         let stats = rt
@@ -336,7 +330,6 @@ mod tests {
     use super::*;
     use mepipe_comm::TransportConfig;
     use mepipe_core::svpp::Mepipe;
-    use mepipe_core::Synth;
     use mepipe_schedule::generator::{Dims, ScheduleGenerator};
     use mepipe_tensor::init::synthetic_tokens;
 
@@ -397,9 +390,9 @@ mod tests {
         );
         let p = out.proposal.expect("search proposes something");
         assert!(
-            p.slices < 8,
+            p.spec.dims.s < 8,
             "a 2 ms/message link should coarsen slicing, got {} slices",
-            p.slices
+            p.spec.dims.s
         );
         assert!(out.swapped, "proposal should differ from the 8-slice start");
     }
@@ -444,8 +437,8 @@ mod tests {
 
     #[test]
     fn proposal_regenerates_from_its_broadcast_fields() {
-        // Worker processes rebuild a proposal from `(synthesized, slices,
-        // warmup, rescheduled)` alone; that must give back its schedule.
+        // Worker processes rebuild a proposal from its `ScheduleSpec`
+        // alone; that must give back its schedule.
         // A long sequence on a fast link proposes a sliced schedule, and a
         // memory cap a lower warmup.
         let long = TransformerConfig {
@@ -468,23 +461,8 @@ mod tests {
                 .propose(cap)
                 .unwrap()
                 .expect("a proposal");
-            let dims = Dims::new(stages, 4).slices(p.slices);
-            let generated = if p.synthesized {
-                Synth::new().cap(p.warmup).generate(&dims)
-            } else {
-                Mepipe::new().warmup_cap(p.warmup).generate(&dims)
-            }
-            .unwrap();
-            let regenerated = if p.rescheduled {
-                reschedule_backwards(&generated).unwrap()
-            } else {
-                generated
-            };
-            assert_eq!(
-                regenerated, *p.schedule,
-                "slices={} warmup={} synthesized={} rescheduled={}",
-                p.slices, p.warmup, p.synthesized, p.rescheduled
-            );
+            assert_eq!(ScheduleSpec::from_args(&p.spec.to_args()), Ok(p.spec));
+            assert_eq!(p.spec.generate().unwrap(), *p.schedule, "{:?}", p.spec);
         }
     }
 

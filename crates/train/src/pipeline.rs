@@ -1093,7 +1093,8 @@ mod tests {
     use mepipe_core::Synth;
     use mepipe_model::config::TransformerConfig;
     use mepipe_schedule::generator::{Dapple, Dims, Hanayo, ScheduleGenerator, Zbv};
-    use mepipe_schedule::{Blocks, DualPipe};
+    use mepipe_schedule::DualPipe;
+    use mepipe_strategy::{Method, ScheduleSpec};
     use mepipe_tensor::init::synthetic_tokens;
 
     use crate::reference::batch_forward_backward;
@@ -1329,10 +1330,12 @@ mod tests {
         let batch = make_batch(&cfg, 4, 37);
         let reference = batch_forward_backward(&model, &batch);
         let rt = PipelineRuntime::new(model, 2, 1);
-        let sch = Blocks::uniform()
-            .lifespan(0)
-            .generate(&Dims::new(2, 4).slices(2))
-            .unwrap();
+        let sch = ScheduleSpec {
+            warmup: Some(0),
+            ..ScheduleSpec::new(Method::Blocks, Dims::new(2, 4).slices(2))
+        }
+        .generate()
+        .unwrap();
         let stats = rt
             .run_iteration(&sch, &batch, WgradMode::DrainOnWait, None)
             .unwrap();

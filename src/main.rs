@@ -27,7 +27,7 @@ use mepipe::schedule::{
     Schedule,
 };
 use mepipe::sim::{metrics, to_chrome_trace, ModelCost};
-use mepipe::strategy::{search_all, search_verbose, Method};
+use mepipe::strategy::{search_all, search_verbose, Method, ScheduleSpec};
 use mepipe::{Dims, Mepipe, Svpp};
 
 fn main() -> ExitCode {
@@ -128,52 +128,35 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
     let v = usize_flag(flags, "v", Some(1))?;
     let s = usize_flag(flags, "s", Some(1))?;
     let n = usize_flag(flags, "n", None)?;
-    let split = flags.contains_key("split");
     let method = flags.get("method").map(String::as_str).unwrap_or("svpp");
     let dims = Dims::new(p, n).virtual_chunks(v).slices(s);
     let warmup: Option<usize> = flags
         .get("f")
         .map(|x| x.parse().map_err(|_| "bad --f"))
         .transpose()?;
-    let generator: Box<dyn ScheduleGenerator> = match method {
-        "svpp" | "mepipe" => {
-            let (sv, me) = match warmup {
-                Some(f) => (Svpp::new().warmup_cap(f), Mepipe::new().warmup_cap(f)),
-                None => (Svpp::new(), Mepipe::new()),
-            };
-            if split {
-                Box::new(me)
-            } else {
-                Box::new(sv)
-            }
+    let interleaved = dims.virtual_chunks(v.max(2));
+    // `Method`'s families build through the one recipe; only the
+    // generators outside `Method` keep their own arms.
+    let schedule: Schedule = match method {
+        "svpp" | "mepipe" if flags.contains_key("split") => ScheduleSpec {
+            warmup,
+            ..ScheduleSpec::new(Method::Mepipe, dims)
         }
-        "dapple" => Box::new(generator::Dapple),
-        "gpipe" => Box::new(generator::GPipe),
-        "terapipe" => Box::new(generator::TeraPipe),
-        "vpp" => Box::new(generator::Vpp),
-        "zb" => Box::new(generator::Zb),
-        "zbv" => Box::new(generator::Zbv),
-        "hanayo" => Box::new(generator::Hanayo),
-        "dualpipe" => match warmup {
-            Some(f) => Box::new(mepipe::schedule::DualPipe::new().warmup_cap(f)),
-            None => Box::new(mepipe::schedule::DualPipe::new()),
-        },
-        "blocks" => match warmup {
-            Some(f) => Box::new(mepipe::schedule::Blocks::uniform().lifespan(f)),
-            None => Box::new(mepipe::schedule::Blocks::uniform()),
-        },
-        "synth" => match warmup {
-            Some(f) => Box::new(mepipe::core::Synth::new().cap(f)),
-            None => Box::new(mepipe::core::Synth::new()),
-        },
-        other => return Err(format!("unknown method `{other}`")),
+        .generate()?,
+        "svpp" | "mepipe" => Svpp { warmup }.generate(&dims)?,
+        "gpipe" => generator::GPipe.generate(&dims)?,
+        "terapipe" => generator::TeraPipe.generate(&dims)?,
+        "hanayo" => generator::Hanayo.generate(&interleaved)?,
+        other => {
+            let m = Method::from_name(other).ok_or_else(|| format!("unknown method `{other}`"))?;
+            let dims = if m == Method::Vpp { interleaved } else { dims };
+            ScheduleSpec {
+                warmup,
+                ..ScheduleSpec::new(m, dims)
+            }
+            .generate()?
+        }
     };
-    let dims = match method {
-        "vpp" | "hanayo" => dims.virtual_chunks(v.max(2)),
-        "zbv" | "dualpipe" => dims.virtual_chunks(2),
-        _ => dims,
-    };
-    let schedule: Schedule = generator.generate(&dims)?;
     validate(&schedule)?;
     let t = simulate(&schedule, &UnitCost::ones(), &SimConfig::default())?;
     let peaks = peak_in_flight(&schedule);
