@@ -1,8 +1,19 @@
 //! The kernel-engine benchmark: blocked/packed kernels vs the naive
-//! scalar reference, plus worker-pool scaling. Results are printed and
-//! written to `BENCH_kernels.json` at the repo root, so the measured
-//! speedups quoted in README/DESIGN stay reproducible from one command
+//! scalar reference, plus worker-pool scaling and the GEMMs at the
+//! pipeline's slice shape. Results are printed and written to
+//! `BENCH_kernels.json` at the repo root, so the measured speedups
+//! quoted in README/DESIGN stay reproducible from one command
 //! (`scripts/bench_kernels.sh`).
+//!
+//! The forward and input-gradient rows run against a [`PackedB`] built
+//! once, the way the runtime uses its weights, so they time the
+//! micro-kernel; packing is priced on its own (`pack_s` for the forward
+//! form, `pack_t_s` for the transposed input-gradient form). The
+//! weight-gradient form packs its one-shot `dC` on every call, so
+//! `wgrad_s` includes that pack.
+//!
+//! `--smoke` (what `scripts/check.sh` runs) makes one untimed call per
+//! row and writes no file.
 
 use std::time::Instant;
 
@@ -10,8 +21,8 @@ use criterion::black_box;
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        causal_attention_backward_in, causal_attention_in, cross_entropy_in, matmul_dgrad_in,
-        matmul_in, matmul_wgrad_in, naive, rmsnorm_in,
+        causal_attention_backward_in, causal_attention_in, cross_entropy_in, matmul_packed_in,
+        matmul_wgrad_in, naive, rmsnorm_in, PackedB,
     },
     KernelPool, Tensor,
 };
@@ -45,12 +56,35 @@ fn gflops(m: usize, n: usize, k: usize, secs: f64) -> f64 {
     2.0 * (m * n * k) as f64 / secs / 1e9
 }
 
+/// Tokens per slice at perfbench's `train-inproc` shape (seq 128 over 4
+/// slices).
+const SLICE_TOKENS: usize = 32;
+
+/// `(k, n)` weight shapes the slice rows run against: the square
+/// projections, gate/up, down, and the fused QKV and gate|up widths.
+const SLICE_WEIGHTS: [(usize, usize); 5] =
+    [(256, 256), (256, 512), (512, 256), (256, 768), (256, 1024)];
+
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let time = |f: &mut dyn FnMut()| {
+        if smoke {
+            f();
+            0.0
+        } else {
+            time(f)
+        }
+    };
+    let say = |line: &str| {
+        if !smoke {
+            println!("{line}");
+        }
+    };
     let serial = KernelPool::serial();
     let mut json = String::from("{\n");
 
     // --- Matmul trio: naive vs kernel engine, single thread. ---
-    println!("== matmul: naive scalar vs blocked/packed kernel (1 worker) ==");
+    say("== matmul: naive scalar vs blocked/packed kernel (1 worker) ==");
     json.push_str("  \"matmul\": [\n");
     let mut first = true;
     for n in [256usize, 512] {
@@ -58,34 +92,43 @@ fn main() {
         let a = uniform(n, n, 1.0, &mut r);
         let b = uniform(n, n, 1.0, &mut r);
         let dc = uniform(n, n, 1.0, &mut r);
-        let t_naive = time(|| {
+        let (fwd, dgrad) = (PackedB::new(&b), PackedB::transposed(&b));
+        let t_naive = time(&mut || {
             black_box(naive::matmul(&a, &b));
         });
-        let t_kernel = time(|| {
-            black_box(matmul_in(&serial, &a, &b));
+        let t_kernel = time(&mut || {
+            black_box(matmul_packed_in(&serial, &a, &fwd));
         });
-        let t_dgrad = time(|| {
-            black_box(matmul_dgrad_in(&serial, &dc, &b));
+        let t_dgrad = time(&mut || {
+            black_box(matmul_packed_in(&serial, &dc, &dgrad));
         });
-        let t_wgrad = time(|| {
+        let t_wgrad = time(&mut || {
             black_box(matmul_wgrad_in(&serial, &a, &dc));
         });
+        let t_pack = time(&mut || {
+            black_box(PackedB::new(&b));
+        });
+        let t_pack_t = time(&mut || {
+            black_box(PackedB::transposed(&b));
+        });
         let speedup = t_naive / t_kernel;
-        println!(
-            "  {n}x{n}x{n}: naive {:.1} ms ({:.2} GF/s) | kernel {:.1} ms ({:.2} GF/s) | {speedup:.2}x | dgrad {:.1} ms | wgrad {:.1} ms",
+        say(&format!(
+            "  {n}x{n}x{n}: naive {:.1} ms ({:.2} GF/s) | kernel {:.1} ms ({:.2} GF/s) | {speedup:.2}x | dgrad {:.1} ms | wgrad {:.1} ms | pack {:.3} ms | pack_t {:.3} ms",
             t_naive * 1e3,
             gflops(n, n, n, t_naive),
             t_kernel * 1e3,
             gflops(n, n, n, t_kernel),
             t_dgrad * 1e3,
             t_wgrad * 1e3,
-        );
+            t_pack * 1e3,
+            t_pack_t * 1e3,
+        ));
         if !first {
             json.push_str(",\n");
         }
         first = false;
         json.push_str(&format!(
-            "    {{\"shape\": {n}, \"naive_s\": {t_naive:.6}, \"kernel_s\": {t_kernel:.6}, \"dgrad_s\": {t_dgrad:.6}, \"wgrad_s\": {t_wgrad:.6}, \"speedup\": {speedup:.2}, \"kernel_gflops\": {:.2}}}",
+            "    {{\"shape\": {n}, \"naive_s\": {t_naive:.6}, \"kernel_s\": {t_kernel:.6}, \"dgrad_s\": {t_dgrad:.6}, \"wgrad_s\": {t_wgrad:.6}, \"pack_s\": {t_pack:.6}, \"pack_t_s\": {t_pack_t:.6}, \"speedup\": {speedup:.2}, \"kernel_gflops\": {:.2}}}",
             gflops(n, n, n, t_kernel)
         ));
     }
@@ -95,15 +138,15 @@ fn main() {
         let n = 1024usize;
         let mut r = rng(1);
         let a = uniform(n, n, 1.0, &mut r);
-        let b = uniform(n, n, 1.0, &mut r);
-        let t_kernel = time(|| {
-            black_box(matmul_in(&serial, &a, &b));
+        let fwd = PackedB::new(&uniform(n, n, 1.0, &mut r));
+        let t_kernel = time(&mut || {
+            black_box(matmul_packed_in(&serial, &a, &fwd));
         });
-        println!(
+        say(&format!(
             "  {n}x{n}x{n}: kernel {:.1} ms ({:.2} GF/s) (naive skipped at this size)",
             t_kernel * 1e3,
             gflops(n, n, n, t_kernel)
-        );
+        ));
         json.push_str(&format!(
             ",\n    {{\"shape\": {n}, \"kernel_s\": {t_kernel:.6}, \"kernel_gflops\": {:.2}}}\n  ],\n",
             gflops(n, n, n, t_kernel)
@@ -115,25 +158,25 @@ fn main() {
     // pool is ignored there: the row here documents that multi-worker
     // no longer *loses* to single-worker at sub-break-even shapes
     // (scaling pins to ~1.0x instead of the old 0.9x). ---
-    println!("== matmul 512 worker scaling ==");
+    say("== matmul 512 worker scaling ==");
     json.push_str("  \"worker_scaling_512\": [\n");
     let mut r = rng(2);
     let a = uniform(512, 512, 1.0, &mut r);
-    let b = uniform(512, 512, 1.0, &mut r);
+    let fwd = PackedB::new(&uniform(512, 512, 1.0, &mut r));
     let mut base = 0.0f64;
     for (i, workers) in [1usize, 2, 4].into_iter().enumerate() {
         let pool = KernelPool::new(workers);
-        let t = time(|| {
-            black_box(matmul_in(&pool, &a, &b));
+        let t = time(&mut || {
+            black_box(matmul_packed_in(&pool, &a, &fwd));
         });
         if workers == 1 {
             base = t;
         }
-        println!(
+        say(&format!(
             "  workers={workers}: {:.1} ms ({:.2}x vs 1 worker)",
             t * 1e3,
             base / t
-        );
+        ));
         if i > 0 {
             json.push_str(",\n");
         }
@@ -144,31 +187,79 @@ fn main() {
     }
     json.push_str("\n  ],\n");
 
+    // --- The slice shape: 32 tokens against each weight shape of one
+    // train-inproc layer, plus the fused QKV and gate|up widths that
+    // price fusing those forward GEMMs into one. ---
+    say(&format!(
+        "== matmul at the slice shape: m={SLICE_TOKENS} (1 worker) =="
+    ));
+    json.push_str("  \"slice\": [\n");
+    let m = SLICE_TOKENS;
+    for (i, (k, n)) in SLICE_WEIGHTS.into_iter().enumerate() {
+        let mut r = rng(5);
+        let a = uniform(m, k, 1.0, &mut r);
+        let w = uniform(k, n, 1.0, &mut r);
+        let dc = uniform(m, n, 1.0, &mut r);
+        let (fwd, dgrad) = (PackedB::new(&w), PackedB::transposed(&w));
+        let t_kernel = time(&mut || {
+            black_box(matmul_packed_in(&serial, &a, &fwd));
+        });
+        let t_dgrad = time(&mut || {
+            black_box(matmul_packed_in(&serial, &dc, &dgrad));
+        });
+        let t_wgrad = time(&mut || {
+            black_box(matmul_wgrad_in(&serial, &a, &dc));
+        });
+        let t_pack = time(&mut || {
+            black_box(PackedB::new(&w));
+        });
+        let t_pack_t = time(&mut || {
+            black_box(PackedB::transposed(&w));
+        });
+        say(&format!(
+            "  {m}x{k}x{n}: kernel {:.1} us ({:.2} GF/s) | dgrad {:.1} us | wgrad {:.1} us | pack {:.1} us | pack_t {:.1} us",
+            t_kernel * 1e6,
+            gflops(m, n, k, t_kernel),
+            t_dgrad * 1e6,
+            t_wgrad * 1e6,
+            t_pack * 1e6,
+            t_pack_t * 1e6,
+        ));
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        json.push_str(&format!(
+            "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"kernel_s\": {t_kernel:.7}, \"dgrad_s\": {t_dgrad:.7}, \"wgrad_s\": {t_wgrad:.7}, \"pack_s\": {t_pack:.7}, \"pack_t_s\": {t_pack_t:.7}, \"kernel_gflops\": {:.2}}}",
+            gflops(m, n, k, t_kernel)
+        ));
+    }
+    json.push_str("\n  ],\n");
+
     // --- Fused attention vs naive (explicit transposes). ---
-    println!("== causal attention t=256 d=64 prefix=512 ==");
+    say("== causal attention t=256 d=64 prefix=512 ==");
     let mut r = rng(3);
     let (t_len, d, offset) = (256usize, 64usize, 256usize);
     let q = uniform(t_len, d, 1.0, &mut r);
     let k = uniform(offset + t_len, d, 1.0, &mut r);
     let v = uniform(offset + t_len, d, 1.0, &mut r);
     let dout = uniform(t_len, d, 1.0, &mut r);
-    let t_fwd_naive = time(|| {
+    let t_fwd_naive = time(&mut || {
         black_box(naive::causal_attention(&q, &k, &v, offset));
     });
-    let t_fwd = time(|| {
+    let t_fwd = time(&mut || {
         black_box(causal_attention_in(&serial, &q, &k, &v, offset));
     });
     let (_, saved) = causal_attention_in(&serial, &q, &k, &v, offset);
     let (_, probs) = naive::causal_attention(&q, &k, &v, offset);
-    let t_bwd_naive = time(|| {
+    let t_bwd_naive = time(&mut || {
         black_box(naive::causal_attention_backward(&dout, &q, &k, &v, &probs));
     });
-    let t_bwd = time(|| {
+    let t_bwd = time(&mut || {
         black_box(causal_attention_backward_in(
             &serial, &dout, &q, &k, &v, &saved,
         ));
     });
-    println!(
+    say(&format!(
         "  fwd: naive {:.2} ms | fused {:.2} ms ({:.2}x)   bwd: naive {:.2} ms | fused {:.2} ms ({:.2}x)",
         t_fwd_naive * 1e3,
         t_fwd * 1e3,
@@ -176,7 +267,7 @@ fn main() {
         t_bwd_naive * 1e3,
         t_bwd * 1e3,
         t_bwd_naive / t_bwd,
-    );
+    ));
     json.push_str(&format!(
         "  \"attention\": {{\"t\": {t_len}, \"d\": {d}, \"offset\": {offset}, \"fwd_naive_s\": {t_fwd_naive:.6}, \"fwd_fused_s\": {t_fwd:.6}, \"bwd_naive_s\": {t_bwd_naive:.6}, \"bwd_fused_s\": {t_bwd:.6}}},\n"
     ));
@@ -185,23 +276,27 @@ fn main() {
     let mut r = rng(4);
     let x = uniform(512, 1024, 1.0, &mut r);
     let w = Tensor::from_vec(1, 1024, vec![1.0; 1024]);
-    let t_rms = time(|| {
+    let t_rms = time(&mut || {
         black_box(rmsnorm_in(&serial, &x, &w));
     });
     let logits = uniform(512, 1024, 1.0, &mut r);
     let targets: Vec<usize> = (0..512).map(|i| i % 1024).collect();
-    let t_ce = time(|| {
+    let t_ce = time(&mut || {
         black_box(cross_entropy_in(&serial, &logits, &targets));
     });
-    println!(
+    say(&format!(
         "== rmsnorm 512x1024: {:.2} ms | cross-entropy 512x1024: {:.2} ms ==",
         t_rms * 1e3,
         t_ce * 1e3
-    );
+    ));
     json.push_str(&format!(
         "  \"rmsnorm_512x1024_s\": {t_rms:.6},\n  \"cross_entropy_512x1024_s\": {t_ce:.6}\n}}\n"
     ));
 
+    if smoke {
+        println!("smoke: every kernels row ran once");
+        return;
+    }
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(out, &json).expect("write BENCH_kernels.json");
     println!("wrote {out}");

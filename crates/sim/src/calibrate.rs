@@ -27,7 +27,8 @@ use crate::fidelity::{Kind, Report};
 #[derive(Debug, Clone, Default)]
 pub struct MeasuredSamples {
     /// GEMM-class samples: one per forward / input-gradient span, plus
-    /// one aggregate per stage for the weight-gradient work.
+    /// one per input-gradient op for the weight-gradient work (each the
+    /// stage's mean).
     pub gemm: Vec<GemmSample>,
     /// Send-side traffic aggregates, one per directed link per trace.
     pub links: Vec<LinkSample>,
@@ -106,15 +107,21 @@ pub fn extract_samples(trace: &IterationTrace, prior: &ExecutionCost) -> Measure
         }
         // Weight-gradient GEMMs drain in fragments ('w' spans) whose
         // boundaries are scheduling accidents; only the per-stage total
-        // over the input-gradient op count is meaningful.
+        // over the input-gradient op count is meaningful. It enters as
+        // that many mean samples, so the least-squares fit weighs W work
+        // like the F and b ops it rides with: one aggregate sample would
+        // weigh `bwd_ops` times more and, whenever W runs at a different
+        // per-FLOP rate, pull the fit off the F and b ops.
         if bwd_ops > 0 && wgrad_s > 0.0 {
             let (flops, tokens, kernels) = prior.wgrad_gemm_shape();
-            out.gemm.push(GemmSample {
-                flops: flops * bwd_ops as f64,
+            let per_op = GemmSample {
+                flops,
                 tokens,
-                kernels: kernels * bwd_ops as usize,
-                seconds: wgrad_s,
-            });
+                kernels,
+                seconds: wgrad_s / bwd_ops as f64,
+            };
+            out.gemm
+                .extend(std::iter::repeat_n(per_op, bwd_ops as usize));
         }
         for (_, secs, msgs) in send_s {
             out.links.push(LinkSample {

@@ -7,7 +7,13 @@
 //! arena exploits that: buffers are kept on per-shape free lists
 //! ("shelves") and handed back out on the next request for the same
 //! shape, 64-byte-aligned and re-zeroed, so after one warmup iteration
-//! the allocator is out of the hot path entirely.
+//! most acquisitions are served from a shelf. Three kinds of allocation
+//! remain in the steady state: a shape with more than `SHELF_CAP` (64)
+//! buffers released before it is acquired again frees the overflow, so
+//! its next acquisitions miss; buffers that leave the stage thread (the
+//! gradients a run returns) never come back; and the runtime's weight
+//! packs (`ops::PackedB`) are plain allocations by design, never
+//! arena-served.
 //!
 //! Design constraints, in priority order:
 //!
@@ -307,17 +313,20 @@ pub(crate) fn give_back(rows: usize, cols: usize, buf: Vec<f32>) -> bool {
     })
 }
 
+/// A fresh, never-pooled [`acquire_scratch`].
+pub(crate) fn aligned(len: usize) -> (Vec<f32>, usize) {
+    let buf = vec![0.0f32; len + PAD];
+    let off = align_off(&buf);
+    (buf, off)
+}
+
 /// A zeroed, aligned scratch buffer of `len` elements (pooled when an
 /// arena is installed, fresh otherwise) plus its aligned offset — used
 /// by kernel packing routines.
 pub(crate) fn acquire_scratch(len: usize) -> (Vec<f32>, usize) {
     INSTALLED.with(|slot| match slot.borrow_mut().as_mut() {
         Some(shelves) => shelves.acquire_scratch(len),
-        None => {
-            let buf = vec![0.0f32; len + PAD];
-            let off = align_off(&buf);
-            (buf, off)
-        }
+        None => aligned(len),
     })
 }
 

@@ -1,9 +1,9 @@
 //! A minimal multiplicative hasher for the crate's internal maps.
 //!
-//! The arena free lists and the packed-operand cache key on tiny fixed
-//! keys — shape pairs and snapshot stamps — and are probed on every
-//! tensor acquire/release, tens of thousands of times per training
-//! iteration. `std`'s default SipHash is DoS-resistant but ~10× slower
+//! The arena's free lists key on tiny fixed keys — `(rows, cols)` shape
+//! pairs for tensors, element counts for packing scratch — and are
+//! probed on every tensor acquire/release, tens of thousands of times
+//! per training iteration. `std`'s default SipHash is DoS-resistant but ~10× slower
 //! than needed for keys that never come from untrusted input; this
 //! hasher is one multiply and one xor-shift per word, in the spirit of
 //! the multiplicative hashers common in compiler workloads.

@@ -25,7 +25,7 @@
 
 use crate::{
     ops::{
-        matmul::{matmul_dgrad_uncached_in, matmul_uncached_in, matmul_wgrad_in},
+        matmul::{matmul_dgrad_in, matmul_in, matmul_wgrad_in},
         vecops::{dot, fast_exp},
     },
     pool::{row_blocks, KernelPool},
@@ -90,7 +90,7 @@ pub fn causal_attention_in(
     // the non-causal upper triangle; the softmax sweep masks it below.
     let mut qs = q.clone();
     qs.scale(scale);
-    let mut probs = matmul_dgrad_uncached_in(pool, &qs, k);
+    let mut probs = matmul_dgrad_in(pool, &qs, k);
     let mut items = row_blocks(probs.data_mut(), c, ROW_GRAIN);
     pool.for_each(&mut items, |_, (r0, chunk)| {
         let rows = chunk.len() / c;
@@ -119,7 +119,7 @@ pub fn causal_attention_in(
             }
         }
     });
-    let out = matmul_uncached_in(pool, &probs, v);
+    let out = matmul_in(pool, &probs, v);
     (out, AttentionSaved { probs, offset })
 }
 
@@ -164,7 +164,7 @@ pub fn causal_attention_backward_in(
     // backward dS = P ⊙ (dP − rowsum(P ⊙ dP)) in place per row. The
     // rowsum only runs over the causal prefix, and the tail is zeroed
     // explicitly so the dQ/dK contractions see exact zeros there.
-    let mut ds = matmul_dgrad_uncached_in(pool, dout, v);
+    let mut ds = matmul_dgrad_in(pool, dout, v);
     let mut items = row_blocks(ds.data_mut(), c, ROW_GRAIN);
     pool.for_each(&mut items, |_, (r0, chunk)| {
         let rows = chunk.len() / c;
@@ -183,7 +183,7 @@ pub fn causal_attention_backward_in(
         }
     });
     // dQ = dS · K · scale; dK = dSᵀ · Q · scale (wgrad form).
-    let mut dq = matmul_uncached_in(pool, &ds, k);
+    let mut dq = matmul_in(pool, &ds, k);
     dq.scale(scale);
     let mut dk = matmul_wgrad_in(pool, &ds, q);
     dk.scale(scale);

@@ -10,8 +10,9 @@
 //!   drains opportunistically (Section 5).
 //!
 //! All three share one engine (`gemm`): the right-hand operand is
-//! packed once into `NR`-wide column strips, each `MC`-row block of the
-//! output packs its left-hand panel into `MR`-tall micro-panels, and a
+//! packed into `NR`-wide column strips (a [`PackedB`]), each `MC`-row
+//! block of the output packs its left-hand panel into `MR`-tall
+//! micro-panels, and a
 //! register-tiled `MR×NR` micro-kernel accumulates along the inner
 //! dimension with no per-element branches — written so the
 //! autovectorizer emits SIMD for the `NR`-wide inner loop and keeps the
@@ -25,15 +26,18 @@
 //! order along the inner dimension is fixed, results are bit-identical
 //! across worker counts (and across the inline fallback).
 //!
+//! Who packs B is explicit. [`matmul_in`], [`matmul_dgrad_in`] and
+//! [`matmul_wgrad_in`] pack it per call into arena scratch, which suits
+//! one-shot operands. A weight feeds one forward and one input-gradient
+//! GEMM per slice per micro-batch, so its owner packs it once per
+//! optimizer step ([`PackedB`]) and calls [`matmul_packed_in`] at every
+//! use; the arithmetic is the same, so results are bit-identical.
+//!
 //! The original scalar triple loops survive in [`crate::ops::naive`] as
 //! the reference the parity proptests and the `kernels` bench run
 //! against.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use crate::arena;
-use crate::hash::FastBuild;
 use crate::pool::{row_blocks, KernelPool};
 use crate::tensor::Tensor;
 
@@ -78,6 +82,8 @@ struct View<'a> {
     data: &'a [f32],
     stride: usize,
     trans: bool,
+    rows: usize,
+    cols: usize,
 }
 
 impl<'a> View<'a> {
@@ -86,14 +92,17 @@ impl<'a> View<'a> {
             data: t.data(),
             stride: t.cols(),
             trans: false,
+            rows: t.rows(),
+            cols: t.cols(),
         }
     }
 
     fn transposed(t: &'a Tensor) -> Self {
         View {
-            data: t.data(),
-            stride: t.cols(),
             trans: true,
+            rows: t.cols(),
+            cols: t.rows(),
+            ..View::normal(t)
         }
     }
 
@@ -107,38 +116,71 @@ impl<'a> View<'a> {
     }
 }
 
-/// Packs the whole right-hand operand into `NR`-wide strips: strip `s`
-/// holds, for each inner index `p`, the `NR` values `b[p, s*NR..]`
-/// contiguously (zero-padded past `n`), so the micro-kernel streams it
-/// linearly. Returns the backing buffer and the element offset of the
-/// first strip: the strips are placed on a 64-byte boundary so every
-/// vector load in the micro-kernel stays within one cache line —
-/// `Vec<f32>` alone only guarantees 4-byte alignment, and a misaligned
-/// base makes every B load a line-splitting access. The buffer comes
-/// from the installed tensor arena when there is one (zeroed, so the
-/// padding past `n` is zero either way); [`gemm`] returns it there.
-fn pack_b(b: View, k: usize, n: usize) -> (Vec<f32>, usize) {
-    let strips = n.div_ceil(NR);
-    let (mut buf, off) = arena::acquire_scratch(strips * k * NR);
-    for s in 0..strips {
-        let col0 = s * NR;
-        let cols = NR.min(n - col0);
-        let base = off + s * k * NR;
-        if b.trans {
-            for p in 0..k {
-                let dst = &mut buf[base + p * NR..][..cols];
-                for (jj, d) in dst.iter_mut().enumerate() {
-                    *d = b.data[(col0 + jj) * b.stride + p];
+/// A right-hand GEMM operand packed into the engine's `NR`-wide strips:
+/// strip `s` holds, for each inner index `p`, the `NR` values
+/// `b[p, s*NR..]` contiguously (zero-padded past the last column), so
+/// the micro-kernel streams it linearly. The strips start on a 64-byte
+/// boundary so no vector load in the micro-kernel splits a cache line.
+///
+/// A pack is a snapshot of its weight: build it once per optimizer step
+/// and pass it to [`matmul_packed_in`] at every use.
+pub struct PackedB {
+    /// Inner dimension: rows of the logical `[k, n]` operand.
+    k: usize,
+    /// Output columns of the logical `[k, n]` operand.
+    n: usize,
+    buf: Vec<f32>,
+    /// Element offset of the first strip inside `buf`.
+    off: usize,
+}
+
+impl PackedB {
+    /// Packs `w` as the B operand of `x · W`.
+    pub fn new(w: &Tensor) -> Self {
+        Self::pack(View::normal(w), arena::aligned)
+    }
+
+    /// Packs `w` as the B operand of `dy · Wᵀ`, the input-gradient form;
+    /// the transpose is absorbed by a column-strided packing pass.
+    pub fn transposed(w: &Tensor) -> Self {
+        Self::pack(View::transposed(w), arena::aligned)
+    }
+
+    /// Elements of the strip buffer, padding included.
+    fn len(k: usize, n: usize) -> usize {
+        n.div_ceil(NR) * k * NR
+    }
+
+    /// Packs `b` into a zeroed aligned buffer from `alloc`, so the
+    /// padding past the last column is zero either way.
+    fn pack(b: View, alloc: fn(usize) -> (Vec<f32>, usize)) -> Self {
+        let (k, n) = (b.rows, b.cols);
+        let (mut buf, off) = alloc(Self::len(k, n));
+        for s in 0..n.div_ceil(NR) {
+            let col0 = s * NR;
+            let cols = NR.min(n - col0);
+            let base = off + s * k * NR;
+            if b.trans {
+                for p in 0..k {
+                    let dst = &mut buf[base + p * NR..][..cols];
+                    for (jj, d) in dst.iter_mut().enumerate() {
+                        *d = b.data[(col0 + jj) * b.stride + p];
+                    }
+                }
+            } else {
+                for p in 0..k {
+                    let src = &b.data[p * b.stride + col0..][..cols];
+                    buf[base + p * NR..][..cols].copy_from_slice(src);
                 }
             }
-        } else {
-            for p in 0..k {
-                let src = &b.data[p * b.stride + col0..][..cols];
-                buf[base + p * NR..][..cols].copy_from_slice(src);
-            }
         }
+        Self { k, n, buf, off }
     }
-    (buf, off)
+
+    /// The strips, from the first aligned element.
+    fn strips(&self) -> &[f32] {
+        &self.buf[self.off..]
+    }
 }
 
 /// Packs rows `i0..i0+mc`, inner indices `pk..pk+kc` of the left-hand
@@ -293,48 +335,11 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_
     }
 }
 
-/// Retained packed-B images, keyed by the B tensor's snapshot stamp
-/// (see [`Tensor::stamp`]) plus the transpose flag. A weight matrix is
-/// the B operand of one forward and one input-gradient GEMM *per slice
-/// per micro-batch*, so under slice-level scheduling the same bytes
-/// would otherwise be repacked dozens of times per iteration — and the
-/// dgrad form packs through a column-strided transposed view, the
-/// slowest access pattern in the engine. Stamps are never reused and
-/// are re-issued on any mutable access, so a hit is guaranteed to
-/// serve bytes identical to what `pack_b` would produce; results are
-/// bitwise unchanged. The cache is thread-local (stage threads each
-/// pack once) and size-capped: exceeding [`PACK_CACHE_CAP`] clears it,
-/// bounding memory at ~8 MiB per thread even when one-shot operands
-/// churn through.
-struct PackCache {
-    map: HashMap<(u64, bool), (Vec<f32>, usize), FastBuild>,
-    elems: usize,
-}
-
-/// Total retained f32 elements per thread before the cache is cleared.
-const PACK_CACHE_CAP: usize = 2 << 20;
-
-thread_local! {
-    static PACK_CACHE: RefCell<PackCache> = RefCell::new(PackCache {
-        map: HashMap::default(),
-        elems: 0,
-    });
-}
-
-/// Shared engine: logical `C[m,n] = A[m,k] · B[k,n]` with either operand
-/// possibly a transposed view. Row blocks of C fan out over the pool.
-/// `b_stamp` opts the packed B image into the thread-local [`PackCache`]
-/// — pass it when B is long-lived and reused (weights), `None` when it
-/// is a one-shot operand (the wgrad form's dC).
-fn gemm(
-    pool: &KernelPool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: View,
-    b: View,
-    b_stamp: Option<u64>,
-) -> Tensor {
+/// Shared engine: logical `C[m, n] = A[m, k] · B[k, n]` with `A`
+/// possibly a transposed view and `B` already packed. Row blocks of C
+/// fan out over the pool.
+fn gemm(pool: &KernelPool, a: View, b: &PackedB) -> Tensor {
+    let (m, n, k) = (a.rows, b.n, b.k);
     if m == 0 || n == 0 || k == 0 {
         return Tensor::zeros(m, n);
     }
@@ -346,34 +351,19 @@ fn gemm(
     } else {
         pool
     };
-    let run = |out: &mut Tensor, b_pack: &[f32]| {
-        let mut blocks = row_blocks(out.data_mut(), n, MC);
-        pool.for_each(&mut blocks, |_, (i0, c_rows)| {
-            gemm_row_block(*i0, c_rows, n, k, a, b_pack);
-        });
-    };
-    match b_stamp {
-        Some(stamp) => PACK_CACHE.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            let key = (stamp, b.trans);
-            if !cache.map.contains_key(&key) {
-                let (buf, off) = pack_b(b, k, n);
-                if cache.elems + buf.len() > PACK_CACHE_CAP {
-                    cache.map.clear();
-                    cache.elems = 0;
-                }
-                cache.elems += buf.len();
-                cache.map.insert(key, (buf, off));
-            }
-            let (buf, off) = &cache.map[&key];
-            run(&mut out, &buf[*off..]);
-        }),
-        None => {
-            let (b_buf, b_off) = pack_b(b, k, n);
-            run(&mut out, &b_buf[b_off..]);
-            arena::release_scratch(n.div_ceil(NR) * k * NR, b_buf);
-        }
-    }
+    let mut blocks = row_blocks(out.data_mut(), n, MC);
+    pool.for_each(&mut blocks, |_, (i0, c_rows)| {
+        gemm_row_block(*i0, c_rows, n, k, a, b.strips());
+    });
+    out
+}
+
+/// [`gemm`] against a one-shot B: packs it into arena scratch, runs, and
+/// hands the scratch back.
+fn gemm_once(pool: &KernelPool, a: View, b: View) -> Tensor {
+    let packed = PackedB::pack(b, arena::acquire_scratch);
+    let out = gemm(pool, a, &packed);
+    arena::release_scratch(PackedB::len(packed.k, packed.n), packed.buf);
     out
 }
 
@@ -386,22 +376,27 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     matmul_in(KernelPool::shared_serial(), a, b)
 }
 
-/// `C = A · B` on a worker pool.
+/// `C = A · B` on a worker pool, packing `B` for this one call.
 ///
 /// # Panics
 ///
 /// Panics if inner dimensions disagree.
 pub fn matmul_in(pool: &KernelPool, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    gemm(
-        pool,
-        a.rows(),
-        b.cols(),
-        a.cols(),
-        View::normal(a),
-        View::normal(b),
-        Some(b.stamp()),
-    )
+    gemm_once(pool, View::normal(a), View::normal(b))
+}
+
+/// `C = A · B` against a prebuilt pack on a worker pool: `A · W` for a
+/// [`PackedB::new`] pack, `A · Wᵀ` for a [`PackedB::transposed`] one.
+/// Bit-identical to [`matmul_in`] / [`matmul_dgrad_in`] on the packed
+/// weight.
+///
+/// # Panics
+///
+/// Panics if inner dimensions disagree.
+pub fn matmul_packed_in(pool: &KernelPool, a: &Tensor, b: &PackedB) -> Tensor {
+    assert_eq!(a.cols(), b.k, "matmul inner dimension mismatch");
+    gemm(pool, View::normal(a), b)
 }
 
 /// Input gradient of a matmul: `dA = dC · Bᵀ`.
@@ -421,15 +416,7 @@ pub fn matmul_dgrad(dc: &Tensor, b: &Tensor) -> Tensor {
 /// Panics if column counts disagree.
 pub fn matmul_dgrad_in(pool: &KernelPool, dc: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(dc.cols(), b.cols(), "dgrad dimension mismatch");
-    gemm(
-        pool,
-        dc.rows(),
-        b.rows(),
-        dc.cols(),
-        View::normal(dc),
-        View::transposed(b),
-        Some(b.stamp()),
-    )
+    gemm_once(pool, View::normal(dc), View::transposed(b))
 }
 
 /// Weight gradient of a matmul: `dB = Aᵀ · dC`.
@@ -449,47 +436,7 @@ pub fn matmul_wgrad(a: &Tensor, dc: &Tensor) -> Tensor {
 /// Panics if row counts disagree.
 pub fn matmul_wgrad_in(pool: &KernelPool, a: &Tensor, dc: &Tensor) -> Tensor {
     assert_eq!(a.rows(), dc.rows(), "wgrad dimension mismatch");
-    gemm(
-        pool,
-        a.cols(),
-        dc.cols(),
-        a.rows(),
-        View::transposed(a),
-        View::normal(dc),
-        None,
-    )
-}
-
-/// [`matmul_in`] with the pack cache bypassed: for `B` operands that are
-/// activations (fresh stamp every call), where caching the pack would
-/// only grow the cache until its overflow clear evicts the weight packs
-/// that *are* reused.
-pub(crate) fn matmul_uncached_in(pool: &KernelPool, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    gemm(
-        pool,
-        a.rows(),
-        b.cols(),
-        a.cols(),
-        View::normal(a),
-        View::normal(b),
-        None,
-    )
-}
-
-/// [`matmul_dgrad_in`] (`dC · Bᵀ`) with the pack cache bypassed — same
-/// rationale as [`matmul_uncached_in`].
-pub(crate) fn matmul_dgrad_uncached_in(pool: &KernelPool, dc: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(dc.cols(), b.cols(), "dgrad dimension mismatch");
-    gemm(
-        pool,
-        dc.rows(),
-        b.rows(),
-        dc.cols(),
-        View::normal(dc),
-        View::transposed(b),
-        None,
-    )
+    gemm_once(pool, View::transposed(a), View::normal(dc))
 }
 
 #[cfg(test)]
@@ -559,6 +506,22 @@ mod tests {
                 matmul_wgrad(&a, &dc).max_abs_diff(&naive::matmul_wgrad(&a, &dc)) < 1e-5,
                 "wgrad mismatch at {m}x{k}x{n}"
             );
+            // A prebuilt pack of either form is bit-identical to packing
+            // per call, at every worker count.
+            let (fwd, dgrad) = (PackedB::new(&b), PackedB::transposed(&b));
+            for workers in 1..=4 {
+                let pool = KernelPool::new(workers);
+                assert_eq!(
+                    matmul_packed_in(&pool, &a, &fwd).data(),
+                    matmul_in(&pool, &a, &b).data(),
+                    "packed fwd bits at {m}x{k}x{n}, {workers} workers"
+                );
+                assert_eq!(
+                    matmul_packed_in(&pool, &dc, &dgrad).data(),
+                    matmul_dgrad_in(&pool, &dc, &b).data(),
+                    "packed dgrad bits at {m}x{k}x{n}, {workers} workers"
+                );
+            }
         }
     }
 

@@ -14,17 +14,8 @@
 //! pooling is invisible to callers and to results.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arena;
-
-/// Source of snapshot stamps. Never reused, so a stamp identifies one
-/// immutable state of one tensor's payload for the life of the process.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_stamp() -> u64 {
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A dense row-major matrix of `f32`.
 pub struct Tensor {
@@ -33,10 +24,6 @@ pub struct Tensor {
     /// Start of the payload inside `data` (0 for plain allocations,
     /// an alignment offset for arena-served buffers).
     off: usize,
-    /// Snapshot id: re-issued on every mutable access, so equal stamps
-    /// imply identical payloads. Keys derived caches (packed GEMM
-    /// operands) that must go stale the moment a weight is updated.
-    stamp: u64,
     data: Vec<f32>,
 }
 
@@ -56,7 +43,6 @@ impl Clone for Tensor {
                     rows: self.rows,
                     cols: self.cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -65,7 +51,6 @@ impl Clone for Tensor {
             rows: self.rows,
             cols: self.cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: self.data().to_vec(),
         }
     }
@@ -98,7 +83,6 @@ impl Tensor {
                     rows,
                     cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -107,7 +91,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: vec![0.0; n],
         }
     }
@@ -123,7 +106,6 @@ impl Tensor {
                     rows,
                     cols,
                     off,
-                    stamp: fresh_stamp(),
                     data,
                 };
             }
@@ -132,7 +114,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data: vec![0.0; n],
         }
     }
@@ -148,7 +129,6 @@ impl Tensor {
             rows,
             cols,
             off: 0,
-            stamp: fresh_stamp(),
             data,
         }
     }
@@ -161,7 +141,6 @@ impl Tensor {
             rows,
             cols,
             off,
-            stamp: fresh_stamp(),
             data,
         }
     }
@@ -202,15 +181,8 @@ impl Tensor {
 
     /// Mutable borrow of the underlying row-major data.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.stamp = fresh_stamp();
         let n = self.rows * self.cols;
         &mut self.data[self.off..self.off + n]
-    }
-
-    /// The payload's snapshot id — changes on every mutable access, so
-    /// two reads returning the same stamp saw the same bytes.
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp
     }
 
     /// One element.
@@ -224,7 +196,6 @@ impl Tensor {
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.stamp = fresh_stamp();
         self.data[self.off + r * self.cols + c] = v;
     }
 
@@ -238,7 +209,6 @@ impl Tensor {
     /// Mutable borrow of one row.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        self.stamp = fresh_stamp();
         let start = self.off + r * self.cols;
         &mut self.data[start..start + self.cols]
     }
@@ -350,7 +320,6 @@ impl Tensor {
     /// Panics if column counts differ.
     pub fn append_rows(&mut self, other: &Tensor) {
         assert_eq!(self.cols, other.cols, "column mismatch in append_rows");
-        self.stamp = fresh_stamp();
         let n = self.rows * self.cols;
         self.data.truncate(self.off + n);
         self.data.extend_from_slice(other.data());

@@ -7,8 +7,8 @@ use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
         causal_attention_backward_in, causal_attention_in, cross_entropy, matmul, matmul_dgrad,
-        matmul_dgrad_in, matmul_in, matmul_wgrad, matmul_wgrad_in, naive, rmsnorm,
-        rmsnorm_backward, silu, silu_backward,
+        matmul_dgrad_in, matmul_in, matmul_packed_in, matmul_wgrad, matmul_wgrad_in, naive,
+        rmsnorm, rmsnorm_backward, silu, silu_backward, PackedB,
     },
     KernelPool, Tensor,
 };
@@ -161,6 +161,12 @@ proptest! {
         prop_assert!(da.max_abs_diff(&naive::matmul_dgrad(&dc, &b)) < 1e-5);
         let db = matmul_wgrad_in(&pool, &a, &dc);
         prop_assert!(db.max_abs_diff(&naive::matmul_wgrad(&a, &dc)) < 1e-5);
+        // A prebuilt pack of either form reproduces the per-call pack
+        // bit for bit.
+        let c_packed = matmul_packed_in(&pool, &a, &PackedB::new(&b));
+        prop_assert_eq!(c_packed.data(), c.data());
+        let da_packed = matmul_packed_in(&pool, &dc, &PackedB::transposed(&b));
+        prop_assert_eq!(da_packed.data(), da.data());
     }
 
     /// The fused attention forward/backward matches the naive reference

@@ -15,8 +15,8 @@
 
 use mepipe_tensor::{
     ops::{
-        causal_attention_backward_in, causal_attention_in, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionSaved,
+        causal_attention_backward_in, causal_attention_in, matmul_packed_in, matmul_wgrad_in,
+        rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionSaved, PackedB,
         RmsNormSaved,
     },
     KernelPool, Tensor,
@@ -83,6 +83,37 @@ pub enum WeightId {
     Wd,
 }
 
+/// One layer's seven projection weights packed for one GEMM form,
+/// indexed by [`WeightId`]. Each weight feeds one GEMM of each form per
+/// slice per micro-batch, so callers pack once per optimizer step and
+/// pass the packs to every slice.
+pub struct LayerPacks([PackedB; 7]);
+
+impl LayerPacks {
+    /// The forward form `x · W`, for [`forward_slice`].
+    pub fn forward(p: &LayerParams) -> Self {
+        Self(projections(p).map(PackedB::new))
+    }
+
+    /// The input-gradient form `dy · Wᵀ`, for [`backward_input_slice`].
+    pub fn input_grad(p: &LayerParams) -> Self {
+        Self(projections(p).map(PackedB::transposed))
+    }
+}
+
+/// `p`'s projection weights in [`WeightId`] declaration order.
+fn projections(p: &LayerParams) -> [&Tensor; 7] {
+    [&p.wq, &p.wk, &p.wv, &p.wo, &p.wg, &p.wu, &p.wd]
+}
+
+impl std::ops::Index<WeightId> for LayerPacks {
+    type Output = PackedB;
+
+    fn index(&self, id: WeightId) -> &PackedB {
+        &self.0[id as usize]
+    }
+}
+
 /// One deferred weight-gradient GEMM: `dW += inputᵀ · out_grad`.
 #[derive(Debug, Clone)]
 pub struct WgradGemm {
@@ -142,7 +173,8 @@ impl LayerFwdSaved {
     }
 }
 
-/// Forward of one token slice through one decoder layer. All hot kernels
+/// Forward of one token slice through one decoder layer, reading the
+/// projections from `w`, `p`'s [`LayerPacks::forward`]. All hot kernels
 /// run on `pool` — pass [`KernelPool::shared_serial`] for single-threaded
 /// execution.
 ///
@@ -155,6 +187,7 @@ impl LayerFwdSaved {
 pub fn forward_slice(
     pool: &KernelPool,
     p: &LayerParams,
+    w: &LayerPacks,
     x: &Tensor,
     kv: &mut Kv,
     offset: usize,
@@ -165,9 +198,9 @@ pub fn forward_slice(
     let hd = h / heads;
 
     let (normed1, norm1_saved) = rmsnorm_in(pool, x, &p.norm1);
-    let q = matmul_in(pool, &normed1, &p.wq);
-    let k_new = matmul_in(pool, &normed1, &p.wk);
-    let v_new = matmul_in(pool, &normed1, &p.wv);
+    let q = matmul_packed_in(pool, &normed1, &w[WeightId::Wq]);
+    let k_new = matmul_packed_in(pool, &normed1, &w[WeightId::Wk]);
+    let v_new = matmul_packed_in(pool, &normed1, &w[WeightId::Wv]);
     kv.append(k_new, v_new);
     let k_all = kv.k.as_ref().expect("cache nonempty after append");
     let v_all = kv.v.as_ref().expect("cache nonempty after append");
@@ -182,18 +215,18 @@ pub fn forward_slice(
         attn_concat.add_cols(head * hd, &oh);
         attn_saved.push(sv);
     }
-    let attn_out = matmul_in(pool, &attn_concat, &p.wo);
+    let attn_out = matmul_packed_in(pool, &attn_concat, &w[WeightId::Wo]);
     let resid1 = x.add(&attn_out);
 
     let (normed2, norm2_saved) = rmsnorm_in(pool, &resid1, &p.norm2);
-    let gate_pre = matmul_in(pool, &normed2, &p.wg);
-    let up = matmul_in(pool, &normed2, &p.wu);
+    let gate_pre = matmul_packed_in(pool, &normed2, &w[WeightId::Wg]);
+    let up = matmul_packed_in(pool, &normed2, &w[WeightId::Wu]);
     let gate_act = silu(&gate_pre);
     let mut mlp_act = gate_act.clone();
     for (a, b) in mlp_act.data_mut().iter_mut().zip(up.data()) {
         *a *= b;
     }
-    let mlp_out = matmul_in(pool, &mlp_act, &p.wd);
+    let mlp_out = matmul_packed_in(pool, &mlp_act, &w[WeightId::Wd]);
     let y = resid1.add(&mlp_out);
 
     let saved = LayerFwdSaved {
@@ -227,7 +260,8 @@ pub struct BackwardOut {
     pub dnorm2: Tensor,
 }
 
-/// Input-gradient backward of one slice, on `pool`.
+/// Input-gradient backward of one slice, on `pool`, reading the
+/// projections from `w`, `p`'s [`LayerPacks::input_grad`].
 ///
 /// `dkv` holds per-layer dK/dV accumulators over the *whole* sample; it
 /// must already contain the contributions of every later slice (slices
@@ -235,6 +269,7 @@ pub struct BackwardOut {
 pub fn backward_input_slice(
     pool: &KernelPool,
     p: &LayerParams,
+    w: &LayerPacks,
     saved: &LayerFwdSaved,
     kv: &Kv,
     dkv: &mut Kv,
@@ -258,7 +293,7 @@ pub fn backward_input_slice(
     let mut wgrads = Vec::with_capacity(7);
 
     // MLP backward.
-    let d_mlp_act = matmul_dgrad_in(pool, dy, &p.wd);
+    let d_mlp_act = matmul_packed_in(pool, dy, &w[WeightId::Wd]);
     let mut mlp_act = saved.gate_act.clone();
     for (a, b) in mlp_act.data_mut().iter_mut().zip(saved.up.data()) {
         *a *= b;
@@ -277,8 +312,8 @@ pub fn backward_input_slice(
     for (a, b) in d_up.data_mut().iter_mut().zip(saved.gate_act.data()) {
         *a *= b;
     }
-    let mut d_normed2 = matmul_dgrad_in(pool, &d_gate_pre, &p.wg);
-    d_normed2.add_assign(&matmul_dgrad_in(pool, &d_up, &p.wu));
+    let mut d_normed2 = matmul_packed_in(pool, &d_gate_pre, &w[WeightId::Wg]);
+    d_normed2.add_assign(&matmul_packed_in(pool, &d_up, &w[WeightId::Wu]));
     wgrads.push(WgradGemm {
         weight: WeightId::Wg,
         input: saved.normed2.clone(),
@@ -295,7 +330,7 @@ pub fn backward_input_slice(
     d_resid1.add_assign(&d_resid1_norm);
 
     // Attention output projection.
-    let d_attn_concat = matmul_dgrad_in(pool, &d_resid1, &p.wo);
+    let d_attn_concat = matmul_packed_in(pool, &d_resid1, &w[WeightId::Wo]);
     wgrads.push(WgradGemm {
         weight: WeightId::Wo,
         input: saved.attn_concat.clone(),
@@ -332,9 +367,9 @@ pub fn backward_input_slice(
     let dk_own = dkv.k.as_ref().expect("allocated").slice_rows(offset, t);
     let dv_own = dkv.v.as_ref().expect("allocated").slice_rows(offset, t);
 
-    let mut d_normed1 = matmul_dgrad_in(pool, &dq, &p.wq);
-    d_normed1.add_assign(&matmul_dgrad_in(pool, &dk_own, &p.wk));
-    d_normed1.add_assign(&matmul_dgrad_in(pool, &dv_own, &p.wv));
+    let mut d_normed1 = matmul_packed_in(pool, &dq, &w[WeightId::Wq]);
+    d_normed1.add_assign(&matmul_packed_in(pool, &dk_own, &w[WeightId::Wk]));
+    d_normed1.add_assign(&matmul_packed_in(pool, &dv_own, &w[WeightId::Wv]));
     wgrads.push(WgradGemm {
         weight: WeightId::Wq,
         input: saved.normed1.clone(),
@@ -400,14 +435,15 @@ mod tests {
     #[test]
     fn sliced_forward_equals_full_forward() {
         let (p, x) = setup();
+        let fwd = LayerPacks::forward(&p);
         let pool = KernelPool::serial();
         let mut kv_full = Kv::default();
-        let (y_full, _) = forward_slice(&pool, &p, &x, &mut kv_full, 0, 4);
+        let (y_full, _) = forward_slice(&pool, &p, &fwd, &x, &mut kv_full, 0, 4);
         let mut kv = Kv::default();
         let mut parts = Vec::new();
         for i in 0..4 {
             let xs = x.slice_rows(i * 4, 4);
-            let (y, _) = forward_slice(&pool, &p, &xs, &mut kv, i * 4, 4);
+            let (y, _) = forward_slice(&pool, &p, &fwd, &xs, &mut kv, i * 4, 4);
             parts.push(y);
         }
         let y_sliced = Tensor::vstack(&parts);
@@ -421,15 +457,16 @@ mod tests {
     #[test]
     fn sliced_backward_equals_full_backward() {
         let (p, x) = setup();
+        let (fwd, dgrad) = (LayerPacks::forward(&p), LayerPacks::input_grad(&p));
         let pool = KernelPool::serial();
         let mut r = rng(72);
         let dy = uniform(16, x.cols(), 1.0, &mut r);
 
         // Full-sequence reference.
         let mut kv_f = Kv::default();
-        let (_, saved_f) = forward_slice(&pool, &p, &x, &mut kv_f, 0, 4);
+        let (_, saved_f) = forward_slice(&pool, &p, &fwd, &x, &mut kv_f, 0, 4);
         let mut dkv_f = Kv::default();
-        let out_f = backward_input_slice(&pool, &p, &saved_f, &kv_f, &mut dkv_f, &dy);
+        let out_f = backward_input_slice(&pool, &p, &dgrad, &saved_f, &kv_f, &mut dkv_f, &dy);
         let mut grads_f = p.zero_grads();
         apply_wgrads(&pool, &mut grads_f, &out_f.wgrads);
 
@@ -438,7 +475,7 @@ mod tests {
         let mut saves = Vec::new();
         for i in 0..4 {
             let xs = x.slice_rows(i * 4, 4);
-            let (_, sv) = forward_slice(&pool, &p, &xs, &mut kv, i * 4, 4);
+            let (_, sv) = forward_slice(&pool, &p, &fwd, &xs, &mut kv, i * 4, 4);
             saves.push(sv);
         }
         let mut dkv = Kv::default();
@@ -448,6 +485,7 @@ mod tests {
             let out = backward_input_slice(
                 &pool,
                 &p,
+                &dgrad,
                 &saves[i],
                 &kv,
                 &mut dkv,
@@ -478,13 +516,15 @@ mod tests {
     #[test]
     fn backward_produces_seven_deferred_gemms() {
         let (p, x) = setup();
+        let (fwd, dgrad) = (LayerPacks::forward(&p), LayerPacks::input_grad(&p));
         let pool = KernelPool::serial();
         let mut kv = Kv::default();
-        let (_, saved) = forward_slice(&pool, &p, &x, &mut kv, 0, 4);
+        let (_, saved) = forward_slice(&pool, &p, &fwd, &x, &mut kv, 0, 4);
         let mut dkv = Kv::default();
         let out = backward_input_slice(
             &pool,
             &p,
+            &dgrad,
             &saved,
             &kv,
             &mut dkv,
@@ -498,6 +538,7 @@ mod tests {
         // Kernel-level parallelism must not perturb the layer math at all:
         // forward outputs and every gradient are bit-identical.
         let (p, x) = setup();
+        let (fwd, dgrad) = (LayerPacks::forward(&p), LayerPacks::input_grad(&p));
         let serial = KernelPool::serial();
         let pooled = KernelPool::new(3);
         let mut r = rng(73);
@@ -505,9 +546,9 @@ mod tests {
 
         let run = |pool: &KernelPool| {
             let mut kv = Kv::default();
-            let (y, saved) = forward_slice(pool, &p, &x, &mut kv, 0, 4);
+            let (y, saved) = forward_slice(pool, &p, &fwd, &x, &mut kv, 0, 4);
             let mut dkv = Kv::default();
-            let out = backward_input_slice(pool, &p, &saved, &kv, &mut dkv, &dy);
+            let out = backward_input_slice(pool, &p, &dgrad, &saved, &kv, &mut dkv, &dy);
             let mut grads = p.zero_grads();
             apply_wgrads(pool, &mut grads, &out.wgrads);
             (y, out.dx, grads)
@@ -524,6 +565,14 @@ mod tests {
     fn wrong_offset_panics() {
         let (p, x) = setup();
         let mut kv = Kv::default();
-        forward_slice(&KernelPool::serial(), &p, &x, &mut kv, 3, 4);
+        forward_slice(
+            &KernelPool::serial(),
+            &p,
+            &LayerPacks::forward(&p),
+            &x,
+            &mut kv,
+            3,
+            4,
+        );
     }
 }

@@ -23,10 +23,12 @@
 //! [`TensorArena`] for the duration of the run: every activation, saved
 //! state and scratch buffer a stage allocates is recycled on a
 //! shape-keyed free list, and the warmed arenas persist in the runtime
-//! between iterations, so steady-state iterations perform (near-)zero
-//! heap allocation. Recycled buffers are re-zeroed on reuse, so pooled
-//! runs are bit-identical to fresh-allocation runs
+//! between iterations. Recycled buffers are re-zeroed on reuse, so
+//! pooled runs are bit-identical to fresh-allocation runs
 //! ([`PipelineRuntime::with_arena`] turns pooling off for comparison).
+//! The exception is the weight packs: a stage packs each weight it uses
+//! once per iteration as a plain allocation and frees it at iteration
+//! end, so no pack outlives an optimizer step.
 //!
 //! Stage-to-stage messaging goes through `mepipe-comm`'s
 //! [`Endpoint`] abstraction, selected by a [`TransportConfig`]
@@ -53,8 +55,8 @@ use mepipe_schedule::ir::{OpKind, Schedule};
 use mepipe_schedule::validate::peak_in_flight;
 use mepipe_tensor::{
     ops::{
-        cross_entropy_in, embedding, embedding_backward, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in,
+        cross_entropy_in, embedding, embedding_backward, matmul_packed_in, matmul_wgrad_in,
+        rmsnorm_backward_in, rmsnorm_in, PackedB,
     },
     ArenaStats, KernelPool, Tensor, TensorArena,
 };
@@ -63,7 +65,9 @@ use mepipe_trace::{
 };
 
 use crate::{
-    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv, LayerFwdSaved, WgradGemm},
+    layer::{
+        apply_wgrads, backward_input_slice, forward_slice, Kv, LayerFwdSaved, LayerPacks, WgradGemm,
+    },
     memtrack::{MemError, MemTracker},
     optim::{ModelGrads, Sgd},
     params::ModelParams,
@@ -674,6 +678,12 @@ struct WorkerCtx<'m> {
     // applied — gradients stay bit-identical across backends and runs.
     pending_w: VecDeque<(usize, usize, usize, usize, WgradGemm)>,
     inbox: HashMap<(bool, usize, usize, usize), Tensor>,
+    // Weight packs by global layer index, each form built on first use
+    // and dropped with the ctx, so never stale; the head's (fwd, dgrad)
+    // pair on a loss-owning stage.
+    fwd_packs: Vec<Option<LayerPacks>>,
+    dgrad_packs: Vec<Option<LayerPacks>>,
+    head_packs: Option<(PackedB, PackedB)>,
     mem: MemTracker,
     oom: Option<MemError>,
     loss_sum: f64,
@@ -723,6 +733,9 @@ impl<'m> WorkerCtx<'m> {
             finals: HashMap::new(),
             pending_w: VecDeque::new(),
             inbox: HashMap::new(),
+            fwd_packs: model.layers.iter().map(|_| None).collect(),
+            dgrad_packs: model.layers.iter().map(|_| None).collect(),
+            head_packs: None,
             mem: MemTracker::new(w, mem_cap),
             oom: None,
             loss_sum: 0.0,
@@ -895,11 +908,14 @@ impl<'m> WorkerCtx<'m> {
         let mut cur = x.clone();
         let mut saves = Vec::with_capacity(hi - lo);
         for li in lo..hi {
+            let w = self.fwd_packs[li]
+                .get_or_insert_with(|| LayerPacks::forward(&self.model.layers[li]));
             let kv = self.kvs.entry((mb, chunk, li - lo)).or_default();
             let before = kv.bytes();
             let (y, sv) = forward_slice(
                 &self.pool,
                 &self.model.layers[li],
+                w,
                 &cur,
                 kv,
                 offset,
@@ -946,7 +962,11 @@ impl<'m> WorkerCtx<'m> {
                 .expect("final hidden saved");
             self.mem.free(hidden.bytes());
             let (normed, norm_saved) = rmsnorm_in(&self.pool, &hidden, &self.model.final_norm);
-            let logits = matmul_in(&self.pool, &normed, &self.model.head);
+            let head = &self.model.head;
+            let (head_fwd, head_dgrad) = self
+                .head_packs
+                .get_or_insert_with(|| (PackedB::new(head), PackedB::transposed(head)));
+            let logits = matmul_packed_in(&self.pool, &normed, head_fwd);
             let targets = &self.batch[mb][offset + 1..offset + ts + 1];
             let ce = cross_entropy_in(&self.pool, &logits, targets);
             self.loss_sum += ce.loss_sum / (total_tokens * n_batch) as f64;
@@ -955,7 +975,7 @@ impl<'m> WorkerCtx<'m> {
             self.grads
                 .head
                 .add_assign(&matmul_wgrad_in(&self.pool, &normed, &dlogits));
-            let d_normed = matmul_dgrad_in(&self.pool, &dlogits, &self.model.head);
+            let d_normed = matmul_packed_in(&self.pool, &dlogits, head_dgrad);
             let (dh, dfn) =
                 rmsnorm_backward_in(&self.pool, &d_normed, &self.model.final_norm, &norm_saved);
             self.grads.final_norm.add_assign(&dfn);
@@ -972,6 +992,8 @@ impl<'m> WorkerCtx<'m> {
             .remove(&(mb, slice, chunk))
             .expect("saved acts present");
         for li in (lo..hi).rev() {
+            let w = self.dgrad_packs[li]
+                .get_or_insert_with(|| LayerPacks::input_grad(&self.model.layers[li]));
             let kv = self
                 .kvs
                 .get(&(mb, chunk, li - lo))
@@ -981,6 +1003,7 @@ impl<'m> WorkerCtx<'m> {
             let out = backward_input_slice(
                 &self.pool,
                 &self.model.layers[li],
+                w,
                 &saves[li - lo],
                 kv,
                 dkv,

@@ -10,7 +10,7 @@ use mepipe_tensor::{
 };
 
 use crate::{
-    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv},
+    layer::{apply_wgrads, backward_input_slice, forward_slice, Kv, LayerPacks},
     optim::ModelGrads,
     params::ModelParams,
 };
@@ -60,7 +60,8 @@ pub fn forward_backward_in(
     let mut kvs: Vec<Kv> = (0..model.layers.len()).map(|_| Kv::default()).collect();
     let mut saves = Vec::with_capacity(model.layers.len());
     for (li, lp) in model.layers.iter().enumerate() {
-        let (y, sv) = forward_slice(pool, lp, &x, &mut kvs[li], 0, heads);
+        let w = LayerPacks::forward(lp);
+        let (y, sv) = forward_slice(pool, lp, &w, &x, &mut kvs[li], 0, heads);
         saves.push(sv);
         x = y;
     }
@@ -81,9 +82,10 @@ pub fn forward_backward_in(
     grads.final_norm.add_assign(&d_final_norm);
 
     for li in (0..model.layers.len()).rev() {
+        let lp = &model.layers[li];
+        let w = LayerPacks::input_grad(lp);
         let mut dkv = Kv::default();
-        let out =
-            backward_input_slice(pool, &model.layers[li], &saves[li], &kvs[li], &mut dkv, &dy);
+        let out = backward_input_slice(pool, lp, &w, &saves[li], &kvs[li], &mut dkv, &dy);
         apply_wgrads(pool, &mut grads.layers[li], &out.wgrads);
         grads.layers[li].norm1.add_assign(&out.dnorm1);
         grads.layers[li].norm2.add_assign(&out.dnorm2);

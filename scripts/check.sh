@@ -28,6 +28,9 @@ cargo run --release -p mepipe-bench --bin experiments -- zoo
 echo "==> solver smoke (full synthesis per grid point, 10 s wall-clock cap)"
 cargo run --release -p mepipe-bench --bin experiments -- solver_smoke
 
+echo "==> kernels bench smoke (one untimed call per row, no JSON write)"
+cargo bench -p mepipe-bench --bench kernels -- --smoke
+
 echo "==> train bench smoke (one untimed pipeline iteration)"
 cargo bench -p mepipe-bench --bench train -- --smoke
 
