@@ -13,10 +13,8 @@ use mepipe_model::{
 };
 use mepipe_schedule::exec::{simulate, Cost, SimConfig};
 use mepipe_schedule::generator::{Dims, ScheduleGenerator};
-use mepipe_sim::{
-    timeline::{render_strips, stage_activity},
-    ModelCost,
-};
+use mepipe_sim::{timeline::render_strips, ModelCost};
+use mepipe_trace::bubble;
 
 use crate::report::ExperimentReport;
 
@@ -69,7 +67,8 @@ pub fn fig7() -> ExperimentReport {
         )
         .unwrap();
         rep.line(format!("--- {tag}: makespan {:.2} ---", r.makespan));
-        rep.line(render_strips(&r.segments, r.makespan, 96));
+        rep.line(render_strips(&r.trace, r.makespan, 96));
+        rep.line(bubble::attribute(&r.trace).render());
         rep.row(
             tag,
             &[("makespan", r.makespan), ("bubble", r.bubble_ratio())],
@@ -120,17 +119,8 @@ pub fn run() -> ExperimentReport {
             r.iteration_time * 1e3,
             r.bubble_ratio() * 100.0
         ));
-        rep.line(render_strips(&r.segments, r.makespan, 100));
-        for (w, segs) in r.segments.iter().enumerate() {
-            let a = stage_activity(segs, r.makespan);
-            rep.line(format!(
-                "  stage {w}: F {:>4.1}%  B {:>4.1}%  W {:>4.1}%  idle {:>4.1}%",
-                100.0 * a.forward / a.span,
-                100.0 * a.backward / a.span,
-                100.0 * a.wgrad / a.span,
-                100.0 * a.idle / a.span
-            ));
-        }
+        rep.line(render_strips(&r.trace, r.makespan, 100));
+        rep.line(bubble::attribute(&r.trace).render());
         rep.row(
             tag,
             &[

@@ -35,7 +35,7 @@
 use std::collections::HashSet;
 
 use mepipe_schedule::{
-    exec::{simulate, Engine, SimConfig, UnitCost},
+    exec::{simulate, span_op, Engine, SimConfig, UnitCost},
     generate::{cap_floor, default_caps, dependents, greedy_generate},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
@@ -279,13 +279,7 @@ impl State<'_> {
     /// The per-worker lists placed so far.
     fn schedule(&self, meta: &ScheduleMeta) -> Schedule {
         let workers = (0..meta.stages)
-            .map(|w| {
-                self.timing
-                    .segments(w)
-                    .iter()
-                    .filter_map(|s| s.op)
-                    .collect()
-            })
+            .map(|w| self.timing.spans(w).iter().filter_map(span_op).collect())
             .collect();
         Schedule {
             meta: meta.clone(),

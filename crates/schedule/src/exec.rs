@@ -20,10 +20,19 @@
 //!
 //! [`simulate`] runs whole schedules; [`Engine`] is the same loop one op
 //! at a time, for order searches that build the lists as they go.
+//!
+//! The timeline it books is the one the runtime records: `mepipe-trace`
+//! [`Span`]s in whole nanoseconds from iteration start, one tagged compute
+//! span per op, one `WgradDrain` span per drain and a `RecvWait` span,
+//! naming the stage it waited on, for whatever part of a wait no drain
+//! filled. Every consumer of a measured trace — bubble attribution, the
+//! Chrome writer, the fidelity report — reads a simulated one unchanged.
 
 mod wgrad;
 
 pub use wgrad::WgradQueue;
+
+use mepipe_trace::{IterationTrace, Span, SpanKind, StageTrace, NO_TAG};
 
 use crate::{
     deps::dependencies,
@@ -154,64 +163,6 @@ impl Cost for UnitCost {
     }
 }
 
-/// What a worker was doing during a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// A forward pass.
-    Forward,
-    /// A fused backward pass.
-    Backward,
-    /// An input-gradient backward pass.
-    BackwardInput,
-    /// A weight-gradient op executed at its static list position.
-    BackwardWeight,
-    /// Weight-gradient GEMMs drained opportunistically into a wait gap.
-    WgradDrain,
-}
-
-impl SegmentKind {
-    /// Maps a schedule op kind to its segment kind.
-    pub fn from_op(kind: OpKind) -> Self {
-        match kind {
-            OpKind::Forward => SegmentKind::Forward,
-            OpKind::Backward => SegmentKind::Backward,
-            OpKind::BackwardInput => SegmentKind::BackwardInput,
-            OpKind::BackwardWeight => SegmentKind::BackwardWeight,
-        }
-    }
-
-    /// Single-letter tag for rendering.
-    pub fn letter(self) -> char {
-        match self {
-            SegmentKind::Forward => 'F',
-            SegmentKind::Backward => 'B',
-            SegmentKind::BackwardInput => 'b',
-            SegmentKind::BackwardWeight => 'W',
-            SegmentKind::WgradDrain => 'w',
-        }
-    }
-}
-
-/// One contiguous activity interval on one worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// Activity class.
-    pub kind: SegmentKind,
-    /// The schedule op, when the segment corresponds to exactly one.
-    pub op: Option<Op>,
-    /// Start time in seconds.
-    pub start: f64,
-    /// End time in seconds.
-    pub end: f64,
-}
-
-impl Segment {
-    /// Segment duration.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimConfig {
@@ -225,8 +176,9 @@ pub struct SimConfig {
 /// Result of one simulated iteration.
 #[derive(Debug, Clone)]
 pub struct SimResult {
-    /// Per-worker timeline segments (compute, weight-drain), time-ordered.
-    pub segments: Vec<Vec<Segment>>,
+    /// The booked timeline: one replica-0 [`StageTrace`] per worker, its
+    /// spans time-ordered and disjoint (see the module docs).
+    pub trace: IterationTrace,
     /// Completion time of the last compute on any worker (excludes DP sync
     /// and optimizer).
     pub makespan: f64,
@@ -251,17 +203,9 @@ impl SimResult {
         (sum / self.busy.len() as f64).max(0.0)
     }
 
-    /// Idle fraction of one worker.
-    pub fn bubble_ratio_of(&self, stage: usize) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.busy[stage] / self.makespan
-    }
-
     /// Compresses the result to the scalar summary the grid search keeps:
     /// timings, the mean bubble ratio, the worst worker's activation peak
-    /// and the OOM verdict — everything except the per-worker timelines.
+    /// and the OOM verdict — everything except the trace.
     pub fn summary(&self) -> SimSummary {
         SimSummary {
             iteration_time: self.iteration_time,
@@ -279,7 +223,7 @@ impl SimResult {
 
 /// Scalar summary of a [`SimResult`] — what search memoization retains
 /// per evaluated candidate, a few dozen bytes instead of the full
-/// per-worker segment timelines.
+/// per-worker trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSummary {
     /// Full iteration time (makespan + DP sync + optimizer).
@@ -303,7 +247,60 @@ struct WorkerState {
     /// Bytes needed the first time this worker exceeded the cap.
     oom: Option<f64>,
     queue: WgradQueue,
-    segments: Vec<Segment>,
+    spans: Vec<Span>,
+}
+
+/// Seconds from iteration start in whole nanoseconds, the resolution of
+/// every span the engine books.
+fn ns(t: f64) -> u64 {
+    (t * 1e9).round_ties_even() as u64
+}
+
+/// An untagged span over `[start, end)` seconds.
+fn span(kind: SpanKind, start: f64, end: f64) -> Span {
+    Span {
+        kind,
+        mb: NO_TAG,
+        slice: NO_TAG,
+        chunk: NO_TAG,
+        peer: NO_TAG,
+        start_ns: ns(start),
+        end_ns: ns(end),
+    }
+}
+
+/// The span that books `op` over `[start, end)` seconds.
+fn op_span(op: Op, start: f64, end: f64) -> Span {
+    let kind = match op.kind {
+        OpKind::Forward => SpanKind::Forward,
+        OpKind::Backward => SpanKind::Backward,
+        OpKind::BackwardInput => SpanKind::BackwardInput,
+        OpKind::BackwardWeight => SpanKind::BackwardWeight,
+    };
+    Span {
+        mb: op.micro_batch as u32,
+        slice: op.slice as u32,
+        chunk: op.chunk as u32,
+        ..span(kind, start, end)
+    }
+}
+
+/// The schedule op a span runs, if it runs exactly one: drains and waits
+/// run none.
+pub fn span_op(span: &Span) -> Option<Op> {
+    let kind = match span.kind {
+        SpanKind::Forward => OpKind::Forward,
+        SpanKind::Backward => OpKind::Backward,
+        SpanKind::BackwardInput => OpKind::BackwardInput,
+        SpanKind::BackwardWeight => OpKind::BackwardWeight,
+        SpanKind::WgradDrain | SpanKind::Send | SpanKind::RecvWait => return None,
+    };
+    Some(Op::new(
+        kind,
+        span.mb as usize,
+        span.slice as usize,
+        span.chunk as usize,
+    ))
 }
 
 impl WorkerState {
@@ -318,12 +315,8 @@ impl WorkerState {
     /// Books `spent` seconds of drained weight GEMMs from `free` on.
     fn drain(&mut self, spent: f64) {
         if spent > 0.0 {
-            self.segments.push(Segment {
-                kind: SegmentKind::WgradDrain,
-                op: None,
-                start: self.free,
-                end: self.free + spent,
-            });
+            self.spans
+                .push(span(SpanKind::WgradDrain, self.free, self.free + spent));
             self.busy += spent;
             self.free += spent;
         }
@@ -373,20 +366,23 @@ impl<'a> Engine<'a> {
     /// An engine at time zero with no op run.
     pub fn new(meta: &'a ScheduleMeta, cost: &'a dyn Cost, config: SimConfig) -> Self {
         let p = meta.stages;
-        let worker = WorkerState {
+        // Room for every op plus one wait or drain before each, and the
+        // final drain.
+        let ops = meta.units_per_worker() * if meta.split_backward { 3 } else { 2 };
+        let worker = || WorkerState {
             free: 0.0,
             busy: 0.0,
             act_bytes: 0.0,
             peak_bytes: 0.0,
             oom: None,
             queue: WgradQueue::new(),
-            segments: Vec::new(),
+            spans: Vec::with_capacity(2 * ops + 1),
         };
         Self {
             meta,
             cost,
             config,
-            workers: vec![worker; p],
+            workers: (0..p).map(|_| worker()).collect(),
             finish: vec![f64::NAN; p * 3 * slots_per_kind(meta)],
             link_free: vec![0.0; p * p],
         }
@@ -403,9 +399,9 @@ impl<'a> Engine<'a> {
         self.workers[stage].free
     }
 
-    /// Per-worker segments booked so far, time-ordered.
-    pub fn segments(&self, stage: usize) -> &[Segment] {
-        &self.workers[stage].segments
+    /// The spans worker `stage` has booked so far, time-ordered.
+    pub fn spans(&self, stage: usize) -> &[Span] {
+        &self.workers[stage].spans
     }
 
     /// Runs `op` next on worker `stage`. Returns `false`, changing
@@ -426,6 +422,9 @@ impl<'a> Engine<'a> {
         let p = meta.stages;
         let deps = dependencies(meta, w, op);
         let mut start = self.workers[w].free;
+        // The producer whose tensor arrives last, when it arrives after
+        // the worker is free.
+        let mut waited_on = None;
         for d in &deps {
             let t = self.finish[slot(meta, d.stage, d.op)];
             if t.is_nan() {
@@ -436,7 +435,10 @@ impl<'a> Engine<'a> {
             } else {
                 t
             };
-            start = start.max(arrival);
+            if arrival > start {
+                start = arrival;
+                waited_on = Some(d.stage);
+            }
         }
         let st = &mut self.workers[w];
 
@@ -444,6 +446,13 @@ impl<'a> Engine<'a> {
         if config.dynamic_wgrad && start > st.free {
             let (spent, _done) = st.queue.drain_for(start - st.free);
             st.drain(spent);
+        }
+        // What the drain left of the wait, the worker spends blocked.
+        if let Some(peer) = waited_on.filter(|_| start > st.free) {
+            st.spans.push(Span {
+                peer: peer as u32,
+                ..span(SpanKind::RecvWait, st.free, start)
+            });
         }
 
         // Memory admission for forwards.
@@ -470,12 +479,7 @@ impl<'a> Engine<'a> {
         start = start.max(st.free);
         let dur = cost.duration(w, op);
         let end = start + dur;
-        st.segments.push(Segment {
-            kind: SegmentKind::from_op(op.kind),
-            op: Some(op),
-            start,
-            end,
-        });
+        st.spans.push(op_span(op, start, end));
         st.busy += dur;
         st.free = end;
 
@@ -541,7 +545,20 @@ impl<'a> Engine<'a> {
                 .iter()
                 .enumerate()
                 .find_map(|(w, s)| s.oom.map(|b| (w, b))),
-            segments: self.workers.into_iter().map(|s| s.segments).collect(),
+            trace: IterationTrace {
+                stages: self
+                    .workers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(stage, s)| StageTrace {
+                        stage,
+                        replica: 0,
+                        epoch_ns: 0,
+                        spans: s.spans,
+                        dropped: 0,
+                    })
+                    .collect(),
+            },
         }
     }
 }
@@ -622,12 +639,13 @@ mod tests {
         }
     }
 
-    /// Start/end of one op on one stage.
-    fn time_of(r: &SimResult, stage: usize, op: Op) -> Option<(f64, f64)> {
-        r.segments[stage]
+    /// Start/end of one op on one stage, nanoseconds.
+    fn time_of(r: &SimResult, stage: usize, op: Op) -> Option<(u64, u64)> {
+        r.trace.stages[stage]
+            .spans
             .iter()
-            .find(|s| s.op == Some(op))
-            .map(|s| (s.start, s.end))
+            .find(|s| span_op(s) == Some(op))
+            .map(|s| (s.start_ns, s.end_ns))
     }
 
     fn static_run(s: &Schedule, cost: &dyn Cost) -> Result<SimResult, String> {
@@ -644,7 +662,7 @@ mod tests {
         assert_eq!(t.makespan, 6.0);
         assert_eq!(
             time_of(&t, 0, Op::new(OpKind::Backward, 1, 0, 0)),
-            Some((5.0, 6.0))
+            Some((5_000_000_000, 6_000_000_000))
         );
         assert_eq!(t.busy, vec![4.0, 4.0]);
         assert!((t.bubble_ratio() - (1.0 - 4.0 / 6.0)).abs() < 1e-12);
@@ -661,7 +679,7 @@ mod tests {
         // Every cross-stage hop now adds 0.5.
         assert!(t.makespan > 6.0);
         let (start, _) = time_of(&t, 1, Op::new(OpKind::Forward, 0, 0, 0)).unwrap();
-        assert_eq!(start, 1.5);
+        assert_eq!(start, 1_500_000_000);
     }
 
     #[test]
@@ -751,13 +769,10 @@ mod tests {
         let r = static_run(&sch, &slow).unwrap();
         // Stage 0: F0@0-1, F1@1-2. Transfer of F0 occupies [1,4]; F1's
         // transfer queues [4,7], so stage 1 starts F1 no earlier than 7.
-        let f1_start = r.segments[1]
-            .iter()
-            .find(|s| s.op.map(|o| o.micro_batch) == Some(1) && s.kind == SegmentKind::Forward)
-            .map(|s| s.start)
-            .expect("F1 on stage 1");
+        let (f1_start, _) =
+            time_of(&r, 1, Op::new(OpKind::Forward, 1, 0, 0)).expect("F1 on stage 1");
         assert!(
-            f1_start >= 7.0 - 1e-9,
+            f1_start >= 7_000_000_000,
             "F1 started at {f1_start}, link not serialised"
         );
     }
@@ -835,6 +850,11 @@ mod tests {
         assert!(e.try_run(1, f0));
         assert_eq!(e.finish_time(1, f0), Some(2.0));
         assert_eq!(e.free_at(1), 2.0);
-        assert_eq!(e.segments(1).len(), 1);
+        // Stage 1 waited on stage 0's tensor before its F0.
+        let booked: Vec<_> = e.spans(1).iter().map(|s| (s.kind, s.peer)).collect();
+        assert_eq!(
+            booked,
+            vec![(SpanKind::RecvWait, 0), (SpanKind::Forward, NO_TAG)]
+        );
     }
 }

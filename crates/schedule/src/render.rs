@@ -12,7 +12,7 @@
 //! Bubbles render as dots, making idle time visually obvious.
 
 use crate::{
-    exec::{simulate, Cost, SimConfig},
+    exec::{simulate, span_op, Cost, SimConfig},
     ir::{OpKind, Schedule},
 };
 
@@ -41,13 +41,14 @@ pub fn render(schedule: &Schedule, cost: &dyn Cost) -> Result<String, String> {
         ));
     }
     let mut grid = vec![vec!["...".to_string(); ticks]; schedule.num_workers()];
-    for (row, segments) in grid.iter_mut().zip(&result.segments) {
-        for seg in segments {
-            // Static execution books one segment per listed op.
-            let Some(op) = seg.op else { continue };
-            let s = seg.start.round() as usize;
-            let e = seg.end.round() as usize;
-            if (seg.start - s as f64).abs() > 1e-6 || (seg.end - e as f64).abs() > 1e-6 {
+    for (row, stage) in grid.iter_mut().zip(&result.trace.stages) {
+        for span in &stage.spans {
+            // Static execution books one tagged span per listed op.
+            let Some(op) = span_op(span) else { continue };
+            let (start, end) = (span.start_ns as f64 * 1e-9, span.end_ns as f64 * 1e-9);
+            let s = start.round() as usize;
+            let e = end.round() as usize;
+            if (start - s as f64).abs() > 1e-6 || (end - e as f64).abs() > 1e-6 {
                 return Err(format!("op {op} has non-integral times"));
             }
             let token = op_token(op.kind, op.micro_batch, op.slice, op.chunk);

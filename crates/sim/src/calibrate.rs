@@ -237,7 +237,7 @@ impl ConvergenceReport {
 mod tests {
     use super::*;
     use crate::cost::ModelCost;
-    use crate::fidelity::{self, trace_from_sim};
+    use crate::fidelity;
     use mepipe_core::svpp::Mepipe;
     use mepipe_hw::{accelerator::AcceleratorSpec, link::LinkSpec, topology::ClusterSpec};
     use mepipe_model::{
@@ -292,7 +292,7 @@ mod tests {
         });
         let sch = Mepipe::new().generate(&Dims::new(2, 4).slices(4)).unwrap();
         let truth_sim = simulate(&sch, &ModelCost::new(truth.clone()), &sim_cfg()).unwrap();
-        let trace = trace_from_sim(&truth_sim);
+        let trace = truth_sim.trace;
 
         let samples = extract_samples(&trace, &prior);
         assert!(!samples.is_empty());
@@ -321,7 +321,7 @@ mod tests {
         });
         let sch = Mepipe::new().generate(&Dims::new(2, 4).slices(4)).unwrap();
         let truth_sim = simulate(&sch, &ModelCost::new(truth.clone()), &sim_cfg()).unwrap();
-        let trace = trace_from_sim(&truth_sim);
+        let trace = truth_sim.trace;
 
         let mut report = ConvergenceReport::default();
         let mut current = prior.clone();

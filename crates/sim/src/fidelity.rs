@@ -7,11 +7,13 @@
 //! and apply to every kind. Three constructors build it:
 //!
 //! * [`time`] — compute seconds per `(stage, op kind)` from a measured
-//!   [`IterationTrace`] against the [`SimResult`] of the same schedule,
-//!   with the makespan and the mean idle share beside the rows. A row far
-//!   from 1 localises cost-model error to one op class on one stage; good
-//!   rows with a bad makespan point at scheduling or communication
-//!   instead — the split the paper's profile-predict-execute loop needs.
+//!   [`IterationTrace`] against the trace the engine booked for the same
+//!   schedule, with the makespan, the mean idle share and each stage's
+//!   idle buckets beside the rows. A row far from 1 localises cost-model
+//!   error to one op class on one stage; good rows with a bad makespan
+//!   point at scheduling or communication instead, and the bucket rows
+//!   say which — the split the paper's profile-predict-execute loop
+//!   needs.
 //! * [`wire`] — wire seconds per directed link from an emulated run's
 //!   [`CommStats`] against the alpha–beta model of the [`LinkSpec`] the
 //!   emulator enforced. The emulator holds each send for at least the
@@ -35,7 +37,7 @@ use mepipe_hw::LinkSpec;
 use mepipe_schedule::exec::SimResult;
 use mepipe_schedule::ir::Schedule;
 use mepipe_schedule::validate::peak_in_flight;
-use mepipe_trace::{bubble, IterationTrace};
+use mepipe_trace::{bubble, IdleBuckets, IterationTrace};
 
 use crate::{RATIO_WARN_HI, RATIO_WARN_LO};
 
@@ -68,6 +70,11 @@ pub enum Kind {
         makespan: Ratio,
         /// Mean idle fraction per stage, measured against simulated.
         idle_share: Ratio,
+        /// Idle seconds per stage and bubble bucket (warmup, comm,
+        /// dependency, tail), measured against simulated. Context only:
+        /// the calibrator converges on the report's row statistics, so
+        /// these stay out of them and out of [`Report::warnings`].
+        idle: Vec<Ratio>,
     },
     /// Wire seconds per directed link.
     Wire {
@@ -207,6 +214,7 @@ impl Report {
             Kind::Time {
                 makespan,
                 idle_share,
+                ..
             } => format!(
                 "; {} measured {} vs modeled {}; {} measured {:.1}% vs modeled {:.1}%",
                 makespan.what,
@@ -231,14 +239,23 @@ impl Report {
             self.kind.name(),
             self.ratio()
         );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "  {}: measured {}, modeled {} ({:.2}x)\n",
+        let row = |r: &Ratio| {
+            let ratio = if r.modeled > 0.0 {
+                format!("{:.2}x", r.ratio())
+            } else {
+                "-".into()
+            };
+            format!(
+                "  {}: measured {}, modeled {} ({ratio})\n",
                 r.what,
                 self.kind.format(r.measured),
                 self.kind.format(r.modeled),
-                r.ratio()
-            ));
+            )
+        };
+        out.extend(self.rows.iter().map(row));
+        if let Kind::Time { idle, .. } = &self.kind {
+            out.push_str("idle by bucket (outside the ratio):\n");
+            out.extend(idle.iter().map(row));
         }
         for w in self.warnings() {
             out.push_str(&w);
@@ -248,8 +265,9 @@ impl Report {
     }
 }
 
-/// Lines up a measured trace with the simulation of the same schedule:
-/// one row per `(stage, op kind)` with compute time on either side.
+/// Lines up a measured trace with the trace the engine booked for the
+/// same schedule: one row per `(stage, op kind)` with compute time on
+/// either side, and both sides' idle time through one bubble attribution.
 ///
 /// Only replica 0 is compared, on every line — data-parallel replicas
 /// run the same schedule and the simulator models one.
@@ -262,17 +280,16 @@ pub fn time(trace: &IterationTrace, sim: &SimResult) -> Report {
             .cloned()
             .collect(),
     };
+    let sides = [&replica0, &sim.trace];
     // (stage, letter) -> [measured, modeled] seconds; the map's order is
     // the rows' order.
     let mut acc: BTreeMap<(usize, char), [f64; 2]> = BTreeMap::new();
-    for st in &replica0.stages {
-        for s in st.spans.iter().filter(|s| s.kind.is_compute()) {
-            acc.entry((st.stage, s.kind.letter())).or_default()[0] += s.duration_ns() as f64 * 1e-9;
-        }
-    }
-    for (stage, segs) in sim.segments.iter().enumerate() {
-        for s in segs {
-            acc.entry((stage, s.kind.letter())).or_default()[1] += s.duration();
+    for (side, t) in sides.iter().enumerate() {
+        for st in &t.stages {
+            for s in st.spans.iter().filter(|s| s.kind.is_compute()) {
+                acc.entry((st.stage, s.kind.letter())).or_default()[side] +=
+                    s.duration_ns() as f64 * 1e-9;
+            }
         }
     }
     let rows = acc
@@ -283,19 +300,42 @@ pub fn time(trace: &IterationTrace, sim: &SimResult) -> Report {
             modeled,
         })
         .collect();
-    let measured = bubble::attribute(&replica0);
+    let bubbles = sides.map(bubble::attribute);
+    let mut buckets: BTreeMap<usize, [IdleBuckets; 2]> = BTreeMap::new();
+    for (side, report) in bubbles.iter().enumerate() {
+        for s in &report.stages {
+            buckets.entry(s.stage).or_default()[side] = s.idle;
+        }
+    }
+    let idle = buckets
+        .into_iter()
+        .flat_map(|(stage, [m, s])| {
+            [
+                ("warmup", m.warmup, s.warmup),
+                ("comm", m.comm_stall, s.comm_stall),
+                ("dependency", m.dependency, s.dependency),
+                ("tail", m.tail, s.tail),
+            ]
+            .map(|(bucket, measured, modeled)| Ratio {
+                what: format!("stage {stage} {bucket}"),
+                measured,
+                modeled,
+            })
+        })
+        .collect();
     Report {
         kind: Kind::Time {
             makespan: Ratio {
                 what: "makespan".into(),
-                measured: measured.makespan_s,
+                measured: bubbles[0].makespan_s,
                 modeled: sim.makespan,
             },
             idle_share: Ratio {
                 what: "idle share".into(),
-                measured: measured.bubble_ratio(),
+                measured: bubbles[0].bubble_ratio(),
                 modeled: sim.bubble_ratio(),
             },
+            idle,
         },
         rows,
     }
@@ -389,39 +429,6 @@ fn vm_hwm_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-/// A measured trace fabricated from the simulator's own segments (one
-/// replica-0 stage trace per worker): a comparison against it fits
-/// exactly, and a fit against it recovers the simulated costs.
-#[cfg(test)]
-pub(crate) fn trace_from_sim(sim: &SimResult) -> IterationTrace {
-    use mepipe_trace::{Span, SpanKind, StageTrace, NO_TAG};
-    IterationTrace {
-        stages: sim
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(stage, segs)| StageTrace {
-                stage,
-                replica: 0,
-                epoch_ns: 0,
-                spans: segs
-                    .iter()
-                    .map(|s| Span {
-                        kind: SpanKind::from_letter(s.kind.letter()).expect("compute letter"),
-                        mb: s.op.map_or(NO_TAG, |o| o.micro_batch as u32),
-                        slice: s.op.map_or(NO_TAG, |o| o.slice as u32),
-                        chunk: s.op.map_or(NO_TAG, |o| o.chunk as u32),
-                        peer: NO_TAG,
-                        start_ns: (s.start * 1e9).round() as u64,
-                        end_ns: (s.end * 1e9).round() as u64,
-                    })
-                    .collect(),
-                dropped: 0,
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +456,7 @@ mod tests {
             Kind::Time {
                 makespan,
                 idle_share,
+                ..
             } => (makespan.clone(), idle_share.clone()),
             k => panic!("not a time report: {k:?}"),
         }
@@ -457,7 +465,7 @@ mod tests {
     #[test]
     fn sim_derived_trace_fits_perfectly() {
         let sim = unit_sim(2, 4);
-        let r = time(&trace_from_sim(&sim), &sim);
+        let r = time(&sim.trace, &sim);
         assert!(!r.rows.is_empty());
         assert!(r.rows.iter().any(|o| o.what.starts_with("stage 0 ")));
         assert!(r.rows.iter().any(|o| o.what.starts_with("stage 1 ")));
@@ -469,12 +477,26 @@ mod tests {
         let (makespan, idle) = makespan_and_idle(&r);
         assert!((makespan.measured - makespan.modeled).abs() < 1e-6);
         assert!((idle.measured - idle.modeled).abs() < 1e-6);
+        // Both sides go through one attribution: every bucket matches.
+        let Kind::Time { idle: buckets, .. } = &r.kind else {
+            unreachable!()
+        };
+        assert_eq!(buckets.len(), 2 * 4);
+        for b in buckets {
+            assert!(
+                b.ratio() == 1.0 || (b.measured == 0.0 && b.modeled == 0.0),
+                "{b:?}"
+            );
+        }
+        assert!(buckets
+            .iter()
+            .any(|b| b.what == "stage 0 comm" && b.modeled > 0.0));
     }
 
     #[test]
     fn inflated_measurements_show_up_in_the_ratio() {
         let sim = unit_sim(2, 2);
-        let mut trace = trace_from_sim(&sim);
+        let mut trace = sim.trace.clone();
         // Double every measured duration in place.
         for st in &mut trace.stages {
             for s in &mut st.spans {
@@ -493,7 +515,7 @@ mod tests {
         // A second data-parallel replica twice as slow must change
         // nothing: not the rows, not the makespan, not the idle share.
         let sim = unit_sim(2, 4);
-        let single = trace_from_sim(&sim);
+        let single = sim.trace.clone();
         let mut two = single.clone();
         two.stages.extend(single.stages.iter().map(|st| {
             let mut st = st.clone();
@@ -514,11 +536,13 @@ mod tests {
     #[test]
     fn render_names_every_stage_and_kind() {
         let sim = unit_sim(2, 2);
-        let text = time(&trace_from_sim(&sim), &sim).render();
+        let text = time(&sim.trace, &sim).render();
         assert!(text.starts_with("time fidelity"), "{text}");
         assert!(text.contains("makespan measured"));
         assert!(text.contains("stage 0 F"));
         assert!(text.contains("stage 1"));
+        assert!(text.contains("idle by bucket"));
+        assert!(text.contains("stage 0 comm: measured"));
     }
 
     fn emulated_ping(link: LinkSpec, payload: usize) -> Vec<CommStats> {

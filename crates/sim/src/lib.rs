@@ -1,10 +1,13 @@
-//! Pricing, calibration, fidelity checks and trace output around the
+//! Pricing, calibration, fidelity checks and timeline strips around the
 //! list-order timing engine.
 //!
 //! The engine itself — per-worker list order, link occupancy, dynamic
 //! weight-gradient draining (Section 5) and memory tracking against a
 //! device cap — lives in [`mepipe_schedule::exec`]; [`engine`] re-exports
-//! it. This crate supplies what surrounds it:
+//! it. The engine books its timeline as `mepipe-trace` spans, the type
+//! the runtime records, so Chrome export and bubble attribution come from
+//! that crate for simulated and measured runs alike. This crate supplies
+//! what surrounds the engine:
 //!
 //! * **pricing** — [`ModelCost`] adapts the analytic model × partition ×
 //!   cluster cost to the engine's [`Cost`](mepipe_schedule::exec::Cost)
@@ -12,10 +15,10 @@
 //!   granularity for zero-bubble baselines;
 //! * **calibration** — [`calibrate`] fits that cost to measured trace
 //!   spans;
-//! * **fidelity** — [`fidelity`] compares measured time, wire time and
-//!   memory with the model's prediction, one ratio row at a time;
-//! * **output** — Chrome traces ([`trace`]), per-stage activity strips
-//!   ([`timeline`]) and headline metrics ([`metrics`]).
+//! * **fidelity** — [`fidelity`] compares measured time, idle, wire time
+//!   and memory with the model's prediction, one ratio row at a time;
+//! * **output** — per-stage timeline strips ([`timeline`]) and headline
+//!   metrics ([`metrics`]).
 #![warn(missing_docs)]
 
 pub mod calibrate;
@@ -24,11 +27,9 @@ pub mod engine;
 pub mod fidelity;
 pub mod metrics;
 pub mod timeline;
-pub mod trace;
 
 pub use calibrate::{extract_samples, fit_execution_cost, ConvergenceReport, MeasuredSamples};
 pub use cost::ModelCost;
-pub use trace::{replicas_to_chrome_trace, to_chrome_trace};
 
 /// Lower edge of the healthy measured/modeled band that
 /// [`fidelity::Report::warnings`] applies to every row. Below it the

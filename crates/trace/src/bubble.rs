@@ -1,10 +1,11 @@
-//! Measured bubble attribution: where each stage's idle time went.
+//! Bubble attribution: where each stage's idle time went.
 //!
 //! The paper's Figures 11–12 argument is that MEPipe's schedule turns
-//! idle time into useful weight-gradient work; making that argument on
-//! the *measured* runtime requires splitting each stage's wall-clock
-//! idle into causes. Given a stage's recorded spans this module buckets
-//! every non-compute nanosecond of the iteration window into:
+//! idle time into useful weight-gradient work; making that argument
+//! requires splitting each stage's idle time into causes. Measured runs
+//! and the timing engine record the same spans, so one attribution
+//! serves both. Given a stage's spans this module buckets every
+//! non-compute nanosecond of the iteration window into:
 //!
 //! * **warmup** — before the stage's first compute span (pipeline fill);
 //! * **comm stall** — overlapped by a recorded send or recv-wait span
@@ -40,7 +41,7 @@ impl IdleBuckets {
     }
 }
 
-/// One stage's measured activity breakdown, seconds.
+/// One stage's activity breakdown, seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageBubble {
     /// Pipeline stage.
@@ -74,7 +75,7 @@ pub struct BubbleReport {
     /// One row per (replica, stage), in trace order.
     pub stages: Vec<StageBubble>,
     /// Analysis window, seconds: first compute start to last compute end
-    /// across all stages of a replica (epoch-aligned).
+    /// across every stage passed in (epoch-aligned).
     pub makespan_s: f64,
 }
 
@@ -125,7 +126,9 @@ fn overlap_ns(a: u64, b: u64, s: &Span) -> u64 {
     hi.saturating_sub(lo)
 }
 
-fn attribute_stage(st: &StageTrace, shift: u64, window_end_ns: u64) -> StageBubble {
+/// Buckets one stage's idle time over the window `[start_ns, end_ns)` of
+/// the aligned axis, on which the stage's offset 0 sits at `shift`.
+fn attribute_stage(st: &StageTrace, shift: u64, start_ns: u64, end_ns: u64) -> StageBubble {
     let compute: Vec<&Span> = st.spans.iter().filter(|s| s.kind.is_compute()).collect();
     let comm: Vec<&Span> = st.spans.iter().filter(|s| s.kind.is_comm()).collect();
     let busy_ns: u64 = compute.iter().map(|s| s.duration_ns()).sum();
@@ -136,9 +139,11 @@ fn attribute_stage(st: &StageTrace, shift: u64, window_end_ns: u64) -> StageBubb
         .sum();
     let mut idle = IdleBuckets::default();
     if let (Some(first), Some(last)) = (compute.first(), compute.last()) {
-        idle.warmup = (first.start_ns + shift) as f64 * 1e-9;
-        idle.tail = window_end_ns.saturating_sub(last.end_ns + shift) as f64 * 1e-9;
+        idle.warmup = (first.start_ns + shift - start_ns) as f64 * 1e-9;
+        idle.tail = end_ns.saturating_sub(last.end_ns + shift) as f64 * 1e-9;
         // Gaps between consecutive compute spans, split comm vs dependency.
+        // Gap lengths and comm overlaps are the same on the stage's own
+        // axis as on the aligned one, so only warmup and tail need `shift`.
         for pair in compute.windows(2) {
             let (a, b) = (pair[0].end_ns, pair[1].start_ns);
             if b <= a {
@@ -151,7 +156,7 @@ fn attribute_stage(st: &StageTrace, shift: u64, window_end_ns: u64) -> StageBubb
             idle.dependency += (gap - comm_ns) as f64 * 1e-9;
         }
     } else {
-        idle.dependency = window_end_ns as f64 * 1e-9;
+        idle.dependency = (end_ns - start_ns) as f64 * 1e-9;
     }
     StageBubble {
         stage: st.stage,
@@ -189,26 +194,7 @@ pub fn attribute(trace: &IterationTrace) -> BubbleReport {
     let stages = trace
         .stages
         .iter()
-        .map(|st| {
-            // Re-base each stage so the window starts at 0.
-            let shift = st.epoch_ns - base_epoch;
-            let rebased = StageTrace {
-                stage: st.stage,
-                replica: st.replica,
-                epoch_ns: st.epoch_ns,
-                spans: st
-                    .spans
-                    .iter()
-                    .map(|s| Span {
-                        start_ns: (s.start_ns + shift).saturating_sub(start),
-                        end_ns: (s.end_ns + shift).saturating_sub(start),
-                        ..*s
-                    })
-                    .collect(),
-                dropped: st.dropped,
-            };
-            attribute_stage(&rebased, 0, end - start)
-        })
+        .map(|st| attribute_stage(st, st.epoch_ns - base_epoch, start, end))
         .collect();
     BubbleReport {
         stages,

@@ -1,13 +1,13 @@
-//! Shared Chrome/Perfetto Trace Event writer.
+//! Chrome/Perfetto Trace Event writer.
 //!
-//! Both the simulator's predicted timelines (`mepipe-sim`) and the
-//! runtime's measured ones serialise through this writer, so the two
-//! sides render identically in `chrome://tracing` / Perfetto and can be
-//! loaded side by side. The writer emits the Trace Event Format's JSON
-//! array form: complete (`"X"`) events for intervals, counter (`"C"`)
-//! events for running totals, and metadata (`"M"`) events naming process
-//! and thread tracks. All strings pass through JSON escaping — event
-//! names are data, not trusted literals.
+//! Simulated and measured traces are the same type and serialise through
+//! [`traces_to_chrome`], so the two sides render identically in
+//! `chrome://tracing` / Perfetto and can be loaded side by side. The
+//! writer emits the Trace Event Format's JSON array form: complete
+//! (`"X"`) events for intervals, counter (`"C"`) events for running
+//! totals, and metadata (`"M"`) events naming process and thread tracks.
+//! All strings pass through JSON escaping — event names are data, not
+//! trusted literals.
 
 use crate::span::IterationTrace;
 
@@ -121,7 +121,7 @@ impl ChromeTraceWriter {
     }
 }
 
-/// How measured stage traces map to Perfetto process tracks.
+/// How stage traces map to Perfetto process tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PidKey {
     /// One process track per data-parallel replica (in-process runs):
@@ -132,7 +132,7 @@ pub enum PidKey {
     Stage,
 }
 
-/// Serialises measured stage traces as a Chrome trace.
+/// Serialises stage traces as a Chrome trace.
 ///
 /// Traces from different processes are aligned onto one time axis by
 /// their [`ClockAnchor`](crate::ClockAnchor) epochs: the earliest anchor
@@ -173,39 +173,6 @@ pub fn traces_to_chrome(trace: &IterationTrace, key: PidKey) -> String {
         }
     }
     w.finish()
-}
-
-/// Convenience for per-op accounting: spans grouped `(stage, kind)` with
-/// total seconds, across all replicas.
-pub fn busy_seconds_by_kind(trace: &IterationTrace) -> Vec<((usize, crate::SpanKind), f64)> {
-    let mut acc: Vec<((usize, crate::SpanKind), f64)> = Vec::new();
-    for st in &trace.stages {
-        for s in &st.spans {
-            let key = (st.stage, s.kind);
-            match acc.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += s.duration_ns() as f64 * 1e-9,
-                None => acc.push((key, s.duration_ns() as f64 * 1e-9)),
-            }
-        }
-    }
-    acc
-}
-
-/// Lookup helper used by merge validation: the distinct (pid, tid)
-/// compute tracks a serialised trace would contain.
-pub fn compute_tracks(trace: &IterationTrace, key: PidKey) -> Vec<(u64, u64)> {
-    let mut tracks = Vec::new();
-    for st in &trace.stages {
-        let pid = match key {
-            PidKey::Replica => st.replica as u64,
-            PidKey::Stage => st.stage as u64,
-        };
-        let t = (pid, st.stage as u64);
-        if !tracks.contains(&t) {
-            tracks.push(t);
-        }
-    }
-    tracks
 }
 
 #[cfg(test)]
@@ -292,8 +259,6 @@ mod tests {
         let t = IterationTrace {
             stages: vec![mk(0), mk(1)],
         };
-        let tracks = compute_tracks(&t, PidKey::Replica);
-        assert_eq!(tracks, vec![(0, 0), (1, 0)]);
         let v: serde_json::Value =
             serde_json::from_str(&traces_to_chrome(&t, PidKey::Replica)).unwrap();
         let pids: std::collections::BTreeSet<u64> = v

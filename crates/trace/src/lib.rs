@@ -1,20 +1,22 @@
-//! `mepipe-trace`: measured-execution tracing for the real runtime.
+//! `mepipe-trace`: the repository's one timeline type, and the tracing
+//! that records it on the real runtime.
 //!
-//! The simulator can already render the paper's timeline story (Figures
-//! 11–12); this crate gives the *measured* side the same voice. Each
-//! stage thread or process records [`Span`]s into a preallocated
-//! per-stage ring buffer ([`StageTracer`]): compute spans tagged with op
-//! kind, micro-batch, slice and chunk; send / receive-wait spans; and
-//! opportunistic weight-gradient drains. On top of the raw spans:
+//! A [`Span`] is one interval on one stage: a compute span tagged with op
+//! kind, micro-batch, slice and chunk; a send or receive-wait span naming
+//! its peer; or an opportunistic weight-gradient drain. Each runtime
+//! stage thread or process records spans into a preallocated per-stage
+//! ring buffer ([`StageTracer`]), and the timing engine
+//! (`mepipe_schedule::exec`) books the same spans for a simulated
+//! iteration, so everything here reads a measured or a predicted
+//! [`IterationTrace`] alike:
 //!
-//! * [`chrome`] — a shared Chrome/Perfetto Trace Event writer with
-//!   correct JSON string escaping, used by both `mepipe-sim`'s predicted
-//!   timelines and the runtime's measured ones, so the two render side by
-//!   side in one viewer. Multi-process traces merge through per-process
-//!   [`ClockAnchor`]s (see [`clock`]).
-//! * [`bubble`] — attribution of each stage's measured idle time into
-//!   warmup / comm-stall / dependency / tail buckets, the runtime-side
-//!   counterpart of `sim::timeline::stage_activity`.
+//! * [`chrome`] — a Chrome/Perfetto Trace Event writer with correct JSON
+//!   string escaping; [`chrome::traces_to_chrome`] puts compute spans on
+//!   one track per stage and comm spans on a sub-track under it.
+//!   Multi-process traces merge through per-process [`ClockAnchor`]s
+//!   (see [`clock`]).
+//! * [`bubble`] — attribution of each stage's idle time into warmup /
+//!   comm-stall / dependency / tail buckets.
 //! * [`metrics`] — a small counter/gauge/histogram registry with JSON and
 //!   Prometheus text exposition (plus bucket-interpolated quantile
 //!   estimates), unifying the runtime's scattered stat structs behind

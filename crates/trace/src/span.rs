@@ -52,7 +52,8 @@ impl SpanKind {
         }
     }
 
-    /// Single-letter tag matching `schedule::exec::SegmentKind::letter`.
+    /// Single-letter tag, as timeline strips and report rows print it;
+    /// compute kinds share `OpKind::letter`'s letters.
     pub fn letter(self) -> char {
         match self {
             SpanKind::Forward => 'F',
@@ -84,8 +85,9 @@ impl SpanKind {
 /// Sentinel for an absent tag component (`mb`/`slice`/`chunk`/`peer`).
 pub const NO_TAG: u32 = u32::MAX;
 
-/// One recorded interval on one stage. Timestamps are nanoseconds since
-/// the recording process's [`ClockAnchor`].
+/// One interval on one stage. Timestamps are nanoseconds since the
+/// recording process's [`ClockAnchor`]; the timing engine's spans count
+/// from iteration start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Activity class.
@@ -115,6 +117,7 @@ impl Span {
         if self.mb == NO_TAG {
             match self.kind {
                 SpanKind::Send => format!("send -> {}", self.peer),
+                SpanKind::RecvWait if self.peer != NO_TAG => format!("recv wait <- {}", self.peer),
                 SpanKind::RecvWait => "recv wait".to_string(),
                 _ => format!("{} drain", self.kind.letter()),
             }
@@ -132,7 +135,7 @@ impl Span {
 
 /// The spans one stage recorded over one iteration, plus the anchor that
 /// places them on the shared wall clock.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTrace {
     /// Pipeline stage index.
     pub stage: usize,
@@ -161,7 +164,7 @@ impl StageTrace {
 /// Every stage's trace for one measured iteration. Under data
 /// parallelism the vector holds one entry per (replica, stage) pair;
 /// merged multi-process runs concatenate one entry per worker process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IterationTrace {
     /// Per-stage traces (all replicas).
     pub stages: Vec<StageTrace>,
@@ -178,7 +181,6 @@ pub struct IterationTrace {
 pub struct StageTracer {
     enabled: bool,
     stage: usize,
-    replica: usize,
     anchor: ClockAnchor,
     spans: Vec<Span>,
     head: usize,
@@ -196,7 +198,6 @@ impl StageTracer {
         Self {
             enabled: false,
             stage: 0,
-            replica: 0,
             anchor,
             spans: Vec::new(),
             head: 0,
@@ -210,7 +211,6 @@ impl StageTracer {
         Self {
             enabled: true,
             stage,
-            replica: 0,
             anchor,
             spans: Vec::with_capacity(capacity.max(1)),
             head: 0,
@@ -308,13 +308,8 @@ impl StageTracer {
         }
     }
 
-    /// Tags every span this tracer emits with a replica index.
-    pub fn set_replica(&mut self, replica: usize) {
-        self.replica = replica;
-    }
-
     /// Consumes the tracer into its chronological trace (`None` when
-    /// disabled).
+    /// disabled), as replica 0.
     pub fn finish(self) -> Option<StageTrace> {
         if !self.enabled {
             return None;
@@ -324,7 +319,7 @@ impl StageTracer {
         spans.rotate_left(self.head);
         Some(StageTrace {
             stage: self.stage,
-            replica: self.replica,
+            replica: 0,
             epoch_ns: self.anchor.epoch_ns,
             spans,
             dropped: self.dropped,
@@ -432,5 +427,10 @@ mod tests {
             end_ns: 1,
         };
         assert_eq!(c.label(), "send -> 3");
+        let w = Span {
+            kind: SpanKind::RecvWait,
+            ..c
+        };
+        assert_eq!(w.label(), "recv wait <- 3");
     }
 }

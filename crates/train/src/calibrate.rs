@@ -126,7 +126,7 @@ impl Calibrator {
 
     /// How the runtime is modeled when scoring fits: dynamic wgrad drain,
     /// the execution mode the traces come from. Fits are scored on the
-    /// makespan and the segments, which leave out DP sync and the
+    /// makespan and the spans, which leave out DP sync and the
     /// optimizer (neither happens inside `run_iteration`).
     fn sim_config() -> SimConfig {
         SimConfig {

@@ -26,8 +26,9 @@ use mepipe::schedule::{
     validate::{peak_in_flight, validate},
     Schedule,
 };
-use mepipe::sim::{metrics, to_chrome_trace, ModelCost};
+use mepipe::sim::{metrics, ModelCost};
 use mepipe::strategy::{search_all, search_verbose, Method, ScheduleSpec};
+use mepipe::trace::chrome::{traces_to_chrome, PidKey};
 use mepipe::{Dims, Mepipe, Svpp};
 
 fn main() -> ExitCode {
@@ -245,7 +246,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         metrics::mfu(&r, cost.execution_cost()) * 100.0
     );
     if let Some(path) = flags.get("trace") {
-        std::fs::write(path, to_chrome_trace(&r.segments))
+        std::fs::write(path, traces_to_chrome(&r.trace, PidKey::Replica))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("chrome trace   : {path} (open in chrome://tracing)");
     }

@@ -36,12 +36,36 @@ fn schedule_generates_and_renders() {
 
 #[test]
 fn simulate_reports_headline_metrics() {
+    let path = std::env::temp_dir().join(format!("mepipe-cli-{}.trace.json", std::process::id()));
+    let trace = path.to_str().expect("utf-8 temp path");
     let (stdout, _, ok) = mepipe(&[
         "simulate", "--model", "13b", "--gbs", "128", "--pp", "8", "--dp", "8", "--spp", "4",
+        "--trace", trace,
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("iteration time"));
     assert!(stdout.contains("MFU"));
+    assert!(stdout.contains("chrome trace"));
+
+    // The trace is the engine's own spans through the one Chrome writer:
+    // a compute track per stage and the modeled waits on the comm
+    // sub-track under it.
+    let json = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    let events: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    let spans: Vec<_> = events
+        .as_array()
+        .expect("event array")
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .collect();
+    let tid = |e: &serde_json::Value| e["tid"].as_u64().expect("tid");
+    let compute: std::collections::BTreeSet<u64> =
+        spans.iter().map(|e| tid(e)).filter(|&t| t < 1000).collect();
+    assert_eq!(compute.len(), 8, "compute tracks {compute:?}");
+    let waits: Vec<_> = spans.iter().filter(|e| tid(e) >= 1000).collect();
+    assert!(!waits.is_empty(), "no modeled waits on the comm sub-track");
+    assert!(waits.iter().all(|e| e["cat"].as_str() == Some("recv_wait")));
 }
 
 #[test]

@@ -15,6 +15,7 @@ use mepipe::tensor::{
     ops::{causal_attention, causal_attention_backward},
     Tensor,
 };
+use mepipe::trace::{bubble, SpanKind};
 use mepipe::{Dims, Mepipe, ScheduleGenerator, Svpp};
 
 proptest! {
@@ -69,7 +70,11 @@ proptest! {
     /// advanced in: running one op at a time on a seeded random worker
     /// whose next op is ready reproduces `simulate` bit for bit —
     /// timelines, busy time, peaks, makespan and the OOM verdict — with
-    /// and without dynamic weight draining and a memory cap.
+    /// and without dynamic weight draining and a memory cap. The trace
+    /// tiles each worker by construction: its spans are ordered and
+    /// disjoint, its compute spans add up to the worker's busy time, and
+    /// every gap between compute spans is a wait on another stage, so
+    /// bubble attribution finds no unexplained idle.
     #[test]
     fn engine_ignores_worker_order(
         p in 1usize..=5,
@@ -112,12 +117,34 @@ proptest! {
             prop_assert!(ran, "no worker could advance");
         }
         let got = engine.finish();
-        prop_assert_eq!(&got.segments, &want.segments);
+        prop_assert_eq!(&got.trace, &want.trace);
         prop_assert_eq!(&got.busy, &want.busy);
         prop_assert_eq!(&got.peak_activation_bytes, &want.peak_activation_bytes);
         prop_assert_eq!(got.makespan, want.makespan);
         prop_assert_eq!(got.iteration_time, want.iteration_time);
         prop_assert_eq!(got.oom, want.oom);
+
+        for (w, st) in got.trace.stages.iter().enumerate() {
+            prop_assert_eq!(st.stage, w);
+            for pair in st.spans.windows(2) {
+                prop_assert!(pair[0].start_ns <= pair[0].end_ns && pair[0].end_ns <= pair[1].start_ns,
+                    "worker {} spans overlap: {:?}", w, pair);
+            }
+            let compute: Vec<_> = st.spans.iter().filter(|s| s.kind.is_compute()).collect();
+            let busy_ns: u64 = compute.iter().map(|s| s.duration_ns()).sum();
+            prop_assert!((busy_ns as f64 - got.busy[w] * 1e9).abs() <= compute.len() as f64 + 1e-3,
+                "worker {} compute spans {} ns vs busy {} s", w, busy_ns, got.busy[w]);
+            for s in st.spans.iter().filter(|s| s.kind == SpanKind::RecvWait) {
+                prop_assert!((s.peer as usize) < p && s.peer as usize != w,
+                    "worker {} waits on peer {}", w, s.peer);
+            }
+        }
+        let attributed = bubble::attribute(&got.trace);
+        prop_assert!((attributed.bubble_ratio() - got.bubble_ratio()).abs() < 1e-6,
+            "attributed bubble {} vs engine {}", attributed.bubble_ratio(), got.bubble_ratio());
+        for b in &attributed.stages {
+            prop_assert_eq!(b.idle.dependency, 0.0);
+        }
     }
 
     /// Rescheduling backwards never increases the unit-cost makespan and
