@@ -1,8 +1,10 @@
-//! Benchmarks for schedule generation: SVPP greedy construction and every
-//! baseline generator at realistic sizes.
+//! Benchmarks for schedule generation: SVPP greedy construction, every
+//! baseline generator at realistic sizes, and the order solver at the
+//! shapes the planner's grid queries synthesize.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mepipe_core::svpp::{Mepipe, Svpp};
+use mepipe_core::Synth;
 use mepipe_schedule::generator::{Dapple, Dims, ScheduleGenerator, TeraPipe, Vpp, Zbv};
 
 fn bench_svpp(c: &mut Criterion) {
@@ -42,7 +44,31 @@ fn bench_split(c: &mut Criterion) {
     c.bench_function("mepipe_split_p8_s4_n16", |b| {
         b.iter(|| Mepipe::new().generate(&dims).unwrap())
     });
+    // The largest seed the Llama-7B GBS-128 query sweeps.
+    let dims = Dims::new(32, 64).slices(4);
+    c.bench_function("mepipe_split_p32_s4_n64", |b| {
+        b.iter(|| Mepipe::new().generate(&dims).unwrap())
+    });
 }
 
-criterion_group!(benches, bench_svpp, bench_baselines, bench_split);
+/// Full synthesis (seed sweep plus beam search) at the two Synth
+/// candidates the Llama-13B GBS-128 query evaluates.
+fn bench_synth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("synth_synthesize");
+    for (p, v, s, n) in [(8usize, 1usize, 2usize, 16usize), (8, 1, 4, 16)] {
+        let dims = Dims::new(p, n).virtual_chunks(v).slices(s);
+        g.bench_with_input(BenchmarkId::from_parameter(dims), &dims, |b, dims| {
+            b.iter(|| Synth::new().synthesize(dims).unwrap())
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_svpp,
+    bench_baselines,
+    bench_split,
+    bench_synth
+);
 criterion_main!(benches);

@@ -102,6 +102,9 @@ pub fn solver() -> ExperimentReport {
         Dims::new(2, 4).slices(2),
         Dims::new(4, 8).slices(2),
         Dims::new(4, 4).virtual_chunks(2).slices(2),
+        // The two Synth candidates of the Llama-13B GBS-128 query.
+        Dims::new(8, 16).slices(2),
+        Dims::new(8, 16).slices(4),
     ] {
         let t0 = Instant::now();
         let syn = Synth::new()
@@ -154,7 +157,7 @@ mod tests {
         let z = run();
         assert_eq!(z.rows.len(), 12, "zoo rows: {:?}", z.rows);
         let s = solver();
-        assert_eq!(s.rows.len(), 3);
+        assert_eq!(s.rows.len(), 5);
         for (dims, vals) in &s.rows {
             let secs = vals.iter().find(|(k, _)| k == "secs").unwrap().1;
             assert!(secs <= SOLVER_BUDGET_S, "{dims}: {secs} s");

@@ -16,8 +16,6 @@
 //! result is dependency-valid by construction and never increases the
 //! unit-cost makespan on the benchmarked shapes (asserted by tests).
 
-use std::collections::HashMap;
-
 use mepipe_schedule::{
     deps::{backward_descendants, dependencies},
     exec::{simulate, SimConfig, UnitCost},
@@ -65,7 +63,8 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
     // schedule's peak.
     let caps = mepipe_schedule::validate::peak_in_flight(schedule);
     let mut in_flight = vec![0usize; p];
-    let mut finish: HashMap<(usize, Op), usize> = HashMap::new();
+    // Tick at which each placed op finishes, at its `op_slot`.
+    let mut finish: Vec<Option<usize>> = vec![None; meta.op_slots()];
     let mut lists: Vec<Vec<Op>> = vec![Vec::new(); p];
     let total: usize = fwd_order.iter().map(Vec::len).sum::<usize>()
         + bwd_pending.iter().map(Vec::len).sum::<usize>();
@@ -83,7 +82,7 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
             for (i, op) in bwd_pending[w].iter().enumerate() {
                 let ready = dependencies(&meta, w, *op)
                     .iter()
-                    .all(|d| finish.get(&(d.stage, d.op)).is_some_and(|&t| t <= tick));
+                    .all(|d| finish[meta.op_slot(d.stage, d.op)].is_some_and(|t| t <= tick));
                 if !ready {
                     continue;
                 }
@@ -104,7 +103,7 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
                 let op = fwd_order[w][fwd_next[w]];
                 dependencies(&meta, w, op)
                     .iter()
-                    .all(|d| finish.get(&(d.stage, d.op)).is_some_and(|&t| t <= tick))
+                    .all(|d| finish[meta.op_slot(d.stage, d.op)].is_some_and(|t| t <= tick))
             };
             let run_forward = match (fwd_ready, best) {
                 (true, Some(_)) => prefer_forward[w],
@@ -113,7 +112,7 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
             };
             if run_forward {
                 let op = fwd_order[w][fwd_next[w]];
-                finish.insert((w, op), tick + 1);
+                finish[meta.op_slot(w, op)] = Some(tick + 1);
                 lists[w].push(op);
                 fwd_next[w] += 1;
                 in_flight[w] += 1;
@@ -121,7 +120,7 @@ pub fn reschedule_backwards(schedule: &Schedule) -> Result<Schedule, String> {
                 prefer_forward[w] = false;
             } else if let Some((i, _)) = best {
                 let op = bwd_pending[w].remove(i);
-                finish.insert((w, op), tick + 1);
+                finish[meta.op_slot(w, op)] = Some(tick + 1);
                 lists[w].push(op);
                 if meta.split_backward {
                     lists[w].push(op.with_kind(OpKind::BackwardWeight));

@@ -32,10 +32,11 @@
 //! split backward, same `p/v/n`), which makes it eligible for the
 //! `retune_mepipe` hot-swap path.
 
-use std::collections::HashSet;
+use std::rc::Rc;
 
 use mepipe_schedule::{
-    exec::{simulate, span_op, Engine, SimConfig, UnitCost},
+    deps::dependencies,
+    exec::{simulate, Engine, SimConfig, UnitCost},
     generate::{cap_floor, default_caps, dependents, greedy_generate},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
@@ -230,18 +231,22 @@ pub(crate) fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, S
 }
 
 /// One partial construction state of the order search. Ticks are
-/// synchronous (each worker places at most one unit per tick); the
-/// engine times each placed op as it is appended to its worker's list.
+/// synchronous (each worker places at most one op per tick); the engine
+/// times each placed op as it is appended to its worker's list, and the
+/// trail records it.
 #[derive(Clone)]
 struct State<'a> {
     timing: Engine<'a>,
+    /// The ops placed so far, one tick per link, newest first.
+    trail: Option<Rc<Tick>>,
     ready_fwd: Vec<Vec<Op>>,
     ready_bwd: Vec<Vec<Op>>,
     /// Weight ops whose input-gradient half has run but which have not
     /// been placed yet — the zero-bubble deferral pool. Drained into
     /// ticks where the worker would otherwise idle.
     pending_w: Vec<Vec<Op>>,
-    queued: HashSet<(usize, Op)>,
+    /// Whether an op has entered a ready list, at its `op_slot`.
+    queued: Vec<bool>,
     in_flight: Vec<usize>,
     reserved: Vec<usize>,
     prefer_forward: Vec<bool>,
@@ -271,21 +276,36 @@ impl State<'_> {
             .fold(0.0, f64::max)
     }
 
-    /// Appends `op` to worker `w`'s list; its producers have all run.
-    fn place(&mut self, w: usize, op: Op) {
-        assert!(self.timing.try_run(w, op), "placed {op} before a producer");
-    }
-
-    /// The per-worker lists placed so far.
+    /// The per-worker lists placed so far, read off the trail.
     fn schedule(&self, meta: &ScheduleMeta) -> Schedule {
-        let workers = (0..meta.stages)
-            .map(|w| self.timing.spans(w).iter().filter_map(span_op).collect())
-            .collect();
+        let mut ticks = Vec::new();
+        let mut at = self.trail.as_deref();
+        while let Some(tick) = at {
+            ticks.push(tick);
+            at = tick.prev.as_deref();
+        }
+        let mut workers = vec![Vec::new(); meta.stages];
+        for tick in ticks.iter().rev() {
+            for &(w, op) in &tick.placed {
+                workers[w].push(op);
+            }
+        }
         Schedule {
             meta: meta.clone(),
             workers,
         }
     }
+}
+
+/// The ops one tick placed, in placement order, and the tick before it.
+/// Beam states branch from a shared history, so they share its links
+/// instead of each copying every op placed so far. Dropping a trail
+/// recurses once per link; the beam only runs at `p ≥ 2` (one stage has
+/// no bubble to remove), so under `BEAM_OPS_LIMIT` a trail is at most
+/// about 3,000 ticks deep.
+struct Tick {
+    placed: Vec<(usize, Op)>,
+    prev: Option<Rc<Tick>>,
 }
 
 /// What a worker does in one tick.
@@ -296,10 +316,10 @@ enum Action {
     Bwd(usize),
 }
 
-fn beam_search(
-    meta: &ScheduleMeta,
+fn beam_search<'a>(
+    meta: &'a ScheduleMeta,
     caps: &[usize],
-    costs: &UnitCost,
+    costs: &'a UnitCost,
     incumbent: f64,
     stats: &mut SolverStats,
 ) -> Option<(Schedule, f64)> {
@@ -307,10 +327,11 @@ fn beam_search(
     let units = meta.units_per_worker();
     let mut init = State {
         timing: Engine::new(meta, costs, SimConfig::default()),
+        trail: None,
         ready_fwd: vec![Vec::new(); p],
         ready_bwd: vec![Vec::new(); p],
         pending_w: vec![Vec::new(); p],
-        queued: HashSet::new(),
+        queued: vec![false; meta.op_slots()],
         in_flight: vec![0; p],
         reserved: vec![0; p],
         prefer_forward: vec![false; p],
@@ -323,6 +344,17 @@ fn beam_search(
         let (w0, c0) = meta.chain_stage_chunk(mb, 0);
         init.ready_fwd[w0].push(Op::new(OpKind::Forward, mb, 0, c0));
     }
+
+    // The trail keeps each worker's list, so the spans the engine books
+    // are not: they go to one scratch list, cleared after every op.
+    let mut scratch = Vec::new();
+    let mut place = |s: &mut State<'a>, w: usize, op: Op| {
+        assert!(
+            s.timing.try_run(w, op, &mut scratch),
+            "placed {op} before a producer"
+        );
+        scratch.clear();
+    };
 
     let mut beam = vec![init];
     let mut best: Option<(Schedule, f64)> = None;
@@ -413,7 +445,7 @@ fn beam_search(
                         (None, None) => Action::Idle,
                     };
                 }
-                let child = apply_tick(meta, &state, &actions);
+                let child = apply_tick(meta, &state, &actions, &mut place);
                 if child.remaining == 0 {
                     let t = child.makespan();
                     if t < best_time - IMPROVE_MARGIN {
@@ -442,16 +474,22 @@ fn beam_search(
     best
 }
 
-/// Applies one tick's joint actions, returning the advanced state.
-fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) -> State<'a> {
+/// Applies one tick's joint actions, returning the advanced state;
+/// `place` times one op whose producers have all run.
+fn apply_tick<'a>(
+    meta: &ScheduleMeta,
+    state: &State<'a>,
+    actions: &[Action],
+    place: &mut impl FnMut(&mut State<'a>, usize, Op),
+) -> State<'a> {
     let mut s = state.clone();
-    let mut fresh: Vec<(usize, Op)> = Vec::new();
+    let mut placed: Vec<(usize, Op)> = Vec::new();
     for (w, action) in actions.iter().enumerate() {
         match *action {
             Action::Idle => {}
             Action::Fwd(i) => {
                 let op = s.ready_fwd[w].swap_remove(i);
-                s.place(w, op);
+                place(&mut s, w, op);
                 let shallow = (0..meta.virtual_chunks)
                     .min_by_key(|&c| meta.placement.global_pos(meta.stages, w, c))
                     .expect("chunk");
@@ -464,11 +502,11 @@ fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) ->
                 s.remaining_fwd[w] -= 1;
                 s.remaining -= 1;
                 s.prefer_forward[w] = false;
-                fresh.push((w, op));
+                placed.push((w, op));
             }
             Action::Bwd(i) => {
                 let op = s.ready_bwd[w].swap_remove(i);
-                s.place(w, op);
+                place(&mut s, w, op);
                 // Zero-bubble deferral: the weight op joins the pool and
                 // runs in a tick where this worker would otherwise idle.
                 s.pending_w[w].push(op.with_kind(OpKind::BackwardWeight));
@@ -476,7 +514,7 @@ fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) ->
                 s.remaining_bwd[w] -= 1;
                 s.remaining -= 1;
                 s.prefer_forward[w] = true;
-                fresh.push((w, op));
+                placed.push((w, op));
             }
         }
     }
@@ -485,22 +523,27 @@ fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) ->
     for (w, action) in actions.iter().enumerate() {
         if *action == Action::Idle && !s.pending_w[w].is_empty() {
             let wop = s.pending_w[w].remove(0);
-            s.place(w, wop);
+            place(&mut s, w, wop);
             s.remaining_w[w] -= 1;
             s.remaining -= 1;
+            placed.push((w, wop));
         }
     }
-    for &(w, op) in &fresh {
-        let backward_kind = if meta.split_backward {
-            OpKind::BackwardInput
-        } else {
-            OpKind::Backward
-        };
+    let backward_kind = if meta.split_backward {
+        OpKind::BackwardInput
+    } else {
+        OpKind::Backward
+    };
+    // Weight ops unlock nothing, so only this tick's F and B placements
+    // have dependents.
+    for &(w, op) in &placed {
         for (dw, dep) in dependents(meta, w, op, backward_kind) {
-            let all_done = mepipe_schedule::deps::dependencies(meta, dw, dep)
+            let all_done = dependencies(meta, dw, dep)
                 .iter()
                 .all(|d| s.timing.finish_time(d.stage, d.op).is_some());
-            if all_done && s.queued.insert((dw, dep)) {
+            let slot = meta.op_slot(dw, dep);
+            if all_done && !s.queued[slot] {
+                s.queued[slot] = true;
                 match dep.kind {
                     OpKind::Forward => s.ready_fwd[dw].push(dep),
                     _ => s.ready_bwd[dw].push(dep),
@@ -508,6 +551,10 @@ fn apply_tick<'a>(meta: &ScheduleMeta, state: &State<'a>, actions: &[Action]) ->
             }
         }
     }
+    s.trail = Some(Rc::new(Tick {
+        placed,
+        prev: s.trail.take(),
+    }));
     s
 }
 
@@ -552,18 +599,41 @@ mod tests {
     use super::*;
     use mepipe_schedule::validate::validate;
 
+    /// The reported makespan is the engine's on the returned lists, bit
+    /// for bit — whether they are a seed or rebuilt from the beam's trail.
+    fn assert_makespan_replays(syn: &Synthesis, cfg: &SolverConfig, dims: &Dims) {
+        let replay = simulate(&syn.schedule, &cfg.costs, &SimConfig::default())
+            .unwrap_or_else(|e| panic!("{dims}: {e}"));
+        assert_eq!(
+            replay.makespan.to_bits(),
+            syn.stats.makespan.to_bits(),
+            "{dims}: replayed {} vs reported {}",
+            replay.makespan,
+            syn.stats.makespan
+        );
+    }
+
     #[test]
     fn solver_output_is_valid_and_never_worse_than_seed() {
-        for dims in [
-            Dims::new(2, 4).slices(2),
-            Dims::new(4, 8).slices(2),
-            Dims::new(4, 4).virtual_chunks(2).slices(2),
+        let capped = SolverConfig {
+            cap: Some(3),
+            ..Default::default()
+        };
+        for (dims, cfg) in [
+            (Dims::new(2, 4).slices(2), SolverConfig::default()),
+            (Dims::new(4, 8).slices(2), SolverConfig::default()),
+            (
+                Dims::new(4, 4).virtual_chunks(2).slices(2),
+                SolverConfig::default(),
+            ),
+            (Dims::new(4, 8).slices(2), capped),
         ] {
-            let syn = synthesize(&dims, &SolverConfig::default()).unwrap();
+            let syn = synthesize(&dims, &cfg).unwrap();
             validate(&syn.schedule).unwrap_or_else(|e| panic!("{dims}: {e}"));
             assert!(syn.stats.makespan <= syn.stats.seed_makespan + 1e-12);
             assert!(syn.stats.makespan >= syn.stats.floor - 1e-9, "{dims}");
             assert!(syn.stats.seeds_tried > 0);
+            assert_makespan_replays(&syn, &cfg, &dims);
         }
     }
 
@@ -623,14 +693,17 @@ mod tests {
             },
             cap: None,
         };
-        let improved = [
+        let mut improved = false;
+        for dims in [
             Dims::new(2, 4).slices(2),
             Dims::new(2, 8).slices(2),
             Dims::new(4, 8).slices(2),
             Dims::new(4, 8),
-        ]
-        .iter()
-        .any(|d| synthesize(d, &cfg).unwrap().stats.improved);
+        ] {
+            let syn = synthesize(&dims, &cfg).unwrap();
+            assert_makespan_replays(&syn, &cfg, &dims);
+            improved |= syn.stats.improved;
+        }
         assert!(improved, "beam never improved on the greedy seed");
     }
 }

@@ -13,7 +13,65 @@
 //!   dK/dV contributions for this slice);
 //! * a weight-gradient op needs its matching input-gradient op.
 
+use std::{fmt, ops::Deref};
+
 use crate::ir::{Op, OpKind, ScheduleMeta};
+
+/// Up to three entries stored inline — the most producers or consumers any
+/// op has — so listing them allocates nothing. Derefs to a slice.
+#[derive(Clone, Copy)]
+pub struct InlineList<T> {
+    items: [T; 3],
+    len: usize,
+}
+
+impl<T: Copy> InlineList<T> {
+    /// An empty list; `fill` only occupies the unused entries.
+    pub(crate) fn new(fill: T) -> Self {
+        Self {
+            items: [fill; 3],
+            len: 0,
+        }
+    }
+
+    /// Appends `item`; panics past three entries.
+    pub(crate) fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+}
+
+impl<T> Deref for InlineList<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a InlineList<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T> IntoIterator for InlineList<T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for InlineList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One producer an op must wait for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +90,7 @@ pub struct Dep {
 ///
 /// Panics if the op's coordinates are outside the meta's shape, or if a
 /// weight-gradient op appears in a non-split schedule.
-pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> Vec<Dep> {
+pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> InlineList<Dep> {
     assert!(
         op.micro_batch < meta.micro_batches,
         "micro-batch out of range: {op}"
@@ -51,7 +109,11 @@ pub fn dependencies(meta: &ScheduleMeta, stage: usize, op: Op) -> Vec<Dep> {
         );
     }
     let g = meta.chain_pos(op.micro_batch, stage, op.chunk);
-    let mut deps = Vec::with_capacity(3);
+    let mut deps = InlineList::new(Dep {
+        op,
+        stage,
+        cross_stage: false,
+    });
     match op.kind {
         OpKind::Forward => {
             if g > 0 {

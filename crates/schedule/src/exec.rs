@@ -247,7 +247,6 @@ struct WorkerState {
     /// Bytes needed the first time this worker exceeded the cap.
     oom: Option<f64>,
     queue: WgradQueue,
-    spans: Vec<Span>,
 }
 
 /// Seconds from iteration start in whole nanoseconds, the resolution of
@@ -313,10 +312,9 @@ impl WorkerState {
     }
 
     /// Books `spent` seconds of drained weight GEMMs from `free` on.
-    fn drain(&mut self, spent: f64) {
+    fn drain(&mut self, spent: f64, spans: &mut Vec<Span>) {
         if spent > 0.0 {
-            self.spans
-                .push(span(SpanKind::WgradDrain, self.free, self.free + spent));
+            spans.push(span(SpanKind::WgradDrain, self.free, self.free + spent));
             self.busy += spent;
             self.free += spent;
         }
@@ -331,44 +329,29 @@ impl WorkerState {
 /// per-worker state. So the order in which workers are advanced never
 /// changes a result, and a caller may advance each worker for as long as
 /// its next op's producers have finished.
+///
+/// The engine holds timing state only. [`Engine::try_run`] appends the
+/// spans it books to a list the caller owns, one per worker, and
+/// [`Engine::finish`] takes those lists back to close the trace — so a
+/// caller that needs no timeline can time ops through one reused scratch
+/// list, and cloning an engine copies no spans.
 #[derive(Clone)]
 pub struct Engine<'a> {
     meta: &'a ScheduleMeta,
     cost: &'a dyn Cost,
     config: SimConfig,
     workers: Vec<WorkerState>,
-    /// Finish time of every op that has run, at [`slot`]; NaN until then.
+    /// Finish time of every op that has run, at its
+    /// [`ScheduleMeta::op_slot`]; NaN until then.
     finish: Vec<f64>,
     /// When the directed link `from → to` is next free, at `from·p + to`.
     link_free: Vec<f64>,
-}
-
-/// Dense index of `op` on `stage`. A schedule holds either fused or
-/// input-gradient backwards (dependency derivation rejects the other
-/// kind), so the two share a slot.
-fn slot(meta: &ScheduleMeta, stage: usize, op: Op) -> usize {
-    let kind = match op.kind {
-        OpKind::Forward => 0,
-        OpKind::Backward | OpKind::BackwardInput => 1,
-        OpKind::BackwardWeight => 2,
-    };
-    let unit = (op.micro_batch * meta.virtual_chunks + op.chunk) * meta.slices + op.slice;
-    (stage * 3 + kind) * slots_per_kind(meta) + unit
-}
-
-/// Every `(micro-batch, chunk, slice)` of the shape, whether or not the
-/// placement runs it on a given stage.
-fn slots_per_kind(meta: &ScheduleMeta) -> usize {
-    meta.micro_batches * meta.virtual_chunks * meta.slices
 }
 
 impl<'a> Engine<'a> {
     /// An engine at time zero with no op run.
     pub fn new(meta: &'a ScheduleMeta, cost: &'a dyn Cost, config: SimConfig) -> Self {
         let p = meta.stages;
-        // Room for every op plus one wait or drain before each, and the
-        // final drain.
-        let ops = meta.units_per_worker() * if meta.split_backward { 3 } else { 2 };
         let worker = || WorkerState {
             free: 0.0,
             busy: 0.0,
@@ -376,21 +359,20 @@ impl<'a> Engine<'a> {
             peak_bytes: 0.0,
             oom: None,
             queue: WgradQueue::new(),
-            spans: Vec::with_capacity(2 * ops + 1),
         };
         Self {
             meta,
             cost,
             config,
             workers: (0..p).map(|_| worker()).collect(),
-            finish: vec![f64::NAN; p * 3 * slots_per_kind(meta)],
+            finish: vec![f64::NAN; meta.op_slots()],
             link_free: vec![0.0; p * p],
         }
     }
 
     /// When `op` finished on `stage`, if it has run.
     pub fn finish_time(&self, stage: usize, op: Op) -> Option<f64> {
-        let t = self.finish[slot(self.meta, stage, op)];
+        let t = self.finish[self.meta.op_slot(stage, op)];
         (!t.is_nan()).then_some(t)
     }
 
@@ -399,21 +381,18 @@ impl<'a> Engine<'a> {
         self.workers[stage].free
     }
 
-    /// The spans worker `stage` has booked so far, time-ordered.
-    pub fn spans(&self, stage: usize) -> &[Span] {
-        &self.workers[stage].spans
-    }
-
-    /// Runs `op` next on worker `stage`. Returns `false`, changing
-    /// nothing, while one of its producers has not finished. A deferred
-    /// weight-gradient op (dynamic W) runs through the queue its
-    /// input-gradient op filled, so it is accepted as a no-op.
+    /// Runs `op` next on worker `stage`, appending the spans it books —
+    /// a wait, drains, the op itself — to `spans`, worker `stage`'s
+    /// timeline so far. Returns `false`, changing nothing, while one of
+    /// its producers has not finished. A deferred weight-gradient op
+    /// (dynamic W) runs through the queue its input-gradient op filled,
+    /// so it is accepted as a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `stage` or the op's coordinates are outside the engine's
     /// shape, or if the op's backward kind does not match the shape's.
-    pub fn try_run(&mut self, stage: usize, op: Op) -> bool {
+    pub fn try_run(&mut self, stage: usize, op: Op, spans: &mut Vec<Span>) -> bool {
         let (meta, cost, config) = (self.meta, self.cost, self.config);
         if config.dynamic_wgrad && op.kind == OpKind::BackwardWeight {
             return true;
@@ -426,7 +405,7 @@ impl<'a> Engine<'a> {
         // the worker is free.
         let mut waited_on = None;
         for d in &deps {
-            let t = self.finish[slot(meta, d.stage, d.op)];
+            let t = self.finish[meta.op_slot(d.stage, d.op)];
             if t.is_nan() {
                 return false;
             }
@@ -445,11 +424,11 @@ impl<'a> Engine<'a> {
         // Fill the wait gap with queued weight-gradient GEMMs.
         if config.dynamic_wgrad && start > st.free {
             let (spent, _done) = st.queue.drain_for(start - st.free);
-            st.drain(spent);
+            st.drain(spent, spans);
         }
         // What the drain left of the wait, the worker spends blocked.
         if let Some(peer) = waited_on.filter(|_| start > st.free) {
-            st.spans.push(Span {
+            spans.push(Span {
                 peer: peer as u32,
                 ..span(SpanKind::RecvWait, st.free, start)
             });
@@ -464,7 +443,7 @@ impl<'a> Engine<'a> {
                     let (spent, _done) = st.queue.drain_for_bytes(over);
                     if spent > 0.0 {
                         st.free = st.free.max(start);
-                        st.drain(spent);
+                        st.drain(spent, spans);
                         start = start.max(st.free);
                     }
                     if st.current_bytes() + need > limit && st.oom.is_none() {
@@ -479,7 +458,7 @@ impl<'a> Engine<'a> {
         start = start.max(st.free);
         let dur = cost.duration(w, op);
         let end = start + dur;
-        st.spans.push(op_span(op, start, end));
+        spans.push(op_span(op, start, end));
         st.busy += dur;
         st.free = end;
 
@@ -508,7 +487,7 @@ impl<'a> Engine<'a> {
                     let over = st.current_bytes() - limit;
                     if over > 0.0 {
                         let (spent, _done) = st.queue.drain_for_bytes(over);
-                        st.drain(spent);
+                        st.drain(spent, spans);
                     }
                 }
             }
@@ -517,10 +496,10 @@ impl<'a> Engine<'a> {
             OpKind::BackwardInput | OpKind::Forward => {}
         }
 
-        self.finish[slot(meta, w, op)] = end;
+        self.finish[meta.op_slot(w, op)] = end;
         // Commit the link occupancy of every transfer this op consumed.
         for d in deps.iter().filter(|d| d.cross_stage) {
-            let t = self.finish[slot(meta, d.stage, d.op)];
+            let t = self.finish[meta.op_slot(d.stage, d.op)];
             let link = &mut self.link_free[d.stage * p + w];
             *link = t.max(*link) + cost.transfer_time(d.stage, w);
         }
@@ -528,33 +507,38 @@ impl<'a> Engine<'a> {
     }
 
     /// Drains every worker's remaining deferred weight work and closes
-    /// the iteration.
-    pub fn finish(mut self) -> SimResult {
-        for st in &mut self.workers {
+    /// the iteration, with `spans[w]` the list worker `w`'s
+    /// [`Engine::try_run`] calls appended to.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one span list per worker.
+    pub fn finish(self, mut spans: Vec<Vec<Span>>) -> SimResult {
+        assert_eq!(spans.len(), self.workers.len(), "one span list per worker");
+        let mut workers = self.workers;
+        for (st, spans) in workers.iter_mut().zip(&mut spans) {
             let (spent, _done) = st.queue.drain_all();
-            st.drain(spent);
+            st.drain(spent, spans);
         }
-        let makespan = self.workers.iter().map(|s| s.free).fold(0.0, f64::max);
+        let makespan = workers.iter().map(|s| s.free).fold(0.0, f64::max);
         SimResult {
             iteration_time: makespan + self.cost.dp_sync_time() + self.cost.optimizer_time(),
             makespan,
-            busy: self.workers.iter().map(|s| s.busy).collect(),
-            peak_activation_bytes: self.workers.iter().map(|s| s.peak_bytes).collect(),
-            oom: self
-                .workers
+            busy: workers.iter().map(|s| s.busy).collect(),
+            peak_activation_bytes: workers.iter().map(|s| s.peak_bytes).collect(),
+            oom: workers
                 .iter()
                 .enumerate()
                 .find_map(|(w, s)| s.oom.map(|b| (w, b))),
             trace: IterationTrace {
-                stages: self
-                    .workers
+                stages: spans
                     .into_iter()
                     .enumerate()
-                    .map(|(stage, s)| StageTrace {
+                    .map(|(stage, spans)| StageTrace {
                         stage,
                         replica: 0,
                         epoch_ns: 0,
-                        spans: s.spans,
+                        spans,
                         dropped: 0,
                     })
                     .collect(),
@@ -593,13 +577,19 @@ pub fn simulate(
         ));
     }
     let mut engine = Engine::new(meta, cost, *config);
+    // Room for every op plus one wait or drain before each, and the final
+    // drain.
+    let ops = meta.units_per_worker() * if meta.split_backward { 3 } else { 2 };
+    let mut spans: Vec<Vec<Span>> = (0..meta.stages)
+        .map(|_| Vec::with_capacity(2 * ops + 1))
+        .collect();
     let mut next = vec![0usize; meta.stages];
     let mut progressed = true;
     while progressed {
         progressed = false;
         for (w, ops) in schedule.workers.iter().enumerate() {
             while let Some(&op) = ops.get(next[w]) {
-                if !engine.try_run(w, op) {
+                if !engine.try_run(w, op, &mut spans[w]) {
                     break;
                 }
                 next[w] += 1;
@@ -611,7 +601,7 @@ pub fn simulate(
     if let Some((w, (ops, &i))) = pending.find(|(_, (ops, &i))| i < ops.len()) {
         return Err(format!("simulation deadlock at worker {w}: {}", ops[i]));
     }
-    Ok(engine.finish())
+    Ok(engine.finish(spans))
 }
 
 #[cfg(test)]
@@ -842,16 +832,18 @@ mod tests {
         let s = two_stage_two_mb();
         let cost = UnitCost::ones();
         let mut e = Engine::new(&s.meta, &cost, SimConfig::default());
+        let mut spans = vec![Vec::new(); 2];
         let f0 = Op::new(OpKind::Forward, 0, 0, 0);
         // Stage 1's F0 needs stage 0's F0 first.
-        assert!(!e.try_run(1, f0));
+        assert!(!e.try_run(1, f0, &mut spans[1]));
         assert_eq!(e.finish_time(1, f0), None);
-        assert!(e.try_run(0, f0));
-        assert!(e.try_run(1, f0));
+        assert!(spans[1].is_empty());
+        assert!(e.try_run(0, f0, &mut spans[0]));
+        assert!(e.try_run(1, f0, &mut spans[1]));
         assert_eq!(e.finish_time(1, f0), Some(2.0));
         assert_eq!(e.free_at(1), 2.0);
         // Stage 1 waited on stage 0's tensor before its F0.
-        let booked: Vec<_> = e.spans(1).iter().map(|s| (s.kind, s.peer)).collect();
+        let booked: Vec<_> = spans[1].iter().map(|s| (s.kind, s.peer)).collect();
         assert_eq!(
             booked,
             vec![(SpanKind::RecvWait, 0), (SpanKind::Forward, NO_TAG)]

@@ -21,9 +21,10 @@
 //! Figure 7(a); the simulator's dynamic drain (Section 5) reorders them at
 //! execution time.
 
-use std::collections::HashSet;
-
-use crate::ir::{Op, OpKind, Schedule, ScheduleMeta};
+use crate::{
+    deps::{dependencies, InlineList},
+    ir::{Op, OpKind, Schedule, ScheduleMeta},
+};
 
 /// The per-worker in-flight floor below which generation cannot make
 /// progress: the first backward needs one whole micro-batch's units on the
@@ -69,17 +70,18 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
     };
 
     // Incremental readiness tracking: instead of re-scanning every pending
-    // op per tick, ops enter per-worker ready sets the moment their last
-    // producer finishes (dependents are enumerated by inverting the
-    // dependency derivation). Ready sets stay small, so a tick costs
-    // O(ready) instead of O(pending).
-    let mut finished: HashSet<(usize, Op)> =
-        HashSet::with_capacity(2 * meta.units_per_worker() * p);
+    // op per tick, ops enter per-worker ready lists the moment their last
+    // producer finishes (`dependents` inverts the dependency derivation;
+    // both list their at most three entries inline). Ready lists stay
+    // small, so a tick costs O(ready) instead of O(pending). Whether an op
+    // has finished, and whether it has been queued, are flags at its
+    // `ScheduleMeta::op_slot`: no hashing and no allocation per op.
+    let mut finished = vec![false; meta.op_slots()];
     let mut ready_fwd: Vec<Vec<Op>> = vec![Vec::new(); p];
     let mut ready_bwd: Vec<Vec<Op>> = vec![Vec::new(); p];
     // Guard against double-enqueueing when two producers of the same
     // consumer finish in the same tick.
-    let mut queued: HashSet<(usize, Op)> = HashSet::new();
+    let mut queued = vec![false; meta.op_slots()];
 
     // Seed: forwards with no producers — slice 0 of every micro-batch at
     // its chain entry (position 0 for everyone; bidirectional streams
@@ -243,14 +245,16 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         // Commit this tick's completions and unlock dependents for the
         // next tick.
         for &(w, op) in &freshly_done {
-            finished.insert((w, op));
+            finished[meta.op_slot(w, op)] = true;
         }
         for &(w, op) in &freshly_done {
             for (dw, dep) in dependents(meta, w, op, backward_kind) {
-                let all_done = crate::deps::dependencies(meta, dw, dep)
+                let all_done = dependencies(meta, dw, dep)
                     .iter()
-                    .all(|d| finished.contains(&(d.stage, d.op)));
-                if all_done && queued.insert((dw, dep)) {
+                    .all(|d| finished[meta.op_slot(d.stage, d.op)]);
+                let slot = meta.op_slot(dw, dep);
+                if all_done && !queued[slot] {
+                    queued[slot] = true;
                     match dep.kind {
                         OpKind::Forward => ready_fwd[dw].push(dep),
                         _ => ready_bwd[dw].push(dep),
@@ -277,9 +281,9 @@ pub fn dependents(
     stage: usize,
     op: Op,
     backward_kind: OpKind,
-) -> Vec<(usize, Op)> {
+) -> InlineList<(usize, Op)> {
     let g = meta.chain_pos(op.micro_batch, stage, op.chunk);
-    let mut out = Vec::with_capacity(3);
+    let mut out = InlineList::new((stage, op));
     match op.kind {
         OpKind::Forward => {
             if g < meta.last_chain_pos() {

@@ -311,6 +311,33 @@ impl ScheduleMeta {
         }
     }
 
+    /// Dense index of `op` on `stage`, below [`ScheduleMeta::op_slots`]:
+    /// the one key every construction loop, validator and the timing
+    /// engine use for per-op state. A schedule holds either fused or
+    /// input-gradient backwards (dependency derivation rejects the other
+    /// kind), so the two share a slot.
+    pub fn op_slot(&self, stage: usize, op: Op) -> usize {
+        let kind = match op.kind {
+            OpKind::Forward => 0,
+            OpKind::Backward | OpKind::BackwardInput => 1,
+            OpKind::BackwardWeight => 2,
+        };
+        let unit = (op.micro_batch * self.virtual_chunks + op.chunk) * self.slices + op.slice;
+        (stage * 3 + kind) * self.units() + unit
+    }
+
+    /// Size of the [`ScheduleMeta::op_slot`] index: three kinds of every
+    /// unit on every stage.
+    pub fn op_slots(&self) -> usize {
+        self.stages * 3 * self.units()
+    }
+
+    /// Every `(micro-batch, chunk, slice)` of the shape, whether or not
+    /// the placement runs it on a given stage.
+    fn units(&self) -> usize {
+        self.micro_batches * self.virtual_chunks * self.slices
+    }
+
     /// Basic shape sanity: nonzero dimensions, V-placement only at `v = 2`,
     /// bidirectional placement only at `v = 2` with an even micro-batch
     /// count (the two streams must be balanced).

@@ -9,11 +9,9 @@
 //!    deadlocks: an op only needs producers that appear earlier in their
 //!    own workers' lists. This is checked by a worklist simulation.
 
-use std::collections::HashSet;
-
 use crate::{
     deps::dependencies,
-    ir::{Op, OpKind, Schedule},
+    ir::{OpKind, Schedule},
 };
 
 /// Validates completeness and executability; `Err` describes the first
@@ -38,6 +36,7 @@ fn check_completeness(schedule: &Schedule) -> Result<(), String> {
     } else {
         OpKind::Backward
     };
+    let mut seen = vec![false; meta.op_slots()];
     for (w, ops) in schedule.workers.iter().enumerate() {
         if ops.len() != schedule.expected_ops_per_worker() {
             return Err(format!(
@@ -46,7 +45,6 @@ fn check_completeness(schedule: &Schedule) -> Result<(), String> {
                 schedule.expected_ops_per_worker()
             ));
         }
-        let mut seen = HashSet::with_capacity(ops.len());
         for op in ops {
             if op.micro_batch >= meta.micro_batches
                 || op.slice >= meta.slices
@@ -74,9 +72,12 @@ fn check_completeness(schedule: &Schedule) -> Result<(), String> {
                     ))
                 }
             }
-            if !seen.insert(*op) {
+            // In shape and of an allowed kind, so its slot is its own.
+            let slot = meta.op_slot(w, *op);
+            if seen[slot] {
                 return Err(format!("worker {w}: duplicate op {op}"));
             }
+            seen[slot] = true;
         }
     }
     Ok(())
@@ -85,7 +86,7 @@ fn check_completeness(schedule: &Schedule) -> Result<(), String> {
 fn check_executability(schedule: &Schedule) -> Result<(), String> {
     let meta = &schedule.meta;
     let mut next = vec![0usize; schedule.num_workers()];
-    let mut done: HashSet<(usize, Op)> = HashSet::with_capacity(schedule.num_ops());
+    let mut done = vec![false; meta.op_slots()];
     let total = schedule.num_ops();
     let mut executed = 0usize;
     loop {
@@ -96,11 +97,11 @@ fn check_executability(schedule: &Schedule) -> Result<(), String> {
                 let op = schedule.workers[w][*ptr];
                 let ready = dependencies(meta, w, op)
                     .iter()
-                    .all(|d| done.contains(&(d.stage, d.op)));
+                    .all(|d| done[meta.op_slot(d.stage, d.op)]);
                 if !ready {
                     break;
                 }
-                done.insert((w, op));
+                done[meta.op_slot(w, op)] = true;
                 *ptr += 1;
                 executed += 1;
                 progress = true;
@@ -116,7 +117,7 @@ fn check_executability(schedule: &Schedule) -> Result<(), String> {
                 .expect("some worker must be stuck");
             let missing: Vec<String> = dependencies(meta, w, op)
                 .iter()
-                .filter(|d| !done.contains(&(d.stage, d.op)))
+                .filter(|d| !done[meta.op_slot(d.stage, d.op)])
                 .map(|d| format!("{} on stage {}", d.op, d.stage))
                 .collect();
             return Err(format!(
@@ -155,7 +156,7 @@ pub fn peak_in_flight(schedule: &Schedule) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ChunkPlacement, ScheduleMeta};
+    use crate::ir::{ChunkPlacement, Op, ScheduleMeta};
 
     fn tiny_meta() -> ScheduleMeta {
         ScheduleMeta {

@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 
 use mepipe_schedule::{
+    deps::dependencies,
     exec::{simulate, SimConfig, UnitCost},
-    generate::{default_caps, greedy_generate},
+    generate::{default_caps, dependents, greedy_generate},
     generator::{Dapple, Dims, GPipe, ScheduleGenerator, TeraPipe},
-    ir::{ChunkPlacement, ScheduleMeta},
+    ir::{ChunkPlacement, Op, OpKind, ScheduleMeta},
     validate::{peak_in_flight, validate},
 };
 
@@ -47,6 +48,66 @@ proptest! {
         for g in 0..p * 2 {
             let (w, c) = ChunkPlacement::VShape.stage_chunk_of(p, g);
             prop_assert_eq!(ChunkPlacement::VShape.global_pos(p, w, c), g);
+        }
+    }
+
+    /// The two op lists construction runs on agree, and the op index is
+    /// dense: on every worker of every placement, each consumer
+    /// `dependents` lists for an F or B/Bi op names that op among its
+    /// `dependencies`, and each producer `dependencies` lists names the op
+    /// among its `dependents`; `op_slot` maps the shape's ops one-to-one
+    /// below `op_slots()`.
+    #[test]
+    fn dependents_invert_dependencies_and_slots_are_dense(
+        p in 1usize..=5,
+        v in 1usize..=3,
+        s in 1usize..=3,
+        n in 1usize..=4,
+        split in proptest::bool::ANY,
+        placement in prop::sample::select(vec![
+            ChunkPlacement::Interleaved,
+            ChunkPlacement::VShape,
+            ChunkPlacement::Wave,
+            ChunkPlacement::Bidirectional,
+        ]),
+    ) {
+        let m = meta(p, v, s, n, split, placement);
+        prop_assume!(m.check_shape().is_ok());
+        let bk = if split { OpKind::BackwardInput } else { OpKind::Backward };
+        let mut kinds = vec![OpKind::Forward, bk];
+        if split {
+            kinds.push(OpKind::BackwardWeight);
+        }
+        let mut seen = vec![false; m.op_slots()];
+        for w in 0..p {
+            for mb in 0..n {
+                for c in m.chunk_of_mb(mb).map_or(0..v, |c| c..c + 1) {
+                    for sl in 0..s {
+                        for &kind in &kinds {
+                            let op = Op::new(kind, mb, sl, c);
+                            let slot = m.op_slot(w, op);
+                            prop_assert!(slot < m.op_slots(), "{} on {} at {}", op, w, slot);
+                            prop_assert!(!seen[slot], "{} on {} reuses slot {}", op, w, slot);
+                            seen[slot] = true;
+                            if kind == OpKind::BackwardWeight {
+                                continue;
+                            }
+                            for (dw, dep) in dependents(&m, w, op, bk) {
+                                prop_assert!(
+                                    dependencies(&m, dw, dep).iter().any(|d| (d.stage, d.op) == (w, op)),
+                                    "{} on {} unlocks {} on {}, which does not wait for it", op, w, dep, dw
+                                );
+                            }
+                            for d in dependencies(&m, w, op) {
+                                prop_assert!(
+                                    dependents(&m, d.stage, d.op, bk).contains(&(w, op)),
+                                    "{} on {} waits for {} on {}, which does not unlock it", op, w, d.op, d.stage
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

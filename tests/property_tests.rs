@@ -97,6 +97,7 @@ proptest! {
         let want = simulate(&sch, &cost, &config).unwrap();
 
         let mut engine = Engine::new(&sch.meta, &cost, config);
+        let mut spans = vec![Vec::new(); p];
         let mut next = vec![0usize; p];
         let mut rng = seed;
         loop {
@@ -108,7 +109,7 @@ proptest! {
             while !pending.is_empty() {
                 rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
                 let w = pending.swap_remove((rng >> 33) as usize % pending.len());
-                if engine.try_run(w, sch.workers[w][next[w]]) {
+                if engine.try_run(w, sch.workers[w][next[w]], &mut spans[w]) {
                     next[w] += 1;
                     ran = true;
                     break;
@@ -116,7 +117,7 @@ proptest! {
             }
             prop_assert!(ran, "no worker could advance");
         }
-        let got = engine.finish();
+        let got = engine.finish(spans);
         prop_assert_eq!(&got.trace, &want.trace);
         prop_assert_eq!(&got.busy, &want.busy);
         prop_assert_eq!(&got.peak_activation_bytes, &want.peak_activation_bytes);
