@@ -17,6 +17,10 @@
 //!   delay jitter ([`FaultSpec`]). It only adds time: what arrives is
 //!   exactly what the inner backend delivers.
 //!
+//! The runtime holds each stage's endpoint in a [`StageLink`], together
+//! with the stash of tensors that arrived before the op that consumes
+//! them; a link can serve many iterations.
+//!
 //! The socket wire path is zero-copy by construction: the endpoint
 //! lends a recycled buffer, encodes the frame in place
 //! ([`frame::encode_data_into`] — header and codec-encoded payload in
@@ -48,6 +52,7 @@ pub mod emulated;
 pub mod error;
 pub mod frame;
 pub mod inproc;
+pub mod link;
 pub mod msg;
 pub mod socket;
 pub mod stats;
@@ -59,6 +64,7 @@ pub use config::CommConfig;
 pub use emulated::{EmulatedTransport, FaultSpec};
 pub use error::CommError;
 pub use inproc::InProcTransport;
+pub use link::StageLink;
 pub use msg::{MsgKind, StageMsg};
 pub use socket::{SocketMode, SocketTransport};
 pub use stats::{CommStats, LinkStats};

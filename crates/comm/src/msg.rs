@@ -7,7 +7,7 @@
 use mepipe_tensor::Tensor;
 
 /// Direction of a boundary tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// Forward activation, moving to the next global position.
     Fwd,

@@ -50,21 +50,31 @@ impl LinkStats {
     /// Element-wise sum.
     #[must_use]
     pub fn merged(&self, o: &LinkStats) -> LinkStats {
+        self.zip(o, |a, b| a + b)
+    }
+
+    /// Element-wise difference from an earlier snapshot of the same link.
+    #[must_use]
+    pub fn since(&self, earlier: &LinkStats) -> LinkStats {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    fn zip(&self, o: &LinkStats, f: impl Fn(u64, u64) -> u64) -> LinkStats {
         LinkStats {
-            tx_messages: self.tx_messages + o.tx_messages,
-            tx_bytes: self.tx_bytes + o.tx_bytes,
-            rx_messages: self.rx_messages + o.rx_messages,
-            rx_bytes: self.rx_bytes + o.rx_bytes,
-            serialize_ns: self.serialize_ns + o.serialize_ns,
-            deserialize_ns: self.deserialize_ns + o.deserialize_ns,
-            send_stall_ns: self.send_stall_ns + o.send_stall_ns,
-            queue_wait_ns: self.queue_wait_ns + o.queue_wait_ns,
-            wire_ns: self.wire_ns + o.wire_ns,
-            injected_delays: self.injected_delays + o.injected_delays,
-            rejected_checksums: self.rejected_checksums + o.rejected_checksums,
-            payload_bytes_precodec: self.payload_bytes_precodec + o.payload_bytes_precodec,
-            payload_bytes_postcodec: self.payload_bytes_postcodec + o.payload_bytes_postcodec,
-            encode_overlap_ns: self.encode_overlap_ns + o.encode_overlap_ns,
+            tx_messages: f(self.tx_messages, o.tx_messages),
+            tx_bytes: f(self.tx_bytes, o.tx_bytes),
+            rx_messages: f(self.rx_messages, o.rx_messages),
+            rx_bytes: f(self.rx_bytes, o.rx_bytes),
+            serialize_ns: f(self.serialize_ns, o.serialize_ns),
+            deserialize_ns: f(self.deserialize_ns, o.deserialize_ns),
+            send_stall_ns: f(self.send_stall_ns, o.send_stall_ns),
+            queue_wait_ns: f(self.queue_wait_ns, o.queue_wait_ns),
+            wire_ns: f(self.wire_ns, o.wire_ns),
+            injected_delays: f(self.injected_delays, o.injected_delays),
+            rejected_checksums: f(self.rejected_checksums, o.rejected_checksums),
+            payload_bytes_precodec: f(self.payload_bytes_precodec, o.payload_bytes_precodec),
+            payload_bytes_postcodec: f(self.payload_bytes_postcodec, o.payload_bytes_postcodec),
+            encode_overlap_ns: f(self.encode_overlap_ns, o.encode_overlap_ns),
         }
     }
 }
@@ -118,6 +128,22 @@ impl CommStats {
             recv_wait_ns: self.recv_wait_ns + o.recv_wait_ns,
         }
     }
+
+    /// Element-wise difference from an earlier snapshot of the same
+    /// endpoint: the traffic of one run over a link that outlives it.
+    #[must_use]
+    pub fn since(&self, earlier: &CommStats) -> CommStats {
+        CommStats {
+            stage: self.stage,
+            links: self
+                .links
+                .iter()
+                .zip(&earlier.links)
+                .map(|(l, e)| l.since(e))
+                .collect(),
+            recv_wait_ns: self.recv_wait_ns.saturating_sub(earlier.recv_wait_ns),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,5 +163,6 @@ mod tests {
         assert_eq!(m.links[1].injected_delays, 2);
         assert_eq!(m.recv_wait_ns, 10);
         assert_eq!(m.total().tx_messages, 7);
+        assert_eq!(m.since(&a), b);
     }
 }

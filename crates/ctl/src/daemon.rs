@@ -326,7 +326,13 @@ pub struct Daemon {
     /// postmortems dump its ring alongside a metrics snapshot.
     pub events: EventLog,
     artifact_write_errors: u64,
+    /// The bytes of each artifact's last successful write, in
+    /// [`ARTIFACTS`] order, so an unchanged one is not rewritten.
+    written: [Option<String>; 3],
 }
+
+/// The files [`Daemon::write_artifacts`] keeps current under the out dir.
+const ARTIFACTS: [&str; 3] = ["metrics.json", "metrics.prom", "status.json"];
 
 impl Daemon {
     /// A daemon over `fleet`, spawning stage processes from
@@ -350,6 +356,7 @@ impl Daemon {
             shutting_down: false,
             events: EventLog::stderr("ctl"),
             artifact_write_errors: 0,
+            written: Default::default(),
         })
     }
 
@@ -1103,19 +1110,26 @@ impl Daemon {
     }
 
     /// Writes `metrics.json`, `metrics.prom` and `status.json` under
-    /// the out dir. Failures are not swallowed: each one is logged and
-    /// counted in `mepipe_ctl_artifact_write_errors_total`, so a full
-    /// disk or bad mount shows up in the very metrics that still render
-    /// over HTTP.
+    /// the out dir, skipping a file whose rendered bytes equal its last
+    /// successful write while it is still a regular file of that length
+    /// (most ticks change nothing). Failures are not swallowed: each one
+    /// is logged and counted in `mepipe_ctl_artifact_write_errors_total`,
+    /// so a full disk or bad mount shows up in the very metrics that
+    /// still render over HTTP.
     pub fn write_artifacts(&mut self) {
         let reg = self.metrics();
-        let writes = [
-            ("metrics.json", reg.to_json()),
-            ("metrics.prom", reg.to_prometheus_text()),
-            ("status.json", self.status_json()),
-        ];
-        for (file, body) in writes {
-            if let Err(e) = std::fs::write(self.out_dir.join(file), body) {
+        let bodies = [reg.to_json(), reg.to_prometheus_text(), self.status_json()];
+        for ((file, body), written) in ARTIFACTS.into_iter().zip(bodies).zip(&mut self.written) {
+            let path = self.out_dir.join(file);
+            let unchanged = written.as_deref() == Some(body.as_str())
+                && std::fs::metadata(&path)
+                    .is_ok_and(|m| m.is_file() && m.len() == body.len() as u64);
+            if unchanged {
+                continue;
+            }
+            let result = std::fs::write(&path, &body);
+            *written = result.is_ok().then_some(body);
+            if let Err(e) = result {
                 self.artifact_write_errors += 1;
                 self.events.event(
                     Level::Error,
@@ -1519,6 +1533,51 @@ mod tests {
             .events
             .events()
             .any(|e| e.message.contains("write artifact")));
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn unchanged_artifacts_are_not_rewritten() {
+        let out = std::env::temp_dir().join(format!("mepipe-ctl-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let mut d = Daemon::new(
+            Fleet::homogeneous(1, 2),
+            PathBuf::from("mepipe-worker"),
+            out.clone(),
+        )
+        .unwrap();
+        d.events = EventLog::silent("ctl");
+        d.write_artifacts();
+        // Overwrite each file with other bytes of the same length: a
+        // second write with no state change must leave them alone.
+        let stamp = |f: &str| {
+            let len = std::fs::metadata(out.join(f)).unwrap().len() as usize;
+            std::fs::write(out.join(f), "x".repeat(len)).unwrap();
+            "x".repeat(len)
+        };
+        let stamped: Vec<String> = ARTIFACTS.iter().map(|f| stamp(f)).collect();
+        d.write_artifacts();
+        for (f, want) in ARTIFACTS.iter().zip(&stamped) {
+            assert_eq!(&std::fs::read_to_string(out.join(f)).unwrap(), want, "{f}");
+        }
+        // A state change rewrites what it changes, and only that.
+        d.shutting_down = true;
+        d.write_artifacts();
+        assert_eq!(
+            std::fs::read_to_string(out.join("status.json")).unwrap(),
+            d.status_json()
+        );
+        assert_eq!(
+            std::fs::read_to_string(out.join("metrics.prom")).unwrap(),
+            stamped[1]
+        );
+        // A file gone from disk is written again even if unchanged.
+        std::fs::remove_file(out.join("metrics.prom")).unwrap();
+        d.write_artifacts();
+        assert_eq!(
+            std::fs::read_to_string(out.join("metrics.prom")).unwrap(),
+            d.metrics().to_prometheus_text()
+        );
         let _ = std::fs::remove_dir_all(&out);
     }
 

@@ -1,15 +1,18 @@
 //! Gang supervision: one training job's stage processes as a unit.
 //!
 //! A gang is `stages` copies of `mepipe-worker job`, one per fleet
-//! slot, sharing a mesh directory for per-iteration UDS rendezvous. The
-//! gang is scheduled and dies as a unit — a stage that exits leaves its
-//! peers blocked in transport waits forever (the mesh has no accept
-//! timeout by design), so the supervisor's one job is to notice the
-//! first casualty and kill the rest. Liveness comes from two signals:
-//! exit statuses polled without blocking, and per-stage progress files
-//! the workers append one line per iteration (a stage that stops
-//! appending while still running is hung, not slow — every stage
-//! advances in lockstep or not at all).
+//! slot, sharing a mesh directory where they rendezvous once into one
+//! UDS mesh for the whole attempt. The gang is scheduled and dies as a
+//! unit: a stage that dies mid-run closes its streams without a
+//! goodbye, so its peers fail their next transport wait and exit too,
+//! but a stage lost before the rendezvous completes leaves its peers
+//! blocked in it forever (the mesh has no accept timeout by design). The
+//! supervisor's one job is to notice the first casualty, name the root
+//! cause rather than the peers that died of it, and kill the rest.
+//! Liveness comes from two signals: exit statuses polled without
+//! blocking, and per-stage progress files the workers append one line
+//! per iteration (a stage that stops appending while still running is
+//! hung, not slow — every stage advances in lockstep or not at all).
 
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -237,6 +240,12 @@ impl Gang {
             return done.clone();
         }
         let mut first_failure: Option<String> = None;
+        // Whether `first_failure` names a stage killed by a signal. A
+        // stage that exits with a status reacted to an error it saw —
+        // often a peer's death, which fails every peer's next transport
+        // wait — while one killed by a signal did not, so when one poll
+        // finds both, the signalled stage is the root cause.
+        let mut signalled = false;
         for m in &mut self.members {
             let Some(child) = m.child.as_mut() else {
                 continue;
@@ -246,8 +255,10 @@ impl Gang {
                     m.child.take();
                     m.status = Some(status);
                     m.stdout = m.reader.take().and_then(|r| r.join().ok());
-                    if !status.success() && first_failure.is_none() {
+                    let by_signal = status.code().is_none();
+                    if !status.success() && (first_failure.is_none() || (by_signal && !signalled)) {
                         first_failure = Some(format!("stage {} exited with {status}", m.stage));
+                        signalled = by_signal;
                     }
                 }
                 Ok(None) => {}
@@ -328,5 +339,57 @@ impl Gang {
 impl Drop for Gang {
     fn drop(&mut self) {
         self.kill();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mepipe_schedule::generator::Dims;
+    use mepipe_strategy::Method;
+
+    #[test]
+    fn a_signalled_stage_is_named_ahead_of_peers_that_exited_after_it() {
+        // A stand-in worker: stage 1 aborts at once; stage 0 exits with
+        // a panic's status a moment later, as a peer whose next
+        // transport wait failed on the dead stage does.
+        let dir = std::env::temp_dir().join(format!("mepipe-gang-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let worker = dir.join("worker.sh");
+        std::fs::write(
+            &worker,
+            "#!/bin/sh\nif [ \"$3\" = 1 ]; then kill -ABRT $$; fi\nsleep 0.05\nexit 101\n",
+        )
+        .unwrap();
+        let mut perms = std::fs::metadata(&worker).unwrap().permissions();
+        std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
+        std::fs::set_permissions(&worker, perms).unwrap();
+        let mut gang = Gang::launch(GangConfig {
+            worker_bin: worker,
+            schedule: ScheduleSpec::new(Method::Mepipe, Dims::new(2, 2)),
+            seq_len: 16,
+            layers: 2,
+            seed: 1,
+            lr: 0.1,
+            iters: 1,
+            start_iter: 0,
+            ckpt_interval: 0,
+            ckpt_dir: dir.join("ckpt"),
+            work_dir: dir.join("work"),
+            restore_from: Vec::new(),
+            kill: None,
+            traced: false,
+        })
+        .unwrap();
+        // Let both stages exit before the one poll that sees them.
+        for m in &mut gang.members {
+            let status = m.child.as_mut().unwrap().wait().unwrap();
+            assert!(!status.success());
+        }
+        let GangPoll::Failed { why } = gang.poll(Duration::from_secs(60)) else {
+            panic!("the gang did not fail");
+        };
+        assert!(why.starts_with("stage 1 exited with signal"), "{why}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -208,11 +208,19 @@ thread_local! {
 /// is served from (and returned to) the pool. The handle keeps the
 /// warmed free lists between runs, which is what makes the *next*
 /// iteration allocation-free.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TensorArena {
     /// `None` while the shelves are checked out into thread-local
     /// storage by an [`ArenaScope`].
     inner: Option<Shelves>,
+}
+
+/// An empty, uninstalled arena, the same as [`TensorArena::new`] (a
+/// derived `Default` would start in the installed state).
+impl Default for TensorArena {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TensorArena {
@@ -351,6 +359,19 @@ mod tests {
         assert_eq!(t.data().as_ptr() as usize % ALIGN, 0);
         assert!(t.data().iter().all(|&x| x == 0.0));
         assert_eq!(arena.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_default_arena_is_an_empty_uninstalled_one() {
+        let mut arena = TensorArena::default();
+        let t = arena.acquire(2, 3);
+        arena.release(t);
+        {
+            let _scope = arena.install();
+            drop(Tensor::zeros(2, 3));
+        }
+        let stats = arena.stats();
+        assert_eq!((stats.hits, stats.misses, stats.recycled), (1, 1, 2));
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //!   records measured spans and dumps them to `F` as a line-oriented
 //!   text file (epoch-stamped, so a launcher can merge processes).
 //! * `job --stage I --stages P --dir D --iters T [opts]` — run one
-//!   stage for many iterations under a supervisor (`mepipe-ctl`): a
-//!   fresh UDS mesh per iteration under `D/iter-K`, an SGD step after
-//!   every iteration, an appended `--progress` line per iteration (the
+//!   stage for many iterations under a supervisor (`mepipe-ctl`): one
+//!   UDS mesh under `D` for the whole attempt, claimed before the first
+//!   iteration and closed after the last, an SGD step after every
+//!   iteration, an appended `--progress` line per iteration (the
 //!   supervisor's heartbeat and loss feed), an atomic per-stage
 //!   checkpoint every `--ckpt-interval` iterations into `--ckpt-dir`,
 //!   `--restore-from F` to resume a checkpointed model at
 //!   `--start-iter K`, and `--kill-at-iter M` to abort the process at
 //!   the start of iteration M — the chaos knob the control plane's
-//!   fault-injection layer drives.
+//!   fault-injection layer drives. With `--trace-out F` the stage dumps
+//!   its last iteration's spans to `F` once, after that iteration.
 //! * `launch --stages P [opts]` — spawn P workers over a fresh UDS
 //!   mesh, combine their loss shares in stage order, and compare
 //!   bit-for-bit against an in-process run of the same iteration. With
@@ -57,7 +59,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use mepipe_comm::{CodecId, CommConfig, SocketMode, SocketTransport, Transport, TransportConfig};
+use mepipe_comm::{
+    CodecId, CommConfig, SocketMode, SocketTransport, StageLink, Transport, TransportConfig,
+};
 use mepipe_model::config::TransformerConfig;
 use mepipe_schedule::generator::Dims;
 use mepipe_strategy::{Method, ScheduleArgError, ScheduleSpec};
@@ -330,10 +334,11 @@ fn run_worker(args: &Args) {
         sc.schedule.dims.p,
         CommConfig::new().with_codec(sc.codec),
     );
-    let ep = transport.endpoint(stage).expect("claim stage endpoint");
+    let mut link = StageLink::new(transport.endpoint(stage).expect("claim stage endpoint"));
     let out = rt
-        .run_stage(&schedule, stage, &batch, sc.mode, None, ep)
+        .run_stage(&schedule, stage, &batch, sc.mode, None, &mut link)
         .expect("stage run");
+    link.close().expect("close stage link");
     if let (Some(path), Some(trace)) = (&args.trace_out, &out.trace) {
         dump::write_stage_trace(path, trace).expect("write stage trace dump");
     }
@@ -532,15 +537,19 @@ fn run_launch(args: &Args) {
 
 /// `job`: one stage of a supervised multi-iteration training job.
 ///
-/// Every iteration runs on a fresh UDS mesh under `--dir/iter-K` (all
-/// gang members derive the same directory name, so rendezvous needs no
-/// coordinator), steps the model with SGD over this stage's own-layer
-/// gradients (peer layers' grads are zero, and SGD with a zero grad is
-/// a bitwise no-op, so per-stage stepping equals full-model stepping),
-/// appends a `iter K loss_bits B` heartbeat line, and checkpoints its
-/// model shard atomically every `--ckpt-interval` completed iterations.
-/// `--kill-at-iter M` aborts the whole process at the start of
-/// iteration M — the control plane's chaos knob.
+/// The stage claims one UDS mesh under `--dir` for the whole attempt
+/// (every gang member gets the same directory, so rendezvous needs no
+/// coordinator) and runs every iteration over that one link, closing it
+/// after the last. Each iteration steps the model with SGD over this
+/// stage's own-layer gradients (peer layers' grads are zero, and SGD
+/// with a zero grad is a bitwise no-op, so per-stage stepping equals
+/// full-model stepping wherever each block lives on one stage — not
+/// under DualPipe, whose mirror stages hold the same two blocks),
+/// appends a `iter K loss_bits B` heartbeat line,
+/// and checkpoints its model shard atomically every `--ckpt-interval`
+/// completed iterations. `--kill-at-iter M` aborts the whole process at
+/// the start of iteration M — the control plane's chaos knob; its peers
+/// see the dead stage's streams close and fail too.
 fn run_job(args: &Args) {
     let stage = args.stage.expect("job needs --stage");
     let sc = &args.scenario;
@@ -581,7 +590,24 @@ fn run_job(args: &Args) {
             writeln!(f, "{line}").expect("append progress line");
         }
     };
+    // A failed stage run or close lands here: record the failure, dump
+    // the flight recorder, then die loudly for the supervisor.
+    let die = |events: &mut EventLog, reg: &MetricsRegistry, why: String| -> ! {
+        events.event(Level::Error, None, Some(stage), &why, &[]);
+        if let Some(path) = &args.postmortem {
+            let _ = events.dump_postmortem(path, &why, Some(reg));
+        }
+        panic!("{why}");
+    };
+    std::fs::create_dir_all(&args.dir).expect("mesh dir");
+    let transport = SocketTransport::with_config(
+        SocketMode::Uds(args.dir.clone()),
+        sc.schedule.dims.p,
+        CommConfig::new().with_codec(sc.codec),
+    );
+    let mut link = StageLink::new(transport.endpoint(stage).expect("claim stage endpoint"));
     let mut last_bits = f64::NAN.to_bits();
+    let mut last_trace = None;
     for k in args.start_iter..args.iters {
         if args.kill_at_iter == Some(k) {
             let why = format!("chaos: stage {stage} aborting at the start of iteration {k}");
@@ -591,34 +617,16 @@ fn run_job(args: &Args) {
             }
             std::process::abort();
         }
-        // Old mesh dirs only hold socket files nobody will connect to
-        // again (starting iteration k means every peer finished k-1);
-        // stage 0 prunes with one iteration of slack.
-        if stage == 0 && k >= args.start_iter + 2 {
-            let _ = std::fs::remove_dir_all(args.dir.join(format!("iter-{}", k - 2)));
-        }
-        let mesh = args.dir.join(format!("iter-{k}"));
-        std::fs::create_dir_all(&mesh).expect("mesh dir");
-        let transport = SocketTransport::with_config(
-            SocketMode::Uds(mesh),
-            sc.schedule.dims.p,
-            CommConfig::new().with_codec(sc.codec),
-        );
-        let ep = transport.endpoint(stage).expect("claim stage endpoint");
         let batch = batch_for_iter(&cfg, sc.schedule.dims.n, sc.seed, k);
         let t0 = std::time::Instant::now();
         let out = rt
-            .run_stage(&schedule, stage, &batch, sc.mode, None, ep)
+            .run_stage(&schedule, stage, &batch, sc.mode, None, &mut link)
             .unwrap_or_else(|e| {
-                // Transport errors (a dead peer, a poisoned frame) land
-                // here: record the failure, dump the flight recorder,
-                // then die loudly for the supervisor.
-                let why = format!("stage {stage} iteration {k}: {e}");
-                events.event(Level::Error, None, Some(stage), &why, &[]);
-                if let Some(path) = &args.postmortem {
-                    let _ = events.dump_postmortem(path, &why, Some(&reg));
-                }
-                panic!("{why}");
+                die(
+                    &mut events,
+                    &reg,
+                    format!("stage {stage} iteration {k}: {e}"),
+                )
             });
         observe_iteration(&mut reg, &latency_labels, t0.elapsed().as_secs_f64(), k + 1);
         if let Some(exp) = &exporter {
@@ -633,11 +641,7 @@ fn run_job(args: &Args) {
         }
         Sgd { lr: args.lr }.step_model(&mut rt.model, &out.grads);
         last_bits = out.loss_sum.to_bits();
-        // Dump the latest iteration's spans on every lap so whatever
-        // iteration turns out to be the last leaves a merged-trace part.
-        if let (Some(path), Some(trace)) = (&args.trace_out, &out.trace) {
-            dump::write_stage_trace(path, trace).expect("write stage trace dump");
-        }
+        last_trace = out.trace;
         progress(format!("iter {k} loss_bits {last_bits}"));
         let completed = k + 1;
         if args.ckpt_interval > 0 && completed.is_multiple_of(args.ckpt_interval) {
@@ -660,6 +664,13 @@ fn run_job(args: &Args) {
                 &[],
             );
         }
+    }
+    link.close()
+        .unwrap_or_else(|e| die(&mut events, &reg, format!("stage {stage} close: {e}")));
+    // Only a completed attempt's dumps get merged, and they hold its last
+    // iteration, so the dump is written once, here.
+    if let (Some(path), Some(trace)) = (&args.trace_out, &last_trace) {
+        dump::write_stage_trace(path, trace).expect("write stage trace dump");
     }
     events.event(
         Level::Info,

@@ -31,7 +31,9 @@
 //! end, so no pack outlives an optimizer step.
 //!
 //! Stage-to-stage messaging goes through `mepipe-comm`'s
-//! [`Endpoint`] abstraction, selected by a [`TransportConfig`]
+//! [`Endpoint`](mepipe_comm::Endpoint) abstraction (held, with the
+//! stash of tensors that arrive ahead of their op, in a [`StageLink`]),
+//! selected by a [`TransportConfig`]
 //! ([`PipelineRuntime::with_transport`]): bounded in-process queues by
 //! default (credits sized from the schedule's peak in-flight message
 //! count), Unix-domain/TCP sockets so each stage can be its own OS
@@ -49,7 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use mepipe_comm::{
-    build_transport, CommError, CommStats, Endpoint, MsgKind, StageMsg, TransportConfig,
+    build_transport, CommError, CommStats, MsgKind, StageLink, StageMsg, TransportConfig,
 };
 use mepipe_schedule::ir::{OpKind, Schedule};
 use mepipe_schedule::validate::peak_in_flight;
@@ -138,9 +140,9 @@ pub struct StageRunStats {
     pub drained: usize,
     /// The cap-exceeded verdict, if the stage went over its budget.
     pub oom: Option<MemError>,
-    /// Transport counters for this stage's endpoint.
+    /// Transport counters of this call's traffic over the link.
     pub comm: CommStats,
-    /// Arena counters for this stage (zero when pooling is off).
+    /// Arena counters of this call (zero when pooling is off).
     pub arena: ArenaStats,
     /// Wall-clock seconds this stage spent computing.
     pub busy_seconds: f64,
@@ -165,7 +167,7 @@ pub struct PipelineRuntime {
     /// (scoped spawn), so the free lists must live here to survive into
     /// the next iteration; the lock is touched twice per iteration, never
     /// on the per-tensor hot path. Holds one set per concurrently running
-    /// replica under data parallelism.
+    /// replica under data parallelism (or concurrent `run_stage` call).
     arena_bank: Mutex<Vec<Vec<TensorArena>>>,
 }
 
@@ -287,6 +289,24 @@ impl PipelineRuntime {
         peak_in_flight(schedule).into_iter().max().unwrap_or(1) * 2 + 2
     }
 
+    /// Checks a warmed arena set out of the bank, or builds a cold one;
+    /// `None` when pooling is off. Concurrent callers each pop their own
+    /// set, so the bank grows to one set per concurrent run.
+    fn checkout_arenas(&self) -> Option<Vec<TensorArena>> {
+        self.pooled.then(|| {
+            let popped = self.arena_bank.lock().expect("arena bank poisoned").pop();
+            popped.unwrap_or_else(|| (0..self.stages).map(|_| TensorArena::new()).collect())
+        })
+    }
+
+    /// Returns an arena set to the bank for the next run.
+    fn checkin_arenas(&self, set: Vec<TensorArena>) {
+        self.arena_bank
+            .lock()
+            .expect("arena bank poisoned")
+            .push(set);
+    }
+
     /// Runs one training iteration under `schedule` and returns loss,
     /// gradients and memory statistics. `batch[mb]` must hold
     /// `seq_len + 1` token ids. The model is not mutated; apply an
@@ -320,17 +340,9 @@ impl PipelineRuntime {
         // for merging with other processes' traces).
         let anchor = ClockAnchor::now();
         let tracing = self.tracing;
-        // Check a warmed arena set out of the bank (or start cold). Under
-        // concurrent DP replicas each run pops its own set; the bank
-        // grows to one set per concurrently running replica.
-        let arenas: Vec<Option<TensorArena>> = if self.pooled {
-            let popped = self.arena_bank.lock().expect("arena bank poisoned").pop();
-            match popped {
-                Some(set) => set.into_iter().map(Some).collect(),
-                None => (0..p).map(|_| Some(TensorArena::new())).collect(),
-            }
-        } else {
-            (0..p).map(|_| None).collect()
+        let arenas: Vec<Option<TensorArena>> = match self.checkout_arenas() {
+            Some(set) => set.into_iter().map(Some).collect(),
+            None => (0..p).map(|_| None).collect(),
         };
         let mut results: Vec<Option<Result<WorkerOut, CommError>>> = (0..p).map(|_| None).collect();
         let mut arena_stats = vec![ArenaStats::default(); p];
@@ -355,11 +367,12 @@ impl PipelineRuntime {
                         // socket backend's mesh rendezvous needs every
                         // stage connecting concurrently.
                         transport.endpoint(w).and_then(|ep| {
+                            let mut link = StageLink::new(ep);
                             let mut ctx = WorkerCtx::new(
                                 model,
                                 meta,
                                 w,
-                                ep,
+                                &mut link,
                                 batch,
                                 mode,
                                 mem_cap,
@@ -368,11 +381,16 @@ impl PipelineRuntime {
                                 tracing,
                             );
                             for op in ops {
-                                // An error drops ctx (and its endpoint)
-                                // right here, signalling every peer.
+                                // An error drops the link (and its
+                                // endpoint) right here, signalling every
+                                // peer.
                                 ctx.execute(op)?;
                             }
-                            Ok(ctx.finish())
+                            let out = ctx.finish();
+                            // Clean close: peers blocked in recv finish
+                            // once everyone's done.
+                            link.close()?;
+                            Ok(out)
                         })
                     };
                     let stats = arena
@@ -392,10 +410,7 @@ impl PipelineRuntime {
             }
         });
         if self.pooled {
-            self.arena_bank
-                .lock()
-                .expect("arena bank poisoned")
-                .push(warm);
+            self.checkin_arenas(warm);
         }
 
         // Merge per-worker results. On failure, report the root cause: a
@@ -460,17 +475,27 @@ impl PipelineRuntime {
         })
     }
 
-    /// Runs a single stage of `schedule` against a caller-provided
-    /// endpoint — the multi-process entry point used by the
-    /// `mepipe-worker` binary, where each stage is its own OS process
-    /// joined to its peers by a socket transport. Every process must
-    /// hold an identically initialised model and batch; the returned
-    /// loss share and gradients cover only the layers this stage owns.
+    /// Runs a single stage of `schedule` over a caller-provided link —
+    /// the multi-process entry point used by the `mepipe-worker` binary,
+    /// where each stage is its own OS process joined to its peers by a
+    /// socket transport. Every process must hold an identically
+    /// initialised model and batch; the returned loss share and gradients
+    /// cover only the layers this stage owns.
+    ///
+    /// The link is borrowed, not consumed: a job keeps one link (and one
+    /// mesh) for all its iterations, and tensors a faster peer already
+    /// sent for the next iteration wait in its stash (see [`StageLink`]).
+    /// The caller closes it after the last call. The stage's arena comes
+    /// out of the runtime's warmed bank, as in
+    /// [`run_iteration`](Self::run_iteration), so every call after the
+    /// first runs warm. `StageRunStats::comm` and `::arena` count this
+    /// call only.
     ///
     /// # Errors
     ///
-    /// Returns a [`CommError`] if the transport fails mid-run; the
-    /// endpoint is dropped without a clean close so peers fail fast too.
+    /// Returns a [`CommError`] if the transport fails mid-run; the caller
+    /// should then drop the link without closing it, so peers fail fast
+    /// too.
     ///
     /// # Panics
     ///
@@ -482,35 +507,48 @@ impl PipelineRuntime {
         batch: &[Vec<usize>],
         mode: WgradMode,
         mem_cap: Option<usize>,
-        ep: Box<dyn Endpoint>,
+        link: &mut StageLink,
     ) -> Result<StageRunStats, CommError> {
         self.check_shapes(schedule, batch);
         assert!(stage < self.stages, "stage out of range");
-        let mut arena = self.pooled.then(TensorArena::new);
-        let out = {
-            let _arena_scope = arena.as_mut().map(|a| a.install());
-            // Per-process anchor: the epoch position it captures is what
-            // lets a launcher merge this stage's trace with its peers'.
-            let mut ctx = WorkerCtx::new(
-                &self.model,
-                &schedule.meta,
-                stage,
-                ep,
-                Arc::new(batch.to_vec()),
-                mode,
-                mem_cap,
-                self.kernel_workers,
-                ClockAnchor::now(),
-                self.tracing,
-            );
-            for op in &schedule.workers[stage] {
-                ctx.execute(op)?;
-            }
-            ctx.finish()
+        let mut arenas = self.checkout_arenas();
+        let run = {
+            let mut arena = arenas.as_mut().map(|set| &mut set[stage]);
+            let before = arena
+                .as_ref()
+                .map_or_else(ArenaStats::default, |a| a.stats());
+            let out = {
+                let _arena_scope = arena.as_mut().map(|a| a.install());
+                // Per-process anchor: the epoch position it captures is
+                // what lets a launcher merge this stage's trace with its
+                // peers'.
+                let mut ctx = WorkerCtx::new(
+                    &self.model,
+                    &schedule.meta,
+                    stage,
+                    link,
+                    Arc::new(batch.to_vec()),
+                    mode,
+                    mem_cap,
+                    self.kernel_workers,
+                    ClockAnchor::now(),
+                    self.tracing,
+                );
+                schedule.workers[stage]
+                    .iter()
+                    .try_for_each(|op| ctx.execute(op))
+                    .map(|()| ctx.finish())
+            };
+            let stats = arena
+                .as_ref()
+                .map_or_else(ArenaStats::default, |a| a.stats())
+                .since(&before);
+            out.map(|o| (o, stats))
         };
-        let arena_stats = arena
-            .as_ref()
-            .map_or_else(ArenaStats::default, |a| a.stats());
+        if let Some(set) = arenas {
+            self.checkin_arenas(set);
+        }
+        let (out, arena_stats) = run?;
         Ok(StageRunStats {
             loss_sum: out.loss_sum,
             grads: out.grads,
@@ -656,11 +694,16 @@ struct WorkerOut {
     trace: Option<StageTrace>,
 }
 
-struct WorkerCtx<'m> {
-    model: &'m ModelParams,
+struct WorkerCtx<'a> {
+    model: &'a ModelParams,
     meta: mepipe_schedule::ir::ScheduleMeta,
     w: usize,
-    ep: Box<dyn Endpoint>,
+    // The stage's endpoint plus the boundary tensors that arrived ahead
+    // of their op; it outlives the ctx (and, in a job, the iteration).
+    link: &'a mut StageLink,
+    // The link's counters when this ctx started, so `finish` reports this
+    // run's traffic only.
+    comm_before: CommStats,
     batch: Arc<Vec<Vec<usize>>>,
     mode: WgradMode,
     grads: ModelGrads,
@@ -677,7 +720,6 @@ struct WorkerCtx<'m> {
     // the (deterministic) insertion order no matter *when* each GEMM is
     // applied — gradients stay bit-identical across backends and runs.
     pending_w: VecDeque<(usize, usize, usize, usize, WgradGemm)>,
-    inbox: HashMap<(bool, usize, usize, usize), Tensor>,
     // Weight packs by global layer index, each form built on first use
     // and dropped with the ctx, so never stale; the head's (fwd, dgrad)
     // pair on a loss-owning stage.
@@ -699,13 +741,13 @@ struct WorkerCtx<'m> {
     start_ns: u64,
 }
 
-impl<'m> WorkerCtx<'m> {
+impl<'a> WorkerCtx<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        model: &'m ModelParams,
+        model: &'a ModelParams,
         meta: &mepipe_schedule::ir::ScheduleMeta,
         w: usize,
-        ep: Box<dyn Endpoint>,
+        link: &'a mut StageLink,
         batch: Arc<Vec<Vec<usize>>>,
         mode: WgradMode,
         mem_cap: Option<usize>,
@@ -723,7 +765,8 @@ impl<'m> WorkerCtx<'m> {
             model,
             meta: meta.clone(),
             w,
-            ep,
+            comm_before: link.stats(),
+            link,
             batch,
             mode,
             grads: ModelGrads::zeros(model),
@@ -732,7 +775,6 @@ impl<'m> WorkerCtx<'m> {
             saves: HashMap::new(),
             finals: HashMap::new(),
             pending_w: VecDeque::new(),
-            inbox: HashMap::new(),
             fwd_packs: model.layers.iter().map(|_| None).collect(),
             dgrad_packs: model.layers.iter().map(|_| None).collect(),
             head_packs: None,
@@ -783,46 +825,36 @@ impl<'m> WorkerCtx<'m> {
     /// Blocking receive with optional W-drain while waiting.
     fn recv_tagged(
         &mut self,
-        is_fwd: bool,
+        kind: MsgKind,
         mb: usize,
         slice: usize,
         g: usize,
     ) -> Result<Tensor, CommError> {
-        let key = (is_fwd, mb, slice, g);
         loop {
-            if let Some(t) = self.inbox.remove(&key) {
+            if let Some(t) = self.link.take(kind, mb, slice, g) {
                 return Ok(t);
             }
             if self.mode == WgradMode::DrainOnWait {
-                match self.ep.try_recv()? {
-                    Some(m) => self.stash(m),
-                    None => {
-                        if let Some((w_mb, w_slice, w_chunk, li, gemm)) = self.pending_w.pop_front()
-                        {
-                            // Drain exactly one GEMM, then re-check.
-                            let t0 = self.tracer.clock_ns();
-                            apply_wgrads(
-                                &self.pool,
-                                &mut self.grads.layers[li],
-                                std::slice::from_ref(&gemm),
-                            );
-                            self.mem.free(gemm.bytes());
-                            self.drained += 1;
-                            self.note_compute(SpanKind::WgradDrain, w_mb, w_slice, w_chunk, t0);
-                        } else {
-                            let t0 = self.tracer.clock_ns();
-                            let m = self.ep.recv()?;
-                            self.tracer.record_comm(SpanKind::RecvWait, NO_TAG, t0);
-                            self.stash(m);
-                        }
-                    }
+                if self.link.try_recv()? {
+                    continue;
                 }
-            } else {
-                let t0 = self.tracer.clock_ns();
-                let m = self.ep.recv()?;
-                self.tracer.record_comm(SpanKind::RecvWait, NO_TAG, t0);
-                self.stash(m);
+                if let Some((w_mb, w_slice, w_chunk, li, gemm)) = self.pending_w.pop_front() {
+                    // Drain exactly one GEMM, then re-check.
+                    let t0 = self.tracer.clock_ns();
+                    apply_wgrads(
+                        &self.pool,
+                        &mut self.grads.layers[li],
+                        std::slice::from_ref(&gemm),
+                    );
+                    self.mem.free(gemm.bytes());
+                    self.drained += 1;
+                    self.note_compute(SpanKind::WgradDrain, w_mb, w_slice, w_chunk, t0);
+                    continue;
+                }
             }
+            let t0 = self.tracer.clock_ns();
+            self.link.recv()?;
+            self.tracer.record_comm(SpanKind::RecvWait, NO_TAG, t0);
         }
     }
 
@@ -836,19 +868,12 @@ impl<'m> WorkerCtx<'m> {
         }
     }
 
-    fn stash(&mut self, m: StageMsg) {
-        let key = (
-            m.kind == MsgKind::Fwd,
-            m.mb as usize,
-            m.slice as usize,
-            m.g as usize,
-        );
-        self.inbox.insert(key, m.tensor);
-    }
-
     /// Sends a boundary tensor to the stage executing chain position `g`
     /// of micro-batch `mb` (which stage that is depends on the
-    /// micro-batch's direction under bidirectional placement).
+    /// micro-batch's direction under bidirectional placement). A tensor
+    /// for this very stage — the V-shape's turn, where chain positions
+    /// p−1 and p share a stage — goes straight into the stash: a local
+    /// hand-off, as in the timing engine, with no wire and no send span.
     fn send_boundary(
         &mut self,
         kind: MsgKind,
@@ -858,17 +883,18 @@ impl<'m> WorkerCtx<'m> {
         tensor: Tensor,
     ) -> Result<(), CommError> {
         let (to, _chunk) = self.meta.chain_stage_chunk(mb, g);
+        let msg = StageMsg {
+            kind,
+            mb: mb as u32,
+            slice: slice as u32,
+            g: g as u32,
+            tensor,
+        };
+        if to == self.w {
+            return self.link.stash(msg);
+        }
         let t0 = self.tracer.clock_ns();
-        let out = self.ep.send(
-            to,
-            StageMsg {
-                kind,
-                mb: mb as u32,
-                slice: slice as u32,
-                g: g as u32,
-                tensor,
-            },
-        );
+        let out = self.link.send(to, msg);
         self.tracer.record_comm(SpanKind::Send, to as u32, t0);
         out
     }
@@ -900,7 +926,7 @@ impl<'m> WorkerCtx<'m> {
             let toks = &self.batch[mb][offset..offset + ts];
             embedding(&self.model.embedding, toks, offset)
         } else {
-            let t = self.recv_tagged(true, mb, slice, g)?;
+            let t = self.recv_tagged(MsgKind::Fwd, mb, slice, g)?;
             c0 = self.tracer.clock_ns();
             t
         };
@@ -981,7 +1007,7 @@ impl<'m> WorkerCtx<'m> {
             self.grads.final_norm.add_assign(&dfn);
             dh
         } else {
-            let t = self.recv_tagged(false, mb, slice, g)?;
+            let t = self.recv_tagged(MsgKind::Bwd, mb, slice, g)?;
             c0 = self.tracer.clock_ns();
             t
         };
@@ -1092,8 +1118,6 @@ impl<'m> WorkerCtx<'m> {
             apply_wgrads(&self.pool, &mut self.grads.layers[li], &[gemm]);
             self.note_compute(SpanKind::WgradDrain, mb, slice, chunk, t0);
         }
-        // Clean close: peers blocked in recv finish once everyone's done.
-        self.ep.close();
         let wall_ns = self.tracer.clock_ns().saturating_sub(self.start_ns);
         WorkerOut {
             loss_sum: self.loss_sum,
@@ -1101,7 +1125,7 @@ impl<'m> WorkerCtx<'m> {
             peak_bytes: self.mem.peak(),
             drained: self.drained,
             oom: self.oom,
-            comm: self.ep.stats(),
+            comm: self.link.stats().since(&self.comm_before),
             busy_ns: self.busy_ns,
             idle_ns: wall_ns.saturating_sub(self.busy_ns),
             trace: self.tracer.finish(),

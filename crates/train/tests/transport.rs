@@ -6,17 +6,30 @@
 //! Socket (framed tensors over UDS between threads), and Emulated (link
 //! timing and seeded delays over InProc) must all yield the same loss
 //! bits and the same gradient bytes. Any divergence means a transport
-//! corrupted, reordered, or dropped a tensor.
+//! corrupted, reordered, or dropped a tensor. The same holds across
+//! iterations on one persistent socket mesh, the way a `mepipe-worker
+//! job` gang runs.
+
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mepipe_comm::{Backend, CodecId, CommConfig, FaultSpec, TransportConfig};
+use mepipe_comm::{
+    Backend, CodecId, CommConfig, FaultSpec, SocketMode, SocketTransport, StageLink, Transport,
+    TransportConfig,
+};
 use mepipe_core::svpp::Mepipe;
 use mepipe_hw::LinkSpec;
 use mepipe_model::config::TransformerConfig;
-use mepipe_schedule::generator::{Dims, ScheduleGenerator};
+use mepipe_schedule::generator::{Dims, ScheduleGenerator, Vpp, Zbv};
+use mepipe_schedule::ir::Schedule;
+use mepipe_schedule::DualPipe;
 use mepipe_tensor::init::synthetic_tokens;
-use mepipe_train::{params::ModelParams, PipelineRuntime, RunStats, WgradMode};
+use mepipe_train::{
+    data::batch_for_iter, optim::ModelGrads, optim::Sgd, params::ModelParams, reference::add_grads,
+    PipelineRuntime, RunStats, WgradMode,
+};
 
 fn run_with(seed: u64, stages: usize, config: TransportConfig) -> (RunStats, PipelineRuntime) {
     let cfg = TransformerConfig {
@@ -201,4 +214,142 @@ fn repeated_runs_are_deterministic_per_backend() {
         0.0
     );
     assert_eq!(inproc.grads.max_abs_diff(&socket_runs[0].grads), 0.0);
+}
+
+/// Each stage's loss share and gradients for one iteration, as posted.
+type Posted = Vec<Option<(f64, ModelGrads)>>;
+
+/// Runs three iterations of `schedule` the way a `mepipe-worker job`
+/// gang does — one thread, runtime and [`StageLink`] per stage over one
+/// UDS mesh, `run_stage` then an SGD step per iteration — and asserts
+/// each iteration's loss bits and merged gradients equal the matching
+/// in-process `train_step`. A stage steps as soon as every stage holding
+/// a copy of one of its blocks has posted its gradients: alone under
+/// every placement but DualPipe's, whose mirror stages hold the same two
+/// blocks and so exchange gradients first. Stages thus enter the next
+/// iteration without a gang-wide barrier, as job processes do.
+fn persistent_mesh_matches_train_steps(tag: &str, schedule: &Schedule, layers: usize) {
+    const ITERS: usize = 3;
+    const LR: f32 = 0.1;
+    let seed = 31;
+    let cfg = TransformerConfig {
+        seq_len: 16,
+        ..TransformerConfig::tiny(layers)
+    };
+    let meta = &schedule.meta;
+    let (p, v, n) = (meta.stages, meta.virtual_chunks, meta.micro_batches);
+    let batches: Vec<_> = (0..ITERS)
+        .map(|k| batch_for_iter(&cfg, n, seed, k))
+        .collect();
+    let mut reference = PipelineRuntime::new(ModelParams::init(cfg, seed), p, v);
+    let expected: Vec<RunStats> = batches
+        .iter()
+        .map(|b| {
+            reference
+                .train_step(schedule, b, WgradMode::DrainOnWait, LR)
+                .expect("in-process step")
+        })
+        .collect();
+
+    let blocks = |s: usize| (0..v).map(move |c| meta.block_of(s, c));
+    let sharers: Vec<Vec<usize>> = (0..p)
+        .map(|s| {
+            (0..p)
+                .filter(|&o| blocks(o).any(|b| blocks(s).any(|c| c == b)))
+                .collect()
+        })
+        .collect();
+    let posted: Mutex<Vec<Posted>> = Mutex::new(vec![vec![None; p]; ITERS]);
+    let arrived = Condvar::new();
+    let dir = uds_dir(tag, seed, p);
+    let transport = SocketTransport::new(SocketMode::Uds(dir.clone()), p);
+    std::thread::scope(|scope| {
+        for stage in 0..p {
+            let (transport, batches, sharers) = (&transport, &batches, &sharers[stage]);
+            let (posted, arrived) = (&posted, &arrived);
+            scope.spawn(move || {
+                let mut rt = PipelineRuntime::new(ModelParams::init(cfg, seed), p, v);
+                let mut link = StageLink::new(transport.endpoint(stage).expect("claim"));
+                for (k, b) in batches.iter().enumerate() {
+                    let out = rt
+                        .run_stage(schedule, stage, b, WgradMode::DrainOnWait, None, &mut link)
+                        .expect("stage run");
+                    let mut all = posted.lock().unwrap();
+                    all[k][stage] = Some((out.loss_sum, out.grads));
+                    arrived.notify_all();
+                    // Bounded, so a peer that died fails the test rather
+                    // than hanging it.
+                    let (all, wait) = arrived
+                        .wait_timeout_while(all, Duration::from_secs(60), |all| {
+                            sharers.iter().any(|&o| all[k][o].is_none())
+                        })
+                        .unwrap();
+                    assert!(!wait.timed_out(), "a block-sharing stage never posted {k}");
+                    let mut step = ModelGrads::zeros(&rt.model);
+                    for &o in sharers {
+                        add_grads(&mut step, &all[k][o].as_ref().unwrap().1, 1.0);
+                    }
+                    drop(all);
+                    Sgd { lr: LR }.step_model(&mut rt.model, &step);
+                }
+                link.close().expect("every stashed tensor was consumed");
+            });
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (k, (shares, want)) in posted
+        .into_inner()
+        .unwrap()
+        .iter()
+        .zip(&expected)
+        .enumerate()
+    {
+        // Merge in stage order, as `run_iteration` does.
+        let mut loss = 0.0f64;
+        let mut grads = ModelGrads::zeros(&reference.model);
+        for (share, g) in shares.iter().map(|s| s.as_ref().expect("posted")) {
+            loss += share;
+            add_grads(&mut grads, g, 1.0);
+        }
+        assert_eq!(
+            loss.to_bits(),
+            want.loss.to_bits(),
+            "{tag}: loss of iteration {k}"
+        );
+        assert_eq!(
+            grads.max_abs_diff(&want.grads),
+            0.0,
+            "{tag}: grads of iteration {k}"
+        );
+    }
+}
+
+#[test]
+fn persistent_mesh_mepipe_matches_train_steps() {
+    let schedule = Mepipe::new().generate(&Dims::new(2, 4).slices(4)).unwrap();
+    persistent_mesh_matches_train_steps("mesh-mepipe", &schedule, 4);
+}
+
+#[test]
+fn persistent_mesh_dualpipe_matches_train_steps() {
+    let schedule = DualPipe::new()
+        .generate(&Dims::new(4, 8).virtual_chunks(2))
+        .unwrap();
+    persistent_mesh_matches_train_steps("mesh-dualpipe", &schedule, 4);
+}
+
+#[test]
+fn persistent_mesh_vpp_matches_train_steps() {
+    let schedule = Vpp.generate(&Dims::new(4, 8).virtual_chunks(2)).unwrap();
+    persistent_mesh_matches_train_steps("mesh-vpp", &schedule, 8);
+}
+
+/// ZBV's V turns on the last stage, which hands chain position p−1's
+/// output to position p on itself: a local hand-off into its own stash,
+/// since a socket mesh has no stream from a stage to itself.
+#[test]
+fn persistent_mesh_zbv_matches_train_steps() {
+    let schedule = Zbv.generate(&Dims::new(4, 8).virtual_chunks(2)).unwrap();
+    persistent_mesh_matches_train_steps("mesh-zbv", &schedule, 8);
 }

@@ -62,10 +62,13 @@ echo "==> regenerated-schedule smoke (4 workers rebuild a synthesized, reschedul
 cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4 --slices 2 \
   --schedule synth --warmup 6 --reschedule
 
-echo "==> DualPipe and Blocks flag smokes (4 workers regenerate each family from --schedule flags)"
+echo "==> DualPipe, Blocks and ZBV flag smokes (4 workers regenerate each family from --schedule flags)"
 SMOKE_DIR="$(mktemp -d)"
 target/release/mepipe-worker launch --stages 4 --schedule dualpipe --dir "$SMOKE_DIR/dualpipe"
 target/release/mepipe-worker launch --stages 4 --schedule blocks --warmup 0 --dir "$SMOKE_DIR/blocks"
+# ZBV's V turns on the last stage, which hands a tensor to itself.
+target/release/mepipe-worker launch --stages 4 --schedule zbv --micro-batches 8 --slices 1 \
+  --layers 8 --seq-len 32 --dir "$SMOKE_DIR/zbv"
 rm -rf "$SMOKE_DIR"
 
 echo "==> control-plane smoke 1/2 (oneshot: 2 spooled jobs, one chaos-killed, on a 1x4 fleet)"
