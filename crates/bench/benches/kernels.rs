@@ -1,6 +1,8 @@
 //! The kernel-engine benchmark: blocked/packed kernels vs the naive
-//! scalar reference, plus worker-pool scaling and the GEMMs at the
-//! pipeline's slice shape. Results are printed and written to
+//! scalar reference, plus worker-pool scaling, the GEMMs at the
+//! pipeline's slice shapes, multi-head attention and the exp row kernels
+//! (SiLU, cross-entropy) at the shapes the workloads run. Results are
+//! printed and written to
 //! `BENCH_kernels.json` at the repo root, so the measured speedups
 //! quoted in README/DESIGN stay reproducible from one command
 //! (`scripts/bench_kernels.sh`).
@@ -10,7 +12,8 @@
 //! micro-kernel; packing is priced on its own (`pack_s` for the forward
 //! form, `pack_t_s` for the transposed input-gradient form). The
 //! weight-gradient form packs its one-shot `dC` on every call, so
-//! `wgrad_s` includes that pack.
+//! `wgrad_s` includes that pack (its transposed left operand is read in
+//! place).
 //!
 //! `--smoke` (what `scripts/check.sh` runs) makes one untimed call per
 //! row and writes no file.
@@ -21,8 +24,8 @@ use criterion::black_box;
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        causal_attention_backward_in, causal_attention_in, cross_entropy_in, matmul_packed_in,
-        matmul_wgrad_in, naive, rmsnorm_in, PackedB,
+        cross_entropy_in, matmul_packed_in, matmul_wgrad_in, multi_head_attention_backward_in,
+        multi_head_attention_in, naive, rmsnorm_in, silu, silu_backward, PackedB,
     },
     KernelPool, Tensor,
 };
@@ -64,6 +67,32 @@ const SLICE_TOKENS: usize = 32;
 /// projections, gate/up, down, and the fused QKV and gate|up widths.
 const SLICE_WEIGHTS: [(usize, usize); 5] =
     [(256, 256), (256, 512), (512, 256), (256, 768), (256, 1024)];
+
+/// Tokens per slice at perfbench's `job-uds` shape (seq 64 over 4
+/// slices).
+const JOB_SLICE_TOKENS: usize = 16;
+
+/// `(k, n)` weight shapes of one `job-uds` layer: the square
+/// projections, gate/up and down.
+const JOB_WEIGHTS: [(usize, usize); 3] = [(64, 64), (64, 128), (128, 64)];
+
+/// `(workload, t, prefix, heads, head dim)`: the last slice of each
+/// workload's sample, attending over its whole prefix.
+const ATTENTION_SHAPES: [(&str, usize, usize, usize, usize); 2] =
+    [("job-uds", 16, 64, 4, 16), ("train-inproc", 32, 128, 4, 64)];
+
+/// Vocabulary (cross-entropy) and row width (SiLU) of the row-kernel
+/// rows, at each workload's slice length.
+const ROW_COLS: usize = 256;
+
+/// Columns `c0..c0 + n` of `x`, copied — one head's operand for the
+/// naive reference, which takes one head at a time.
+fn head_cols(x: &Tensor, c0: usize, n: usize) -> Tensor {
+    let data = (0..x.rows())
+        .flat_map(|r| x.row(r)[c0..c0 + n].iter().copied())
+        .collect();
+    Tensor::from_vec(x.rows(), n, data)
+}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -187,90 +216,152 @@ fn main() {
     }
     json.push_str("\n  ],\n");
 
-    // --- The slice shape: 32 tokens against each weight shape of one
-    // train-inproc layer, plus the fused QKV and gate|up widths that
-    // price fusing those forward GEMMs into one. ---
-    say(&format!(
-        "== matmul at the slice shape: m={SLICE_TOKENS} (1 worker) =="
-    ));
-    json.push_str("  \"slice\": [\n");
-    let m = SLICE_TOKENS;
-    for (i, (k, n)) in SLICE_WEIGHTS.into_iter().enumerate() {
-        let mut r = rng(5);
-        let a = uniform(m, k, 1.0, &mut r);
-        let w = uniform(k, n, 1.0, &mut r);
-        let dc = uniform(m, n, 1.0, &mut r);
-        let (fwd, dgrad) = (PackedB::new(&w), PackedB::transposed(&w));
-        let t_kernel = time(&mut || {
-            black_box(matmul_packed_in(&serial, &a, &fwd));
+    // --- The slice shapes: each workload's slice against each weight
+    // shape of one of its layers — at `train-inproc`'s, plus the fused
+    // QKV and gate|up widths that price fusing those forward GEMMs into
+    // one; at `job-uds`', the weight-gradient form beside its forward
+    // twin. ---
+    for (key, m, weights) in [
+        ("slice", SLICE_TOKENS, &SLICE_WEIGHTS[..]),
+        ("slice_job", JOB_SLICE_TOKENS, &JOB_WEIGHTS[..]),
+    ] {
+        say(&format!(
+            "== matmul at the slice shape: m={m} (1 worker) =="
+        ));
+        json.push_str(&format!("  \"{key}\": [\n"));
+        for (i, &(k, n)) in weights.iter().enumerate() {
+            let mut r = rng(5);
+            let a = uniform(m, k, 1.0, &mut r);
+            let w = uniform(k, n, 1.0, &mut r);
+            let dc = uniform(m, n, 1.0, &mut r);
+            let (fwd, dgrad) = (PackedB::new(&w), PackedB::transposed(&w));
+            let t_kernel = time(&mut || {
+                black_box(matmul_packed_in(&serial, &a, &fwd));
+            });
+            let t_dgrad = time(&mut || {
+                black_box(matmul_packed_in(&serial, &dc, &dgrad));
+            });
+            let t_wgrad = time(&mut || {
+                black_box(matmul_wgrad_in(&serial, &a, &dc));
+            });
+            let t_pack = time(&mut || {
+                black_box(PackedB::new(&w));
+            });
+            let t_pack_t = time(&mut || {
+                black_box(PackedB::transposed(&w));
+            });
+            say(&format!(
+                "  {m}x{k}x{n}: kernel {:.1} us ({:.2} GF/s) | dgrad {:.1} us | wgrad {:.1} us ({:.2} GF/s) | pack {:.1} us | pack_t {:.1} us",
+                t_kernel * 1e6,
+                gflops(m, n, k, t_kernel),
+                t_dgrad * 1e6,
+                t_wgrad * 1e6,
+                gflops(m, n, k, t_wgrad),
+                t_pack * 1e6,
+                t_pack_t * 1e6,
+            ));
+            if i > 0 {
+                json.push_str(",\n");
+            }
+            json.push_str(&format!(
+                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"kernel_s\": {t_kernel:.7}, \"dgrad_s\": {t_dgrad:.7}, \"wgrad_s\": {t_wgrad:.7}, \"pack_s\": {t_pack:.7}, \"pack_t_s\": {t_pack_t:.7}, \"kernel_gflops\": {:.2}, \"wgrad_gflops\": {:.2}}}",
+                gflops(m, n, k, t_kernel),
+                gflops(m, n, k, t_wgrad)
+            ));
+        }
+        json.push_str("\n  ],\n");
+    }
+
+    // --- Multi-head attention at the workloads' last slice: one call
+    // over every head vs the naive reference (explicit transposes,
+    // unfused softmax) looped over per-head copies made up front. ---
+    say("== multi-head causal attention at the workload shapes (1 worker) ==");
+    json.push_str("  \"attention\": [\n");
+    for (i, (name, t_len, prefix, heads, d)) in ATTENTION_SHAPES.into_iter().enumerate() {
+        let (h, offset) = (heads * d, prefix - t_len);
+        let mut r = rng(3);
+        let q = uniform(t_len, h, 1.0, &mut r);
+        let k = uniform(prefix, h, 1.0, &mut r);
+        let v = uniform(prefix, h, 1.0, &mut r);
+        let dout = uniform(t_len, h, 1.0, &mut r);
+        let split =
+            |x: &Tensor| -> Vec<Tensor> { (0..heads).map(|j| head_cols(x, j * d, d)).collect() };
+        let (qh, kh, vh, dh) = (split(&q), split(&k), split(&v), split(&dout));
+        let t_fwd_naive = time(&mut || {
+            for j in 0..heads {
+                black_box(naive::causal_attention(&qh[j], &kh[j], &vh[j], offset));
+            }
         });
-        let t_dgrad = time(&mut || {
-            black_box(matmul_packed_in(&serial, &dc, &dgrad));
+        let t_fwd = time(&mut || {
+            black_box(multi_head_attention_in(&serial, &q, &k, &v, offset, heads));
         });
-        let t_wgrad = time(&mut || {
-            black_box(matmul_wgrad_in(&serial, &a, &dc));
+        let (_, saved) = multi_head_attention_in(&serial, &q, &k, &v, offset, heads);
+        let probs: Vec<Tensor> = (0..heads)
+            .map(|j| naive::causal_attention(&qh[j], &kh[j], &vh[j], offset).1)
+            .collect();
+        let t_bwd_naive = time(&mut || {
+            for j in 0..heads {
+                black_box(naive::causal_attention_backward(
+                    &dh[j], &qh[j], &kh[j], &vh[j], &probs[j],
+                ));
+            }
         });
-        let t_pack = time(&mut || {
-            black_box(PackedB::new(&w));
-        });
-        let t_pack_t = time(&mut || {
-            black_box(PackedB::transposed(&w));
+        let t_bwd = time(&mut || {
+            black_box(multi_head_attention_backward_in(
+                &serial, &dout, &q, &k, &v, &saved,
+            ));
         });
         say(&format!(
-            "  {m}x{k}x{n}: kernel {:.1} us ({:.2} GF/s) | dgrad {:.1} us | wgrad {:.1} us | pack {:.1} us | pack_t {:.1} us",
-            t_kernel * 1e6,
-            gflops(m, n, k, t_kernel),
-            t_dgrad * 1e6,
-            t_wgrad * 1e6,
-            t_pack * 1e6,
-            t_pack_t * 1e6,
+            "  {name} t={t_len} prefix={prefix} {heads}x{d}: fwd naive {:.1} us | multi-head {:.1} us ({:.2}x)   bwd naive {:.1} us | multi-head {:.1} us ({:.2}x)",
+            t_fwd_naive * 1e6,
+            t_fwd * 1e6,
+            t_fwd_naive / t_fwd,
+            t_bwd_naive * 1e6,
+            t_bwd * 1e6,
+            t_bwd_naive / t_bwd,
         ));
         if i > 0 {
             json.push_str(",\n");
         }
         json.push_str(&format!(
-            "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"kernel_s\": {t_kernel:.7}, \"dgrad_s\": {t_dgrad:.7}, \"wgrad_s\": {t_wgrad:.7}, \"pack_s\": {t_pack:.7}, \"pack_t_s\": {t_pack_t:.7}, \"kernel_gflops\": {:.2}}}",
-            gflops(m, n, k, t_kernel)
+            "    {{\"shape\": \"{name}\", \"t\": {t_len}, \"prefix\": {prefix}, \"heads\": {heads}, \"d\": {d}, \"fwd_naive_s\": {t_fwd_naive:.7}, \"fwd_s\": {t_fwd:.7}, \"bwd_naive_s\": {t_bwd_naive:.7}, \"bwd_s\": {t_bwd:.7}}}"
         ));
     }
     json.push_str("\n  ],\n");
 
-    // --- Fused attention vs naive (explicit transposes). ---
-    say("== causal attention t=256 d=64 prefix=512 ==");
-    let mut r = rng(3);
-    let (t_len, d, offset) = (256usize, 64usize, 256usize);
-    let q = uniform(t_len, d, 1.0, &mut r);
-    let k = uniform(offset + t_len, d, 1.0, &mut r);
-    let v = uniform(offset + t_len, d, 1.0, &mut r);
-    let dout = uniform(t_len, d, 1.0, &mut r);
-    let t_fwd_naive = time(&mut || {
-        black_box(naive::causal_attention(&q, &k, &v, offset));
-    });
-    let t_fwd = time(&mut || {
-        black_box(causal_attention_in(&serial, &q, &k, &v, offset));
-    });
-    let (_, saved) = causal_attention_in(&serial, &q, &k, &v, offset);
-    let (_, probs) = naive::causal_attention(&q, &k, &v, offset);
-    let t_bwd_naive = time(&mut || {
-        black_box(naive::causal_attention_backward(&dout, &q, &k, &v, &probs));
-    });
-    let t_bwd = time(&mut || {
-        black_box(causal_attention_backward_in(
-            &serial, &dout, &q, &k, &v, &saved,
-        ));
-    });
+    // --- The exp row kernels at each workload's slice length. ---
     say(&format!(
-        "  fwd: naive {:.2} ms | fused {:.2} ms ({:.2}x)   bwd: naive {:.2} ms | fused {:.2} ms ({:.2}x)",
-        t_fwd_naive * 1e3,
-        t_fwd * 1e3,
-        t_fwd_naive / t_fwd,
-        t_bwd_naive * 1e3,
-        t_bwd * 1e3,
-        t_bwd_naive / t_bwd,
+        "== SiLU and cross-entropy at [t, {ROW_COLS}] (1 worker) =="
     ));
-    json.push_str(&format!(
-        "  \"attention\": {{\"t\": {t_len}, \"d\": {d}, \"offset\": {offset}, \"fwd_naive_s\": {t_fwd_naive:.6}, \"fwd_fused_s\": {t_fwd:.6}, \"bwd_naive_s\": {t_bwd_naive:.6}, \"bwd_fused_s\": {t_bwd:.6}}},\n"
-    ));
+    json.push_str("  \"row_kernels\": [\n");
+    for (i, t_len) in [JOB_SLICE_TOKENS, SLICE_TOKENS].into_iter().enumerate() {
+        let mut r = rng(6);
+        let x = uniform(t_len, ROW_COLS, 4.0, &mut r);
+        let dy = uniform(t_len, ROW_COLS, 1.0, &mut r);
+        let targets: Vec<usize> = (0..t_len).map(|i| (i * 37) % ROW_COLS).collect();
+        let t_silu = time(&mut || {
+            black_box(silu(&x));
+        });
+        let t_silu_bwd = time(&mut || {
+            black_box(silu_backward(&dy, &x));
+        });
+        let t_ce = time(&mut || {
+            black_box(cross_entropy_in(&serial, &x, &targets));
+        });
+        say(&format!(
+            "  [{t_len}, {ROW_COLS}]: silu {:.2} us | silu_backward {:.2} us | cross-entropy {:.2} us",
+            t_silu * 1e6,
+            t_silu_bwd * 1e6,
+            t_ce * 1e6
+        ));
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        json.push_str(&format!(
+            "    {{\"t\": {t_len}, \"cols\": {ROW_COLS}, \"silu_s\": {t_silu:.7}, \"silu_backward_s\": {t_silu_bwd:.7}, \"cross_entropy_s\": {t_ce:.7}}}"
+        ));
+    }
+    json.push_str("\n  ],\n");
 
     // --- RMSNorm and cross-entropy (pooled row kernels). ---
     let mut r = rng(4);

@@ -1,8 +1,9 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments            # run everything
+//! experiments            # run every paper experiment
 //! experiments fig8 tab9  # run a subset
+//! experiments digest     # run an on-request diagnostic
 //! experiments --list     # list experiment ids
 //! ```
 //!
@@ -14,8 +15,9 @@ use mepipe_bench::{experiments, write_report};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = experiments::all();
+    let on_request = experiments::on_request();
     if args.iter().any(|a| a == "--list") {
-        for (id, _) in &all {
+        for (id, _) in all.iter().chain(&on_request) {
             println!("{id}");
         }
         return;
@@ -25,6 +27,7 @@ fn main() {
     } else {
         let sel: Vec<_> = all
             .iter()
+            .chain(&on_request)
             .filter(|(id, _)| args.iter().any(|a| a == id))
             .collect();
         if sel.is_empty() {

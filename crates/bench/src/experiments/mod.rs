@@ -1,6 +1,7 @@
 //! One module per reproduced table/figure (see DESIGN.md §5).
 
 pub mod ablations;
+pub mod digest;
 pub mod disc9;
 pub mod fig1;
 pub mod fig10;
@@ -47,4 +48,11 @@ pub fn all() -> Vec<Experiment> {
         ("zoo", zoo::run),
         ("solver_smoke", zoo::solver),
     ]
+}
+
+/// Diagnostics that run only when named: not paper results, and too
+/// slow for the every-experiment sweep. `digest` fingerprints the
+/// training math bit for bit (see [`digest`]).
+pub fn on_request() -> Vec<Experiment> {
+    vec![("digest", digest::run as fn() -> ExperimentReport)]
 }

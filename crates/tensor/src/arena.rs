@@ -8,12 +8,13 @@
 //! ("shelves") and handed back out on the next request for the same
 //! shape, 64-byte-aligned and re-zeroed, so after one warmup iteration
 //! most acquisitions are served from a shelf. Three kinds of allocation
-//! remain in the steady state: a shape with more than `SHELF_CAP` (64)
-//! buffers released before it is acquired again frees the overflow, so
-//! its next acquisitions miss; buffers that leave the stage thread (the
-//! gradients a run returns) never come back; and the runtime's weight
-//! packs (`ops::PackedB`) are plain allocations by design, never
-//! arena-served.
+//! remain in the steady state: a shape with more buffers released before
+//! it is acquired again than its shelf keeps (`SHELF_CAP`, 64, or for
+//! buffers under 8 KiB `SHELF_BYTES`, 512 KiB, worth) frees the
+//! overflow, so its next acquisitions miss; buffers that leave the stage
+//! thread (the gradients a run returns) never come back; and the
+//! runtime's weight packs (`ops::PackedB`) are plain allocations by
+//! design, never arena-served.
 //!
 //! Design constraints, in priority order:
 //!
@@ -23,10 +24,12 @@
 //!    `RefCell` + `HashMap` operations, no atomics, no locks. Each
 //!    pipeline stage owns its own instance — pooling never crosses a
 //!    thread.
-//! 2. **Value transparency.** A recycled buffer is re-zeroed before it
-//!    leaves the arena, so [`Tensor::zeros`] returns bit-identical
-//!    contents whether or not an arena is installed — pooled and
-//!    fresh-allocation runs produce exactly the same results.
+//! 2. **Value transparency.** A recycled tensor buffer is re-zeroed
+//!    before it leaves the arena, so [`Tensor::zeros`] returns
+//!    bit-identical contents whether or not an arena is installed —
+//!    pooled and fresh-allocation runs produce exactly the same results.
+//!    Packing scratch is the exception: its users write every element
+//!    they read, so it is handed out as its last user left it.
 //! 3. **Observability.** Hit/miss/recycle counters are exposed via
 //!    [`ArenaStats`] so tests can assert the steady-state hit rate and
 //!    the bench can record it.
@@ -49,9 +52,20 @@ const ALIGN: usize = 64;
 /// Spare `f32` slots allocated past the payload so the aligned offset
 /// always fits: `64 / size_of::<f32>()`.
 const PAD: usize = ALIGN / std::mem::size_of::<f32>();
-/// Free-list depth per shape; buffers beyond this are simply freed so a
+/// Free-list depth per shape; buffers beyond it are simply freed, so a
 /// pathological shape mix cannot hold unbounded memory.
 const SHELF_CAP: usize = 64;
+/// A shape of small buffers may keep this many bytes of them instead,
+/// when that is more than `SHELF_CAP` buffers: a short slice's
+/// activations (2–4 KiB each) number in the hundreds per stage, and
+/// re-allocating the overflow every iteration costs more than keeping
+/// it, while shapes of 8 KiB and up keep `SHELF_CAP`.
+const SHELF_BYTES: usize = 512 << 10;
+
+/// Free buffers a shelf of `n`-element buffers keeps.
+fn shelf_cap(n: usize) -> usize {
+    SHELF_CAP.max(SHELF_BYTES / (n * std::mem::size_of::<f32>()).max(1))
+}
 
 /// Hit/miss/recycle counters of one arena.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,7 +161,7 @@ impl Shelves {
             return;
         }
         let shelf = self.by_shape.entry((rows, cols)).or_default();
-        if shelf.len() >= SHELF_CAP {
+        if shelf.len() >= shelf_cap(n) {
             return;
         }
         if buf.len() < n + PAD {
@@ -157,12 +171,14 @@ impl Shelves {
         shelf.push(buf);
     }
 
+    /// A scratch buffer of `len` payload elements plus its aligned
+    /// offset. A recycled one keeps whatever its last user left in it:
+    /// packing writes every element it later reads.
     fn acquire_scratch(&mut self, len: usize) -> (Vec<f32>, usize) {
-        if let Some(mut buf) = self.scratch.get_mut(&len).and_then(|s| s.pop()) {
+        if let Some(buf) = self.scratch.get_mut(&len).and_then(|s| s.pop()) {
             let off = align_off(&buf);
             debug_assert!(off + len <= buf.len(), "shelved scratch too small");
             self.hits += 1;
-            buf[off..off + len].fill(0.0);
             return (buf, off);
         }
         self.misses += 1;
@@ -328,9 +344,10 @@ pub(crate) fn aligned(len: usize) -> (Vec<f32>, usize) {
     (buf, off)
 }
 
-/// A zeroed, aligned scratch buffer of `len` elements (pooled when an
-/// arena is installed, fresh otherwise) plus its aligned offset — used
-/// by kernel packing routines.
+/// An aligned scratch buffer of `len` elements (pooled when an arena is
+/// installed, fresh and zeroed otherwise) plus its aligned offset — used
+/// by kernel packing routines, which write every element they read, so
+/// a recycled buffer is handed out as its last user left it.
 pub(crate) fn acquire_scratch(len: usize) -> (Vec<f32>, usize) {
     INSTALLED.with(|slot| match slot.borrow_mut().as_mut() {
         Some(shelves) => shelves.acquire_scratch(len),
@@ -453,11 +470,23 @@ mod tests {
 
     #[test]
     fn shelf_cap_bounds_retention() {
+        // Buffers of 64 KiB: `SHELF_CAP` of them.
         let mut arena = TensorArena::new();
-        let tensors: Vec<Tensor> = (0..SHELF_CAP + 10).map(|_| arena.acquire(1, 3)).collect();
+        let tensors: Vec<Tensor> = (0..SHELF_CAP + 10)
+            .map(|_| arena.acquire(64, 256))
+            .collect();
         for t in tensors {
             arena.release(t);
         }
         assert_eq!(arena.stats().recycled as usize, SHELF_CAP);
+        // Buffers of 2 KiB: `SHELF_BYTES` of them.
+        let mut arena = TensorArena::new();
+        let keep = SHELF_BYTES / (8 * 64 * 4);
+        assert!(keep > SHELF_CAP);
+        let tensors: Vec<Tensor> = (0..keep + 10).map(|_| arena.acquire(8, 64)).collect();
+        for t in tensors {
+            arena.release(t);
+        }
+        assert_eq!(arena.stats().recycled as usize, keep);
     }
 }

@@ -1,4 +1,4 @@
-//! Single-head causal attention over a query *slice* and its key/value
+//! Multi-head causal attention over a query *slice* and its key/value
 //! prefix — the dataflow primitive of sequence pipeline parallelism.
 //!
 //! Under TeraPipe/MEPipe slicing, the forward of slice `i` consumes the
@@ -7,39 +7,52 @@
 //! prefix keys/values, which the caller accumulates in reverse slice
 //! order. This module implements exactly that contract:
 //!
-//! * forward: `q: [t, d]` for the slice, `k, v: [c, d]` for the whole
-//!   prefix `c = offset + t`; causal masking inside the slice;
-//! * backward: returns `dq: [t, d]` plus `dk, dv: [c, d]` over the whole
+//! * forward: `q: [t, h]` for the slice, `k, v: [c, h]` for the whole
+//!   prefix `c = offset + t`, `h = heads · d`; causal masking inside the
+//!   slice;
+//! * backward: returns `dq: [t, h]` plus `dk, dv: [c, h]` over the whole
 //!   prefix.
 //!
-//! Both passes route every contraction — scores `Q·Kᵀ`, the value
-//! contraction `P·V`, and the gradient products `dOut·Vᵀ`, `dS·K`,
-//! `dSᵀ·Q`, `Pᵀ·dOut` — through the packed GEMM engine, with transposes
-//! absorbed by packing (no `Kᵀ`/`Vᵀ` temporary is ever materialised).
-//! The engine computes full-width score rows, including the non-causal
-//! upper triangle; the softmax / Jacobian row sweeps then mask that
-//! tail to zero. For the short, fat shapes attention produces
-//! (`t ≤ 16`, `c ≤ seq_len`), the blocked GEMM runs several times
-//! faster than per-row dot/axpy loops even counting the ~50 % masked
-//! waste, which is why the mask-after-GEMM layout wins.
+//! One call handles every head. Head `j` owns columns `j·d..(j+1)·d` of
+//! `q`, `k`, `v` and of the outputs, and each of its contractions —
+//! scores `Q·Kᵀ`, the value contraction `P·V`, and the gradient products
+//! `dOut·Vᵀ`, `dS·K`, `dSᵀ·Q`, `Pᵀ·dOut` — runs on the packed GEMM
+//! engine reading those columns in place and writing its output columns
+//! in place, so no per-head copy of an operand or result is made, and
+//! transposes are absorbed by the engine's views. The engine computes
+//! full-width score rows, including the non-causal upper triangle; the
+//! softmax / Jacobian row sweeps then mask that tail to zero. For the
+//! short, fat shapes attention produces (`t ≤ 32`, `c ≤ seq_len`), the
+//! blocked GEMM runs several times faster than per-row dot/axpy loops
+//! even counting the ~50 % masked waste, which is why the
+//! mask-after-GEMM layout wins.
+//!
+//! Each head's result is computed exactly as a one-head call on that
+//! head's columns would compute it, so [`causal_attention`] and friends
+//! are the `heads = 1` case of the same path, bit for bit.
+
+use std::array;
 
 use crate::{
     ops::{
-        matmul::{matmul_dgrad_in, matmul_in, matmul_wgrad_in},
-        vecops::{dot, fast_exp},
+        matmul::{gemm_once_into, window, View},
+        vecops::{dot, fast_exp, fold_rows, max_step},
     },
     pool::{row_blocks, KernelPool},
     tensor::Tensor,
 };
 
-/// Query rows per parallel work item. Fixed (never derived from the
-/// worker count) so results are bit-identical across pools.
-const ROW_GRAIN: usize = 4;
+/// Score rows per parallel work item of the row sweeps — also how many
+/// rows' max and sum chains the forward softmax runs interleaved. Fixed
+/// (never derived from the worker count) so results are bit-identical
+/// across pools.
+const ROW_GRAIN: usize = 8;
 
 /// Forward-pass state kept for the backward pass.
 #[derive(Debug, Clone)]
 pub struct AttentionSaved {
-    /// Post-softmax attention probabilities, `[t, c]`.
+    /// Post-softmax attention probabilities, `[heads · t, c]`: head `j`'s
+    /// `[t, c]` block is rows `j·t..(j+1)·t`.
     pub probs: Tensor,
     /// Token offset of the query slice within the sample.
     pub offset: usize,
@@ -57,11 +70,11 @@ pub fn causal_attention(
     v: &Tensor,
     offset: usize,
 ) -> (Tensor, AttentionSaved) {
-    causal_attention_in(KernelPool::shared_serial(), q, k, v, offset)
+    multi_head_attention_in(KernelPool::shared_serial(), q, k, v, offset, 1)
 }
 
-/// Causal attention forward for one head on a worker pool: fused
-/// scores → stable softmax → `P·V` per query row.
+/// Causal attention forward for one head on a worker pool — the
+/// `heads = 1` case of [`multi_head_attention_in`].
 ///
 /// # Panics
 ///
@@ -74,53 +87,107 @@ pub fn causal_attention_in(
     v: &Tensor,
     offset: usize,
 ) -> (Tensor, AttentionSaved) {
-    let t = q.rows();
-    let d = q.cols();
+    multi_head_attention_in(pool, q, k, v, offset, 1)
+}
+
+/// Causal attention forward for every head of a slice on a worker pool:
+/// per head, scores → stable softmax → `P·V`, each head reading and
+/// writing its own columns. Returns the `[t, h]` output (heads side by
+/// side, as the output projection consumes them) and the probabilities.
+///
+/// # Panics
+///
+/// Panics unless `heads` divides `q`'s width, `k`/`v` cover exactly
+/// `offset + q.rows()` positions, and all widths agree.
+pub fn multi_head_attention_in(
+    pool: &KernelPool,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    offset: usize,
+    heads: usize,
+) -> (Tensor, AttentionSaved) {
+    let (t, h) = (q.rows(), q.cols());
     let c = offset + t;
+    assert!(
+        heads > 0 && h % heads == 0,
+        "{heads} heads do not divide width {h}"
+    );
     assert_eq!(k.rows(), c, "key prefix must cover offset + slice");
     assert_eq!(v.rows(), c, "value prefix must cover offset + slice");
-    assert_eq!(k.cols(), d, "key head dim mismatch");
-    assert_eq!(v.cols(), d, "value head dim mismatch");
+    assert_eq!(k.cols(), h, "key width mismatch");
+    assert_eq!(v.cols(), h, "value width mismatch");
+    let d = h / heads;
     let scale = 1.0 / (d as f32).sqrt();
 
-    // Scores through the GEMM engine: pre-scale a copy of q so the
-    // 1/√d factor is absorbed into the product (the backward still
+    // Scores through the GEMM engine: pre-scale q once so the 1/√d
+    // factor is absorbed into the product (the backward still
     // differentiates w.r.t. the original q, so its chain-rule scale is
-    // unchanged). The engine fills the full `[t, c]` matrix, including
-    // the non-causal upper triangle; the softmax sweep masks it below.
+    // unchanged). The engine fills each head's full `[t, c]` block,
+    // including the non-causal upper triangle; the softmax masks it.
     let mut qs = q.clone();
     qs.scale(scale);
-    let mut probs = matmul_dgrad_in(pool, &qs, k);
+    let mut probs = Tensor::uninit(heads * t, c);
+    for j in 0..heads {
+        gemm_once_into(
+            pool,
+            View::block(&qs, 0, t, j * d, d),
+            View::block(k, 0, c, j * d, d).t(),
+            window(probs.data_mut(), c, j * t, t, 0, c),
+            c,
+        );
+    }
     let mut items = row_blocks(probs.data_mut(), c, ROW_GRAIN);
     pool.for_each(&mut items, |_, (r0, chunk)| {
-        let rows = chunk.len() / c;
-        for i in 0..rows {
-            let gi = *r0 + i;
-            let limit = offset + gi + 1; // Causal: keys [0, limit).
-            let (prow, tail) = chunk[i * c..(i + 1) * c].split_at_mut(limit);
-            let mut max = f32::NEG_INFINITY;
-            for &s in prow.iter() {
-                max = max.max(s);
-            }
-            let mut denom = 0.0;
-            for s in prow.iter_mut() {
-                *s = fast_exp(*s - max);
-                denom += *s;
-            }
-            let inv = 1.0 / denom;
-            for s in prow.iter_mut() {
-                *s *= inv;
-            }
-            // Causal mask: zero the future scores the GEMM filled in,
-            // so the P·V contraction and the backward's Pᵀ·dOut see
-            // exact zeros there.
-            for s in tail.iter_mut() {
-                *s = 0.0;
-            }
-        }
+        causal_softmax(chunk, c, |i| offset + (*r0 + i) % t + 1);
     });
-    let out = matmul_in(pool, &probs, v);
+    let mut out = Tensor::uninit(t, h);
+    for j in 0..heads {
+        gemm_once_into(
+            pool,
+            View::block(&probs, j * t, t, 0, c),
+            View::block(v, 0, c, j * d, d),
+            window(out.data_mut(), h, 0, t, j * d, d),
+            h,
+        );
+    }
     (out, AttentionSaved { probs, offset })
+}
+
+/// Stable softmax, in place, of each `c`-wide score row in `chunk` over
+/// its causal prefix `[0, limit(i))`, zeroing the rest of the row so the
+/// `P·V` contraction and the backward's `Pᵀ·dOut` see exact zeros there.
+/// Each row's max and sum are taken in index order; the rows' chains run
+/// interleaved, and the exponentials in a separate, vectorizable pass.
+fn causal_softmax(chunk: &mut [f32], c: usize, limit: impl Fn(usize) -> usize) {
+    let rows = chunk.len() / c;
+    // A short block repeats its last row in the spare lanes.
+    let lim: [usize; ROW_GRAIN] = array::from_fn(|i| limit(i.min(rows - 1)));
+    let max = fold_rows(prefixes(chunk, c, &lim), f32::NEG_INFINITY, max_step);
+    // Whole rows, so the vector loop has no ragged remainder to run
+    // scalar; the masked tail (finite scores, clamped exponentials) is
+    // zeroed below.
+    for (row, m) in chunk.chunks_exact_mut(c).zip(max) {
+        for s in row {
+            *s = fast_exp(*s - m);
+        }
+    }
+    let denom = fold_rows(prefixes(chunk, c, &lim), 0.0f32, |a, x| a + x);
+    for (i, row) in chunk.chunks_exact_mut(c).enumerate() {
+        let (prow, tail) = row.split_at_mut(lim[i]);
+        let inv = 1.0 / denom[i];
+        for s in prow {
+            *s *= inv;
+        }
+        tail.fill(0.0);
+    }
+}
+
+/// The first `lim[i]` values of each `c`-wide row `i` of `chunk`, rows
+/// past the last repeating it.
+fn prefixes<'a, const N: usize>(chunk: &'a [f32], c: usize, lim: &[usize; N]) -> [&'a [f32]; N] {
+    let last = chunk.len() / c - 1;
+    array::from_fn(|i| &chunk[i.min(last) * c..][..lim[i]])
 }
 
 /// Backward of [`causal_attention`] (single-threaded): `(dq, dk, dv)`
@@ -132,13 +199,11 @@ pub fn causal_attention_backward(
     v: &Tensor,
     saved: &AttentionSaved,
 ) -> (Tensor, Tensor, Tensor) {
-    causal_attention_backward_in(KernelPool::shared_serial(), dout, q, k, v, saved)
+    multi_head_attention_backward_in(KernelPool::shared_serial(), dout, q, k, v, saved)
 }
 
-/// Backward of [`causal_attention_in`] on a worker pool: `(dq, dk, dv)`
-/// with `dk`/`dv` spanning the whole prefix. `dP` and the softmax
-/// Jacobian product are fused row kernels; `dV`, `dQ` and `dK` go through
-/// the packed GEMM forms, so no transposed temporary is allocated.
+/// Backward of [`causal_attention_in`] on a worker pool — the one-head
+/// case of [`multi_head_attention_backward_in`].
 pub fn causal_attention_backward_in(
     pool: &KernelPool,
     dout: &Tensor,
@@ -147,45 +212,117 @@ pub fn causal_attention_backward_in(
     v: &Tensor,
     saved: &AttentionSaved,
 ) -> (Tensor, Tensor, Tensor) {
-    let t = q.rows();
-    let d = q.cols();
-    let c = k.rows();
-    assert_eq!(saved.probs.rows(), t);
-    assert_eq!(saved.probs.cols(), c);
-    assert_eq!(dout.rows(), t);
-    assert_eq!(dout.cols(), d);
-    let scale = 1.0 / (d as f32).sqrt();
-    let offset = saved.offset;
+    multi_head_attention_backward_in(pool, dout, q, k, v, saved)
+}
 
-    // dV = Pᵀ · dOut (wgrad form — the transpose is absorbed by packing).
-    let dv = matmul_wgrad_in(pool, &saved.probs, dout);
-    // dP = dOut · Vᵀ through the engine (full width — the non-causal
-    // tail comes out as arbitrary finite values), then the softmax
-    // backward dS = P ⊙ (dP − rowsum(P ⊙ dP)) in place per row. The
-    // rowsum only runs over the causal prefix, and the tail is zeroed
-    // explicitly so the dQ/dK contractions see exact zeros there.
-    let mut ds = matmul_dgrad_in(pool, dout, v);
+/// Backward of [`multi_head_attention_in`] on a worker pool:
+/// `(dq, dk, dv)`, `dq: [t, h]` and `dk`/`dv: [c, h]` over the whole
+/// prefix `c = offset + t`. `k`/`v` may hold more rows than the prefix
+/// (a KV cache already filled by later slices); only the first `c` are
+/// read. The softmax Jacobian product is a fused row kernel; `dV`, `dP`,
+/// `dQ` and `dK` go through the packed GEMM engine on each head's
+/// columns in place, so no transposed or per-head temporary is
+/// allocated.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree with `saved`.
+pub fn multi_head_attention_backward_in(
+    pool: &KernelPool,
+    dout: &Tensor,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    saved: &AttentionSaved,
+) -> (Tensor, Tensor, Tensor) {
+    let (t, h) = (q.rows(), q.cols());
+    let c = saved.probs.cols();
+    let heads = saved.probs.rows() / t.max(1);
+    let offset = saved.offset;
+    assert_eq!(
+        saved.probs.rows(),
+        heads * t,
+        "probabilities per head mismatch"
+    );
+    assert!(
+        heads > 0 && h % heads == 0,
+        "{heads} heads do not divide width {h}"
+    );
+    assert_eq!(c, offset + t, "probabilities must span offset + slice");
+    assert_eq!(
+        (dout.rows(), dout.cols()),
+        (t, h),
+        "output gradient shape mismatch"
+    );
+    assert!(
+        k.rows() >= c && v.rows() >= c,
+        "key/value rows must cover the prefix"
+    );
+    assert_eq!((k.cols(), v.cols()), (h, h), "key/value width mismatch");
+    let d = h / heads;
+    let scale = 1.0 / (d as f32).sqrt();
+    let probs = &saved.probs;
+
+    // dV = Pᵀ · dOut and dP = dOut · Vᵀ, per head. dP comes out full
+    // width (the non-causal tail holds arbitrary finite values).
+    let mut dv = Tensor::uninit(c, h);
+    let mut ds = Tensor::uninit(heads * t, c);
+    for j in 0..heads {
+        let p = View::block(probs, j * t, t, 0, c);
+        let dout_j = View::block(dout, 0, t, j * d, d);
+        gemm_once_into(
+            pool,
+            p.t(),
+            dout_j,
+            window(dv.data_mut(), h, 0, c, j * d, d),
+            h,
+        );
+        gemm_once_into(
+            pool,
+            dout_j,
+            View::block(v, 0, c, j * d, d).t(),
+            window(ds.data_mut(), c, j * t, t, 0, c),
+            c,
+        );
+    }
+    // The softmax backward dS = P ⊙ (dP − rowsum(P ⊙ dP)) in place per
+    // row. The rowsum only runs over the causal prefix, and the tail is
+    // zeroed explicitly so the dQ/dK contractions see exact zeros there.
     let mut items = row_blocks(ds.data_mut(), c, ROW_GRAIN);
     pool.for_each(&mut items, |_, (r0, chunk)| {
-        let rows = chunk.len() / c;
-        for i in 0..rows {
-            let gi = *r0 + i;
-            let limit = offset + gi + 1;
-            let prow = &saved.probs.row(gi)[..limit];
-            let (dsrow, tail) = chunk[i * c..(i + 1) * c].split_at_mut(limit);
+        for (i, row) in chunk.chunks_exact_mut(c).enumerate() {
+            let r = *r0 + i;
+            let limit = offset + r % t + 1;
+            let prow = &probs.row(r)[..limit];
+            let (dsrow, tail) = row.split_at_mut(limit);
             let ip = dot(prow, dsrow);
             for (s, &p) in dsrow.iter_mut().zip(prow) {
                 *s = p * (*s - ip);
             }
-            for s in tail.iter_mut() {
-                *s = 0.0;
-            }
+            tail.fill(0.0);
         }
     });
-    // dQ = dS · K · scale; dK = dSᵀ · Q · scale (wgrad form).
-    let mut dq = matmul_in(pool, &ds, k);
+    // dQ = dS · K · scale; dK = dSᵀ · Q · scale.
+    let mut dq = Tensor::uninit(t, h);
+    let mut dk = Tensor::uninit(c, h);
+    for j in 0..heads {
+        let ds_j = View::block(&ds, j * t, t, 0, c);
+        gemm_once_into(
+            pool,
+            ds_j,
+            View::block(k, 0, c, j * d, d),
+            window(dq.data_mut(), h, 0, t, j * d, d),
+            h,
+        );
+        gemm_once_into(
+            pool,
+            ds_j.t(),
+            View::block(q, 0, t, j * d, d),
+            window(dk.data_mut(), h, 0, c, j * d, d),
+            h,
+        );
+    }
     dq.scale(scale);
-    let mut dk = matmul_wgrad_in(pool, &ds, q);
     dk.scale(scale);
     (dq, dk, dv)
 }

@@ -1,8 +1,10 @@
 //! Token-level cross-entropy over logits, with gradient, as a
 //! row-parallel fused kernel on the worker pool.
 
+use std::array;
+
 use crate::{
-    ops::vecops::fast_exp,
+    ops::vecops::{fast_exp, fold_rows, max_step},
     pool::{row_blocks, KernelPool},
     tensor::Tensor,
 };
@@ -41,33 +43,36 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> CrossEntropyOut {
 pub fn cross_entropy_in(pool: &KernelPool, logits: &Tensor, targets: &[usize]) -> CrossEntropyOut {
     assert_eq!(logits.rows(), targets.len(), "target count mismatch");
     let v = logits.cols();
-    let mut dlogits = Tensor::zeros(logits.rows(), v);
+    let mut dlogits = Tensor::uninit(logits.rows(), v);
     let mut items = row_blocks(dlogits.data_mut(), v, ROW_GRAIN);
     let partials: Vec<f64> = pool.for_each(&mut items, |_, (r0, chunk)| {
         let rows = chunk.len() / v;
+        // A short chunk repeats its last row in the spare lanes.
+        let lrows: [&[f32]; ROW_GRAIN] = array::from_fn(|i| logits.row(*r0 + i.min(rows - 1)));
+        // Each row's max and denominator are folded in index order; the
+        // rows' chains run interleaved, and the exponentials in their own
+        // vectorizable pass. The f32 exponentials are staged in the
+        // gradient rows (one exp per logit instead of two), and the
+        // denominator accumulates in f64 so the log-sum-exp keeps its
+        // precision.
+        let max = fold_rows(lrows, f32::NEG_INFINITY, max_step);
+        for (i, drow) in chunk.chunks_exact_mut(v).enumerate() {
+            for (&x, d) in lrows[i].iter().zip(drow) {
+                *d = fast_exp(x - max[i]);
+            }
+        }
+        let erows: [&[f32]; ROW_GRAIN] = array::from_fn(|i| &chunk[i.min(rows - 1) * v..][..v]);
+        let denom = fold_rows(erows, 0.0f64, |a, e| a + f64::from(e));
         let mut loss_part = 0.0f64;
-        for i in 0..rows {
-            let r = *r0 + i;
-            let tgt = targets[r];
+        for (i, drow) in chunk.chunks_exact_mut(v).enumerate() {
+            let tgt = targets[*r0 + i];
             assert!(tgt < v, "target {tgt} out of vocab");
-            let row = logits.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            // Stage the f32 exponentials in the gradient row (one exp per
-            // logit instead of two), accumulating the denominator in f64
-            // so the log-sum-exp keeps its precision.
-            let drow = &mut chunk[i * v..(i + 1) * v];
-            let mut denom = 0.0f64;
-            for (&x, d) in row.iter().zip(drow.iter_mut()) {
-                let e = fast_exp(x - max);
-                denom += f64::from(e);
-                *d = e;
+            loss_part += denom[i].ln() - f64::from(lrows[i][tgt] - max[i]);
+            let inv = 1.0 / denom[i];
+            for d in drow.iter_mut() {
+                *d = (f64::from(*d) * inv) as f32;
             }
-            loss_part += denom.ln() - f64::from(row[tgt] - max);
-            let inv = 1.0 / denom;
-            for (c, d) in drow.iter_mut().enumerate() {
-                let p = (f64::from(*d) * inv) as f32;
-                *d = p - if c == tgt { 1.0 } else { 0.0 };
-            }
+            drow[tgt] -= 1.0;
         }
         loss_part
     });

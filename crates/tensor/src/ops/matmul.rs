@@ -9,16 +9,20 @@
 //!   optimizer step and can float — this is the GEMM MEPipe queues and
 //!   drains opportunistically (Section 5).
 //!
-//! All three share one engine (`gemm`): the right-hand operand is
-//! packed into `NR`-wide column strips (a [`PackedB`]), each `MC`-row
-//! block of the output packs its left-hand panel into `MR`-tall
-//! micro-panels, and a
-//! register-tiled `MR×NR` micro-kernel accumulates along the inner
-//! dimension with no per-element branches — written so the
-//! autovectorizer emits SIMD for the `NR`-wide inner loop and keeps the
-//! accumulator tile in registers. The transposed operands of the two
-//! gradient halves are absorbed by the packing routines (`View`), so
-//! no transposed temporary is ever materialised. Row blocks are
+//! All three share one engine (`gemm_into`): the right-hand operand is
+//! packed into `NR`-wide column strips (a [`PackedB`]), and a
+//! register-tiled `MR×NR` micro-kernel accumulates each tile of the
+//! output along the inner dimension with no per-element branches —
+//! written so the autovectorizer emits SIMD for the `NR`-wide inner loop
+//! and keeps the accumulator tile in registers. Operands are read
+//! through `View`s (a strided, optionally transposed window of a
+//! row-major buffer), and the output can be a strided window too, so no
+//! transposed temporary is ever materialised and attention runs each
+//! head's GEMMs on its columns of the `[tokens, hidden]` activations in
+//! place. The left operand is never packed except at a ragged edge: a
+//! row-major one is read row by row, and a transposed one (the
+//! weight-gradient form `Aᵀ·`) already lays each `MR`-row micro-panel
+//! out contiguously at every inner index. Row blocks are
 //! distributed over a [`KernelPool`] — unless the GEMM is below its
 //! parallel break-even size (`PAR_FLOP_FLOOR`), where the spawn/join
 //! overhead loses and the blocks run inline instead. Because every
@@ -57,7 +61,9 @@ const MC: usize = 48;
 /// Inner-dimension block: one `MC×KC` A panel (~48 KiB) plus one `KC×NR`
 /// B strip (~8 KiB) stay cache-resident under the accumulator tile.
 const KC: usize = 256;
-/// FLOP count (`2·m·n·k`) below which [`gemm`] ignores the pool and runs
+/// The row a ragged row-major panel borrows for its missing rows.
+static ZERO_ROW: [f32; KC] = [0.0; KC];
+/// FLOP count (`2·m·n·k`) below which [`gemm_into`] ignores the pool and runs
 /// the row blocks inline. Fanning out pays a scoped-thread spawn plus a
 /// join on every call (tens of microseconds) and splits a working set
 /// that fits one core's cache across several; below this much
@@ -73,12 +79,14 @@ const PAR_FLOP_FLOOR: usize = 1 << 30;
 #[cfg(test)]
 const PAR_FLOP_FLOOR: usize = 1 << 16;
 
-/// A logical `[rows, cols]` operand over row-major storage, optionally
-/// transposed. Packing reads through this view, which is how the dgrad
-/// (`· Bᵀ`) and wgrad (`Aᵀ ·`) forms reuse the one engine without
-/// materialising a transpose.
+/// A logical `[rows, cols]` operand over row-major storage with row
+/// stride `stride`, optionally transposed. Kernels read through this
+/// view, which is how the dgrad (`· Bᵀ`) and wgrad (`Aᵀ ·`) forms reuse
+/// the one engine without materialising a transpose, and how a head's
+/// columns of a wider activation are read in place.
 #[derive(Clone, Copy)]
-struct View<'a> {
+pub(crate) struct View<'a> {
+    /// Storage from the operand's first element on.
     data: &'a [f32],
     stride: usize,
     trans: bool,
@@ -88,21 +96,39 @@ struct View<'a> {
 
 impl<'a> View<'a> {
     fn normal(t: &'a Tensor) -> Self {
+        Self::block(t, 0, t.rows(), 0, t.cols())
+    }
+
+    /// Rows `r0..r0 + rows`, columns `c0..c0 + cols` of `t`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds `t`.
+    pub(crate) fn block(t: &'a Tensor, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
+        assert!(
+            r0 + rows <= t.rows() && c0 + cols <= t.cols(),
+            "view out of range"
+        );
         View {
-            data: t.data(),
+            data: &t.data()[(r0 * t.cols() + c0).min(t.len())..],
             stride: t.cols(),
             trans: false,
-            rows: t.rows(),
-            cols: t.cols(),
+            rows,
+            cols,
         }
     }
 
     fn transposed(t: &'a Tensor) -> Self {
+        Self::normal(t).t()
+    }
+
+    /// The same storage read as its transpose.
+    pub(crate) fn t(self) -> Self {
         View {
-            trans: true,
-            rows: t.cols(),
-            cols: t.rows(),
-            ..View::normal(t)
+            trans: !self.trans,
+            rows: self.cols,
+            cols: self.rows,
+            ..self
         }
     }
 
@@ -114,6 +140,23 @@ impl<'a> View<'a> {
             self.data[r * self.stride + c]
         }
     }
+}
+
+/// The `rows × cols` window at `(r0, c0)` of a row-major buffer with
+/// row stride `ld`, as the flat slice from its first element to its
+/// last — the output form [`gemm_into`] writes.
+pub(crate) fn window(
+    data: &mut [f32],
+    ld: usize,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    cols: usize,
+) -> &mut [f32] {
+    if rows == 0 || cols == 0 {
+        return &mut [];
+    }
+    &mut data[r0 * ld + c0..(r0 + rows - 1) * ld + c0 + cols]
 }
 
 /// A right-hand GEMM operand packed into the engine's `NR`-wide strips:
@@ -151,27 +194,26 @@ impl PackedB {
         n.div_ceil(NR) * k * NR
     }
 
-    /// Packs `b` into a zeroed aligned buffer from `alloc`, so the
-    /// padding past the last column is zero either way.
+    /// Packs `b` into an aligned buffer from `alloc`, whose contents
+    /// may be arbitrary: every element is written, the padding past the
+    /// last column with zeros.
     fn pack(b: View, alloc: fn(usize) -> (Vec<f32>, usize)) -> Self {
         let (k, n) = (b.rows, b.cols);
         let (mut buf, off) = alloc(Self::len(k, n));
         for s in 0..n.div_ceil(NR) {
             let col0 = s * NR;
             let cols = NR.min(n - col0);
-            let base = off + s * k * NR;
-            if b.trans {
-                for p in 0..k {
-                    let dst = &mut buf[base + p * NR..][..cols];
+            let strip = &mut buf[off + s * k * NR..][..k * NR];
+            for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                let (dst, pad) = dst.split_at_mut(cols);
+                if b.trans {
                     for (jj, d) in dst.iter_mut().enumerate() {
                         *d = b.data[(col0 + jj) * b.stride + p];
                     }
+                } else {
+                    dst.copy_from_slice(&b.data[p * b.stride + col0..][..cols]);
                 }
-            } else {
-                for p in 0..k {
-                    let src = &b.data[p * b.stride + col0..][..cols];
-                    buf[base + p * NR..][..cols].copy_from_slice(src);
-                }
+                pad.fill(0.0);
             }
         }
         Self { k, n, buf, off }
@@ -183,23 +225,17 @@ impl PackedB {
     }
 }
 
-/// Packs rows `i0..i0+mc`, inner indices `pk..pk+kc` of the left-hand
-/// operand into `MR`-tall micro-panels: panel `q` holds, for each `p`,
-/// the `MR` values `a[i0+q*MR.., pk+p]` contiguously (zero-padded past
-/// `mc`).
-fn pack_a(a: View, i0: usize, mc: usize, pk: usize, kc: usize, buf: &mut Vec<f32>) {
-    let panels = mc.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * kc * MR, 0.0);
-    for q in 0..panels {
-        let r0 = i0 + q * MR;
-        let rows = MR.min(i0 + mc - r0);
-        let base = q * kc * MR;
-        for p in 0..kc {
-            let dst = &mut buf[base + p * MR..][..rows];
-            for (ii, d) in dst.iter_mut().enumerate() {
-                *d = a.get(r0 + ii, pk + p);
-            }
+/// Packs the ragged last micro-panel of a transposed left operand:
+/// rows `r0..r0 + rows` (`rows < MR`), inner indices `pk..pk + kc`,
+/// `MR` values per inner index with the missing rows zero.
+fn pack_edge_panel(a: View, r0: usize, rows: usize, pk: usize, kc: usize, buf: &mut [f32]) {
+    for (p, dst) in buf[..kc * MR].chunks_exact_mut(MR).enumerate() {
+        for (ii, d) in dst.iter_mut().enumerate() {
+            *d = if ii < rows {
+                a.get(r0 + ii, pk + p)
+            } else {
+                0.0
+            };
         }
     }
 }
@@ -221,17 +257,20 @@ fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// The register-tiled inner loop: returns `init + Σ_p a_panel ⊗ b_strip`
-/// over `kc` inner indices. Constant trip counts let the `NR`-wide loop
-/// vectorize, and there are no data-dependent branches. The accumulator
-/// is taken and returned *by value*: mutating it through a `&mut`
-/// reference makes LLVM keep the in-memory copy coherent — one stack
-/// store per FMA — where a local array lives purely in registers.
+/// The register-tiled inner loop: returns `init + Σ_p a_p ⊗ b_strip`
+/// over `kc = bp.len() / NR` inner indices, where `a_p` is the `MR`
+/// values at `ap[p * lda..]` — a packed panel (`lda == MR`) or a
+/// transposed operand read in place (`lda` its row stride). Constant
+/// trip counts let the `NR`-wide loop vectorize, and there are no
+/// data-dependent branches. The accumulator is taken and returned *by
+/// value*: mutating it through a `&mut` reference makes LLVM keep the
+/// in-memory copy coherent — one stack store per FMA — where a local
+/// array lives purely in registers.
 #[inline]
-fn micro_kernel(ap: &[f32], bp: &[f32], init: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
+fn micro_kernel(ap: &[f32], lda: usize, bp: &[f32], init: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
     let mut acc = init;
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (accr, &av) in acc.iter_mut().zip(a) {
+    for (a, b) in ap.chunks(lda).zip(bp.chunks_exact(NR)) {
+        for (accr, &av) in acc.iter_mut().zip(&a[..MR]) {
             for (c, &bv) in accr.iter_mut().zip(b) {
                 *c = fmadd(av, bv, *c);
             }
@@ -262,28 +301,55 @@ fn micro_kernel_rows(a_rows: &[&[f32]; MR], bp: &[f32], init: [[f32; NR]; MR]) -
     acc
 }
 
-/// One `MC`-row block of the output, sweeping the shared packed B and
-/// accumulating through the micro-kernel. A transposed left operand is
-/// packed into `MR`-tall micro-panels per `KC` block; a row-major one is
-/// read in place by [`micro_kernel_rows`] (rows past the edge borrow a
-/// zero row, matching the packed path's zero padding exactly).
-fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_pack: &[f32]) {
-    let mc = c_rows.len() / n;
+/// `dst.copy_from_slice(src)` for a tile row of at most `NR` values, as
+/// constant-length moves (`NR`, then halves down to one value): a
+/// runtime-length copy is a `memcpy` call per row, which at attention's
+/// narrow tiles costs as much as the arithmetic.
+#[inline(always)]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let mut at = 0;
+    for width in [NR, 16, 8, 4, 2, 1] {
+        if dst.len() - at >= width {
+            dst[at..at + width].copy_from_slice(&src[at..at + width]);
+            at += width;
+        }
+    }
+}
+
+/// One `MC`-row block of the output (row stride `ldc`), sweeping the
+/// shared packed B and accumulating through the micro-kernel. A
+/// row-major left operand is read in place by [`micro_kernel_rows`]
+/// (rows past the edge borrow a zero row); a transposed one is read in
+/// place by [`micro_kernel`], except that a ragged last panel is packed
+/// zero-padded per `KC` block. Either way every micro-kernel call sees
+/// the values a fully packed panel would hold, in the same order.
+fn gemm_row_block(
+    i0: usize,
+    c_rows: &mut [f32],
+    ldc: usize,
+    n: usize,
+    k: usize,
+    a: View,
+    b_pack: &[f32],
+) {
+    let mc = c_rows.len().div_ceil(ldc);
     let panels = mc.div_ceil(MR);
-    // Upper bound over every KC block, so the one scratch buffer serves
-    // the whole sweep (pack_a only ever resizes downward within it).
-    let a_scratch = if a.trans { panels * KC.min(k) * MR } else { 0 };
-    let mut a_buf = if a.trans {
-        arena::acquire_scratch(a_scratch).0
+    let edge_rows = mc % MR;
+    let edge_len = if a.trans && edge_rows > 0 {
+        KC.min(k) * MR
+    } else {
+        0
+    };
+    let mut edge = if edge_len > 0 {
+        arena::acquire_scratch(edge_len).0
     } else {
         Vec::new()
     };
-    let zero_row = [0.0f32; KC];
     let mut pk = 0;
     while pk < k {
         let kc = KC.min(k - pk);
-        if a.trans {
-            pack_a(a, i0, mc, pk, kc, &mut a_buf);
+        if edge_len > 0 {
+            pack_edge_panel(a, i0 + mc - edge_rows, edge_rows, pk, kc, &mut edge);
         }
         for (s, j0) in (0..n).step_by(NR).enumerate() {
             let cols = NR.min(n - j0);
@@ -299,19 +365,25 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_
                         // Constant-length copies let the accumulator move
                         // between registers and C without a stack bounce.
                         for (i, accr) in acc.iter_mut().enumerate() {
-                            accr.copy_from_slice(&c_rows[(r0 + i) * n + j0..][..NR]);
+                            accr.copy_from_slice(&c_rows[(r0 + i) * ldc + j0..][..NR]);
                         }
                     } else {
                         for (i, accr) in acc.iter_mut().enumerate().take(rows) {
-                            accr[..cols].copy_from_slice(&c_rows[(r0 + i) * n + j0..][..cols]);
+                            copy_row(&mut accr[..cols], &c_rows[(r0 + i) * ldc + j0..][..cols]);
                         }
                     }
                 }
                 let acc = if a.trans {
-                    let ap = &a_buf[q * kc * MR..][..kc * MR];
-                    micro_kernel(ap, bs, acc)
+                    // One call site, so the kernel inlines and its
+                    // accumulator stays in registers.
+                    let (ap, lda) = if rows == MR {
+                        (&a.data[pk * a.stride + i0 + r0..], a.stride)
+                    } else {
+                        (&edge[..], MR)
+                    };
+                    micro_kernel(ap, lda, bs, acc)
                 } else {
-                    let mut a_rows: [&[f32]; MR] = [&zero_row[..kc]; MR];
+                    let mut a_rows: [&[f32]; MR] = [&ZERO_ROW[..kc]; MR];
                     for (ii, ar) in a_rows.iter_mut().enumerate().take(rows) {
                         *ar = &a.data[(i0 + r0 + ii) * a.stride + pk..][..kc];
                     }
@@ -319,51 +391,76 @@ fn gemm_row_block(i0: usize, c_rows: &mut [f32], n: usize, k: usize, a: View, b_
                 };
                 if full {
                     for (i, accr) in acc.iter().enumerate() {
-                        c_rows[(r0 + i) * n + j0..][..NR].copy_from_slice(accr);
+                        c_rows[(r0 + i) * ldc + j0..][..NR].copy_from_slice(accr);
                     }
                 } else {
                     for (i, accr) in acc.iter().enumerate().take(rows) {
-                        c_rows[(r0 + i) * n + j0..][..cols].copy_from_slice(&accr[..cols]);
+                        copy_row(&mut c_rows[(r0 + i) * ldc + j0..][..cols], &accr[..cols]);
                     }
                 }
             }
         }
         pk += kc;
     }
-    if a.trans {
-        arena::release_scratch(a_scratch, a_buf);
+    if edge_len > 0 {
+        arena::release_scratch(edge_len, edge);
     }
 }
 
-/// Shared engine: logical `C[m, n] = A[m, k] · B[k, n]` with `A`
-/// possibly a transposed view and `B` already packed. Row blocks of C
-/// fan out over the pool.
-fn gemm(pool: &KernelPool, a: View, b: &PackedB) -> Tensor {
+/// Shared engine: logical `C[m, n] = A[m, k] · B[k, n]` with `A` any
+/// view and `B` already packed, stored into `c`, a [`window`] of row
+/// stride `ldc`; entries of `c` between the window's rows are left
+/// alone. Row blocks of C fan out over the pool.
+pub(crate) fn gemm_into(pool: &KernelPool, a: View, b: &PackedB, c: &mut [f32], ldc: usize) {
     let (m, n, k) = (a.rows, b.n, b.k);
-    if m == 0 || n == 0 || k == 0 {
-        return Tensor::zeros(m, n);
+    assert_eq!(b.k, a.cols, "gemm inner dimension mismatch");
+    if m == 0 || n == 0 {
+        return;
     }
-    // Every output element is stored on the first KC pass (the kernel
-    // skips the C read when `pk == 0`), so the zero-fill would be dead.
-    let mut out = Tensor::uninit(m, n);
-    let pool = if 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) < PAR_FLOP_FLOOR {
-        KernelPool::shared_serial()
-    } else {
-        pool
-    };
-    let mut blocks = row_blocks(out.data_mut(), n, MC);
+    assert_eq!(c.len(), (m - 1) * ldc + n, "output window shape mismatch");
+    if k == 0 {
+        for row in c.chunks_mut(ldc) {
+            row[..n].fill(0.0);
+        }
+        return;
+    }
+    if m <= MC || 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) < PAR_FLOP_FLOOR {
+        // Below the break-even size the blocks run inline, in index
+        // order, exactly as a one-worker pool would run them.
+        for (i, c_rows) in c.chunks_mut(MC * ldc).enumerate() {
+            gemm_row_block(i * MC, c_rows, ldc, n, k, a, b.strips());
+        }
+        return;
+    }
+    let mut blocks = row_blocks(c, ldc, MC);
     pool.for_each(&mut blocks, |_, (i0, c_rows)| {
-        gemm_row_block(*i0, c_rows, n, k, a, b.strips());
+        gemm_row_block(*i0, c_rows, ldc, n, k, a, b.strips());
     });
+}
+
+/// [`gemm_into`] a fresh `[m, n]` tensor.
+fn gemm(pool: &KernelPool, a: View, b: &PackedB) -> Tensor {
+    // Every output element is stored on the first KC pass (the kernel
+    // skips the C read when `pk == 0`), so a zero-fill would be dead.
+    let mut out = Tensor::uninit(a.rows, b.n);
+    let n = out.cols();
+    gemm_into(pool, a, b, out.data_mut(), n);
     out
 }
 
-/// [`gemm`] against a one-shot B: packs it into arena scratch, runs, and
-/// hands the scratch back.
-fn gemm_once(pool: &KernelPool, a: View, b: View) -> Tensor {
+/// [`gemm_into`] against a one-shot B: packs it into arena scratch,
+/// runs, and hands the scratch back.
+pub(crate) fn gemm_once_into(pool: &KernelPool, a: View, b: View, c: &mut [f32], ldc: usize) {
     let packed = PackedB::pack(b, arena::acquire_scratch);
-    let out = gemm(pool, a, &packed);
+    gemm_into(pool, a, &packed, c, ldc);
     arena::release_scratch(PackedB::len(packed.k, packed.n), packed.buf);
+}
+
+/// [`gemm_once_into`] a fresh `[m, n]` tensor.
+fn gemm_once(pool: &KernelPool, a: View, b: View) -> Tensor {
+    let mut out = Tensor::uninit(a.rows, b.cols);
+    let n = out.cols();
+    gemm_once_into(pool, a, b, out.data_mut(), n);
     out
 }
 

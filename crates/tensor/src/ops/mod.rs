@@ -16,7 +16,7 @@ mod vecops;
 pub use activation::{silu, silu_backward};
 pub use attention::{
     causal_attention, causal_attention_backward, causal_attention_backward_in, causal_attention_in,
-    AttentionSaved,
+    multi_head_attention_backward_in, multi_head_attention_in, AttentionSaved,
 };
 pub use embedding::{embedding, embedding_backward};
 pub use loss::{cross_entropy, cross_entropy_in, CrossEntropyOut};

@@ -254,50 +254,6 @@ impl Tensor {
         out
     }
 
-    /// Copy of the rectangular block `[r0, r0 + rows) × [c0, c0 + cols)`
-    /// — the one-copy form of `slice_rows(..).slice_cols(..)`, used to
-    /// cut a head's key/value prefix out of a KV cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the tensor bounds.
-    pub fn slice_block(&self, r0: usize, rows: usize, c0: usize, cols: usize) -> Tensor {
-        assert!(r0 + rows <= self.rows, "row slice out of range");
-        assert!(c0 + cols <= self.cols, "column slice out of range");
-        let mut out = Tensor::uninit(rows, cols);
-        for r in 0..rows {
-            out.row_mut(r)
-                .copy_from_slice(&self.row(r0 + r)[c0..c0 + cols]);
-        }
-        out
-    }
-
-    /// Copy of columns `[start, start + len)` — used to split heads out of
-    /// a `[tokens, hidden]` activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the column count.
-    pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
-        self.slice_block(0, self.rows, start, len)
-    }
-
-    /// Adds `src` into columns `[start, start + len)` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are incompatible.
-    pub fn add_cols(&mut self, start: usize, src: &Tensor) {
-        assert!(start + src.cols <= self.cols, "column slice out of range");
-        assert_eq!(self.rows, src.rows, "row mismatch");
-        for r in 0..self.rows {
-            let dst = &mut self.row_mut(r)[start..start + src.cols];
-            for (d, s) in dst.iter_mut().zip(src.row(r)) {
-                *d += s;
-            }
-        }
-    }
-
     /// Copy of rows `[start, start + len)` — used to cut token slices.
     ///
     /// # Panics
@@ -395,31 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn col_slicing_and_accumulation() {
-        let t = Tensor::from_vec(2, 4, (0..8).map(|x| x as f32).collect());
-        let s = t.slice_cols(1, 2);
-        assert_eq!(s.data(), &[1.0, 2.0, 5.0, 6.0]);
-        let mut acc = Tensor::zeros(2, 4);
-        acc.add_cols(1, &s);
-        assert_eq!(acc.at(0, 1), 1.0);
-        assert_eq!(acc.at(1, 2), 6.0);
-        assert_eq!(acc.at(0, 0), 0.0);
-    }
-
-    #[test]
     fn row_slicing_and_stacking() {
         let t = Tensor::from_vec(4, 2, (0..8).map(|x| x as f32).collect());
         let a = t.slice_rows(0, 2);
         let b = t.slice_rows(2, 2);
         assert_eq!(Tensor::vstack(&[a, b]), t);
-    }
-
-    #[test]
-    fn block_slicing_matches_row_then_col() {
-        let t = Tensor::from_vec(4, 6, (0..24).map(|x| x as f32).collect());
-        let fused = t.slice_block(1, 2, 2, 3);
-        let two_step = t.slice_rows(1, 2).slice_cols(2, 3);
-        assert_eq!(fused, two_step);
     }
 
     #[test]

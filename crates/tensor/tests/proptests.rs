@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        causal_attention_backward_in, causal_attention_in, cross_entropy, matmul, matmul_dgrad,
-        matmul_dgrad_in, matmul_in, matmul_packed_in, matmul_wgrad, matmul_wgrad_in, naive,
-        rmsnorm, rmsnorm_backward, silu, silu_backward, PackedB,
+        causal_attention, causal_attention_backward, causal_attention_backward_in,
+        causal_attention_in, cross_entropy, matmul, matmul_dgrad, matmul_dgrad_in, matmul_in,
+        matmul_packed_in, matmul_wgrad, matmul_wgrad_in, multi_head_attention_backward_in,
+        multi_head_attention_in, naive, rmsnorm, rmsnorm_backward, silu, silu_backward, PackedB,
     },
     KernelPool, Tensor,
 };
@@ -199,6 +200,85 @@ proptest! {
         prop_assert!(dq.max_abs_diff(&dq_n) < 1e-5);
         prop_assert!(dk.max_abs_diff(&dk_n) < 1e-5);
         prop_assert!(dv.max_abs_diff(&dv_n) < 1e-5);
+    }
+}
+
+/// Columns `c0..c0 + n` of the first `rows` rows of `t`, copied.
+fn block(t: &Tensor, rows: usize, c0: usize, n: usize) -> Tensor {
+    let data = (0..rows)
+        .flat_map(|r| t.row(r)[c0..c0 + n].iter().copied())
+        .collect();
+    Tensor::from_vec(rows, n, data)
+}
+
+/// `t`'s values as bit patterns, for exact comparison.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One multi-head call equals a loop over heads, head by head: within
+    /// 1e-5 of the naive reference, and bit for bit the one-head path on
+    /// that head's columns. The backward reads a KV cache that may hold
+    /// rows past the prefix, as later slices leave it. Results are
+    /// bit-identical across pool sizes 1–4.
+    #[test]
+    fn multi_head_attention_matches_per_head_loops(
+        t in 1usize..10,
+        offset in 0usize..12,
+        heads in 1usize..=8,
+        d in prop::sample::select(vec![1usize, 3, 16, 33, 64]),
+        later in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let mut r = rng(seed);
+        let (h, c) = (heads * d, offset + t);
+        let q = uniform(t, h, 1.0, &mut r);
+        let k_cache = uniform(c + later, h, 1.0, &mut r);
+        let v_cache = uniform(c + later, h, 1.0, &mut r);
+        let (k, v) = (k_cache.slice_rows(0, c), v_cache.slice_rows(0, c));
+        let dout = uniform(t, h, 1.0, &mut r);
+
+        let run = |workers: usize| {
+            let pool = KernelPool::new(workers);
+            let (out, saved) = multi_head_attention_in(&pool, &q, &k, &v, offset, heads);
+            let grads = multi_head_attention_backward_in(&pool, &dout, &q, &k_cache, &v_cache, &saved);
+            (out, saved, grads)
+        };
+        let (out, saved, (dq, dk, dv)) = run(1);
+        prop_assert_eq!((saved.probs.rows(), saved.probs.cols()), (heads * t, c));
+        prop_assert_eq!((dk.rows(), dk.cols(), dv.rows()), (c, h, c));
+        for workers in 2..=4 {
+            let (o, s, (gq, gk, gv)) = run(workers);
+            prop_assert_eq!(bits(&o), bits(&out), "out bits, {} workers", workers);
+            prop_assert_eq!(bits(&s.probs), bits(&saved.probs));
+            prop_assert_eq!(bits(&gq), bits(&dq));
+            prop_assert_eq!(bits(&gk), bits(&dk));
+            prop_assert_eq!(bits(&gv), bits(&dv));
+        }
+
+        for j in 0..heads {
+            let (qj, kj, vj) = (block(&q, t, j * d, d), block(&k, c, j * d, d), block(&v, c, j * d, d));
+            let doj = block(&dout, t, j * d, d);
+            let probs_j = saved.probs.slice_rows(j * t, t);
+            let (oj, pj) = naive::causal_attention(&qj, &kj, &vj, offset);
+            prop_assert!(block(&out, t, j * d, d).max_abs_diff(&oj) < 1e-5, "head {} out", j);
+            prop_assert!(probs_j.max_abs_diff(&pj) < 1e-5, "head {} probs", j);
+            let (gq, gk, gv) = naive::causal_attention_backward(&doj, &qj, &kj, &vj, &pj);
+            prop_assert!(block(&dq, t, j * d, d).max_abs_diff(&gq) < 1e-5, "head {} dq", j);
+            prop_assert!(block(&dk, c, j * d, d).max_abs_diff(&gk) < 1e-5, "head {} dk", j);
+            prop_assert!(block(&dv, c, j * d, d).max_abs_diff(&gv) < 1e-5, "head {} dv", j);
+
+            let (o1, s1) = causal_attention(&qj, &kj, &vj, offset);
+            prop_assert_eq!(bits(&block(&out, t, j * d, d)), bits(&o1), "head {} out bits", j);
+            prop_assert_eq!(bits(&probs_j), bits(&s1.probs));
+            let (q1, k1, v1) = causal_attention_backward(&doj, &qj, &kj, &vj, &s1);
+            prop_assert_eq!(bits(&block(&dq, t, j * d, d)), bits(&q1), "head {} dq bits", j);
+            prop_assert_eq!(bits(&block(&dk, c, j * d, d)), bits(&k1), "head {} dk bits", j);
+            prop_assert_eq!(bits(&block(&dv, c, j * d, d)), bits(&v1), "head {} dv bits", j);
+        }
     }
 }
 

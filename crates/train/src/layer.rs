@@ -15,9 +15,9 @@
 
 use mepipe_tensor::{
     ops::{
-        causal_attention_backward_in, causal_attention_in, matmul_packed_in, matmul_wgrad_in,
-        rmsnorm_backward_in, rmsnorm_in, silu, silu_backward, AttentionSaved, PackedB,
-        RmsNormSaved,
+        matmul_packed_in, matmul_wgrad_in, multi_head_attention_backward_in,
+        multi_head_attention_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward,
+        AttentionSaved, PackedB, RmsNormSaved,
     },
     KernelPool, Tensor,
 };
@@ -139,7 +139,7 @@ pub struct LayerFwdSaved {
     norm1_saved: RmsNormSaved,
     normed1: Tensor,
     q: Tensor,
-    attn_saved: Vec<AttentionSaved>,
+    attn_saved: AttentionSaved,
     attn_concat: Tensor,
     resid1: Tensor,
     norm2_saved: RmsNormSaved,
@@ -147,8 +147,6 @@ pub struct LayerFwdSaved {
     gate_pre: Tensor,
     gate_act: Tensor,
     up: Tensor,
-    offset: usize,
-    heads: usize,
 }
 
 impl LayerFwdSaved {
@@ -158,11 +156,7 @@ impl LayerFwdSaved {
             + self.norm1_saved.x.bytes()
             + self.normed1.bytes()
             + self.q.bytes()
-            + self
-                .attn_saved
-                .iter()
-                .map(|a| a.probs.bytes())
-                .sum::<usize>()
+            + self.attn_saved.probs.bytes()
             + self.attn_concat.bytes()
             + self.resid1.bytes()
             + self.norm2_saved.x.bytes()
@@ -194,8 +188,6 @@ pub fn forward_slice(
     heads: usize,
 ) -> (Tensor, LayerFwdSaved) {
     assert_eq!(kv.len(), offset, "KV cache out of sync with slice offset");
-    let h = x.cols();
-    let hd = h / heads;
 
     let (normed1, norm1_saved) = rmsnorm_in(pool, x, &p.norm1);
     let q = matmul_packed_in(pool, &normed1, &w[WeightId::Wq]);
@@ -205,16 +197,7 @@ pub fn forward_slice(
     let k_all = kv.k.as_ref().expect("cache nonempty after append");
     let v_all = kv.v.as_ref().expect("cache nonempty after append");
 
-    let mut attn_concat = Tensor::zeros(x.rows(), h);
-    let mut attn_saved = Vec::with_capacity(heads);
-    for head in 0..heads {
-        let qh = q.slice_cols(head * hd, hd);
-        let kh = k_all.slice_cols(head * hd, hd);
-        let vh = v_all.slice_cols(head * hd, hd);
-        let (oh, sv) = causal_attention_in(pool, &qh, &kh, &vh, offset);
-        attn_concat.add_cols(head * hd, &oh);
-        attn_saved.push(sv);
-    }
+    let (attn_concat, attn_saved) = multi_head_attention_in(pool, &q, k_all, v_all, offset, heads);
     let attn_out = matmul_packed_in(pool, &attn_concat, &w[WeightId::Wo]);
     let resid1 = x.add(&attn_out);
 
@@ -242,8 +225,6 @@ pub fn forward_slice(
         gate_pre,
         gate_act,
         up,
-        offset,
-        heads,
     };
     (y, saved)
 }
@@ -261,7 +242,9 @@ pub struct BackwardOut {
 }
 
 /// Input-gradient backward of one slice, on `pool`, reading the
-/// projections from `w`, `p`'s [`LayerPacks::input_grad`].
+/// projections from `w`, `p`'s [`LayerPacks::input_grad`]. It consumes
+/// the slice's saved activations: each deferred GEMM's input is moved
+/// out of `saved`, and copied only for a second GEMM that shares it.
 ///
 /// `dkv` holds per-layer dK/dV accumulators over the *whole* sample; it
 /// must already contain the contributions of every later slice (slices
@@ -270,19 +253,16 @@ pub fn backward_input_slice(
     pool: &KernelPool,
     p: &LayerParams,
     w: &LayerPacks,
-    saved: &LayerFwdSaved,
+    saved: LayerFwdSaved,
     kv: &Kv,
     dkv: &mut Kv,
     dy: &Tensor,
 ) -> BackwardOut {
     let t = dy.rows();
     let h = dy.cols();
-    let heads = saved.heads;
-    let hd = h / heads;
-    let offset = saved.offset;
+    let offset = saved.attn_saved.offset;
     let k_all = kv.k.as_ref().expect("kv cache present");
     let v_all = kv.v.as_ref().expect("kv cache present");
-    let prefix = offset + t;
     if dkv.is_empty() {
         // First (i.e. last-slice) backward allocates the accumulators for
         // the whole cached prefix.
@@ -321,7 +301,7 @@ pub fn backward_input_slice(
     });
     wgrads.push(WgradGemm {
         weight: WeightId::Wu,
-        input: saved.normed2.clone(),
+        input: saved.normed2,
         out_grad: d_up,
     });
     let (d_resid1_norm, dnorm2) =
@@ -333,33 +313,23 @@ pub fn backward_input_slice(
     let d_attn_concat = matmul_packed_in(pool, &d_resid1, &w[WeightId::Wo]);
     wgrads.push(WgradGemm {
         weight: WeightId::Wo,
-        input: saved.attn_concat.clone(),
+        input: saved.attn_concat,
         out_grad: d_resid1.clone(),
     });
 
-    // Per-head attention backward; accumulate prefix dK/dV.
-    let mut dq = Tensor::zeros(t, h);
-    {
-        let dk_acc = dkv.k.as_mut().expect("allocated above");
-        let dv_acc = dkv.v.as_mut().expect("allocated above");
-        for head in 0..heads {
-            let qh = saved.q.slice_cols(head * hd, hd);
-            let kh = k_all.slice_block(0, prefix, head * hd, hd);
-            let vh = v_all.slice_block(0, prefix, head * hd, hd);
-            let doh = d_attn_concat.slice_cols(head * hd, hd);
-            let (dqh, dkh, dvh) =
-                causal_attention_backward_in(pool, &doh, &qh, &kh, &vh, &saved.attn_saved[head]);
-            dq.add_cols(head * hd, &dqh);
-            for r in 0..prefix {
-                let dst_k = &mut dk_acc.row_mut(r)[head * hd..(head + 1) * hd];
-                for (a, b) in dst_k.iter_mut().zip(dkh.row(r)) {
-                    *a += b;
-                }
-                let dst_v = &mut dv_acc.row_mut(r)[head * hd..(head + 1) * hd];
-                for (a, b) in dst_v.iter_mut().zip(dvh.row(r)) {
-                    *a += b;
-                }
-            }
+    // Attention backward over every head; accumulate prefix dK/dV.
+    let (dq, dk, dv) = multi_head_attention_backward_in(
+        pool,
+        &d_attn_concat,
+        &saved.q,
+        k_all,
+        v_all,
+        &saved.attn_saved,
+    );
+    for (acc, d) in [(&mut dkv.k, &dk), (&mut dkv.v, &dv)] {
+        let acc = acc.as_mut().expect("allocated above");
+        for (a, b) in acc.data_mut().iter_mut().zip(d.data()) {
+            *a += b;
         }
     }
 
@@ -382,7 +352,7 @@ pub fn backward_input_slice(
     });
     wgrads.push(WgradGemm {
         weight: WeightId::Wv,
-        input: saved.normed1.clone(),
+        input: saved.normed1,
         out_grad: dv_own,
     });
 
@@ -466,7 +436,7 @@ mod tests {
         let mut kv_f = Kv::default();
         let (_, saved_f) = forward_slice(&pool, &p, &fwd, &x, &mut kv_f, 0, 4);
         let mut dkv_f = Kv::default();
-        let out_f = backward_input_slice(&pool, &p, &dgrad, &saved_f, &kv_f, &mut dkv_f, &dy);
+        let out_f = backward_input_slice(&pool, &p, &dgrad, saved_f, &kv_f, &mut dkv_f, &dy);
         let mut grads_f = p.zero_grads();
         apply_wgrads(&pool, &mut grads_f, &out_f.wgrads);
 
@@ -486,7 +456,7 @@ mod tests {
                 &pool,
                 &p,
                 &dgrad,
-                &saves[i],
+                saves[i].clone(),
                 &kv,
                 &mut dkv,
                 &dy.slice_rows(i * 4, 4),
@@ -525,7 +495,7 @@ mod tests {
             &pool,
             &p,
             &dgrad,
-            &saved,
+            saved,
             &kv,
             &mut dkv,
             &Tensor::zeros(16, x.cols()),
@@ -548,7 +518,7 @@ mod tests {
             let mut kv = Kv::default();
             let (y, saved) = forward_slice(pool, &p, &fwd, &x, &mut kv, 0, 4);
             let mut dkv = Kv::default();
-            let out = backward_input_slice(pool, &p, &dgrad, &saved, &kv, &mut dkv, &dy);
+            let out = backward_input_slice(pool, &p, &dgrad, saved, &kv, &mut dkv, &dy);
             let mut grads = p.zero_grads();
             apply_wgrads(pool, &mut grads, &out.wgrads);
             (y, out.dx, grads)

@@ -31,7 +31,6 @@
 
 pub mod calibrate;
 pub mod checkpoint;
-pub mod cp;
 pub mod data;
 pub mod layer;
 pub mod memtrack;
@@ -40,7 +39,6 @@ pub mod optim;
 pub mod params;
 pub mod pipeline;
 pub mod reference;
-pub mod tp;
 
 pub use memtrack::{MemError, MemTracker};
 pub use pipeline::{PipelineRuntime, RunStats, StageRunStats, WgradMode};

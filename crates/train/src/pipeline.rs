@@ -1013,7 +1013,7 @@ impl<'a> WorkerCtx<'a> {
         };
 
         let (lo, hi) = self.layers_of_chunk(chunk);
-        let (x_in, saves) = self
+        let (x_in, mut saves) = self
             .saves
             .remove(&(mb, slice, chunk))
             .expect("saved acts present");
@@ -1026,15 +1026,11 @@ impl<'a> WorkerCtx<'a> {
                 .expect("kv cache present");
             let dkv = self.dkvs.entry((mb, chunk, li - lo)).or_default();
             let was_empty = dkv.is_empty();
-            let out = backward_input_slice(
-                &self.pool,
-                &self.model.layers[li],
-                w,
-                &saves[li - lo],
-                kv,
-                dkv,
-                &dy,
-            );
+            // Layers run last to first, so each one's save is the last.
+            let saved = saves.pop().expect("one save per layer");
+            let saved_bytes = saved.bytes();
+            let out =
+                backward_input_slice(&self.pool, &self.model.layers[li], w, saved, kv, dkv, &dy);
             if was_empty {
                 let bytes = dkv.bytes();
                 self.charge(bytes);
@@ -1052,7 +1048,7 @@ impl<'a> WorkerCtx<'a> {
                     }
                 }
             }
-            self.mem.free(saves[li - lo].bytes());
+            self.mem.free(saved_bytes);
             dy = out.dx;
         }
         self.mem.free(x_in.bytes());

@@ -85,7 +85,8 @@ pub fn forward_backward_in(
         let lp = &model.layers[li];
         let w = LayerPacks::input_grad(lp);
         let mut dkv = Kv::default();
-        let out = backward_input_slice(pool, lp, &w, &saves[li], &kvs[li], &mut dkv, &dy);
+        let saved = saves.pop().expect("one save per layer");
+        let out = backward_input_slice(pool, lp, &w, saved, &kvs[li], &mut dkv, &dy);
         apply_wgrads(pool, &mut grads.layers[li], &out.wgrads);
         grads.layers[li].norm1.add_assign(&out.dnorm1);
         grads.layers[li].norm2.add_assign(&out.dnorm2);
