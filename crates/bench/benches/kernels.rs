@@ -13,7 +13,8 @@
 //! form, `pack_t_s` for the transposed input-gradient form). The
 //! weight-gradient form packs its one-shot `dC` on every call, so
 //! `wgrad_s` includes that pack (its transposed left operand is read in
-//! place).
+//! place); `wgrad_acc_s` is the same GEMM adding into a warm gradient
+//! in its store, the form the runtime's W ops run.
 //!
 //! `--smoke` (what `scripts/check.sh` runs) makes one untimed call per
 //! row and writes no file.
@@ -24,8 +25,9 @@ use criterion::black_box;
 use mepipe_tensor::{
     init::{rng, uniform},
     ops::{
-        cross_entropy_in, matmul_packed_in, matmul_wgrad_in, multi_head_attention_backward_in,
-        multi_head_attention_in, naive, rmsnorm_in, silu, silu_backward, PackedB,
+        cross_entropy_in, matmul_packed_in, matmul_wgrad_acc_in, matmul_wgrad_in,
+        multi_head_attention_backward_in, multi_head_attention_in, naive, rmsnorm_in, silu,
+        silu_backward, PackedB,
     },
     KernelPool, Tensor,
 };
@@ -244,6 +246,11 @@ fn main() {
             let t_wgrad = time(&mut || {
                 black_box(matmul_wgrad_in(&serial, &a, &dc));
             });
+            let mut grad = Tensor::zeros(k, n);
+            let t_wgrad_acc = time(&mut || {
+                matmul_wgrad_acc_in(&serial, &a, &dc, &mut grad);
+                black_box(&grad);
+            });
             let t_pack = time(&mut || {
                 black_box(PackedB::new(&w));
             });
@@ -251,12 +258,13 @@ fn main() {
                 black_box(PackedB::transposed(&w));
             });
             say(&format!(
-                "  {m}x{k}x{n}: kernel {:.1} us ({:.2} GF/s) | dgrad {:.1} us | wgrad {:.1} us ({:.2} GF/s) | pack {:.1} us | pack_t {:.1} us",
+                "  {m}x{k}x{n}: kernel {:.1} us ({:.2} GF/s) | dgrad {:.1} us | wgrad {:.1} us ({:.2} GF/s) | wgrad_acc {:.1} us | pack {:.1} us | pack_t {:.1} us",
                 t_kernel * 1e6,
                 gflops(m, n, k, t_kernel),
                 t_dgrad * 1e6,
                 t_wgrad * 1e6,
                 gflops(m, n, k, t_wgrad),
+                t_wgrad_acc * 1e6,
                 t_pack * 1e6,
                 t_pack_t * 1e6,
             ));
@@ -264,7 +272,7 @@ fn main() {
                 json.push_str(",\n");
             }
             json.push_str(&format!(
-                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"kernel_s\": {t_kernel:.7}, \"dgrad_s\": {t_dgrad:.7}, \"wgrad_s\": {t_wgrad:.7}, \"pack_s\": {t_pack:.7}, \"pack_t_s\": {t_pack_t:.7}, \"kernel_gflops\": {:.2}, \"wgrad_gflops\": {:.2}}}",
+                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"kernel_s\": {t_kernel:.7}, \"dgrad_s\": {t_dgrad:.7}, \"wgrad_s\": {t_wgrad:.7}, \"wgrad_acc_s\": {t_wgrad_acc:.7}, \"pack_s\": {t_pack:.7}, \"pack_t_s\": {t_pack_t:.7}, \"kernel_gflops\": {:.2}, \"wgrad_gflops\": {:.2}}}",
                 gflops(m, n, k, t_kernel),
                 gflops(m, n, k, t_wgrad)
             ));

@@ -1,15 +1,21 @@
 //! A bit-level fingerprint of the training math: three SGD steps at
 //! `train-inproc`'s and `job-uds`' shapes under each [`WgradMode`],
 //! hashed with FNV-1a over every step's loss bits and every gradient
-//! tensor. Two builds that print the same `digest` lines compute the
-//! same losses and gradients bit for bit, so a kernel change that must
-//! not move a bit is checked by running `experiments digest` on both
-//! trees and diffing those lines. Digests are comparable only between
-//! builds for the same target features (FMA or not).
+//! tensor. Both shapes run MEPipe (one chunk per stage); `job-uds`'
+//! shape also runs interleaved MEPipe (`v = 2`), ZBV and DualPipe, so
+//! multi-chunk stages, V-shaped placement and the gradients several
+//! stages own are fingerprinted too. Two builds that print the same
+//! `digest` lines compute the same losses and gradients bit for bit, so
+//! a kernel or runtime change that must not move a bit is checked by
+//! running `experiments digest` on both trees and diffing those lines.
+//! Digests are comparable only between builds for the same target
+//! features (FMA or not).
 
 use mepipe_core::svpp::Mepipe;
 use mepipe_model::config::TransformerConfig;
-use mepipe_schedule::generator::{Dims, ScheduleGenerator};
+use mepipe_schedule::generator::{Dims, ScheduleGenerator, Zbv};
+use mepipe_schedule::ir::Schedule;
+use mepipe_schedule::DualPipe;
 use mepipe_tensor::Tensor;
 use mepipe_train::data::batch_for_iter;
 use mepipe_train::optim::ModelGrads;
@@ -23,42 +29,65 @@ const STEPS: usize = 3;
 /// Model and data seed.
 const SEED: u64 = 1;
 
-/// One training shape: perfbench's workload of the same name.
-struct Shape {
+/// One case: a training shape (perfbench's workload of the same name)
+/// under one schedule.
+struct Case {
     name: &'static str,
     cfg: TransformerConfig,
-    stages: usize,
     micro_batches: usize,
-    slices: usize,
     lr: f32,
+    schedule: Schedule,
 }
 
-fn shapes() -> [Shape; 2] {
-    [
-        Shape {
-            name: "train-inproc",
-            cfg: TransformerConfig {
-                seq_len: 128,
-                hidden: 256,
-                ffn_hidden: 512,
-                ..TransformerConfig::tiny(4)
-            },
-            stages: 2,
-            micro_batches: 4,
-            slices: 4,
-            lr: 0.02,
-        },
-        Shape {
-            name: "job-uds",
-            cfg: TransformerConfig {
-                seq_len: 64,
-                ..TransformerConfig::tiny(4)
-            },
-            stages: 2,
-            micro_batches: 4,
-            slices: 4,
-            lr: 0.1,
-        },
+fn cases() -> Vec<Case> {
+    let train = TransformerConfig {
+        seq_len: 128,
+        hidden: 256,
+        ffn_hidden: 512,
+        ..TransformerConfig::tiny(4)
+    };
+    let job = TransformerConfig {
+        seq_len: 64,
+        ..TransformerConfig::tiny(4)
+    };
+    // Both workloads: 2 stages, 4 micro-batches.
+    let dims = Dims::new(2, 4);
+    let case = |name, cfg, lr, schedule| Case {
+        name,
+        cfg,
+        micro_batches: dims.n,
+        lr,
+        schedule,
+    };
+    let mepipe = Mepipe::new()
+        .generate(&dims.slices(4))
+        .expect("MEPipe schedule for the digest shape");
+    vec![
+        case("train-inproc", train, 0.02, mepipe.clone()),
+        case("job-uds", job, 0.1, mepipe),
+        case(
+            "job-uds/v2",
+            job,
+            0.1,
+            Mepipe::new()
+                .generate(&dims.virtual_chunks(2).slices(4))
+                .expect("interleaved MEPipe schedule for the digest shape"),
+        ),
+        case(
+            "job-uds/zbv",
+            job,
+            0.1,
+            Zbv.generate(&dims.virtual_chunks(2))
+                .expect("ZBV schedule for the digest shape"),
+        ),
+        case(
+            "job-uds/dualpipe",
+            job,
+            0.1,
+            DualPipe::new()
+                .generate(&dims.virtual_chunks(2).slices(4))
+                .expect("DualPipe schedule for the digest shape"),
+        ),
     ]
 }
 
@@ -103,22 +132,24 @@ pub fn run() -> ExperimentReport {
         "digest",
         "FNV-1a digest of 3 SGD steps' loss bits and gradients, per shape and W mode",
     );
-    for shape in shapes() {
-        let schedule = Mepipe::new()
-            .generate(&Dims::new(shape.stages, shape.micro_batches).slices(shape.slices))
-            .expect("MEPipe schedule for the digest shape");
+    for shape in cases() {
+        let meta = &shape.schedule.meta;
         for mode in [
             WgradMode::Immediate,
             WgradMode::AtWeightOp,
             WgradMode::DrainOnWait,
         ] {
-            let mut rt = PipelineRuntime::new(ModelParams::init(shape.cfg, SEED), shape.stages, 1);
+            let mut rt = PipelineRuntime::new(
+                ModelParams::init(shape.cfg, SEED),
+                meta.stages,
+                meta.virtual_chunks,
+            );
             let mut h = Fnv::new();
             let mut losses = Vec::with_capacity(STEPS);
             for step in 0..STEPS {
                 let batch = batch_for_iter(&shape.cfg, shape.micro_batches, SEED, step);
                 let stats = rt
-                    .train_step(&schedule, &batch, mode, shape.lr)
+                    .train_step(&shape.schedule, &batch, mode, shape.lr)
                     .expect("in-process train step");
                 h.bytes(&stats.loss.to_bits().to_le_bytes());
                 h.grads(&stats.grads);

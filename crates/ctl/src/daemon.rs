@@ -796,15 +796,18 @@ impl Daemon {
 
     /// Re-shards a displaced job: pick the best shape for the capacity
     /// that exists now, merge the per-stage checkpoints into one
-    /// canonical full model, and relaunch every new stage from it. A
-    /// full-model restore is correct for any stage count because each
-    /// stage's forward touches only the layers it owns. No capacity?
-    /// The job simply stays in `Resharding` until some appears.
+    /// canonical full model (each tensor from the stage that owned it
+    /// under the old gang's schedule), and relaunch every new stage from
+    /// it. A full-model restore is correct for any stage count because
+    /// each stage's forward touches only the layers it owns. No
+    /// capacity? The job simply stays in `Resharding` until some
+    /// appears.
     fn reshard(&mut self, i: usize) {
         let old_epoch_dir = self.epoch_dir(i);
         let job_dir = self.job_dir(&self.jobs[i].spec.name);
         let job = &self.jobs[i];
-        let old_stages = job.schedule.dims.p;
+        let old_schedule = job.schedule;
+        let old_stages = old_schedule.dims.p;
         let (base_iter, base_file) = job.epoch_base.clone();
         let c_parts = restore_point(&old_epoch_dir, old_stages);
         let c = c_parts.max(base_iter);
@@ -836,8 +839,13 @@ impl Daemon {
                     checkpoint::restore(&bytes).map_err(|e| format!("{}: {e}", path.display()))
                 })
                 .collect();
+            let old_meta = old_schedule
+                .generate()
+                .map(|s| s.meta)
+                .map_err(|e| format!("regenerate the old gang's schedule: {e}"));
             let merged = parts.and_then(|p| {
-                checkpoint::merge_stage_parts(&p).map_err(|e| format!("merge stage parts: {e}"))
+                checkpoint::merge_stage_parts(&p, &old_meta?)
+                    .map_err(|e| format!("merge stage parts: {e}"))
             });
             match merged {
                 Ok(model) => {

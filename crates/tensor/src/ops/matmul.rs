@@ -30,6 +30,14 @@
 //! order along the inner dimension is fixed, results are bit-identical
 //! across worker counts (and across the inline fallback).
 //!
+//! The weight-gradient form also comes in an accumulating flavour,
+//! [`matmul_wgrad_acc_in`]: `g += Aᵀ · dC` added in the kernel's store,
+//! with no `[in, out]` temporary. The micro-kernel sums each tile along
+//! the inner dimension in registers from zero, so when that dimension
+//! fits one `KC` block (every slice here) the store's `g + tile` is the
+//! same addition `g.add_assign(&matmul_wgrad_in(..))` makes, bit for
+//! bit; past `KC` it is exactly that.
+//!
 //! Who packs B is explicit. [`matmul_in`], [`matmul_dgrad_in`] and
 //! [`matmul_wgrad_in`] pack it per call into arena scratch, which suits
 //! one-shot operands. A weight feeds one forward and one input-gradient
@@ -316,6 +324,25 @@ fn copy_row(dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// How [`gemm_into`] writes a finished tile into C.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Store {
+    /// `C = A·B`: C's prior contents are ignored.
+    Overwrite,
+    /// `C += A·B`, added once per element as the tile is stored. Only
+    /// for inner dimensions of at most `KC`, where the tile holds the
+    /// whole product summed from zero.
+    Add,
+}
+
+/// `dst[i] += src[i]` over a tile row.
+#[inline(always)]
+fn add_row(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
 /// One `MC`-row block of the output (row stride `ldc`), sweeping the
 /// shared packed B and accumulating through the micro-kernel. A
 /// row-major left operand is read in place by [`micro_kernel_rows`]
@@ -323,6 +350,7 @@ fn copy_row(dst: &mut [f32], src: &[f32]) {
 /// place by [`micro_kernel`], except that a ragged last panel is packed
 /// zero-padded per `KC` block. Either way every micro-kernel call sees
 /// the values a fully packed panel would hold, in the same order.
+#[allow(clippy::too_many_arguments)]
 fn gemm_row_block(
     i0: usize,
     c_rows: &mut [f32],
@@ -331,7 +359,12 @@ fn gemm_row_block(
     k: usize,
     a: View,
     b_pack: &[f32],
+    store: Store,
 ) {
+    debug_assert!(
+        store == Store::Overwrite || k <= KC,
+        "Store::Add needs k <= KC"
+    );
     let mc = c_rows.len().div_ceil(ldc);
     let panels = mc.div_ceil(MR);
     let edge_rows = mc % MR;
@@ -389,13 +422,26 @@ fn gemm_row_block(
                     }
                     micro_kernel_rows(&a_rows, bs, acc)
                 };
-                if full {
-                    for (i, accr) in acc.iter().enumerate() {
-                        c_rows[(r0 + i) * ldc + j0..][..NR].copy_from_slice(accr);
+                match (store, full) {
+                    (Store::Overwrite, true) => {
+                        for (i, accr) in acc.iter().enumerate() {
+                            c_rows[(r0 + i) * ldc + j0..][..NR].copy_from_slice(accr);
+                        }
                     }
-                } else {
-                    for (i, accr) in acc.iter().enumerate().take(rows) {
-                        copy_row(&mut c_rows[(r0 + i) * ldc + j0..][..cols], &accr[..cols]);
+                    (Store::Overwrite, false) => {
+                        for (i, accr) in acc.iter().enumerate().take(rows) {
+                            copy_row(&mut c_rows[(r0 + i) * ldc + j0..][..cols], &accr[..cols]);
+                        }
+                    }
+                    (Store::Add, true) => {
+                        for (i, accr) in acc.iter().enumerate() {
+                            add_row(&mut c_rows[(r0 + i) * ldc + j0..][..NR], accr);
+                        }
+                    }
+                    (Store::Add, false) => {
+                        for (i, accr) in acc.iter().enumerate().take(rows) {
+                            add_row(&mut c_rows[(r0 + i) * ldc + j0..][..cols], &accr[..cols]);
+                        }
                     }
                 }
             }
@@ -410,8 +456,9 @@ fn gemm_row_block(
 /// Shared engine: logical `C[m, n] = A[m, k] · B[k, n]` with `A` any
 /// view and `B` already packed, stored into `c`, a [`window`] of row
 /// stride `ldc`; entries of `c` between the window's rows are left
-/// alone. Row blocks of C fan out over the pool.
-pub(crate) fn gemm_into(pool: &KernelPool, a: View, b: &PackedB, c: &mut [f32], ldc: usize) {
+/// alone (or, under [`Store::Add`], added to). Row blocks of C fan out
+/// over the pool.
+fn gemm_into(pool: &KernelPool, a: View, b: &PackedB, c: &mut [f32], ldc: usize, store: Store) {
     let (m, n, k) = (a.rows, b.n, b.k);
     assert_eq!(b.k, a.cols, "gemm inner dimension mismatch");
     if m == 0 || n == 0 {
@@ -419,8 +466,10 @@ pub(crate) fn gemm_into(pool: &KernelPool, a: View, b: &PackedB, c: &mut [f32], 
     }
     assert_eq!(c.len(), (m - 1) * ldc + n, "output window shape mismatch");
     if k == 0 {
-        for row in c.chunks_mut(ldc) {
-            row[..n].fill(0.0);
+        if store == Store::Overwrite {
+            for row in c.chunks_mut(ldc) {
+                row[..n].fill(0.0);
+            }
         }
         return;
     }
@@ -428,13 +477,13 @@ pub(crate) fn gemm_into(pool: &KernelPool, a: View, b: &PackedB, c: &mut [f32], 
         // Below the break-even size the blocks run inline, in index
         // order, exactly as a one-worker pool would run them.
         for (i, c_rows) in c.chunks_mut(MC * ldc).enumerate() {
-            gemm_row_block(i * MC, c_rows, ldc, n, k, a, b.strips());
+            gemm_row_block(i * MC, c_rows, ldc, n, k, a, b.strips(), store);
         }
         return;
     }
     let mut blocks = row_blocks(c, ldc, MC);
     pool.for_each(&mut blocks, |_, (i0, c_rows)| {
-        gemm_row_block(*i0, c_rows, ldc, n, k, a, b.strips());
+        gemm_row_block(*i0, c_rows, ldc, n, k, a, b.strips(), store);
     });
 }
 
@@ -444,7 +493,7 @@ fn gemm(pool: &KernelPool, a: View, b: &PackedB) -> Tensor {
     // skips the C read when `pk == 0`), so a zero-fill would be dead.
     let mut out = Tensor::uninit(a.rows, b.n);
     let n = out.cols();
-    gemm_into(pool, a, b, out.data_mut(), n);
+    gemm_into(pool, a, b, out.data_mut(), n, Store::Overwrite);
     out
 }
 
@@ -452,7 +501,7 @@ fn gemm(pool: &KernelPool, a: View, b: &PackedB) -> Tensor {
 /// runs, and hands the scratch back.
 pub(crate) fn gemm_once_into(pool: &KernelPool, a: View, b: View, c: &mut [f32], ldc: usize) {
     let packed = PackedB::pack(b, arena::acquire_scratch);
-    gemm_into(pool, a, &packed, c, ldc);
+    gemm_into(pool, a, &packed, c, ldc, Store::Overwrite);
     arena::release_scratch(PackedB::len(packed.k, packed.n), packed.buf);
 }
 
@@ -534,6 +583,41 @@ pub fn matmul_wgrad(a: &Tensor, dc: &Tensor) -> Tensor {
 pub fn matmul_wgrad_in(pool: &KernelPool, a: &Tensor, dc: &Tensor) -> Tensor {
     assert_eq!(a.rows(), dc.rows(), "wgrad dimension mismatch");
     gemm_once(pool, View::transposed(a), View::normal(dc))
+}
+
+/// Adds a matmul's weight gradient into `g` on a worker pool:
+/// `g += Aᵀ · dC`, bit-identical to
+/// `g.add_assign(&matmul_wgrad_in(pool, a, dc))`. When the inner
+/// dimension (`A`'s rows: a slice's tokens) fits one `KC` block, each
+/// tile is added into `g` as it is stored and no `[in, out]` temporary
+/// exists; above `KC` (or at zero rows) it is that two-pass form.
+///
+/// # Panics
+///
+/// Panics if row counts disagree or `g` is not `[A.cols, dC.cols]`.
+pub fn matmul_wgrad_acc_in(pool: &KernelPool, a: &Tensor, dc: &Tensor, g: &mut Tensor) {
+    assert_eq!(a.rows(), dc.rows(), "wgrad dimension mismatch");
+    assert_eq!(
+        (g.rows(), g.cols()),
+        (a.cols(), dc.cols()),
+        "wgrad target shape mismatch"
+    );
+    let k = a.rows();
+    if k == 0 || k > KC {
+        g.add_assign(&matmul_wgrad_in(pool, a, dc));
+        return;
+    }
+    let packed = PackedB::pack(View::normal(dc), arena::acquire_scratch);
+    let ldc = g.cols();
+    gemm_into(
+        pool,
+        View::transposed(a),
+        &packed,
+        g.data_mut(),
+        ldc,
+        Store::Add,
+    );
+    arena::release_scratch(PackedB::len(packed.k, packed.n), packed.buf);
 }
 
 #[cfg(test)]
@@ -690,6 +774,39 @@ mod tests {
         let mut parts = matmul_wgrad(&a.slice_rows(0, 3), &dc.slice_rows(0, 3));
         parts.add_assign(&matmul_wgrad(&a.slice_rows(3, 5), &dc.slice_rows(3, 5)));
         assert!(whole.max_abs_diff(&parts) < 1e-5);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Adding in the store is the two-pass `add_assign` bit for bit,
+        /// on a non-zero target: output rows straddle `MR` (ragged
+        /// transposed edge panels) and `MC`, columns straddle `NR`, the
+        /// inner dimension sits on both sides of `KC`, and 3 workers fan
+        /// out (this build's break-even floor is shrunk).
+        #[test]
+        fn wgrad_acc_is_add_assign_of_wgrad_bit_for_bit(
+            m in proptest::sample::select(vec![1, MR - 1, MR, MR + 1, MC - 1, MC + 1, 2 * MC + 5]),
+            n in proptest::sample::select(vec![1, NR - 1, NR, NR + 1, 3 * NR + 2]),
+            k in proptest::sample::select(vec![1, 7, 32, KC - 1, KC, KC + 1, 2 * KC + 3]),
+            workers in proptest::sample::select(vec![1usize, 3]),
+            seed in 0u64..1000,
+        ) {
+            let mut r = rng(seed);
+            let a = uniform(k, m, 1.0, &mut r);
+            let dc = uniform(k, n, 1.0, &mut r);
+            let target = uniform(m, n, 1.0, &mut r);
+            let pool = KernelPool::new(workers);
+            let mut want = target.clone();
+            want.add_assign(&matmul_wgrad_in(&pool, &a, &dc));
+            let mut got = target;
+            matmul_wgrad_acc_in(&pool, &a, &dc, &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

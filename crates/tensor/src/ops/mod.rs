@@ -22,6 +22,6 @@ pub use embedding::{embedding, embedding_backward};
 pub use loss::{cross_entropy, cross_entropy_in, CrossEntropyOut};
 pub use matmul::{
     matmul, matmul_dgrad, matmul_dgrad_in, matmul_in, matmul_packed_in, matmul_wgrad,
-    matmul_wgrad_in, PackedB,
+    matmul_wgrad_acc_in, matmul_wgrad_in, PackedB,
 };
 pub use norm::{rmsnorm, rmsnorm_backward, rmsnorm_backward_in, rmsnorm_in, RmsNormSaved};

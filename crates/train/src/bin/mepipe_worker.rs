@@ -540,11 +540,11 @@ fn run_launch(args: &Args) {
 /// The stage claims one UDS mesh under `--dir` for the whole attempt
 /// (every gang member gets the same directory, so rendezvous needs no
 /// coordinator) and runs every iteration over that one link, closing it
-/// after the last. Each iteration steps the model with SGD over this
-/// stage's own-layer gradients (peer layers' grads are zero, and SGD
-/// with a zero grad is a bitwise no-op, so per-stage stepping equals
-/// full-model stepping wherever each block lives on one stage — not
-/// under DualPipe, whose mirror stages hold the same two blocks),
+/// after the last. Each iteration steps, with SGD, only the parameters
+/// this stage owns (`run_stage` returns just their gradients), which
+/// equals full-model stepping wherever each block lives on one stage —
+/// not under DualPipe, whose mirror stages hold the same two blocks and
+/// each step them with their own half of the gradient —
 /// appends a `iter K loss_bits B` heartbeat line,
 /// and checkpoints its model shard atomically every `--ckpt-interval`
 /// completed iterations. `--kill-at-iter M` aborts the whole process at
@@ -639,7 +639,7 @@ fn run_job(args: &Args) {
                 args.iters,
             ));
         }
-        Sgd { lr: args.lr }.step_model(&mut rt.model, &out.grads);
+        Sgd { lr: args.lr }.step_shard(&mut rt.model, &out.grads);
         last_bits = out.loss_sum.to_bits();
         last_trace = out.trace;
         progress(format!("iter {k} loss_bits {last_bits}"));

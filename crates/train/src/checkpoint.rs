@@ -20,9 +20,10 @@
 
 use mepipe_comm::frame::checksum;
 use mepipe_model::config::TransformerConfig;
+use mepipe_schedule::ir::ScheduleMeta;
 use mepipe_tensor::Tensor;
 
-use crate::params::{LayerParams, ModelParams};
+use crate::params::{LayerParams, ModelParams, Ownership};
 
 /// Leading magic of every checkpoint: identifies the file type and pins
 /// the format version (bump the trailing digit on layout changes).
@@ -245,25 +246,32 @@ pub fn restore(bytes: &[u8]) -> Result<ModelParams, CheckpointError> {
 /// Rebuilds one canonical model from per-stage checkpoints.
 ///
 /// In a multi-process gang every stage steps only the parameters it
-/// owns: stage `i` of `p` updates layers `[i·L/p, (i+1)·L/p)`, stage 0
-/// additionally the embedding, stage `p−1` the final norm and output
-/// head — all other tensors in its checkpoint are stale. Merging takes
-/// each tensor from its owner, yielding the full model state the gang
+/// owns under the gang's schedule ([`Ownership`]: the layers of the
+/// blocks its chunks compute, the embedding on a stage that runs chain
+/// position 0, the final norm and head on one that runs the last) —
+/// all other tensors in its checkpoint are stale. Merging takes each
+/// tensor from its owner, yielding the full model state the gang
 /// collectively reached, which is what a re-shard to a *different*
-/// stage count must restore from.
+/// stage count must restore from. A tensor several stages own
+/// (DualPipe's mirrored blocks, its two end stages) comes from the
+/// lowest-numbered one.
 ///
 /// `parts[i]` must be stage `i`'s checkpointed model (same config,
-/// same iteration).
+/// same iteration) of a gang that ran a schedule shaped like `meta`.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Malformed`] when the parts disagree on
-/// the config, the list is empty, or layers don't divide evenly.
-pub fn merge_stage_parts(parts: &[ModelParams]) -> Result<ModelParams, CheckpointError> {
+/// the config, the list is empty, its length is not the schedule's
+/// stage count, or the layers don't divide into the schedule's model
+/// blocks.
+pub fn merge_stage_parts(
+    parts: &[ModelParams],
+    meta: &ScheduleMeta,
+) -> Result<ModelParams, CheckpointError> {
     let first = parts
         .first()
         .ok_or_else(|| CheckpointError::Malformed("no stage parts to merge".into()))?;
-    let p = parts.len();
     let cfg = first.cfg;
     for (i, part) in parts.iter().enumerate() {
         if part.cfg != cfg {
@@ -272,22 +280,30 @@ pub fn merge_stage_parts(parts: &[ModelParams]) -> Result<ModelParams, Checkpoin
             )));
         }
     }
-    if cfg.layers % p != 0 {
+    if parts.len() != meta.stages {
         return Err(CheckpointError::Malformed(format!(
-            "{} layers not divisible across {p} stages",
-            cfg.layers
+            "{} stage parts for a {}-stage schedule",
+            parts.len(),
+            meta.stages
         )));
     }
-    let per = cfg.layers / p;
-    let layers = (0..cfg.layers)
-        .map(|l| parts[l / per].layers[l].clone())
-        .collect();
+    if cfg.layers % meta.model_blocks() != 0 {
+        return Err(CheckpointError::Malformed(format!(
+            "{} layers not divisible into {} model blocks",
+            cfg.layers,
+            meta.model_blocks()
+        )));
+    }
+    let owners = Ownership::new(meta, cfg.layers);
+    let from = |stages: &[usize]| &parts[stages[0]];
     Ok(ModelParams {
         cfg,
-        embedding: first.embedding.clone(),
-        layers,
-        final_norm: parts[p - 1].final_norm.clone(),
-        head: parts[p - 1].head.clone(),
+        embedding: from(owners.embedding()).embedding.clone(),
+        layers: (0..cfg.layers)
+            .map(|l| from(owners.layer(l)).layers[l].clone())
+            .collect(),
+        final_norm: from(owners.head()).final_norm.clone(),
+        head: from(owners.head()).head.clone(),
     })
 }
 
@@ -397,51 +413,104 @@ mod tests {
         assert_eq!(a.head, b.head);
     }
 
-    #[test]
-    fn merge_takes_each_tensor_from_its_owner() {
-        let cfg = TransformerConfig::tiny(4);
-        // Every stage starts from the shared init, then perturbs exactly
-        // the parameters it owns — the multi-process update pattern.
+    /// The parts of a `p`-stage gang over `cfg` whose stage `s` owns
+    /// `layers[s]`, plus the embedding on `embed` and the final norm and
+    /// head on `loss`: every stage starts from the shared init, writes
+    /// its stage number into what it owns and a stale value into the
+    /// rest — the multi-process update pattern.
+    fn gang_parts(
+        cfg: TransformerConfig,
+        layers: &[&[usize]],
+        embed: usize,
+        loss: usize,
+    ) -> Vec<ModelParams> {
         let base = ModelParams::init(cfg, 9);
-        let p = 2;
-        let per = cfg.layers / p;
-        let parts: Vec<ModelParams> = (0..p)
+        (0..layers.len())
             .map(|stage| {
+                let mark = |own: bool| if own { 100.0 + stage as f32 } else { -1.0 };
                 let mut m = base.clone();
-                for l in stage * per..(stage + 1) * per {
-                    m.layers[l].wq.data_mut()[0] = 100.0 + stage as f32;
+                for (l, lp) in m.layers.iter_mut().enumerate() {
+                    lp.wq.data_mut()[0] = mark(layers[stage].contains(&l));
                 }
-                if stage == 0 {
-                    m.embedding.data_mut()[0] = -7.0;
-                }
-                if stage == p - 1 {
-                    m.head.data_mut()[0] = -9.0;
-                    m.final_norm.data_mut()[0] = -11.0;
-                }
+                m.embedding.data_mut()[0] = mark(stage == embed);
+                m.final_norm.data_mut()[0] = mark(stage == loss);
+                m.head.data_mut()[0] = mark(stage == loss);
                 m
             })
-            .collect();
-        let merged = merge_stage_parts(&parts).unwrap();
-        assert_eq!(merged.embedding.data()[0], -7.0);
-        assert_eq!(merged.head.data()[0], -9.0);
-        assert_eq!(merged.final_norm.data()[0], -11.0);
-        for l in 0..cfg.layers {
-            assert_eq!(merged.layers[l].wq.data()[0], 100.0 + (l / per) as f32);
+            .collect()
+    }
+
+    /// Merges `parts` under `schedule` and checks every tensor came
+    /// from the stage the gang's layout says owns it.
+    fn assert_merged_from_owners(
+        schedule: &mepipe_schedule::ir::Schedule,
+        parts: &[ModelParams],
+        layers: &[&[usize]],
+        embed: usize,
+        loss: usize,
+    ) {
+        let merged = merge_stage_parts(parts, &schedule.meta).unwrap();
+        let mark = |stage: usize| 100.0 + stage as f32;
+        assert_eq!(merged.embedding.data()[0], mark(embed));
+        assert_eq!(merged.final_norm.data()[0], mark(loss));
+        assert_eq!(merged.head.data()[0], mark(loss));
+        for (stage, own) in layers.iter().enumerate() {
+            for &l in *own {
+                assert_eq!(merged.layers[l].wq.data()[0], mark(stage), "layer {l}");
+            }
         }
         // Untouched tensors come through bit-identical to the base.
-        assert_eq!(merged.layers[0].wd, base.layers[0].wd);
+        assert_eq!(merged.layers[0].wd, parts[0].layers[0].wd);
+    }
+
+    #[test]
+    fn merge_takes_each_tensor_from_its_owner() {
+        use mepipe_core::svpp::Mepipe;
+        use mepipe_schedule::generator::{Dims, ScheduleGenerator};
+        // MEPipe at v = 1: contiguous halves, embedding first, head last.
+        let schedule = Mepipe::new().generate(&Dims::new(2, 2)).unwrap();
+        let layers: [&[usize]; 2] = [&[0, 1], &[2, 3]];
+        let parts = gang_parts(TransformerConfig::tiny(4), &layers, 0, 1);
+        assert_merged_from_owners(&schedule, &parts, &layers, 0, 1);
+    }
+
+    #[test]
+    fn merge_follows_interleaved_and_v_shape_placements() {
+        use mepipe_core::svpp::Mepipe;
+        use mepipe_schedule::generator::{Dims, ScheduleGenerator, Zbv};
+        let cfg = TransformerConfig::tiny(4);
+        // Interleaved, p = 2, v = 2: stage w's chunk c is block c·2 + w,
+        // so stage 0 holds layers 0 and 2 and the loss sits on stage 1.
+        let interleaved = Mepipe::new()
+            .generate(&Dims::new(2, 4).virtual_chunks(2).slices(2))
+            .unwrap();
+        let layers: [&[usize]; 2] = [&[0, 2], &[1, 3]];
+        let parts = gang_parts(cfg, &layers, 0, 1);
+        assert_merged_from_owners(&interleaved, &parts, &layers, 0, 1);
+        // ZBV's V: stage 0 holds the first and the last block, so it
+        // both embeds and computes the loss.
+        let zbv = Zbv.generate(&Dims::new(2, 4).virtual_chunks(2)).unwrap();
+        let layers: [&[usize]; 2] = [&[0, 3], &[1, 2]];
+        let parts = gang_parts(cfg, &layers, 0, 0);
+        assert_merged_from_owners(&zbv, &parts, &layers, 0, 0);
     }
 
     #[test]
     fn merge_rejects_inconsistent_parts() {
+        use mepipe_core::svpp::Mepipe;
+        use mepipe_schedule::generator::{Dims, ScheduleGenerator};
+        let two = Mepipe::new().generate(&Dims::new(2, 2)).unwrap().meta;
+        let three = Mepipe::new().generate(&Dims::new(3, 3)).unwrap().meta;
         let a = ModelParams::init(TransformerConfig::tiny(2), 1);
         let b = ModelParams::init(TransformerConfig::tiny(4), 1);
-        assert!(merge_stage_parts(&[]).is_err());
-        assert!(merge_stage_parts(&[a.clone(), b]).is_err());
+        assert!(merge_stage_parts(&[], &two).is_err());
+        assert!(merge_stage_parts(&[a.clone(), b], &two).is_err());
+        // Two parts cannot be a three-stage gang.
+        assert!(merge_stage_parts(&[a.clone(), a.clone()], &three).is_err());
         // 2 layers across 3 stages cannot divide.
         let c = ModelParams::init(TransformerConfig::tiny(2), 2);
         let d = ModelParams::init(TransformerConfig::tiny(2), 3);
-        assert!(merge_stage_parts(&[a, c, d]).is_err());
+        assert!(merge_stage_parts(&[a, c, d], &three).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use mepipe_tensor::{
     ops::{
-        matmul_packed_in, matmul_wgrad_in, multi_head_attention_backward_in,
+        matmul_packed_in, matmul_wgrad_acc_in, multi_head_attention_backward_in,
         multi_head_attention_in, rmsnorm_backward_in, rmsnorm_in, silu, silu_backward,
         AttentionSaved, PackedB, RmsNormSaved,
     },
@@ -132,16 +132,16 @@ impl WgradGemm {
     }
 }
 
-/// Activations one slice-forward saves for its backward.
+/// Activations one slice-forward saves for its backward. The layer's
+/// input and its attention residual are each held once, inside the
+/// RMSNorm save that reads them (`norm1_saved.x`, `norm2_saved.x`).
 #[derive(Debug, Clone)]
 pub struct LayerFwdSaved {
-    x_in: Tensor,
     norm1_saved: RmsNormSaved,
     normed1: Tensor,
     q: Tensor,
     attn_saved: AttentionSaved,
     attn_concat: Tensor,
-    resid1: Tensor,
     norm2_saved: RmsNormSaved,
     normed2: Tensor,
     gate_pre: Tensor,
@@ -152,13 +152,11 @@ pub struct LayerFwdSaved {
 impl LayerFwdSaved {
     /// Byte footprint of everything retained for the backward pass.
     pub fn bytes(&self) -> usize {
-        self.x_in.bytes()
-            + self.norm1_saved.x.bytes()
+        self.norm1_saved.x.bytes()
             + self.normed1.bytes()
             + self.q.bytes()
             + self.attn_saved.probs.bytes()
             + self.attn_concat.bytes()
-            + self.resid1.bytes()
             + self.norm2_saved.x.bytes()
             + self.normed2.bytes()
             + self.gate_pre.bytes()
@@ -210,16 +208,15 @@ pub fn forward_slice(
         *a *= b;
     }
     let mlp_out = matmul_packed_in(pool, &mlp_act, &w[WeightId::Wd]);
-    let y = resid1.add(&mlp_out);
+    let mut y = resid1;
+    y.add_assign(&mlp_out);
 
     let saved = LayerFwdSaved {
-        x_in: x.clone(),
         norm1_saved,
         normed1,
         q,
         attn_saved,
         attn_concat,
-        resid1,
         norm2_saved,
         normed2,
         gate_pre,
@@ -368,11 +365,10 @@ pub fn backward_input_slice(
     }
 }
 
-/// Executes deferred weight-gradient GEMMs on `pool`, accumulating into
-/// `grads`.
+/// Executes deferred weight-gradient GEMMs on `pool`, each adding its
+/// product straight into its weight's gradient in `grads`.
 pub fn apply_wgrads(pool: &KernelPool, grads: &mut LayerParams, gemms: &[WgradGemm]) {
     for g in gemms {
-        let dw = matmul_wgrad_in(pool, &g.input, &g.out_grad);
         let target = match g.weight {
             WeightId::Wq => &mut grads.wq,
             WeightId::Wk => &mut grads.wk,
@@ -382,7 +378,7 @@ pub fn apply_wgrads(pool: &KernelPool, grads: &mut LayerParams, gemms: &[WgradGe
             WeightId::Wu => &mut grads.wu,
             WeightId::Wd => &mut grads.wd,
         };
-        target.add_assign(&dw);
+        matmul_wgrad_acc_in(pool, &g.input, &g.out_grad, target);
     }
 }
 

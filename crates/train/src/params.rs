@@ -1,6 +1,8 @@
-//! Model parameters, gradients and their partitioning into chunks.
+//! Model parameters, gradients and their partitioning into chunks and
+//! across stages ([`Ownership`]).
 
 use mepipe_model::config::TransformerConfig;
+use mepipe_schedule::ir::ScheduleMeta;
 use mepipe_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
@@ -86,6 +88,11 @@ impl LayerParams {
         f(&mut self.norm2, &grads.norm2);
     }
 
+    /// Element-wise `self += other` over every tensor.
+    pub fn add_assign(&mut self, other: &LayerParams) {
+        self.for_each_with(other, Tensor::add_assign);
+    }
+
     /// Maximum absolute difference across all weights.
     pub fn max_abs_diff(&self, other: &LayerParams) -> f32 {
         [
@@ -150,6 +157,89 @@ impl ModelParams {
         );
         let per = self.cfg.layers / total_chunks;
         (g * per, (g + 1) * per)
+    }
+}
+
+/// Which pipeline stages own each parameter tensor under one schedule's
+/// placement: the one map the runtime allocates gradients by, merges
+/// them by and checkpoints are merged by.
+///
+/// A stage owns the layers of every model block it computes
+/// ([`ScheduleMeta::block_of`] for each of its chunks), the embedding
+/// if it runs chain position 0 for some micro-batch, and the final norm
+/// and head if it runs the last one. Every parameter has exactly one
+/// owner except under DualPipe's bidirectional placement, where mirror
+/// stages `w` and `p − 1 − w` both hold blocks `w` and `p − 1 − w`, and
+/// both end stages embed and compute a loss.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ownership {
+    /// Owning stages of each layer, ascending.
+    layers: Vec<Vec<usize>>,
+    /// Stages that run chain position 0, ascending.
+    embedding: Vec<usize>,
+    /// Stages that run the last chain position, ascending.
+    head: Vec<usize>,
+}
+
+impl Ownership {
+    /// The map for a `layers`-layer model under `meta`'s placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layers do not divide evenly into the schedule's
+    /// model blocks.
+    pub fn new(meta: &ScheduleMeta, layers: usize) -> Self {
+        let blocks = meta.model_blocks();
+        assert_eq!(
+            layers % blocks,
+            0,
+            "{layers} layers not divisible into {blocks} model blocks"
+        );
+        let per = layers / blocks;
+        let mut owners = vec![Vec::new(); layers];
+        for stage in 0..meta.stages {
+            for chunk in 0..meta.virtual_chunks {
+                let b = meta.block_of(stage, chunk);
+                for o in &mut owners[b * per..(b + 1) * per] {
+                    if o.last() != Some(&stage) {
+                        o.push(stage);
+                    }
+                }
+            }
+        }
+        let runs = |g: usize| {
+            let mut stages: Vec<usize> = (0..meta.micro_batches)
+                .map(|mb| meta.chain_stage_chunk(mb, g).0)
+                .collect();
+            stages.sort_unstable();
+            stages.dedup();
+            stages
+        };
+        Self {
+            layers: owners,
+            embedding: runs(0),
+            head: runs(meta.last_chain_pos()),
+        }
+    }
+
+    /// Number of layers the map covers.
+    pub fn num_layers(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Stages owning layer `l`, ascending.
+    pub fn layer(&self, l: usize) -> &[usize] {
+        &self.layers[l]
+    }
+
+    /// Stages owning the embedding, ascending.
+    pub fn embedding(&self) -> &[usize] {
+        &self.embedding
+    }
+
+    /// Stages owning the final norm and the head, ascending.
+    pub fn head(&self) -> &[usize] {
+        &self.head
     }
 }
 

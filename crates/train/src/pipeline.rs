@@ -57,7 +57,7 @@ use mepipe_schedule::ir::{OpKind, Schedule};
 use mepipe_schedule::validate::peak_in_flight;
 use mepipe_tensor::{
     ops::{
-        cross_entropy_in, embedding, embedding_backward, matmul_packed_in, matmul_wgrad_in,
+        cross_entropy_in, embedding, embedding_backward, matmul_packed_in, matmul_wgrad_acc_in,
         rmsnorm_backward_in, rmsnorm_in, PackedB,
     },
     ArenaStats, KernelPool, Tensor, TensorArena,
@@ -71,8 +71,8 @@ use crate::{
         apply_wgrads, backward_input_slice, forward_slice, Kv, LayerFwdSaved, LayerPacks, WgradGemm,
     },
     memtrack::{MemError, MemTracker},
-    optim::{ModelGrads, Sgd},
-    params::ModelParams,
+    optim::{GradShard, ModelGrads, Sgd},
+    params::{ModelParams, Ownership},
     reference::add_grads,
 };
 
@@ -132,8 +132,9 @@ pub struct StageRunStats {
     /// This stage's share of the loss sum (the full loss is the sum of
     /// every stage's share, added in stage order).
     pub loss_sum: f64,
-    /// Gradients for the layers this stage owns (zero elsewhere).
-    pub grads: ModelGrads,
+    /// Gradients of the parameters this stage owns under the schedule's
+    /// [`Ownership`] map, which is all a job's SGD step touches.
+    pub grads: GradShard,
     /// Peak live activation bytes on this stage.
     pub peak_bytes: usize,
     /// Weight-gradient GEMMs drained while waiting.
@@ -333,6 +334,7 @@ impl PipelineRuntime {
         let transport = build_transport(&self.transport, p, Self::default_capacity(schedule))?;
         let batch = Arc::new(batch.to_vec());
         let model = &self.model;
+        let owners = Ownership::new(&schedule.meta, model.cfg.layers);
 
         let kernel_workers = self.kernel_workers;
         // One anchor for all stage threads of this run: their spans and
@@ -353,6 +355,7 @@ impl PipelineRuntime {
                 let batch = Arc::clone(&batch);
                 let ops = &schedule.workers[w];
                 let meta = &schedule.meta;
+                let owners = &owners;
                 let transport = transport.as_ref();
                 handles.push(scope.spawn(move || {
                     let before = arena
@@ -371,6 +374,7 @@ impl PipelineRuntime {
                             let mut ctx = WorkerCtx::new(
                                 model,
                                 meta,
+                                owners,
                                 w,
                                 &mut link,
                                 batch,
@@ -434,7 +438,7 @@ impl PipelineRuntime {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let mut grads = ModelGrads::zeros(model);
+        let mut shards = Vec::with_capacity(p);
         let mut loss = 0.0f64;
         let mut peaks = vec![0usize; p];
         let mut drained = vec![0usize; p];
@@ -457,11 +461,11 @@ impl PipelineRuntime {
             if oom.is_none() {
                 oom = out.oom;
             }
-            add_grads(&mut grads, &out.grads, 1.0);
+            shards.push(out.grads);
         }
         Ok(RunStats {
             loss,
-            grads,
+            grads: GradShard::merge(shards),
             peak_bytes: peaks,
             drained_wgrads: drained,
             oom,
@@ -479,8 +483,9 @@ impl PipelineRuntime {
     /// the multi-process entry point used by the `mepipe-worker` binary,
     /// where each stage is its own OS process joined to its peers by a
     /// socket transport. Every process must hold an identically
-    /// initialised model and batch; the returned loss share and gradients
-    /// cover only the layers this stage owns.
+    /// initialised model and batch; the returned loss share is this
+    /// stage's, and the gradients are its shard: only the parameters it
+    /// owns under the schedule's [`Ownership`] map.
     ///
     /// The link is borrowed, not consumed: a job keeps one link (and one
     /// mesh) for all its iterations, and tensors a faster peer already
@@ -525,6 +530,7 @@ impl PipelineRuntime {
                 let mut ctx = WorkerCtx::new(
                     &self.model,
                     &schedule.meta,
+                    &Ownership::new(&schedule.meta, self.model.cfg.layers),
                     stage,
                     link,
                     Arc::new(batch.to_vec()),
@@ -684,7 +690,7 @@ impl PipelineRuntime {
 
 struct WorkerOut {
     loss_sum: f64,
-    grads: ModelGrads,
+    grads: GradShard,
     peak_bytes: usize,
     drained: usize,
     oom: Option<MemError>,
@@ -706,7 +712,8 @@ struct WorkerCtx<'a> {
     comm_before: CommStats,
     batch: Arc<Vec<Vec<usize>>>,
     mode: WgradMode,
-    grads: ModelGrads,
+    // Accumulators for what this stage owns, and nothing else.
+    grads: GradShard,
     // (mb, chunk, layer-in-chunk) KV caches and dKV accumulators.
     kvs: HashMap<(usize, usize, usize), Kv>,
     dkvs: HashMap<(usize, usize, usize), Kv>,
@@ -746,6 +753,7 @@ impl<'a> WorkerCtx<'a> {
     fn new(
         model: &'a ModelParams,
         meta: &mepipe_schedule::ir::ScheduleMeta,
+        owners: &Ownership,
         w: usize,
         link: &'a mut StageLink,
         batch: Arc<Vec<Vec<usize>>>,
@@ -769,7 +777,7 @@ impl<'a> WorkerCtx<'a> {
             link,
             batch,
             mode,
-            grads: ModelGrads::zeros(model),
+            grads: GradShard::zeros(model, owners, w),
             kvs: HashMap::new(),
             dkvs: HashMap::new(),
             saves: HashMap::new(),
@@ -843,7 +851,7 @@ impl<'a> WorkerCtx<'a> {
                     let t0 = self.tracer.clock_ns();
                     apply_wgrads(
                         &self.pool,
-                        &mut self.grads.layers[li],
+                        self.grads.layer_mut(li),
                         std::slice::from_ref(&gemm),
                     );
                     self.mem.free(gemm.bytes());
@@ -998,13 +1006,21 @@ impl<'a> WorkerCtx<'a> {
             self.loss_sum += ce.loss_sum / (total_tokens * n_batch) as f64;
             let mut dlogits = ce.dlogits;
             dlogits.scale(1.0 / (total_tokens * n_batch) as f32);
-            self.grads
-                .head
-                .add_assign(&matmul_wgrad_in(&self.pool, &normed, &dlogits));
+            let owned = "a loss stage owns the head";
+            matmul_wgrad_acc_in(
+                &self.pool,
+                &normed,
+                &dlogits,
+                self.grads.head.as_mut().expect(owned),
+            );
             let d_normed = matmul_packed_in(&self.pool, &dlogits, head_dgrad);
             let (dh, dfn) =
                 rmsnorm_backward_in(&self.pool, &d_normed, &self.model.final_norm, &norm_saved);
-            self.grads.final_norm.add_assign(&dfn);
+            self.grads
+                .final_norm
+                .as_mut()
+                .expect(owned)
+                .add_assign(&dfn);
             dh
         } else {
             let t = self.recv_tagged(MsgKind::Bwd, mb, slice, g)?;
@@ -1035,12 +1051,11 @@ impl<'a> WorkerCtx<'a> {
                 let bytes = dkv.bytes();
                 self.charge(bytes);
             }
-            self.grads.layers[li].norm1.add_assign(&out.dnorm1);
-            self.grads.layers[li].norm2.add_assign(&out.dnorm2);
+            let grads = self.grads.layer_mut(li);
+            grads.norm1.add_assign(&out.dnorm1);
+            grads.norm2.add_assign(&out.dnorm2);
             match self.mode {
-                WgradMode::Immediate => {
-                    apply_wgrads(&self.pool, &mut self.grads.layers[li], &out.wgrads)
-                }
+                WgradMode::Immediate => apply_wgrads(&self.pool, grads, &out.wgrads),
                 WgradMode::AtWeightOp | WgradMode::DrainOnWait => {
                     for gm in out.wgrads {
                         self.charge(gm.bytes());
@@ -1070,6 +1085,8 @@ impl<'a> WorkerCtx<'a> {
             let toks = &self.batch[mb][offset..offset + ts];
             self.grads
                 .embedding
+                .as_mut()
+                .expect("an entry stage owns the embedding")
                 .add_assign(&embedding_backward(&dy, toks, self.model.cfg.vocab));
             self.note_compute(span, mb, slice, chunk, c0);
         } else {
@@ -1093,7 +1110,7 @@ impl<'a> WorkerCtx<'a> {
             if entry.0 == mb && entry.1 == slice && entry.2 == chunk {
                 let (_, _, _, li, gemm) = entry;
                 self.mem.free(gemm.bytes());
-                apply_wgrads(&self.pool, &mut self.grads.layers[li], &[gemm]);
+                apply_wgrads(&self.pool, self.grads.layer_mut(li), &[gemm]);
                 applied = true;
             } else {
                 remaining.push_back(entry);
@@ -1111,7 +1128,7 @@ impl<'a> WorkerCtx<'a> {
         for (mb, slice, chunk, li, gemm) in pending {
             let t0 = self.tracer.clock_ns();
             self.mem.free(gemm.bytes());
-            apply_wgrads(&self.pool, &mut self.grads.layers[li], &[gemm]);
+            apply_wgrads(&self.pool, self.grads.layer_mut(li), &[gemm]);
             self.note_compute(SpanKind::WgradDrain, mb, slice, chunk, t0);
         }
         let wall_ns = self.tracer.clock_ns().saturating_sub(self.start_ns);

@@ -4,7 +4,7 @@
 use mepipe_tensor::{
     ops::{
         cross_entropy_in, embedding, embedding_backward, matmul_dgrad_in, matmul_in,
-        matmul_wgrad_in, rmsnorm_backward_in, rmsnorm_in,
+        matmul_wgrad_acc_in, rmsnorm_backward_in, rmsnorm_in,
     },
     KernelPool, Tensor, TensorArena,
 };
@@ -73,9 +73,7 @@ pub fn forward_backward_in(
     // Backward. Loss gradient is already d(loss_sum); scale to mean.
     let mut dlogits = ce.dlogits;
     dlogits.scale(1.0 / t as f32);
-    grads
-        .head
-        .add_assign(&matmul_wgrad_in(pool, &normed, &dlogits));
+    matmul_wgrad_acc_in(pool, &normed, &dlogits, &mut grads.head);
     let d_normed = matmul_dgrad_in(pool, &dlogits, &model.head);
     let (mut dy, d_final_norm) =
         rmsnorm_backward_in(pool, &d_normed, &model.final_norm, &norm_saved);

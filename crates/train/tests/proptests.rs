@@ -19,7 +19,7 @@ use mepipe_schedule::{Blocks, DualPipe};
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_train::{
     optim::ModelGrads,
-    params::ModelParams,
+    params::{ModelParams, Ownership},
     reference::{add_grads, batch_forward_backward},
     PipelineRuntime, RunStats, WgradMode,
 };
@@ -325,6 +325,53 @@ proptest! {
                 "{} is not bitwise repeatable at {}", g.name(), dims
             );
             prop_assert_eq!(stats.grads.max_abs_diff(&again.grads), 0.0);
+        }
+    }
+}
+
+/// The ownership map under every registered generator: every layer,
+/// the embedding and the head has an owner, exactly one except under
+/// DualPipe's bidirectional placement (whose mirror stages share blocks
+/// and whose two end stages both embed and compute a loss), and the map
+/// agrees with `block_of` and `chain_stage_chunk`.
+#[test]
+fn ownership_map_covers_every_parameter_under_every_generator() {
+    const LAYERS: usize = 8;
+    for p in [2, 4] {
+        for s in [1, 2] {
+            for (g, dims, _) in generator_zoo(p, 2 * p, s) {
+                let sch = g.generate(&dims).unwrap();
+                let meta = &sch.meta;
+                let own = Ownership::new(meta, LAYERS);
+                let per = LAYERS / meta.model_blocks();
+                let ctx = format!("{} at {dims}", g.name());
+                for l in 0..LAYERS {
+                    let b = l / per;
+                    let hosts: Vec<usize> = (0..p)
+                        .filter(|&w| (0..meta.virtual_chunks).any(|c| meta.block_of(w, c) == b))
+                        .collect();
+                    assert_eq!(own.layer(l), hosts, "{ctx}: layer {l}");
+                    if meta.bidirectional() {
+                        let mut mirror = vec![b, p - 1 - b];
+                        mirror.sort_unstable();
+                        mirror.dedup();
+                        assert_eq!(own.layer(l), mirror, "{ctx}: layer {l}");
+                    } else {
+                        assert_eq!(own.layer(l).len(), 1, "{ctx}: layer {l}");
+                    }
+                }
+                for (owners, g_pos, what) in [
+                    (own.embedding(), 0, "embedding"),
+                    (own.head(), meta.last_chain_pos(), "head"),
+                ] {
+                    for mb in 0..meta.micro_batches {
+                        let (stage, _) = meta.chain_stage_chunk(mb, g_pos);
+                        assert!(owners.contains(&stage), "{ctx}: {what} on stage {stage}");
+                    }
+                    let want = if meta.bidirectional() { 2 } else { 1 };
+                    assert_eq!(owners.len(), want, "{ctx}: {what} owners {owners:?}");
+                }
+            }
         }
     }
 }

@@ -27,7 +27,10 @@ use mepipe_schedule::ir::Schedule;
 use mepipe_schedule::DualPipe;
 use mepipe_tensor::init::synthetic_tokens;
 use mepipe_train::{
-    data::batch_for_iter, optim::ModelGrads, optim::Sgd, params::ModelParams, reference::add_grads,
+    data::batch_for_iter,
+    optim::{GradShard, ModelGrads, Sgd},
+    params::ModelParams,
+    reference::add_grads,
     PipelineRuntime, RunStats, WgradMode,
 };
 
@@ -219,6 +222,27 @@ fn repeated_runs_are_deterministic_per_backend() {
 /// Each stage's loss share and gradients for one iteration, as posted.
 type Posted = Vec<Option<(f64, ModelGrads)>>;
 
+/// A stage's gradient shard as a full-model set: zeros wherever the
+/// stage owns nothing.
+fn full_grads(model: &ModelParams, shard: GradShard) -> ModelGrads {
+    let mut full = ModelGrads::zeros(model);
+    if let Some(t) = shard.embedding {
+        full.embedding = t;
+    }
+    for (slot, layer) in full.layers.iter_mut().zip(shard.layers) {
+        if let Some(l) = layer {
+            *slot = l;
+        }
+    }
+    if let Some(t) = shard.final_norm {
+        full.final_norm = t;
+    }
+    if let Some(t) = shard.head {
+        full.head = t;
+    }
+    full
+}
+
 /// Runs three iterations of `schedule` the way a `mepipe-worker job`
 /// gang does — one thread, runtime and [`StageLink`] per stage over one
 /// UDS mesh, `run_stage` then an SGD step per iteration — and asserts
@@ -274,8 +298,9 @@ fn persistent_mesh_matches_train_steps(tag: &str, schedule: &Schedule, layers: u
                     let out = rt
                         .run_stage(schedule, stage, b, WgradMode::DrainOnWait, None, &mut link)
                         .expect("stage run");
+                    let grads = full_grads(&rt.model, out.grads);
                     let mut all = posted.lock().unwrap();
-                    all[k][stage] = Some((out.loss_sum, out.grads));
+                    all[k][stage] = Some((out.loss_sum, grads));
                     arrived.notify_all();
                     // Bounded, so a peer that died fails the test rather
                     // than hanging it.

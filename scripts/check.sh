@@ -31,7 +31,7 @@ cargo run --release -p mepipe-bench --bin experiments -- solver_smoke
 echo "==> training-math digest (compare its lines against another tree's to check bit-identity)"
 DIGEST="$(cargo run --release -p mepipe-bench --bin experiments -- digest | grep '^digest ')"
 echo "$DIGEST"
-[ "$(echo "$DIGEST" | wc -l)" -eq 6 ] || { echo "digest printed the wrong number of lines"; exit 1; }
+[ "$(echo "$DIGEST" | wc -l)" -eq 15 ] || { echo "digest printed the wrong number of lines"; exit 1; }
 
 echo "==> kernels bench smoke (one untimed call per row, no JSON write)"
 cargo bench -p mepipe-bench --bench kernels -- --smoke
