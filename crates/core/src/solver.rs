@@ -11,7 +11,7 @@
 //!
 //! 1. **Seeds** — every hot-swap-shaped MEPipe variant (the full warmup
 //!    sweep) is generated and priced exactly with list-order execution
-//!    ([`mepipe_schedule::exec::simulate`]); the fastest memory-feasible
+//!    ([`mepipe_schedule::exec::makespan`]); the fastest memory-feasible
 //!    one becomes the incumbent, so the solver is never worse than the
 //!    best hand-written template of the same shape.
 //! 2. **Beam search over orders** — a tick-synchronous constructive
@@ -23,7 +23,11 @@
 //!    remaining busy work of w)`, nor before the closed-form analytic floor
 //!    ([`crate::analytic::compute_floor_seconds`] — "Bubbles,
 //!    communication stalls and memory-induced drains only push the
-//!    simulated time above this floor").
+//!    simulated time above this floor"). Each tick's children are ranked
+//!    before any is built: the parent's engine previews every worker's
+//!    move ([`mepipe_schedule::exec::Engine::preview`]), which gives each
+//!    child's bound exactly, and only the children the beam keeps are
+//!    built, each parent moving into its last one.
 //!
 //! Peak in-flight units are gated against a memory cap during
 //! construction (the same admission/reservation bookkeeping as the greedy
@@ -32,12 +36,13 @@
 //! split backward, same `p/v/n`), which makes it eligible for the
 //! `retune_mepipe` hot-swap path.
 
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use mepipe_schedule::{
     deps::dependencies,
-    exec::{simulate, Engine, SimConfig, UnitCost},
-    generate::{cap_floor, default_caps, dependents, greedy_generate},
+    exec::{makespan, Engine, SimConfig, UnitCost},
+    generate::{cap_floor, default_caps, dependents, greedy_generate, pick, shallow_chunk},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
     validate,
@@ -170,9 +175,8 @@ pub(crate) fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, S
                 continue;
             }
         }
-        let makespan = simulate(&sched, &cfg.costs, &SimConfig::default())
-            .map_err(ScheduleError::InvalidShape)?
-            .makespan;
+        let makespan = makespan(&sched, &cfg.costs, &SimConfig::default())
+            .map_err(ScheduleError::InvalidShape)?;
         if best
             .as_ref()
             .is_none_or(|&(_, _, t)| makespan < t - IMPROVE_MARGIN)
@@ -242,9 +246,9 @@ struct State<'a> {
     ready_fwd: Vec<Vec<Op>>,
     ready_bwd: Vec<Vec<Op>>,
     /// Weight ops whose input-gradient half has run but which have not
-    /// been placed yet — the zero-bubble deferral pool. Drained into
-    /// ticks where the worker would otherwise idle.
-    pending_w: Vec<Vec<Op>>,
+    /// been placed yet — the zero-bubble deferral pool, oldest first.
+    /// Drained into ticks where the worker would otherwise idle.
+    pending_w: Vec<VecDeque<Op>>,
     /// Whether an op has entered a ready list, at its `op_slot`.
     queued: Vec<bool>,
     in_flight: Vec<usize>,
@@ -256,9 +260,11 @@ struct State<'a> {
     remaining: usize,
 }
 
-impl State<'_> {
+impl<'a> State<'a> {
     /// Sound completion bound: worker `w`'s unplaced work must run on `w`
-    /// after its last placed op ends.
+    /// after its last placed op ends. The beam ranks children by this
+    /// bound before building them (see [`Ranked`]), so any change here
+    /// must be made there too; a debug assertion compares the two.
     fn lower_bound(&self, costs: &UnitCost) -> f64 {
         (0..self.remaining_fwd.len())
             .map(|w| {
@@ -270,14 +276,38 @@ impl State<'_> {
             .fold(0.0, f64::max)
     }
 
-    fn makespan(&self) -> f64 {
-        (0..self.remaining_fwd.len())
-            .map(|w| self.timing.free_at(w))
-            .fold(0.0, f64::max)
+    /// The op worker `w` places under `action`, if any.
+    fn op_of(&self, w: usize, action: Action) -> Option<Op> {
+        match action {
+            Action::Idle => None,
+            Action::Fwd(i) => Some(self.ready_fwd[w][i]),
+            Action::Bwd(i) => Some(self.ready_bwd[w][i]),
+            Action::Drain => self.pending_w[w].front().copied(),
+        }
     }
 
-    /// The per-worker lists placed so far, read off the trail.
-    fn schedule(&self, meta: &ScheduleMeta) -> Schedule {
+    /// Worker `w`'s move under `action`, with when the worker is free
+    /// after it. Within a tick no worker affects another: every op placed
+    /// in a tick has all its producers finished before the tick, link
+    /// occupancy is keyed by the consuming worker, and a drain runs a
+    /// weight op whose input-gradient half ran in an earlier tick. So
+    /// this state's engine previews each move exactly as the child that
+    /// makes it will book it; under the beam's default `SimConfig` a
+    /// worker is free exactly when its last op ends.
+    fn preview(&self, w: usize, action: Action) -> Move {
+        let free = match self.op_of(w, action) {
+            None => self.timing.free_at(w),
+            Some(op) => self
+                .timing
+                .preview(w, op)
+                .expect("a ready op's producers have all finished"),
+        };
+        Move { action, free }
+    }
+
+    /// The per-worker lists placed so far, read off the trail, followed
+    /// by one more tick's `actions`.
+    fn schedule(&self, meta: &ScheduleMeta, actions: &[Action]) -> Schedule {
         let mut ticks = Vec::new();
         let mut at = self.trail.as_deref();
         while let Some(tick) = at {
@@ -290,10 +320,93 @@ impl State<'_> {
                 workers[w].push(op);
             }
         }
+        for (w, &action) in actions.iter().enumerate() {
+            workers[w].extend(self.op_of(w, action));
+        }
         Schedule {
             meta: meta.clone(),
             workers,
         }
+    }
+
+    /// Applies one tick's joint actions in place; `place` times one op
+    /// whose producers have all run.
+    fn advance(
+        &mut self,
+        meta: &ScheduleMeta,
+        shallow: &[usize],
+        actions: &[Action],
+        place: &mut impl FnMut(&mut Engine<'a>, usize, Op),
+    ) {
+        let mut placed = Vec::with_capacity(actions.len());
+        for (w, &action) in actions.iter().enumerate() {
+            match action {
+                Action::Idle | Action::Drain => {}
+                Action::Fwd(i) => {
+                    let op = self.ready_fwd[w].swap_remove(i);
+                    place(&mut self.timing, w, op);
+                    if op.chunk == shallow[w] {
+                        self.reserved[w] += meta.virtual_chunks - 1;
+                    } else {
+                        self.reserved[w] -= 1;
+                    }
+                    self.in_flight[w] += 1;
+                    self.remaining_fwd[w] -= 1;
+                    self.remaining -= 1;
+                    self.prefer_forward[w] = false;
+                    placed.push((w, op));
+                }
+                Action::Bwd(i) => {
+                    let op = self.ready_bwd[w].swap_remove(i);
+                    place(&mut self.timing, w, op);
+                    // Zero-bubble deferral: the weight op joins the pool and
+                    // runs in a tick where this worker would otherwise idle.
+                    self.pending_w[w].push_back(op.with_kind(OpKind::BackwardWeight));
+                    self.in_flight[w] -= 1;
+                    self.remaining_bwd[w] -= 1;
+                    self.remaining -= 1;
+                    self.prefer_forward[w] = true;
+                    placed.push((w, op));
+                }
+            }
+        }
+        // Idle workers drain one deferred weight op (oldest first) — the
+        // gap-filling move that makes deferral pay.
+        for (w, &action) in actions.iter().enumerate() {
+            if action == Action::Drain {
+                let wop = self.pending_w[w].pop_front().expect("a deferred weight op");
+                place(&mut self.timing, w, wop);
+                self.remaining_w[w] -= 1;
+                self.remaining -= 1;
+                placed.push((w, wop));
+            }
+        }
+        let backward_kind = if meta.split_backward {
+            OpKind::BackwardInput
+        } else {
+            OpKind::Backward
+        };
+        // Weight ops unlock nothing, so only this tick's F and B placements
+        // have dependents.
+        for &(w, op) in &placed {
+            for (dw, dep) in dependents(meta, w, op, backward_kind) {
+                let all_done = dependencies(meta, dw, dep)
+                    .iter()
+                    .all(|d| self.timing.finish_time(d.stage, d.op).is_some());
+                let slot = meta.op_slot(dw, dep);
+                if all_done && !self.queued[slot] {
+                    self.queued[slot] = true;
+                    match dep.kind {
+                        OpKind::Forward => self.ready_fwd[dw].push(dep),
+                        _ => self.ready_bwd[dw].push(dep),
+                    }
+                }
+            }
+        }
+        self.trail = Some(Rc::new(Tick {
+            placed,
+            prev: self.trail.take(),
+        }));
     }
 }
 
@@ -314,6 +427,44 @@ enum Action {
     Idle,
     Fwd(usize),
     Bwd(usize),
+    /// Run the oldest deferred weight op: what an otherwise idle worker
+    /// does while it has one.
+    Drain,
+}
+
+/// A worker's action in one tick, and when the worker is free after it.
+#[derive(Clone, Copy)]
+struct Move {
+    action: Action,
+    free: f64,
+}
+
+/// A worker's moves in one tick: `lo`, or `hi` when the tick's branch
+/// mask sets bit `.0`. Only contested workers (a forward and a backward
+/// both available, within the branch limit) have a `hi`: their forward.
+#[derive(Clone, Copy)]
+struct Branch {
+    lo: Move,
+    hi: Option<(usize, Move)>,
+}
+
+impl Branch {
+    fn at(&self, mask: usize) -> Move {
+        match self.hi {
+            Some((bit, m)) if mask & (1 << bit) != 0 => m,
+            _ => self.lo,
+        }
+    }
+}
+
+/// A child of the beam, ranked before it is built: the `mask` branch of
+/// the `parent`-th state, with the [`State::lower_bound`] and remaining
+/// op count it will have.
+struct Ranked {
+    bound: f64,
+    remaining: usize,
+    parent: usize,
+    mask: usize,
 }
 
 fn beam_search<'a>(
@@ -325,12 +476,13 @@ fn beam_search<'a>(
 ) -> Option<(Schedule, f64)> {
     let p = meta.stages;
     let units = meta.units_per_worker();
+    let shallow: Vec<usize> = (0..p).map(|w| shallow_chunk(meta, w)).collect();
     let mut init = State {
         timing: Engine::new(meta, costs, SimConfig::default()),
         trail: None,
         ready_fwd: vec![Vec::new(); p],
         ready_bwd: vec![Vec::new(); p],
-        pending_w: vec![Vec::new(); p],
+        pending_w: vec![VecDeque::new(); p],
         queued: vec![false; meta.op_slots()],
         in_flight: vec![0; p],
         reserved: vec![0; p],
@@ -348,214 +500,169 @@ fn beam_search<'a>(
     // The trail keeps each worker's list, so the spans the engine books
     // are not: they go to one scratch list, cleared after every op.
     let mut scratch = Vec::new();
-    let mut place = |s: &mut State<'a>, w: usize, op: Op| {
+    let mut place = |timing: &mut Engine<'a>, w: usize, op: Op| {
         assert!(
-            s.timing.try_run(w, op, &mut scratch),
+            timing.try_run(w, op, &mut scratch),
             "placed {op} before a producer"
         );
         scratch.clear();
     };
 
-    let mut beam = vec![init];
+    // A parent leaves the beam when its last surviving child takes it.
+    let mut beam = vec![Some(init)];
+    let mut next = Vec::new();
+    // Per-tick scratch: every parent's branches (`p` per parent), the
+    // ranked children, survivors per parent, one joint action.
+    let mut branches: Vec<Branch> = Vec::new();
+    let mut ranked: Vec<Ranked> = Vec::new();
+    let mut survivors: Vec<usize> = Vec::new();
+    let mut actions: Vec<Action> = Vec::with_capacity(p);
     let mut best: Option<(Schedule, f64)> = None;
     let mut best_time = incumbent;
     // Branch on at most this many genuinely contested workers per tick.
     const BRANCH_WORKERS: usize = 2;
 
     while !beam.is_empty() && stats.nodes_expanded < NODE_BUDGET {
-        let mut children: Vec<State> = Vec::new();
-        for state in beam.drain(..) {
+        branches.clear();
+        ranked.clear();
+        for (parent, state) in beam.iter().enumerate() {
+            let state = state.as_ref().expect("parents stay until the build");
             stats.nodes_expanded += 1;
-            // Per-worker candidate selection — greedy's priority rules.
-            let mut fwd_pick: Vec<Option<usize>> = vec![None; p];
-            let mut bwd_pick: Vec<Option<usize>> = vec![None; p];
+            // Per-worker candidates under the greedy generator's pick
+            // rule, each move previewed on the parent's engine.
+            let mut contested = 0;
             for w in 0..p {
-                let mut bb: Option<(usize, usize)> = None;
-                for (i, op) in state.ready_bwd[w].iter().enumerate() {
-                    let g = meta.chain_pos(op.micro_batch, w, op.chunk);
-                    let better = match bb {
-                        None => true,
-                        Some((bi, bg)) => {
-                            let b = state.ready_bwd[w][bi];
-                            g > bg || (g == bg && op.micro_batch < b.micro_batch)
+                let full = state.in_flight[w] + state.reserved[w] + meta.virtual_chunks > caps[w];
+                let picks = pick(
+                    meta,
+                    w,
+                    shallow[w],
+                    full,
+                    &state.ready_fwd[w],
+                    &state.ready_bwd[w],
+                );
+                let only = |action| Branch {
+                    lo: state.preview(w, action),
+                    hi: None,
+                };
+                branches.push(match (picks.fwd, picks.bwd) {
+                    (Some(i), Some(j)) if contested < BRANCH_WORKERS => {
+                        contested += 1;
+                        Branch {
+                            lo: state.preview(w, Action::Bwd(j)),
+                            hi: Some((contested - 1, state.preview(w, Action::Fwd(i)))),
                         }
-                    };
-                    if better {
-                        bb = Some((i, g));
                     }
-                }
-                bwd_pick[w] = bb.map(|(i, _)| i);
-                let shallow = (0..meta.virtual_chunks)
-                    .min_by_key(|&c| meta.placement.global_pos(p, w, c))
-                    .expect("chunk");
-                let mut fb: Option<(usize, usize)> = None;
-                for (i, op) in state.ready_fwd[w].iter().enumerate() {
-                    if op.chunk == shallow
-                        && state.in_flight[w] + state.reserved[w] + meta.virtual_chunks > caps[w]
-                    {
-                        continue;
-                    }
-                    let g = meta.chain_pos(op.micro_batch, w, op.chunk);
-                    let better = match fb {
-                        None => true,
-                        Some((bi, bg)) => {
-                            let b = state.ready_fwd[w][bi];
-                            g > bg
-                                || (g == bg
-                                    && (op.micro_batch, op.slice) < (b.micro_batch, b.slice))
-                        }
-                    };
-                    if better {
-                        fb = Some((i, g));
-                    }
-                }
-                fwd_pick[w] = fb.map(|(i, _)| i);
+                    // Beyond the branch limit: follow the 1F1B alternation
+                    // default.
+                    (Some(i), Some(j)) => only(if state.prefer_forward[w] {
+                        Action::Fwd(i)
+                    } else {
+                        Action::Bwd(j)
+                    }),
+                    (Some(i), None) => only(Action::Fwd(i)),
+                    (None, Some(j)) => only(Action::Bwd(j)),
+                    (None, None) if !state.pending_w[w].is_empty() => only(Action::Drain),
+                    (None, None) => only(Action::Idle),
+                });
             }
-            // Contested workers: both a forward and a backward available.
-            let contested: Vec<usize> = (0..p)
-                .filter(|&w| fwd_pick[w].is_some() && bwd_pick[w].is_some())
-                .take(BRANCH_WORKERS)
-                .collect();
-            let variants = 1usize << contested.len();
-            for mask in 0..variants {
-                let mut actions = vec![Action::Idle; p];
-                for w in 0..p {
-                    let choice_bit = contested.iter().position(|&c| c == w);
-                    actions[w] = match (fwd_pick[w], bwd_pick[w]) {
-                        (Some(i), Some(j)) => match choice_bit {
-                            Some(b) => {
-                                if mask & (1 << b) != 0 {
-                                    Action::Fwd(i)
-                                } else {
-                                    Action::Bwd(j)
-                                }
-                            }
-                            // Beyond the branch limit: follow the 1F1B
-                            // alternation default.
-                            None => {
-                                if state.prefer_forward[w] {
-                                    Action::Fwd(i)
-                                } else {
-                                    Action::Bwd(j)
-                                }
-                            }
-                        },
-                        (Some(i), None) => Action::Fwd(i),
-                        (None, Some(j)) => Action::Bwd(j),
-                        (None, None) => Action::Idle,
-                    };
+            // Each child's keys, from its moves alone: the same f64
+            // expressions as `State::lower_bound`, over the free times
+            // and remaining counts the child will have.
+            let moves = &branches[parent * p..];
+            for mask in 0..1usize << contested {
+                let mut bound = 0.0;
+                let mut makespan = 0.0;
+                let mut remaining = state.remaining;
+                for (w, branch) in moves.iter().enumerate() {
+                    let m = branch.at(mask);
+                    let (mut f, mut b, mut wg) = (
+                        state.remaining_fwd[w],
+                        state.remaining_bwd[w],
+                        state.remaining_w[w],
+                    );
+                    match m.action {
+                        Action::Idle => {}
+                        Action::Fwd(_) => f -= 1,
+                        Action::Bwd(_) => b -= 1,
+                        Action::Drain => wg -= 1,
+                    }
+                    if m.action != Action::Idle {
+                        remaining -= 1;
+                    }
+                    bound = f64::max(
+                        bound,
+                        m.free
+                            + f as f64 * costs.fwd
+                            + b as f64 * costs.bwd
+                            + wg as f64 * costs.wgrad,
+                    );
+                    makespan = f64::max(makespan, m.free);
                 }
-                let child = apply_tick(meta, &state, &actions, &mut place);
-                if child.remaining == 0 {
-                    let t = child.makespan();
-                    if t < best_time - IMPROVE_MARGIN {
-                        best_time = t;
-                        best = Some((child.schedule(meta), t));
+                if remaining == 0 {
+                    // Complete: only a schedule that beats the incumbent
+                    // is built.
+                    if makespan < best_time - IMPROVE_MARGIN {
+                        best_time = makespan;
+                        actions.clear();
+                        actions.extend(moves.iter().map(|b| b.at(mask).action));
+                        best = Some((state.schedule(meta, &actions), makespan));
                     }
                     continue;
                 }
-                if child.lower_bound(costs) >= best_time - IMPROVE_MARGIN {
+                if bound >= best_time - IMPROVE_MARGIN {
                     stats.nodes_pruned += 1;
                     continue;
                 }
-                children.push(child);
+                ranked.push(Ranked {
+                    bound,
+                    remaining,
+                    parent,
+                    mask,
+                });
             }
         }
-        // Keep the most promising states; stable order keeps the search
-        // deterministic.
-        children.sort_by(|a, b| {
-            a.lower_bound(costs)
-                .total_cmp(&b.lower_bound(costs))
+        // Keep the most promising children; a stable sort over the
+        // (parent, mask) generation order keeps the search deterministic.
+        ranked.sort_by(|a, b| {
+            a.bound
+                .total_cmp(&b.bound)
                 .then(a.remaining.cmp(&b.remaining))
         });
-        children.truncate(BEAM);
-        beam = children;
+        ranked.truncate(BEAM);
+        // Build only the survivors: each parent moves into its last
+        // surviving child and is cloned for the others.
+        survivors.clear();
+        survivors.resize(beam.len(), 0);
+        for r in &ranked {
+            survivors[r.parent] += 1;
+        }
+        for r in &ranked {
+            survivors[r.parent] -= 1;
+            let mut child = if survivors[r.parent] == 0 {
+                beam[r.parent].take()
+            } else {
+                beam[r.parent].clone()
+            }
+            .expect("a parent stays until its last child takes it");
+            actions.clear();
+            actions.extend(
+                branches[r.parent * p..(r.parent + 1) * p]
+                    .iter()
+                    .map(|b| b.at(r.mask).action),
+            );
+            child.advance(meta, &shallow, &actions, &mut place);
+            debug_assert_eq!(
+                child.lower_bound(costs).to_bits(),
+                r.bound.to_bits(),
+                "the previewed bound is the built child's"
+            );
+            next.push(Some(child));
+        }
+        beam.clear();
+        std::mem::swap(&mut beam, &mut next);
     }
     best
-}
-
-/// Applies one tick's joint actions, returning the advanced state;
-/// `place` times one op whose producers have all run.
-fn apply_tick<'a>(
-    meta: &ScheduleMeta,
-    state: &State<'a>,
-    actions: &[Action],
-    place: &mut impl FnMut(&mut State<'a>, usize, Op),
-) -> State<'a> {
-    let mut s = state.clone();
-    let mut placed: Vec<(usize, Op)> = Vec::new();
-    for (w, action) in actions.iter().enumerate() {
-        match *action {
-            Action::Idle => {}
-            Action::Fwd(i) => {
-                let op = s.ready_fwd[w].swap_remove(i);
-                place(&mut s, w, op);
-                let shallow = (0..meta.virtual_chunks)
-                    .min_by_key(|&c| meta.placement.global_pos(meta.stages, w, c))
-                    .expect("chunk");
-                if op.chunk == shallow {
-                    s.reserved[w] += meta.virtual_chunks - 1;
-                } else {
-                    s.reserved[w] -= 1;
-                }
-                s.in_flight[w] += 1;
-                s.remaining_fwd[w] -= 1;
-                s.remaining -= 1;
-                s.prefer_forward[w] = false;
-                placed.push((w, op));
-            }
-            Action::Bwd(i) => {
-                let op = s.ready_bwd[w].swap_remove(i);
-                place(&mut s, w, op);
-                // Zero-bubble deferral: the weight op joins the pool and
-                // runs in a tick where this worker would otherwise idle.
-                s.pending_w[w].push(op.with_kind(OpKind::BackwardWeight));
-                s.in_flight[w] -= 1;
-                s.remaining_bwd[w] -= 1;
-                s.remaining -= 1;
-                s.prefer_forward[w] = true;
-                placed.push((w, op));
-            }
-        }
-    }
-    // Idle workers drain one deferred weight op (oldest first) — the
-    // gap-filling move that makes deferral pay.
-    for (w, action) in actions.iter().enumerate() {
-        if *action == Action::Idle && !s.pending_w[w].is_empty() {
-            let wop = s.pending_w[w].remove(0);
-            place(&mut s, w, wop);
-            s.remaining_w[w] -= 1;
-            s.remaining -= 1;
-            placed.push((w, wop));
-        }
-    }
-    let backward_kind = if meta.split_backward {
-        OpKind::BackwardInput
-    } else {
-        OpKind::Backward
-    };
-    // Weight ops unlock nothing, so only this tick's F and B placements
-    // have dependents.
-    for &(w, op) in &placed {
-        for (dw, dep) in dependents(meta, w, op, backward_kind) {
-            let all_done = dependencies(meta, dw, dep)
-                .iter()
-                .all(|d| s.timing.finish_time(d.stage, d.op).is_some());
-            let slot = meta.op_slot(dw, dep);
-            if all_done && !s.queued[slot] {
-                s.queued[slot] = true;
-                match dep.kind {
-                    OpKind::Forward => s.ready_fwd[dw].push(dep),
-                    _ => s.ready_bwd[dw].push(dep),
-                }
-            }
-        }
-    }
-    s.trail = Some(Rc::new(Tick {
-        placed,
-        prev: s.trail.take(),
-    }));
-    s
 }
 
 /// The solver as a [`ScheduleGenerator`], with deterministic default
@@ -597,6 +704,7 @@ impl ScheduleGenerator for Synth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mepipe_schedule::exec::simulate;
     use mepipe_schedule::validate::validate;
 
     /// The reported makespan is the engine's on the returned lists, bit

@@ -54,18 +54,6 @@ impl AcceleratorSpec {
         }
     }
 
-    /// NVIDIA A100 40 GB PCIe — used by the artifact's functionality test.
-    pub fn a100_40g() -> Self {
-        Self {
-            name: "A100 40GB",
-            memory_bytes: 40 * GIB,
-            marketing_flops: 312e12,
-            effective_matmul_flops: 312e12,
-            memory_bandwidth: 1555e9,
-            power_watts: 250.0,
-        }
-    }
-
     /// Fraction of device memory usable by the framework after CUDA context,
     /// allocator reserve and fragmentation. The paper observed the PyTorch
     /// allocator reserving extra memory (Section 7.2, the ZB OOM); 96 %

@@ -327,13 +327,6 @@ impl ExecutionCost {
         memory::deferred_wgrad_bytes_per_unit(&self.cfg, &self.spec)
     }
 
-    /// Uniform (slice-averaged) forward time — used by analytic bubble
-    /// formulas that assume balanced computation.
-    pub fn mean_forward_time(&self) -> f64 {
-        let s = self.spec.seq.spp_slices();
-        (0..s).map(|i| self.forward_time(i)).sum::<f64>() / s as f64
-    }
-
     /// Model FLOPs per iteration attributable to one worker (for MFU).
     pub fn worker_model_flops_per_iteration(&self) -> f64 {
         let samples = self.spec.global_batch;

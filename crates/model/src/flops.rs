@@ -30,13 +30,6 @@ pub fn dense_forward_flops(cfg: &TransformerConfig, tokens: usize) -> f64 {
     attn_proj + mlp
 }
 
-/// FLOPs for the attention-score part of one layer's forward pass:
-/// `QK^T` and `A·V`, each `2 · tokens · context · h`, over `tokens` query
-/// tokens attending to `context` key/value tokens.
-pub fn attention_forward_flops(cfg: &TransformerConfig, tokens: usize, context: usize) -> f64 {
-    4.0 * tokens as f64 * context as f64 * cfg.hidden as f64
-}
-
 /// Average causal context for `tokens` query positions starting at absolute
 /// position `start`: position `i` attends to `i + 1` keys, so the mean is
 /// `start + (tokens + 1) / 2`.

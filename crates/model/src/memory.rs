@@ -14,10 +14,7 @@
 //! 3. **Activations** — proportional to in-flight forward passes; the
 //!    schedule determines the peak count, this module prices one unit.
 
-use crate::{
-    config::TransformerConfig,
-    partition::{PartitionSpec, SequenceSplit},
-};
+use crate::{config::TransformerConfig, partition::PartitionSpec};
 
 /// Activation bytes kept per token per decoder layer in fp16 with
 /// FlashAttention (no quadratic score matrix), following Korthikanti et
@@ -140,16 +137,6 @@ pub fn max_in_flight_units(
 /// Peak activation bytes if a worker holds `units` in-flight forward units.
 pub fn peak_activation_bytes(cfg: &TransformerConfig, spec: &PartitionSpec, units: usize) -> f64 {
     units as f64 * activation_bytes_per_unit(cfg, spec)
-}
-
-/// Convenience: does CP apply here? CP divides each unit's tokens, which
-/// `tokens_per_unit` already accounts for; this helper only documents it.
-pub fn tokens_visible_to_worker(cfg: &TransformerConfig, spec: &PartitionSpec) -> usize {
-    match spec.seq {
-        SequenceSplit::Context { size } => cfg.seq_len / size,
-        SequenceSplit::SlicePipeline { slices } => cfg.seq_len / slices,
-        SequenceSplit::None => cfg.seq_len,
-    }
 }
 
 #[cfg(test)]

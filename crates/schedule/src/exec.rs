@@ -19,7 +19,8 @@
 //!   make room before declaring OOM.
 //!
 //! [`simulate`] runs whole schedules; [`Engine`] is the same loop one op
-//! at a time, for order searches that build the lists as they go.
+//! at a time, for order searches that build the lists as they go, and
+//! [`Engine::preview`] prices an op's end without running it.
 //!
 //! The timeline it books is the one the runtime records: `mepipe-trace`
 //! [`Span`]s in whole nanoseconds from iteration start, one tagged compute
@@ -35,7 +36,7 @@ pub use wgrad::WgradQueue;
 use mepipe_trace::{IterationTrace, Span, SpanKind, StageTrace, NO_TAG};
 
 use crate::{
-    deps::dependencies,
+    deps::{dependencies, Dep},
     ir::{Op, OpKind, Schedule, ScheduleMeta},
 };
 
@@ -249,6 +250,35 @@ struct WorkerState {
     queue: WgradQueue,
 }
 
+/// Where a worker's booked spans go: the caller's list when an op runs,
+/// nowhere when it is only previewed.
+trait Book {
+    fn book(&mut self, span: Span);
+}
+
+impl Book for Vec<Span> {
+    fn book(&mut self, span: Span) {
+        self.push(span);
+    }
+}
+
+/// The span sink of [`Engine::preview`] and [`makespan`], which books
+/// nothing.
+#[derive(Clone, Copy)]
+struct Discard;
+
+impl Book for Discard {
+    fn book(&mut self, _span: Span) {}
+}
+
+/// When the last input of an op arrives, and from which stage when that
+/// is after the worker is free.
+#[derive(Clone, Copy)]
+struct Arrival {
+    at: f64,
+    from: Option<usize>,
+}
+
 /// Seconds from iteration start in whole nanoseconds, the resolution of
 /// every span the engine books.
 fn ns(t: f64) -> u64 {
@@ -312,11 +342,113 @@ impl WorkerState {
     }
 
     /// Books `spent` seconds of drained weight GEMMs from `free` on.
-    fn drain(&mut self, spent: f64, spans: &mut Vec<Span>) {
+    fn drain(&mut self, spent: f64, spans: &mut impl Book) {
         if spent > 0.0 {
-            spans.push(span(SpanKind::WgradDrain, self.free, self.free + spent));
+            spans.book(span(SpanKind::WgradDrain, self.free, self.free + spent));
             self.busy += spent;
             self.free += spent;
+        }
+    }
+
+    /// Runs `op` on worker `w` once its inputs are in: books the wait
+    /// (filled with queued weight GEMMs under dynamic W), the forced
+    /// drains of memory admission and the op itself, and returns the op's
+    /// end. [`Engine::try_run`] runs it on the worker and
+    /// [`Engine::preview`] on a copy, so the two cannot disagree.
+    fn run(
+        &mut self,
+        w: usize,
+        op: Op,
+        arrival: Arrival,
+        cost: &dyn Cost,
+        config: SimConfig,
+        spans: &mut impl Book,
+    ) -> f64 {
+        let mut start = arrival.at;
+        // Fill the wait gap with queued weight-gradient GEMMs.
+        if config.dynamic_wgrad && start > self.free {
+            let (spent, _done) = self.queue.drain_for(start - self.free);
+            self.drain(spent, spans);
+        }
+        // What the drain left of the wait, the worker spends blocked.
+        if let Some(peer) = arrival.from.filter(|_| start > self.free) {
+            spans.book(Span {
+                peer: peer as u32,
+                ..span(SpanKind::RecvWait, self.free, start)
+            });
+        }
+
+        // Memory admission for forwards.
+        if op.kind == OpKind::Forward {
+            let need = cost.activation_bytes();
+            if let Some(limit) = config.memory_limit_bytes {
+                let over = self.current_bytes() + need - limit;
+                if over > 0.0 {
+                    let (spent, _done) = self.queue.drain_for_bytes(over);
+                    if spent > 0.0 {
+                        self.free = self.free.max(start);
+                        self.drain(spent, spans);
+                        start = start.max(self.free);
+                    }
+                    if self.current_bytes() + need > limit && self.oom.is_none() {
+                        self.oom = Some(self.current_bytes() + need);
+                    }
+                }
+            }
+            self.act_bytes += need;
+            self.note_peak();
+        }
+
+        start = start.max(self.free);
+        let dur = cost.duration(w, op);
+        let end = start + dur;
+        spans.book(op_span(op, start, end));
+        self.busy += dur;
+        self.free = end;
+        end
+    }
+
+    /// Releases or defers `op`'s activations once it has run on worker
+    /// `w`.
+    fn settle(
+        &mut self,
+        w: usize,
+        op: Op,
+        cost: &dyn Cost,
+        config: SimConfig,
+        spans: &mut impl Book,
+    ) {
+        match op.kind {
+            OpKind::Backward | OpKind::BackwardWeight => {
+                self.act_bytes -= cost.activation_bytes();
+            }
+            OpKind::BackwardInput if config.dynamic_wgrad => {
+                // Activation + gradient retained until the W drain.
+                self.act_bytes -= cost.activation_bytes();
+                let retained = cost.activation_bytes() + cost.deferred_bytes();
+                let units = cost.wgrad_units();
+                let w_time = cost.wgrad_time(w, op);
+                self.queue.enqueue(
+                    op.with_kind(OpKind::BackwardWeight),
+                    units,
+                    w_time / units as f64,
+                    retained,
+                );
+                self.note_peak();
+                // Deferred retention must also respect the cap — this is
+                // the Section 5 observation that memory-pressed early
+                // stages have to run their weight gradients eagerly.
+                if let Some(limit) = config.memory_limit_bytes {
+                    let over = self.current_bytes() - limit;
+                    if over > 0.0 {
+                        let (spent, _done) = self.queue.drain_for_bytes(over);
+                        self.drain(spent, spans);
+                    }
+                }
+            }
+            // Static split: the W op follows in the list; keep the
+            // activation charged until it completes.
+            OpKind::BackwardInput | OpKind::Forward => {}
         }
     }
 }
@@ -381,6 +513,61 @@ impl<'a> Engine<'a> {
         self.workers[stage].free
     }
 
+    /// Whether `op` runs through the weight-gradient queue rather than at
+    /// its list position: a weight-gradient op under dynamic W.
+    fn deferred(&self, op: Op) -> bool {
+        self.config.dynamic_wgrad && op.kind == OpKind::BackwardWeight
+    }
+
+    /// When the last input of `op` reaches worker `w`, or `None` while one
+    /// of its producers has not finished.
+    fn arrival(&self, w: usize, deps: &[Dep]) -> Option<Arrival> {
+        let (meta, cost) = (self.meta, self.cost);
+        let p = meta.stages;
+        let mut arrival = Arrival {
+            at: self.workers[w].free,
+            from: None,
+        };
+        for d in deps {
+            let t = self.finish[meta.op_slot(d.stage, d.op)];
+            if t.is_nan() {
+                return None;
+            }
+            let at = if d.cross_stage {
+                t.max(self.link_free[d.stage * p + w]) + cost.transfer_time(d.stage, w)
+            } else {
+                t
+            };
+            if at > arrival.at {
+                arrival = Arrival {
+                    at,
+                    from: Some(d.stage),
+                };
+            }
+        }
+        Some(arrival)
+    }
+
+    /// When `op` would end if [`Engine::try_run`] ran it next on worker
+    /// `stage` — the finish time that call records, bit for bit, under
+    /// every [`SimConfig`] — without running it. `None` exactly when
+    /// `try_run` would refuse it: while one of its producers has not
+    /// finished. A deferred weight-gradient op (dynamic W) runs nothing
+    /// at its list position, so its preview is the worker's
+    /// [`Engine::free_at`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::try_run`].
+    pub fn preview(&self, stage: usize, op: Op) -> Option<f64> {
+        if self.deferred(op) {
+            return Some(self.workers[stage].free);
+        }
+        let arrival = self.arrival(stage, &dependencies(self.meta, stage, op))?;
+        let mut st = self.workers[stage].clone();
+        Some(st.run(stage, op, arrival, self.cost, self.config, &mut Discard))
+    }
+
     /// Runs `op` next on worker `stage`, appending the spans it books —
     /// a wait, drains, the op itself — to `spans`, worker `stage`'s
     /// timeline so far. Returns `false`, changing nothing, while one of
@@ -393,108 +580,24 @@ impl<'a> Engine<'a> {
     /// Panics if `stage` or the op's coordinates are outside the engine's
     /// shape, or if the op's backward kind does not match the shape's.
     pub fn try_run(&mut self, stage: usize, op: Op, spans: &mut Vec<Span>) -> bool {
-        let (meta, cost, config) = (self.meta, self.cost, self.config);
-        if config.dynamic_wgrad && op.kind == OpKind::BackwardWeight {
+        self.step(stage, op, spans)
+    }
+
+    /// [`Engine::try_run`], booking into any sink.
+    fn step(&mut self, stage: usize, op: Op, spans: &mut impl Book) -> bool {
+        if self.deferred(op) {
             return true;
         }
+        let (meta, cost, config) = (self.meta, self.cost, self.config);
         let w = stage;
         let p = meta.stages;
         let deps = dependencies(meta, w, op);
-        let mut start = self.workers[w].free;
-        // The producer whose tensor arrives last, when it arrives after
-        // the worker is free.
-        let mut waited_on = None;
-        for d in &deps {
-            let t = self.finish[meta.op_slot(d.stage, d.op)];
-            if t.is_nan() {
-                return false;
-            }
-            let arrival = if d.cross_stage {
-                t.max(self.link_free[d.stage * p + w]) + cost.transfer_time(d.stage, w)
-            } else {
-                t
-            };
-            if arrival > start {
-                start = arrival;
-                waited_on = Some(d.stage);
-            }
-        }
+        let Some(arrival) = self.arrival(w, &deps) else {
+            return false;
+        };
         let st = &mut self.workers[w];
-
-        // Fill the wait gap with queued weight-gradient GEMMs.
-        if config.dynamic_wgrad && start > st.free {
-            let (spent, _done) = st.queue.drain_for(start - st.free);
-            st.drain(spent, spans);
-        }
-        // What the drain left of the wait, the worker spends blocked.
-        if let Some(peer) = waited_on.filter(|_| start > st.free) {
-            spans.push(Span {
-                peer: peer as u32,
-                ..span(SpanKind::RecvWait, st.free, start)
-            });
-        }
-
-        // Memory admission for forwards.
-        if op.kind == OpKind::Forward {
-            let need = cost.activation_bytes();
-            if let Some(limit) = config.memory_limit_bytes {
-                let over = st.current_bytes() + need - limit;
-                if over > 0.0 {
-                    let (spent, _done) = st.queue.drain_for_bytes(over);
-                    if spent > 0.0 {
-                        st.free = st.free.max(start);
-                        st.drain(spent, spans);
-                        start = start.max(st.free);
-                    }
-                    if st.current_bytes() + need > limit && st.oom.is_none() {
-                        st.oom = Some(st.current_bytes() + need);
-                    }
-                }
-            }
-            st.act_bytes += need;
-            st.note_peak();
-        }
-
-        start = start.max(st.free);
-        let dur = cost.duration(w, op);
-        let end = start + dur;
-        spans.push(op_span(op, start, end));
-        st.busy += dur;
-        st.free = end;
-
-        // Memory release / deferral at backward completion.
-        match op.kind {
-            OpKind::Backward | OpKind::BackwardWeight => {
-                st.act_bytes -= cost.activation_bytes();
-            }
-            OpKind::BackwardInput if config.dynamic_wgrad => {
-                // Activation + gradient retained until the W drain.
-                st.act_bytes -= cost.activation_bytes();
-                let retained = cost.activation_bytes() + cost.deferred_bytes();
-                let units = cost.wgrad_units();
-                let w_time = cost.wgrad_time(w, op);
-                st.queue.enqueue(
-                    op.with_kind(OpKind::BackwardWeight),
-                    units,
-                    w_time / units as f64,
-                    retained,
-                );
-                st.note_peak();
-                // Deferred retention must also respect the cap — this is
-                // the Section 5 observation that memory-pressed early
-                // stages have to run their weight gradients eagerly.
-                if let Some(limit) = config.memory_limit_bytes {
-                    let over = st.current_bytes() - limit;
-                    if over > 0.0 {
-                        let (spent, _done) = st.queue.drain_for_bytes(over);
-                        st.drain(spent, spans);
-                    }
-                }
-            }
-            // Static split: the W op follows in the list; keep the
-            // activation charged until it completes.
-            OpKind::BackwardInput | OpKind::Forward => {}
-        }
+        let end = st.run(w, op, arrival, cost, config, spans);
+        st.settle(w, op, cost, config, spans);
 
         self.finish[meta.op_slot(w, op)] = end;
         // Commit the link occupancy of every transfer this op consumed.
@@ -547,6 +650,46 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Runs every worker's list in order on a fresh engine, booking worker
+/// `w`'s spans into `spans[w]`: each worker advances for as long as its
+/// next op's producers have finished. `Err` on a malformed (deadlocking)
+/// schedule.
+fn run_lists<'a>(
+    schedule: &'a Schedule,
+    cost: &'a dyn Cost,
+    config: &SimConfig,
+    spans: &mut [impl Book],
+) -> Result<Engine<'a>, String> {
+    let meta = &schedule.meta;
+    if schedule.num_workers() != meta.stages {
+        return Err(format!(
+            "schedule has {} worker lists but meta declares {} stages",
+            schedule.num_workers(),
+            meta.stages
+        ));
+    }
+    let mut engine = Engine::new(meta, cost, *config);
+    let mut next = vec![0usize; meta.stages];
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (w, ops) in schedule.workers.iter().enumerate() {
+            while let Some(&op) = ops.get(next[w]) {
+                if !engine.step(w, op, &mut spans[w]) {
+                    break;
+                }
+                next[w] += 1;
+                progressed = true;
+            }
+        }
+    }
+    let mut pending = schedule.workers.iter().zip(&next).enumerate();
+    if let Some((w, (ops, &i))) = pending.find(|(_, (ops, &i))| i < ops.len()) {
+        return Err(format!("simulation deadlock at worker {w}: {}", ops[i]));
+    }
+    Ok(engine)
+}
+
 /// Simulates one iteration of `schedule` under `cost`.
 ///
 /// Returns `Err` only on a malformed (deadlocking) schedule; OOM is
@@ -569,39 +712,23 @@ pub fn simulate(
     config: &SimConfig,
 ) -> Result<SimResult, String> {
     let meta = &schedule.meta;
-    if schedule.num_workers() != meta.stages {
-        return Err(format!(
-            "schedule has {} worker lists but meta declares {} stages",
-            schedule.num_workers(),
-            meta.stages
-        ));
-    }
-    let mut engine = Engine::new(meta, cost, *config);
     // Room for every op plus one wait or drain before each, and the final
     // drain.
     let ops = meta.units_per_worker() * if meta.split_backward { 3 } else { 2 };
     let mut spans: Vec<Vec<Span>> = (0..meta.stages)
         .map(|_| Vec::with_capacity(2 * ops + 1))
         .collect();
-    let mut next = vec![0usize; meta.stages];
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (w, ops) in schedule.workers.iter().enumerate() {
-            while let Some(&op) = ops.get(next[w]) {
-                if !engine.try_run(w, op, &mut spans[w]) {
-                    break;
-                }
-                next[w] += 1;
-                progressed = true;
-            }
-        }
-    }
-    let mut pending = schedule.workers.iter().zip(&next).enumerate();
-    if let Some((w, (ops, &i))) = pending.find(|(_, (ops, &i))| i < ops.len()) {
-        return Err(format!("simulation deadlock at worker {w}: {}", ops[i]));
-    }
+    let engine = run_lists(schedule, cost, config, &mut spans)?;
     Ok(engine.finish(spans))
+}
+
+/// The makespan [`simulate`] reports for `schedule`, bit for bit, without
+/// booking its trace: what an order search pricing whole candidate
+/// schedules needs.
+pub fn makespan(schedule: &Schedule, cost: &dyn Cost, config: &SimConfig) -> Result<f64, String> {
+    let p = schedule.meta.stages;
+    let engine = run_lists(schedule, cost, config, &mut vec![Discard; p])?;
+    Ok(engine.finish(vec![Vec::new(); p]).makespan)
 }
 
 #[cfg(test)]

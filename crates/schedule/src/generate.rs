@@ -111,13 +111,7 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
     // degenerates: every admission is shallow and reserves nothing.
     let bidir = meta.bidirectional();
     let pair_units = if bidir { 1 } else { meta.virtual_chunks };
-    let shallow_chunk: Vec<usize> = (0..p)
-        .map(|w| {
-            (0..meta.virtual_chunks)
-                .min_by_key(|&c| meta.placement.global_pos(p, w, c))
-                .expect("at least one chunk")
-        })
-        .collect();
+    let shallow: Vec<usize> = (0..p).map(|w| shallow_chunk(meta, w)).collect();
     let total_units = meta.units_per_worker();
     let mut remaining = 2 * total_units * p;
     let mut tick = 0usize;
@@ -150,76 +144,20 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         }
         freshly_done.clear();
         for w in 0..p {
-            // 1. Ready backward, deepest global position first (the
-            //    backward wavefront), older micro-batch on ties.
-            let mut bwd_best: Option<(usize, usize)> = None; // (index, g)
-            for (i, op) in ready_bwd[w].iter().enumerate() {
-                let g = meta.chain_pos(op.micro_batch, w, op.chunk);
-                let better = match bwd_best {
-                    None => true,
-                    Some((bi, bg)) => {
-                        let b = ready_bwd[w][bi];
-                        g > bg || (g == bg && op.micro_batch < b.micro_batch)
-                    }
-                };
-                if better {
-                    bwd_best = Some((i, g));
-                }
-            }
-            // 2. Ready forward, deepest global chunk first. Deep chunks
-            //    (pairs already admitted) bypass the capacity check — their
-            //    room was reserved at admission; new pairs are admitted
-            //    only if capacity remains after honouring reservations.
-            // Tie-break at equal depth: oldest micro-batch, earliest slice
-            // — this keeps an admitted micro-batch's slice chain ahead of
-            // newer admissions, which is what guarantees the first
-            // backward can always be reached within the capacity.
-            let mut fwd_best: Option<(usize, usize)> = None; // (index, g)
-            for (i, op) in ready_fwd[w].iter().enumerate() {
-                let g = meta.chain_pos(op.micro_batch, w, op.chunk);
-                // Admission control: interleaved placements admit a
-                // (micro-batch, slice) pair at the worker's shallow chunk
-                // and reserve room for its deep chunks; bidirectional
-                // placements admit at the chain entry (g = 0) and let
-                // pass-through forwards bypass the check — capping them
-                // creates a store-and-forward cycle between the two
-                // streams (each end full of its own admissions while the
-                // other stream's loss unit waits), i.e. deadlock.
-                let is_admission = if bidir {
-                    g == 0
-                } else {
-                    op.chunk == shallow_chunk[w]
-                };
-                // Admission reserves room for the WHOLE (micro-batch,
-                // slice) pair — its deep chunks will arrive and bypass the
-                // check — so the cap is a hard bound on in-flight units.
-                if is_admission && in_flight[w] + reserved[w] + pair_units > caps[w] {
-                    continue;
-                }
-                let better = match fwd_best {
-                    None => true,
-                    Some((bi, bg)) => {
-                        let b = ready_fwd[w][bi];
-                        g > bg || (g == bg && (op.micro_batch, op.slice) < (b.micro_batch, b.slice))
-                    }
-                };
-                if better {
-                    fwd_best = Some((i, g));
-                }
-            }
-
-            // 3. Pick per the 1F1B alternation preference.
-            let run_forward = match (fwd_best, bwd_best) {
+            let full = in_flight[w] + reserved[w] + pair_units > caps[w];
+            let picks = pick(meta, w, shallow[w], full, &ready_fwd[w], &ready_bwd[w]);
+            // Run one of them per the 1F1B alternation preference.
+            let run_forward = match (picks.fwd, picks.bwd) {
                 (Some(_), Some(_)) => prefer_forward[w],
                 (Some(_), None) => true,
                 (None, _) => false,
             };
             if run_forward {
-                let (i, _) = fwd_best.expect("forward candidate exists");
+                let i = picks.fwd.expect("forward candidate exists");
                 let op = ready_fwd[w].swap_remove(i);
                 if bidir {
                     // One-chunk pairs: nothing to reserve.
-                } else if op.chunk == shallow_chunk[w] {
+                } else if op.chunk == shallow[w] {
                     reserved[w] += pair_units - 1;
                 } else {
                     reserved[w] -= 1;
@@ -229,7 +167,7 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
                 remaining -= 1;
                 prefer_forward[w] = false;
                 freshly_done.push((w, op));
-            } else if let Some((i, _)) = bwd_best {
+            } else if let Some(i) = picks.bwd {
                 let op = ready_bwd[w].swap_remove(i);
                 lists[w].push(op);
                 if meta.split_backward {
@@ -269,6 +207,92 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         meta: meta.clone(),
         workers: lists,
     })
+}
+
+/// Worker `w`'s shallowest chunk: where an interleaved placement admits
+/// a new (micro-batch, slice) pair.
+pub fn shallow_chunk(meta: &ScheduleMeta, w: usize) -> usize {
+    (0..meta.virtual_chunks)
+        .min_by_key(|&c| meta.placement.global_pos(meta.stages, w, c))
+        .expect("at least one chunk")
+}
+
+/// One worker's candidates at a tick, as indices into its ready lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Picks {
+    /// The forward to run, if one is ready and admissible.
+    pub fwd: Option<usize>,
+    /// The backward to run, if one is ready.
+    pub bwd: Option<usize>,
+}
+
+/// Worker `w`'s candidates under the generator's priority rules, which
+/// order searches share.
+///
+/// The backward is the ready one deepest in its chain (the backward
+/// wavefront), the older micro-batch on ties. The forward is the ready
+/// one deepest in its chain, then the older micro-batch, then the earlier
+/// slice — this keeps an admitted micro-batch's slice chain ahead of
+/// newer admissions, which is what guarantees the first backward can
+/// always be reached within the capacity.
+///
+/// `full` says whether admitting a new (micro-batch, slice) pair would
+/// take the worker past its cap, counting the units reserved for the deep
+/// chunks of pairs already admitted; a full worker skips admissions.
+/// Interleaved placements admit at the worker's `shallow_chunk` (see
+/// [`shallow_chunk`]) and reserve room for the whole pair, whose deep
+/// chunks then bypass the check, so the cap is a hard bound on in-flight
+/// units. Bidirectional placements admit at the chain
+/// entry (position 0) and let pass-through forwards bypass the check —
+/// capping them creates a store-and-forward cycle between the two
+/// streams (each end full of its own admissions while the other stream's
+/// loss unit waits), i.e. deadlock. An interleaved admission is known by
+/// its chunk alone, so a full worker skips it before computing its chain
+/// position.
+pub fn pick(
+    meta: &ScheduleMeta,
+    w: usize,
+    shallow_chunk: usize,
+    full: bool,
+    ready_fwd: &[Op],
+    ready_bwd: &[Op],
+) -> Picks {
+    let mut bwd: Option<(usize, usize)> = None; // (index, position)
+    for (i, op) in ready_bwd.iter().enumerate() {
+        let g = meta.chain_pos(op.micro_batch, w, op.chunk);
+        let better = match bwd {
+            None => true,
+            Some((bi, bg)) => g > bg || (g == bg && op.micro_batch < ready_bwd[bi].micro_batch),
+        };
+        if better {
+            bwd = Some((i, g));
+        }
+    }
+    let bidir = meta.bidirectional();
+    let mut fwd: Option<(usize, usize)> = None;
+    for (i, op) in ready_fwd.iter().enumerate() {
+        if full && !bidir && op.chunk == shallow_chunk {
+            continue;
+        }
+        let g = meta.chain_pos(op.micro_batch, w, op.chunk);
+        if full && bidir && g == 0 {
+            continue;
+        }
+        let better = match fwd {
+            None => true,
+            Some((bi, bg)) => {
+                let b = ready_fwd[bi];
+                g > bg || (g == bg && (op.micro_batch, op.slice) < (b.micro_batch, b.slice))
+            }
+        };
+        if better {
+            fwd = Some((i, g));
+        }
+    }
+    Picks {
+        fwd: fwd.map(|(i, _)| i),
+        bwd: bwd.map(|(i, _)| i),
+    }
 }
 
 /// Consumers an op can unlock — the inverse of

@@ -203,11 +203,6 @@ impl ScheduleMeta {
         self.stages * self.virtual_chunks
     }
 
-    /// Last global position (where the loss is computed).
-    pub fn last_global_pos(&self) -> usize {
-        self.total_chunks() - 1
-    }
-
     /// Global position of `(stage, chunk)`.
     pub fn global_pos(&self, stage: usize, chunk: usize) -> usize {
         self.placement.global_pos(self.stages, stage, chunk)

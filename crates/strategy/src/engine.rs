@@ -129,7 +129,6 @@ pub struct SearchEngine {
     schedules: ScheduleCache,
     evals: Mutex<HashMap<EvalKey, Result<Evaluated, String>>>,
     threads: Option<usize>,
-    pruning: bool,
     pre_discarded: AtomicUsize,
     bound_pruned: AtomicUsize,
     evaluated: AtomicUsize,
@@ -139,22 +138,12 @@ pub struct SearchEngine {
 impl SearchEngine {
     /// A pruning engine sized to the machine's available parallelism.
     pub fn new() -> Self {
-        Self {
-            pruning: true,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Overrides the worker-thread count (default: available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Disables bound pruning (candidates are still memoized and run in
-    /// parallel). Used by the parity tests and verbose listings.
-    pub fn without_pruning(mut self) -> Self {
-        self.pruning = false;
         self
     }
 
@@ -379,12 +368,10 @@ impl SearchEngine {
             let Some(&(idx, floor)) = ready.get(t) else {
                 break;
             };
-            if self.pruning {
-                let best = f64::from_bits(incumbent.load(Ordering::Acquire));
-                if floor > best * (1.0 + PRUNE_MARGIN) {
-                    self.bound_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
+            let best = f64::from_bits(incumbent.load(Ordering::Acquire));
+            if floor > best * (1.0 + PRUNE_MARGIN) {
+                self.bound_pruned.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
             if let Ok(e) = self.evaluate(&candidates[idx], model, cluster) {
                 relax_min(&incumbent, e.iteration_time);
@@ -482,7 +469,7 @@ mod tests {
     fn analytic_floor_never_exceeds_simulated_time() {
         let model = TransformerConfig::llama2_13b();
         let cluster = ClusterSpec::rtx4090_cluster();
-        let engine = SearchEngine::new().without_pruning();
+        let engine = SearchEngine::new();
         for m in Method::all() {
             for c in enumerate_candidates(m, &model, &cluster, 64) {
                 let Prepass::Ready { floor } = engine.prepass(&c, &model, &cluster) else {

@@ -5,10 +5,13 @@ use proptest::prelude::*;
 
 use mepipe::core::reschedule::reschedule_backwards;
 use mepipe::core::svpp::SvppConfig;
+use mepipe::core::Synth;
 use mepipe::schedule::{
     exec::{simulate, Engine, SimConfig, UnitCost},
-    generator::{Dapple, GPipe, TeraPipe, Vpp, Zb, Zbv},
+    generator::{Dapple, GPipe, Hanayo, TeraPipe, Vpp, Zb, Zbv},
+    ir::OpKind,
     validate::{peak_in_flight, validate},
+    Blocks, DualPipe,
 };
 use mepipe::tensor::{
     init::{rng, uniform},
@@ -146,6 +149,91 @@ proptest! {
         for b in &attributed.stages {
             prop_assert_eq!(b.idle.dependency, 0.0);
         }
+    }
+
+    /// `Engine::preview` is what `try_run` books. Walking a zoo schedule
+    /// op by op on seeded random workers, with and without dynamic weight
+    /// draining and a memory cap, every op's preview equals, bit for bit,
+    /// the finish time the `try_run` after it records (a deferred weight
+    /// op runs nothing at its list position, so its preview is the
+    /// worker's free time). A preview is `None` exactly when `try_run`
+    /// refuses the op, and a refused `try_run` changes nothing: it books
+    /// no span, moves no worker's free time, records no finish, and the
+    /// walk still ends in `simulate`'s result.
+    #[test]
+    fn preview_is_what_try_run_books(
+        p in 1usize..=4,
+        n in 1usize..=6,
+        s in 1usize..=3,
+        which in 0usize..12,
+        dynamic in proptest::bool::ANY,
+        capped in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let flat = Dims::new(p, n);
+        let sch = match which {
+            0 => GPipe.generate(&flat),
+            1 => Dapple.generate(&flat),
+            2 => Zb.generate(&flat),
+            3 => Vpp.generate(&flat.virtual_chunks(2)),
+            4 => Hanayo.generate(&flat.virtual_chunks(2)),
+            5 => Zbv.generate(&flat.virtual_chunks(2)),
+            6 => TeraPipe.generate(&flat.slices(s)),
+            7 => Svpp::new().generate(&flat.slices(s)),
+            8 => Mepipe::new().generate(&flat.slices(s)),
+            9 => DualPipe::new().generate(&flat.virtual_chunks(2).slices(s)),
+            10 => Blocks::uniform().generate(&flat.slices(s)),
+            _ => Synth::new().generate(&flat.slices(s)),
+        };
+        prop_assume!(sch.is_ok(), "the generator rejects this shape");
+        let sch = sch.unwrap();
+        let cost = UnitCost { comm: 0.3, wgrad_units: 3, ..Default::default() };
+        let config = SimConfig { dynamic_wgrad: dynamic, memory_limit_bytes: capped.then_some(3.0) };
+        let want = simulate(&sch, &cost, &config).unwrap();
+
+        let mut engine = Engine::new(&sch.meta, &cost, config);
+        let mut spans = vec![Vec::new(); p];
+        let mut next = vec![0usize; p];
+        let mut rng = seed;
+        loop {
+            let mut pending: Vec<usize> = (0..p).filter(|&w| next[w] < sch.workers[w].len()).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let mut ran = false;
+            while !pending.is_empty() && !ran {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let w = pending.swap_remove((rng >> 33) as usize % pending.len());
+                let op = sch.workers[w][next[w]];
+                let preview = engine.preview(w, op);
+                let free: Vec<u64> = (0..p).map(|v| engine.free_at(v).to_bits()).collect();
+                let booked = spans[w].len();
+                ran = engine.try_run(w, op, &mut spans[w]);
+                prop_assert_eq!(ran, preview.is_some(), "{} on worker {}", op, w);
+                if ran {
+                    next[w] += 1;
+                    let end = if dynamic && op.kind == OpKind::BackwardWeight {
+                        prop_assert_eq!(engine.free_at(w).to_bits(), free[w]);
+                        free[w]
+                    } else {
+                        engine.finish_time(w, op).expect("a run op has finished").to_bits()
+                    };
+                    prop_assert_eq!(preview.map(f64::to_bits), Some(end), "{} on worker {}", op, w);
+                } else {
+                    prop_assert_eq!(spans[w].len(), booked);
+                    prop_assert_eq!(engine.finish_time(w, op), None);
+                    let after: Vec<u64> = (0..p).map(|v| engine.free_at(v).to_bits()).collect();
+                    prop_assert_eq!(after, free);
+                }
+            }
+            prop_assert!(ran, "no worker could advance");
+        }
+        let got = engine.finish(spans);
+        prop_assert_eq!(&got.trace, &want.trace);
+        prop_assert_eq!(&got.busy, &want.busy);
+        prop_assert_eq!(&got.peak_activation_bytes, &want.peak_activation_bytes);
+        prop_assert_eq!(got.makespan, want.makespan);
+        prop_assert_eq!(got.oom, want.oom);
     }
 
     /// Rescheduling backwards never increases the unit-cost makespan and
