@@ -52,13 +52,22 @@ fn bench_split(c: &mut Criterion) {
 }
 
 /// Full synthesis (seed sweep plus beam search) at the two Synth
-/// candidates the Llama-13B GBS-128 query evaluates.
+/// candidates the Llama-13B GBS-128 query evaluates, with no cap, and at
+/// the Llama-7B GBS-128 candidate with the longest seed sweep (32
+/// warmups, no beam), with the cap the planner gives it.
 fn bench_synth(c: &mut Criterion) {
     let mut g = c.benchmark_group("synth_synthesize");
-    for (p, v, s, n) in [(8usize, 1usize, 2usize, 16usize), (8, 1, 4, 16)] {
-        let dims = Dims::new(p, n).virtual_chunks(v).slices(s);
-        g.bench_with_input(BenchmarkId::from_parameter(dims), &dims, |b, dims| {
-            b.iter(|| Synth::new().synthesize(dims).unwrap())
+    for (dims, cap) in [
+        (Dims::new(8, 16).slices(2), None),
+        (Dims::new(8, 16).slices(4), None),
+        (Dims::new(32, 64).slices(4), Some(172)),
+    ] {
+        let (synth, id) = match cap {
+            Some(c) => (Synth::new().cap(c), format!("{dims}/cap{c}")),
+            None => (Synth::new(), dims.to_string()),
+        };
+        g.bench_with_input(BenchmarkId::from_parameter(id), &dims, |b, dims| {
+            b.iter(|| synth.synthesize(dims).unwrap())
         });
     }
     g.finish();

@@ -14,7 +14,8 @@
 //!   features (FMA or not).
 //! * **The order solver**: `Synth::synthesize`'s lists, warmup and
 //!   statistics over a shape/cap grid (one line per stage count) and at
-//!   the planner's two Llama-13B GBS-128 Synth candidates.
+//!   the Synth candidates of the planner's GBS-128 queries (Llama-13B's
+//!   two, and 7B's and 34B's at p 16 and 32).
 //! * **The timing engine**: `simulate`'s scalars and every span for each
 //!   zoo generator over small shapes, under unit and model costs, with
 //!   static, dynamic-W and memory-capped configurations (one line per
@@ -230,9 +231,10 @@ impl Fnv {
 
 /// The order solver over p 1–8, v 1–2, s 1–4, n ∈ {p, 2p, 16} and five
 /// unit caps (none, the `v·s` floor, one above it, twice it and `p` above
-/// it): 120 cases per stage count, one line each. Then the two Synth
-/// candidates of the Llama-13B GBS-128 planner query, with the caps the
-/// planner gives them.
+/// it): 120 cases per stage count, one line each. Then, one line each,
+/// the Synth candidates of the planner's GBS-128 queries with the caps
+/// the planner gives them: Llama-13B's two, and Llama-7B's and 34B's at
+/// p 16 and 32, where the seed sweep is longest.
 fn solver_lines(rep: &mut ExperimentReport) {
     for p in 1..=8 {
         let mut h = Fnv::new();
@@ -260,14 +262,22 @@ fn solver_lines(rep: &mut ExperimentReport) {
             h.0
         ));
     }
-    for (dims, cap) in [
-        (Dims::new(8, 16).slices(2), 9),
-        (Dims::new(8, 16).slices(4), 19),
+    for (dims, cap, query) in [
+        (Dims::new(8, 16).slices(2), 9, "13B@128"),
+        (Dims::new(8, 16).slices(4), 19, "13B@128"),
+        (Dims::new(32, 64).slices(2), 85, "7B@128"),
+        (Dims::new(32, 64).slices(4), 172, "7B@128"),
+        (Dims::new(16, 32).slices(2), 41, "7B@128"),
+        (Dims::new(16, 32).slices(4), 83, "7B@128"),
+        (Dims::new(16, 32).slices(1), 2, "34B@128"),
+        (Dims::new(16, 32).slices(2), 5, "34B@128"),
+        (Dims::new(16, 32).slices(4), 12, "34B@128"),
+        (Dims::new(16, 32).slices(8), 24, "34B@128"),
     ] {
         let mut h = Fnv::new();
         h.synthesis(&dims, Some(cap));
         rep.line(format!(
-            "digest {:<24} {:016x}  13B@128",
+            "digest {:<24} {:016x}  {query}",
             format!("solver/{dims}/cap{cap}"),
             h.0
         ));

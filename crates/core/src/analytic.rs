@@ -10,6 +10,8 @@
 //! of micro-batches) and `n < p` (very large clusters where the global
 //! batch size constrains `n`).
 
+use mepipe_schedule::{exec::UnitCost, ir::ScheduleMeta};
+
 /// Shape parameters of the analysis (Table 1 notation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalysisParams {
@@ -193,6 +195,36 @@ pub fn compute_floor_seconds(a: AnalysisParams, inputs: FloorInputs<'_>) -> f64 
     let busy = units * (fwd_sum + bwd_sum + slices * inputs.wgrad) + ramp;
     let chain = ramp + units * (fwd_sum + bwd_sum) + hops * b_min;
     busy.max(chain) + inputs.overhead
+}
+
+/// A sound lower bound on the makespan, priced by `costs`, of any
+/// schedule of `meta` in which worker `w` never holds more than
+/// `caps[w]` units in flight (`validate::peak_in_flight`; every cap at
+/// least 1). The greedy generator guarantees that bound for an
+/// interleaved schedule it builds under `caps`.
+///
+/// A unit stays in flight on its worker from the start of its forward
+/// to the end of its input-gradient backward, and in between its
+/// forwards run out to the loss position and its backwards come back: at
+/// chain position `g` that takes at least `(last − g + 1)·(fwd + bwd)`.
+/// By Little's law a worker that holds at most `caps[w]` units at once
+/// needs at least `Σ latency / caps[w]` to hold all of its units, so the
+/// makespan is at least the largest such quotient. Transfers and waits
+/// only lengthen a unit's stay.
+pub fn inflight_floor(meta: &ScheduleMeta, caps: &[usize], costs: &UnitCost) -> f64 {
+    let last = meta.last_chain_pos();
+    (0..meta.stages)
+        .map(|w| {
+            let links: usize = (0..meta.micro_batches)
+                .flat_map(|mb| {
+                    meta.chunk_of_mb(mb)
+                        .map_or(0..meta.virtual_chunks, |c| c..c + 1)
+                        .map(move |c| last - meta.chain_pos(mb, w, c) + 1)
+                })
+                .sum();
+            (links * meta.slices) as f64 * (costs.fwd + costs.bwd) / caps[w] as f64
+        })
+        .fold(0.0, f64::max)
 }
 
 /// A sound lower bound on the peak in-flight units of the 1F1B schedule

@@ -9,11 +9,14 @@
 //!
 //! [`Synth`] searches that space directly in the schedule IR:
 //!
-//! 1. **Seeds** — every hot-swap-shaped MEPipe variant (the full warmup
-//!    sweep) is generated and priced exactly with list-order execution
+//! 1. **Seeds** — the hot-swap-shaped MEPipe variants (the warmup sweep)
+//!    are priced exactly with list-order execution
 //!    ([`mepipe_schedule::exec::makespan`]); the fastest memory-feasible
 //!    one becomes the incumbent, so the solver is never worse than the
-//!    best hand-written template of the same shape.
+//!    best hand-written template of the same shape. The widest seed that
+//!    fits the memory cap is priced first, and a seed whose in-flight
+//!    floor ([`crate::analytic::inflight_floor`]) already exceeds it is
+//!    ruled out without being generated.
 //! 2. **Beam search over orders** — a tick-synchronous constructive
 //!    search branches on the one genuine scheduling decision a worker
 //!    faces (run the ready forward or the ready backward), times every
@@ -40,15 +43,14 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use mepipe_schedule::{
-    deps::dependencies,
     exec::{makespan, Engine, SimConfig, UnitCost},
-    generate::{cap_floor, default_caps, dependents, greedy_generate, pick, shallow_chunk},
+    generate::{cap_floor, default_caps, greedy_generate, pick, shallow_chunk, ProducerCounts},
     generator::{Dims, ScheduleError, ScheduleGenerator},
     ir::{ChunkPlacement, Op, OpKind, Schedule, ScheduleMeta},
     validate,
 };
 
-use crate::analytic::{compute_floor_seconds, AnalysisParams, FloorInputs};
+use crate::analytic::{compute_floor_seconds, inflight_floor, AnalysisParams, FloorInputs};
 use crate::svpp::SvppConfig;
 
 /// The solver's order pricing: the conventional 1F/2B weighting with unit
@@ -88,7 +90,8 @@ impl Default for SolverConfig {
 /// What the solver did and how good the result is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverStats {
-    /// Warmup-sweep seeds generated and priced.
+    /// Warmup-sweep seeds considered: generated, or ruled out by their
+    /// in-flight floor without being generated.
     pub seeds_tried: usize,
     /// Beam states expanded.
     pub nodes_expanded: usize,
@@ -155,33 +158,51 @@ pub(crate) fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, S
         )
     };
 
-    // Phase 1: warmup sweep. Generate every hot-swap-shaped greedy
-    // variant, drop the memory-infeasible ones, keep the fastest.
+    // Phase 1: warmup sweep over the hot-swap-shaped greedy variants:
+    // drop the memory-infeasible ones, keep the fastest (the earliest on
+    // ties). A seed holds at most its default caps in flight, the widest
+    // at stage 0, so the widest warmup within the memory cap fits by
+    // construction; it is priced first. A seed that must fit the cap holds
+    // at most `min(caps[w], cap)`, and one whose in-flight floor under
+    // those caps exceeds the first-priced makespan cannot win, so it is
+    // ruled out without being generated. Skipping it leaves the winner
+    // unchanged because seed makespans that differ do so by more than
+    // `IMPROVE_MARGIN` (they are integers under `COSTS`).
+    let (lo, hi) = (base.min_warmup(), base.max_warmup());
+    let widest = cfg.cap.map_or(hi, |c| c.clamp(lo, hi));
+    let mut first = Some(seed(&meta, widest, cfg)?);
+    let incumbent = match &first {
+        Some(Seed::Priced(_, t)) => *t,
+        _ => f64::INFINITY,
+    };
     let mut seeds_tried = 0usize;
     let mut best: Option<(Schedule, usize, f64)> = None;
-    for f in base.min_warmup()..=base.max_warmup() {
-        let caps = default_caps(&meta, f);
-        let sched = match greedy_generate(&meta, &caps) {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        seeds_tried += 1;
-        if let Some(cap) = cfg.cap {
-            let peak = validate::peak_in_flight(&sched)
+    for f in lo..=hi {
+        let outcome = if f == widest {
+            first.take().expect("the widest warmup is swept once")
+        } else {
+            let caps: Vec<usize> = default_caps(&meta, f)
                 .into_iter()
-                .max()
-                .unwrap_or(0);
-            if peak > cap {
-                continue;
+                .map(|c| cfg.cap.map_or(c, |cap| c.min(cap)))
+                .collect();
+            if inflight_floor(&meta, &caps, &cfg.costs) > incumbent + IMPROVE_MARGIN {
+                Seed::Dropped
+            } else {
+                seed(&meta, f, cfg)?
             }
-        }
-        let makespan = makespan(&sched, &cfg.costs, &SimConfig::default())
-            .map_err(ScheduleError::InvalidShape)?;
-        if best
-            .as_ref()
-            .is_none_or(|&(_, _, t)| makespan < t - IMPROVE_MARGIN)
-        {
-            best = Some((sched, f, makespan));
+        };
+        match outcome {
+            Seed::Failed => {}
+            Seed::Dropped => seeds_tried += 1,
+            Seed::Priced(sched, makespan) => {
+                seeds_tried += 1;
+                if best
+                    .as_ref()
+                    .is_none_or(|&(_, _, t)| makespan < t - IMPROVE_MARGIN)
+                {
+                    best = Some((sched, f, makespan));
+                }
+            }
         }
     }
     let (seed_schedule, warmup, seed_makespan) =
@@ -234,6 +255,35 @@ pub(crate) fn synthesize(dims: &Dims, cfg: &SolverConfig) -> Result<Synthesis, S
     })
 }
 
+/// What one warmup of the seed sweep came to.
+enum Seed {
+    /// Generation failed; the warmup does not count as tried.
+    Failed,
+    /// Ruled out by its in-flight floor, or over the memory cap.
+    Dropped,
+    /// Generated within the cap, with its makespan.
+    Priced(Schedule, f64),
+}
+
+/// Generates and prices the seed of warmup `f`.
+fn seed(meta: &ScheduleMeta, f: usize, cfg: &SolverConfig) -> Result<Seed, ScheduleError> {
+    let Ok(sched) = greedy_generate(meta, &default_caps(meta, f)) else {
+        return Ok(Seed::Failed);
+    };
+    if let Some(cap) = cfg.cap {
+        let peak = validate::peak_in_flight(&sched)
+            .into_iter()
+            .max()
+            .unwrap_or(0);
+        if peak > cap {
+            return Ok(Seed::Dropped);
+        }
+    }
+    let makespan =
+        makespan(&sched, &cfg.costs, &SimConfig::default()).map_err(ScheduleError::InvalidShape)?;
+    Ok(Seed::Priced(sched, makespan))
+}
+
 /// One partial construction state of the order search. Ticks are
 /// synchronous (each worker places at most one op per tick); the engine
 /// times each placed op as it is appended to its worker's list, and the
@@ -249,8 +299,8 @@ struct State<'a> {
     /// been placed yet — the zero-bubble deferral pool, oldest first.
     /// Drained into ticks where the worker would otherwise idle.
     pending_w: Vec<VecDeque<Op>>,
-    /// Whether an op has entered a ready list, at its `op_slot`.
-    queued: Vec<bool>,
+    /// How many producers of each op have not been placed yet.
+    producers: ProducerCounts,
     in_flight: Vec<usize>,
     reserved: Vec<usize>,
     prefer_forward: Vec<bool>,
@@ -381,27 +431,11 @@ impl<'a> State<'a> {
                 placed.push((w, wop));
             }
         }
-        let backward_kind = if meta.split_backward {
-            OpKind::BackwardInput
-        } else {
-            OpKind::Backward
-        };
-        // Weight ops unlock nothing, so only this tick's F and B placements
-        // have dependents.
+        // This tick's placements unlock their dependents for the next
+        // tick (weight ops unlock nothing).
         for &(w, op) in &placed {
-            for (dw, dep) in dependents(meta, w, op, backward_kind) {
-                let all_done = dependencies(meta, dw, dep)
-                    .iter()
-                    .all(|d| self.timing.finish_time(d.stage, d.op).is_some());
-                let slot = meta.op_slot(dw, dep);
-                if all_done && !self.queued[slot] {
-                    self.queued[slot] = true;
-                    match dep.kind {
-                        OpKind::Forward => self.ready_fwd[dw].push(dep),
-                        _ => self.ready_bwd[dw].push(dep),
-                    }
-                }
-            }
+            self.producers
+                .finish(meta, w, op, &mut self.ready_fwd, &mut self.ready_bwd);
         }
         self.trail = Some(Rc::new(Tick {
             placed,
@@ -483,7 +517,7 @@ fn beam_search<'a>(
         ready_fwd: vec![Vec::new(); p],
         ready_bwd: vec![Vec::new(); p],
         pending_w: vec![VecDeque::new(); p],
-        queued: vec![false; meta.op_slots()],
+        producers: ProducerCounts::new(meta),
         in_flight: vec![0; p],
         reserved: vec![0; p],
         prefer_forward: vec![false; p],

@@ -20,9 +20,15 @@
 //! after their input-gradient op — the "compute W immediately" layout of
 //! Figure 7(a); the simulator's dynamic drain (Section 5) reorders them at
 //! execution time.
+//!
+//! Readiness is one count per op ([`ProducerCounts`]): how many of its
+//! producers have not finished yet. A finished op decrements its
+//! [`dependents`], and an op whose count reaches zero joins its worker's
+//! ready list for the next tick. The order synthesizer in `mepipe-core`
+//! keeps the same counts in each of its search states.
 
 use crate::{
-    deps::{dependencies, InlineList},
+    deps::InlineList,
     ir::{Op, OpKind, Schedule, ScheduleMeta},
 };
 
@@ -63,25 +69,13 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         ));
     }
 
-    let backward_kind = if meta.split_backward {
-        OpKind::BackwardInput
-    } else {
-        OpKind::Backward
-    };
-
     // Incremental readiness tracking: instead of re-scanning every pending
     // op per tick, ops enter per-worker ready lists the moment their last
-    // producer finishes (`dependents` inverts the dependency derivation;
-    // both list their at most three entries inline). Ready lists stay
-    // small, so a tick costs O(ready) instead of O(pending). Whether an op
-    // has finished, and whether it has been queued, are flags at its
-    // `ScheduleMeta::op_slot`: no hashing and no allocation per op.
-    let mut finished = vec![false; meta.op_slots()];
+    // producer finishes. Ready lists stay small, so a tick costs O(ready)
+    // instead of O(pending).
+    let mut producers = ProducerCounts::new(meta);
     let mut ready_fwd: Vec<Vec<Op>> = vec![Vec::new(); p];
     let mut ready_bwd: Vec<Vec<Op>> = vec![Vec::new(); p];
-    // Guard against double-enqueueing when two producers of the same
-    // consumer finish in the same tick.
-    let mut queued = vec![false; meta.op_slots()];
 
     // Seed: forwards with no producers — slice 0 of every micro-batch at
     // its chain entry (position 0 for everyone; bidirectional streams
@@ -91,7 +85,10 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
         ready_fwd[w0].push(Op::new(OpKind::Forward, mb, 0, c0));
     }
 
-    let mut lists: Vec<Vec<Op>> = vec![Vec::new(); p];
+    // Each worker places every unit's forward and backward, and its
+    // weight op when the backward is split.
+    let list_len = meta.units_per_worker() * if meta.split_backward { 3 } else { 2 };
+    let mut lists: Vec<Vec<Op>> = (0..p).map(|_| Vec::with_capacity(list_len)).collect();
     let mut in_flight = vec![0usize; p];
     // Deep-chunk reservations: once a worker admits a (micro-batch, slice)
     // pair at its shallowest chunk, the pair's remaining chunks *will*
@@ -180,25 +177,10 @@ pub fn greedy_generate(meta: &ScheduleMeta, caps: &[usize]) -> Result<Schedule, 
                 freshly_done.push((w, op));
             }
         }
-        // Commit this tick's completions and unlock dependents for the
+        // Commit this tick's completions: their dependents unlock for the
         // next tick.
         for &(w, op) in &freshly_done {
-            finished[meta.op_slot(w, op)] = true;
-        }
-        for &(w, op) in &freshly_done {
-            for (dw, dep) in dependents(meta, w, op, backward_kind) {
-                let all_done = dependencies(meta, dw, dep)
-                    .iter()
-                    .all(|d| finished[meta.op_slot(d.stage, d.op)]);
-                let slot = meta.op_slot(dw, dep);
-                if all_done && !queued[slot] {
-                    queued[slot] = true;
-                    match dep.kind {
-                        OpKind::Forward => ready_fwd[dw].push(dep),
-                        _ => ready_bwd[dw].push(dep),
-                    }
-                }
-            }
+            producers.finish(meta, w, op, &mut ready_fwd, &mut ready_bwd);
         }
         tick += 1;
     }
@@ -295,11 +277,84 @@ pub fn pick(
     }
 }
 
+/// How many producers of each forward and backward op have not finished
+/// yet, at its [`ScheduleMeta::op_slot`] — the readiness rule
+/// [`greedy_generate`] and order searches share. Weight ops are not
+/// counted: generators place them after their input-gradient op.
+#[derive(Debug, Clone)]
+pub struct ProducerCounts {
+    outstanding: Vec<u8>,
+}
+
+impl ProducerCounts {
+    /// Every op's full producer count: for a forward, its chain
+    /// predecessor and its previous slice; for a backward, its own
+    /// forward, its chain successor and its next slice — what
+    /// [`crate::deps::dependencies`] lists for it.
+    pub fn new(meta: &ScheduleMeta) -> Self {
+        let backward_kind = backward_kind(meta);
+        let last = meta.last_chain_pos();
+        let mut outstanding = vec![0; meta.op_slots()];
+        for w in 0..meta.stages {
+            for mb in 0..meta.micro_batches {
+                for c in meta
+                    .chunk_of_mb(mb)
+                    .map_or(0..meta.virtual_chunks, |c| c..c + 1)
+                {
+                    let g = meta.chain_pos(mb, w, c);
+                    for slice in 0..meta.slices {
+                        let f = Op::new(OpKind::Forward, mb, slice, c);
+                        outstanding[meta.op_slot(w, f)] = u8::from(g > 0) + u8::from(slice > 0);
+                        outstanding[meta.op_slot(w, f.with_kind(backward_kind))] =
+                            1 + u8::from(g < last) + u8::from(slice + 1 < meta.slices);
+                    }
+                }
+            }
+        }
+        Self { outstanding }
+    }
+
+    /// Records that `op` finished on `stage`: each of its [`dependents`]
+    /// has one producer fewer outstanding, and one with none left joins
+    /// its worker's ready list, forwards in `ready_fwd` and backwards in
+    /// `ready_bwd`.
+    pub fn finish(
+        &mut self,
+        meta: &ScheduleMeta,
+        stage: usize,
+        op: Op,
+        ready_fwd: &mut [Vec<Op>],
+        ready_bwd: &mut [Vec<Op>],
+    ) {
+        for (dw, dep) in dependents(meta, stage, op, backward_kind(meta)) {
+            let count = &mut self.outstanding[meta.op_slot(dw, dep)];
+            *count -= 1;
+            if *count == 0 {
+                match dep.kind {
+                    OpKind::Forward => ready_fwd[dw].push(dep),
+                    _ => ready_bwd[dw].push(dep),
+                }
+            }
+        }
+    }
+}
+
+/// The backward kind `meta`'s lists hold: input-gradient when the
+/// backward is split, fused otherwise.
+fn backward_kind(meta: &ScheduleMeta) -> OpKind {
+    if meta.split_backward {
+        OpKind::BackwardInput
+    } else {
+        OpKind::Backward
+    }
+}
+
 /// Consumers an op can unlock — the inverse of
-/// [`crate::deps::dependencies`]. Weight ops are excluded (the generator
-/// appends them inline after their input-gradient op). Public so order
-/// synthesizers outside this crate can reuse the incremental readiness
-/// machinery.
+/// [`crate::deps::dependencies`]: each op listed here lists `op` among
+/// its producers, and each producer of an op lists that op here exactly
+/// once, so [`ProducerCounts::finish`] decrements every count once per
+/// producer. Weight ops are excluded (generators place them after their
+/// input-gradient op).
 pub fn dependents(
     meta: &ScheduleMeta,
     stage: usize,
@@ -488,6 +543,62 @@ mod tests {
                     "p={p} s={s} n={n} f={f}: peaks {peaks:?} exceed {bound}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn producer_counts_start_at_each_ops_dependency_count() {
+        use crate::deps::dependencies;
+        use crate::generator::{
+            Dapple, Dims, GPipe, Hanayo, ScheduleGenerator, TeraPipe, Vpp, Zb, Zbv,
+        };
+        use crate::{Blocks, DualPipe};
+        let mut placements = Vec::new();
+        for (p, n, s) in [(1usize, 2usize, 1usize), (2, 4, 2), (3, 6, 2), (4, 8, 4)] {
+            let flat = Dims::new(p, n);
+            let zoo: Vec<(Box<dyn ScheduleGenerator>, Dims)> = vec![
+                (Box::new(GPipe), flat),
+                (Box::new(Dapple), flat),
+                (Box::new(Zb), flat),
+                (Box::new(Vpp), flat.virtual_chunks(2)),
+                (Box::new(Hanayo), flat.virtual_chunks(2)),
+                (Box::new(Zbv), flat.virtual_chunks(2)),
+                (Box::new(TeraPipe), flat.slices(s)),
+                (Box::new(DualPipe::new()), flat.virtual_chunks(2).slices(s)),
+                (Box::new(Blocks::uniform()), flat.slices(s)),
+                (
+                    Box::new(Blocks::v_shape()),
+                    flat.virtual_chunks(2).slices(s),
+                ),
+            ];
+            for (gen, dims) in zoo {
+                let Ok(sched) = gen.generate(&dims) else {
+                    continue;
+                };
+                let m = &sched.meta;
+                placements.push(m.placement);
+                let counts = ProducerCounts::new(m);
+                for (w, ops) in sched.workers.iter().enumerate() {
+                    for &op in ops {
+                        if op.kind != OpKind::BackwardWeight {
+                            assert_eq!(
+                                usize::from(counts.outstanding[m.op_slot(w, op)]),
+                                dependencies(m, w, op).len(),
+                                "{} {dims}: {op} on {w}",
+                                gen.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for placement in [
+            ChunkPlacement::Interleaved,
+            ChunkPlacement::VShape,
+            ChunkPlacement::Wave,
+            ChunkPlacement::Bidirectional,
+        ] {
+            assert!(placements.contains(&placement), "{placement:?} not covered");
         }
     }
 

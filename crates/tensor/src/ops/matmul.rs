@@ -53,18 +53,21 @@ use crate::arena;
 use crate::pool::{row_blocks, KernelPool};
 use crate::tensor::Tensor;
 
-/// Rows of one register tile (micro-panel height of the packed A).
-const MR: usize = 6;
-/// Columns of one register tile (strip width of the packed B); a
+/// Rows of one register tile (micro-panel height of the packed A). The
+/// tile's `MR × (NR/lanes)` accumulator vectors are independent FMA
+/// chains, which must outnumber the FMA unit's latency×throughput
+/// product or the micro-kernel is latency-bound, not throughput-bound.
+/// On AVX-512 (16 lanes) eight rows make 16 chains in half of the 32
+/// vector registers. Eight rows also split a 16- or 32-token slice into
+/// whole panels, so slice GEMMs have no ragged edge panel.
+const MR: usize = 8;
+/// Columns of one register tile (strip width of the packed B): a
 /// multiple of the widest SSE/AVX f32 lane count the autovectorizer
-/// targets, and wide enough that the `MR × (NR/lanes)` accumulator
-/// vectors form more independent FMA chains than the FMA unit's
-/// latency×throughput product — with too few chains the micro-kernel is
-/// latency-bound, not throughput-bound.
+/// targets.
 const NR: usize = 32;
-/// Rows per cache block of C — also the parallel grain handed to the
-/// pool, fixed so chunking (and thus accumulation grouping) never
-/// depends on the worker count.
+/// Rows per cache block of C, a multiple of `MR` — also the parallel
+/// grain handed to the pool, fixed so chunking (and thus accumulation
+/// grouping) never depends on the worker count.
 const MC: usize = 48;
 /// Inner-dimension block: one `MC×KC` A panel (~48 KiB) plus one `KC×NR`
 /// B strip (~8 KiB) stay cache-resident under the accumulator tile.

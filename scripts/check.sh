@@ -29,10 +29,10 @@ echo "==> solver smoke (full synthesis per grid point, 10 s wall-clock cap)"
 cargo run --release -p mepipe-bench --bin experiments -- solver_smoke
 
 echo "==> training-math, solver and engine digest (compare its lines against another tree's to check bit-identity)"
-# 15 training-math lines, 10 solver lines and 12 engine lines.
+# 15 training-math lines, 18 solver lines and 12 engine lines.
 DIGEST="$(cargo run --release -p mepipe-bench --bin experiments -- digest | grep '^digest ')"
 echo "$DIGEST"
-[ "$(echo "$DIGEST" | wc -l)" -eq 37 ] || { echo "digest printed the wrong number of lines"; exit 1; }
+[ "$(echo "$DIGEST" | wc -l)" -eq 45 ] || { echo "digest printed the wrong number of lines"; exit 1; }
 
 echo "==> kernels bench smoke (one untimed call per row, no JSON write)"
 cargo bench -p mepipe-bench --bench kernels -- --smoke

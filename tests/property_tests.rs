@@ -3,13 +3,15 @@
 
 use proptest::prelude::*;
 
+use mepipe::core::analytic::inflight_floor;
 use mepipe::core::reschedule::reschedule_backwards;
 use mepipe::core::svpp::SvppConfig;
 use mepipe::core::Synth;
 use mepipe::schedule::{
-    exec::{simulate, Engine, SimConfig, UnitCost},
+    exec::{makespan, simulate, Engine, SimConfig, UnitCost},
+    generate::{default_caps, greedy_generate},
     generator::{Dapple, GPipe, Hanayo, TeraPipe, Vpp, Zb, Zbv},
-    ir::OpKind,
+    ir::{ChunkPlacement, OpKind, ScheduleMeta},
     validate::{peak_in_flight, validate},
     Blocks, DualPipe,
 };
@@ -320,6 +322,63 @@ proptest! {
         let peaks = peak_in_flight(&sch);
         for (units, bytes) in peaks.iter().zip(&r.peak_activation_bytes) {
             prop_assert!((bytes - *units as f64 * 3.0).abs() < 1e-9);
+        }
+    }
+}
+
+/// The in-flight floor Synth's seed sweep rules seeds out by is sound, and
+/// so is what it relies on, over every interleaved shape of p 1–8, v 1–2,
+/// s 1–4, n ∈ {p, 2p, 16} and every warmup of the sweep: the greedy seed
+/// holds no more units in flight on a worker than its cap, and no list
+/// order execution of it finishes before the floor, under the solver's
+/// costs (1F/2B/1W), unit costs, 1F/2B with free weight ops, and the
+/// solver's costs with a 0.3 transfer per hop.
+#[test]
+fn inflight_floor_is_sound() {
+    let solver = UnitCost {
+        bwd: 2.0,
+        ..UnitCost::ones()
+    };
+    let costs = [
+        solver,
+        UnitCost::ones(),
+        UnitCost::one_two(),
+        UnitCost {
+            comm: 0.3,
+            ..solver
+        },
+    ];
+    for p in 1..=8 {
+        for v in 1..=2 {
+            for s in 1..=4 {
+                for n in [p, 2 * p, 16] {
+                    let meta = ScheduleMeta {
+                        name: "Synth".into(),
+                        stages: p,
+                        virtual_chunks: v,
+                        slices: s,
+                        micro_batches: n,
+                        split_backward: true,
+                        placement: ChunkPlacement::Interleaved,
+                    };
+                    let base = SvppConfig::new(p, s, n).virtual_chunks(v);
+                    for f in base.min_warmup()..=base.max_warmup() {
+                        let at = format!("p{p} v{v} s{s} n{n} f{f}");
+                        let caps = default_caps(&meta, f);
+                        let seed = greedy_generate(&meta, &caps).unwrap();
+                        let peaks = peak_in_flight(&seed);
+                        assert!(
+                            peaks.iter().zip(&caps).all(|(peak, cap)| peak <= cap),
+                            "{at}: peaks {peaks:?} over caps {caps:?}"
+                        );
+                        for cost in &costs {
+                            let floor = inflight_floor(&meta, &caps, cost);
+                            let t = makespan(&seed, cost, &SimConfig::default()).unwrap();
+                            assert!(floor <= t, "{at} {cost:?}: floor {floor} > makespan {t}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
