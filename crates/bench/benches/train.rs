@@ -5,6 +5,7 @@
 //! in the same run on the same host; ratios compare scenarios of that
 //! run, never a constant recorded elsewhere.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use criterion::black_box;
@@ -70,25 +71,32 @@ const AUTOTUNE_LINK: LinkSpec = LinkSpec {
     latency: 2e-3,
 };
 
-/// The launch scenario: 4 stages on 2 cores is the oversubscribed
-/// regime where rx wake-up latency and per-message overhead dominate.
-const LAUNCH_ARGS: [&str; 9] = [
-    "launch",
-    "--stages",
-    "4",
-    "--seq-len",
-    "64",
-    "--slices",
-    "8",
-    "--micro-batches",
-    "8",
-];
+/// The multi-process job scenario: one verified iteration of a 4-stage
+/// job. 4 stages on 2 cores is the oversubscribed regime where rx
+/// wake-up latency and per-message overhead dominate.
+const JOB_SPEC: &str = "name = \"job\"\niters = 1\nstages = 4\nlayers = 4\nmicro_batches = 8\n\
+                        slices = 8\nseq_len = 64\ncheckpoint_interval = 1\nverify = true\n";
 
 fn bench_cfg() -> TransformerConfig {
     TransformerConfig {
         seq_len: 128,
         ..TransformerConfig::tiny(4)
     }
+}
+
+/// Runs one job spec to a terminal state on a fresh 1-node daemon with
+/// `slots` slots, writing under `out`; returns the wall time from
+/// submission and the daemon.
+fn run_job(worker: &Path, out: PathBuf, slots: usize, spec: &str) -> (f64, Daemon) {
+    let mut d =
+        Daemon::new(Fleet::homogeneous(1, slots), worker.to_path_buf(), out).expect("bench daemon");
+    let start = Instant::now();
+    d.submit(spec).expect("submit bench job");
+    while !d.all_done() {
+        d.tick();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    (start.elapsed().as_secs_f64(), d)
 }
 
 fn make_batch(cfg: &TransformerConfig, n: usize) -> Vec<Vec<usize>> {
@@ -370,33 +378,37 @@ fn main() {
         t_dual * 1e3
     );
 
-    // --- Scenario 3: multi-process `launch` — real worker processes
-    // over Unix sockets, full wall time per launch (spawn + rendezvous +
-    // iteration + in-process bit-identity reference). The worker binary
-    // is built by `cargo build --release`; when it is missing (bare
-    // `cargo bench` without a prior build) the row records null. ---
+    // --- Scenario 3: one verified iteration of a 4-stage `mepipe-ctl`
+    // job — real worker processes over Unix sockets, full wall time per
+    // job (spawn + rendezvous + iteration + checkpoint + merged trace +
+    // in-process verify replay). The worker binary is built by `cargo
+    // build --release`; when it is missing (bare `cargo bench` without a
+    // prior build) the row records null. ---
     let worker_bin = std::env::current_exe()
         .ok()
         .and_then(|p| Some(p.parent()?.parent()?.join("mepipe-worker")))
         .filter(|p| p.exists());
-    let t_launch = worker_bin.as_ref().map(|bin| {
-        time(|| {
-            let status = std::process::Command::new(bin)
-                .args(LAUNCH_ARGS)
-                .stdout(std::process::Stdio::null())
-                .status()
-                .expect("run mepipe-worker launch");
-            assert!(status.success(), "mepipe-worker launch failed");
-        })
+    let t_job = worker_bin.as_ref().map(|bin| {
+        let out = std::env::temp_dir().join(format!("mepipe-bench-job-{}", std::process::id()));
+        let mut run = 0;
+        let t = time(|| {
+            run += 1;
+            let (_, d) = run_job(bin, out.join(format!("run-{run}")), 4, JOB_SPEC);
+            let job = &d.jobs()[0];
+            assert_eq!(job.state, JobState::Completed, "{}", d.status_text());
+            assert_eq!(job.verified, Some(true), "{}", d.status_text());
+        });
+        let _ = std::fs::remove_dir_all(&out);
+        t
     });
-    match t_launch {
+    match t_job {
         Some(t) => println!(
-            "== multi-process launch stages=4 ==\n  {:.1} ms/launch",
+            "== one-iteration verified job stages=4 ==\n  {:.1} ms/job",
             t * 1e3
         ),
-        None => println!("== multi-process launch skipped (mepipe-worker not built) =="),
+        None => println!("== multi-process job skipped (mepipe-worker not built) =="),
     }
-    let launch_s = t_launch
+    let job_s = t_job
         .map(|t| format!("{t:.6}"))
         .unwrap_or_else(|| "null".into());
 
@@ -480,19 +492,15 @@ fn main() {
             std::env::temp_dir().join(format!("mepipe-bench-recovery-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
         let run = |name: &str, chaos: &str| {
-            let mut d = Daemon::new(Fleet::homogeneous(1, 2), bin.clone(), out.join(name))
-                .expect("recovery daemon");
-            d.submit(&format!(
-                "name = \"{name}\"\niters = 6\nstages = 2\nlayers = 4\nmicro_batches = 2\n\
-                 slices = 2\nseq_len = 16\ncheckpoint_interval = 2\n{chaos}"
-            ))
-            .expect("submit recovery job");
-            let start = Instant::now();
-            while !d.all_done() {
-                d.tick();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let wall = start.elapsed().as_secs_f64();
+            let (wall, d) = run_job(
+                bin,
+                out.join(name),
+                2,
+                &format!(
+                    "name = \"{name}\"\niters = 6\nstages = 2\nlayers = 4\nmicro_batches = 2\n\
+                     slices = 2\nseq_len = 16\ncheckpoint_interval = 2\n{chaos}"
+                ),
+            );
             let job = &d.jobs()[0];
             assert_eq!(job.state, JobState::Completed, "{}", d.status_text());
             assert_eq!(job.lost_beyond, 0, "recovery re-ran more than one interval");
@@ -526,7 +534,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"config\": {{\"stages\": {STAGES}, \"slices\": {SLICES}, \"micro_batches\": {MICRO_BATCHES}, \"seq_len\": {}, \"layers\": {}, \"hidden\": {}, \"replicas\": {REPLICAS}, \"wgrad_mode\": \"drain_on_wait\"}},\n  \"current\": {{\n    \"train_step_s\": {t_step:.6},\n    \"train_step_iters_per_sec\": {iters_per_sec:.4},\n    \"peak_bytes\": {:?},\n    \"arena_hit_rate\": {:.4},\n    \"arena_hits\": {},\n    \"arena_misses\": {},\n    \"tracing_untraced_s\": {t_plain:.6},\n    \"tracing_traced_s\": {t_traced:.6},\n    \"tracing_overhead\": {tracing_overhead:.4},\n    \"data_parallel_s\": {t_dp:.6},\n    \"data_parallel_iters_per_sec\": {:.4},\n    \"launch_s\": {launch_s},\n    \"autotune_link_latency_s\": {:.6},\n    \"autotune_before_s\": {t_at_before:.6},\n    \"autotune_after_s\": {t_at_after:.6},\n    \"autotune_slices_before\": {AUTOTUNE_SLICES},\n    \"autotune_slices_after\": {},\n    \"autotune_warmup\": {},\n    \"autotune_rescheduled\": {},\n    \"autotune_error_first\": {at_err_first:.4},\n    \"autotune_error_last\": {at_err_last:.4},\n    \"autotune_speedup\": {autotune_speedup:.4},\n    \"recovery_clean_s\": {recovery_clean_s},\n    \"recovery_chaos_s\": {recovery_chaos_s},\n    \"recovery_lost_iterations\": {recovery_lost},\n    \"recovery_overhead\": {recovery_overhead},\n    \"synthesized_vs_svpp\": {{\"schedule\": \"{synth_name}\", \"svpp_s\": {t_svpp:.6}, \"solver_s\": {t_solver:.6}, \"dualpipe_s\": {t_dual:.6}, \"synthesized_s\": {t_synth:.6}, \"speedup\": {synth_speedup:.4}}}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\"stages\": {STAGES}, \"slices\": {SLICES}, \"micro_batches\": {MICRO_BATCHES}, \"seq_len\": {}, \"layers\": {}, \"hidden\": {}, \"replicas\": {REPLICAS}, \"wgrad_mode\": \"drain_on_wait\"}},\n  \"current\": {{\n    \"train_step_s\": {t_step:.6},\n    \"train_step_iters_per_sec\": {iters_per_sec:.4},\n    \"peak_bytes\": {:?},\n    \"arena_hit_rate\": {:.4},\n    \"arena_hits\": {},\n    \"arena_misses\": {},\n    \"tracing_untraced_s\": {t_plain:.6},\n    \"tracing_traced_s\": {t_traced:.6},\n    \"tracing_overhead\": {tracing_overhead:.4},\n    \"data_parallel_s\": {t_dp:.6},\n    \"data_parallel_iters_per_sec\": {:.4},\n    \"job_s\": {job_s},\n    \"autotune_link_latency_s\": {:.6},\n    \"autotune_before_s\": {t_at_before:.6},\n    \"autotune_after_s\": {t_at_after:.6},\n    \"autotune_slices_before\": {AUTOTUNE_SLICES},\n    \"autotune_slices_after\": {},\n    \"autotune_warmup\": {},\n    \"autotune_rescheduled\": {},\n    \"autotune_error_first\": {at_err_first:.4},\n    \"autotune_error_last\": {at_err_last:.4},\n    \"autotune_speedup\": {autotune_speedup:.4},\n    \"recovery_clean_s\": {recovery_clean_s},\n    \"recovery_chaos_s\": {recovery_chaos_s},\n    \"recovery_lost_iterations\": {recovery_lost},\n    \"recovery_overhead\": {recovery_overhead},\n    \"synthesized_vs_svpp\": {{\"schedule\": \"{synth_name}\", \"svpp_s\": {t_svpp:.6}, \"solver_s\": {t_solver:.6}, \"dualpipe_s\": {t_dual:.6}, \"synthesized_s\": {t_synth:.6}, \"speedup\": {synth_speedup:.4}}}\n  }}\n}}\n",
         cfg.seq_len,
         cfg.layers,
         cfg.hidden,

@@ -32,6 +32,10 @@ use crate::{Endpoint, Transport};
 /// abort flag and peer closures).
 const POLL: Duration = Duration::from_millis(50);
 
+/// How long a send may wait for a credit before failing with
+/// [`CommError::Backpressure`].
+const SEND_DEADLINE: Duration = Duration::from_secs(60);
+
 struct Slot {
     /// `(enqueued at, sending stage, message)` in arrival order.
     queue: VecDeque<(Instant, usize, StageMsg)>,
@@ -78,10 +82,9 @@ impl InProcTransport {
         Self::with_config(stages, capacity, CommConfig::default())
     }
 
-    /// Like [`InProcTransport::new`] with explicit tuning knobs: the
-    /// codec (applied as an in-memory round trip so results match the
-    /// serializing backends bit-for-bit under lossy codecs) and the send
-    /// deadline.
+    /// Like [`InProcTransport::new`] with an explicit [`CommConfig`]:
+    /// the codec, applied as an in-memory round trip so results match
+    /// the serializing backends bit-for-bit under lossy codecs.
     pub fn with_config(stages: usize, capacity: usize, config: CommConfig) -> Self {
         let inboxes = (0..stages)
             .map(|_| {
@@ -136,7 +139,6 @@ impl Transport for InProcTransport {
             stage,
             shared: Arc::clone(&self.shared),
             codec: self.config.codec,
-            send_deadline: self.config.send_deadline,
             scratch: Vec::new(),
             stats: CommStats::new(stage, self.shared.inboxes.len()),
             closed: false,
@@ -149,7 +151,6 @@ pub struct InProcEndpoint {
     stage: usize,
     shared: Arc<Shared>,
     codec: CodecId,
-    send_deadline: Duration,
     /// Reused encode buffer for the lossy-codec round trip.
     scratch: Vec<u8>,
     stats: CommStats,
@@ -205,7 +206,7 @@ impl InProcEndpoint {
             && slot.credits_used[self.stage] >= self.shared.capacity
             && !self.shared.abort.load(Ordering::Acquire)
         {
-            if start.elapsed() > self.send_deadline {
+            if start.elapsed() > SEND_DEADLINE {
                 self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
                 return Err(CommError::Backpressure { peer: to });
             }

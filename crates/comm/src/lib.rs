@@ -161,8 +161,7 @@ pub struct TransportConfig {
     pub capacity: usize,
     /// When set, wrap the fabric in link emulation with this spec.
     pub link: Option<LinkSpec>,
-    /// Backend tuning knobs (codec, buffer depths, timeouts, delay
-    /// plan).
+    /// Backend settings (wire codec, delay plan).
     pub comm: CommConfig,
 }
 
@@ -187,7 +186,7 @@ impl TransportConfig {
         self
     }
 
-    /// Replaces the backend tuning knobs wholesale.
+    /// Replaces the backend settings wholesale.
     #[must_use]
     pub fn with_comm(mut self, comm: CommConfig) -> Self {
         self.comm = comm;

@@ -14,12 +14,12 @@
 //! * **Sends** lend a recycled buffer from the endpoint's transmit
 //!   pool, encode the frame in place, and put it on the wire with one
 //!   vectored write (length prefix + frame, no concatenation copy).
-//!   Frames up to `CommConfig::inline_max_bytes` are written
+//!   Frames up to `INLINE_MAX_BYTES` are written
 //!   synchronously on the sending thread while the writer is idle —
 //!   the kernel socket buffer absorbs them and delivers asynchronously,
 //!   so a thread handoff would only add a context switch. Larger
 //!   frames go to a single writer thread through a bounded queue
-//!   (depth `CommConfig::tx_depth`): encoding microbatch `k+1` then
+//!   (depth `TX_DEPTH`): encoding microbatch `k+1` then
 //!   overlaps the wire time of microbatch `k`, and the overlapped
 //!   portion is counted in `LinkStats::encode_overlap_ns`.
 //! * **Receives** happen directly on the stage thread: `recv` performs
@@ -79,6 +79,29 @@ const RX_YIELD_SWEEPS: usize = 4;
 /// Speculative read size: one read may pull several small frames.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Frames the async writer may hold in flight before `send` blocks
+/// (the double-buffering depth).
+const TX_DEPTH: usize = 2;
+
+/// Largest frame written synchronously on the sending thread when the
+/// async writer is idle. Small frames fit the kernel socket buffer —
+/// which already delivers them asynchronously — so handing them to the
+/// writer thread would cost a context switch for nothing; larger frames
+/// go through the writer so encoding the next message overlaps their
+/// wire time.
+const INLINE_MAX_BYTES: usize = 32 * 1024;
+
+/// Frame buffers an endpoint keeps for recycling, per direction.
+const POOL_BUFFERS: usize = 32;
+
+/// How long a stage waits for its peers during rendezvous.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// How long a send may stall on flow control before failing with
+/// [`CommError::Backpressure`] (also bounds how long a close waits for
+/// in-flight frames).
+const SEND_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Where the mesh lives.
 #[derive(Debug, Clone)]
 pub enum SocketMode {
@@ -105,9 +128,8 @@ impl SocketTransport {
         Self::with_config(mode, stages, CommConfig::default())
     }
 
-    /// Like [`SocketTransport::new`] with explicit tuning knobs: wire
-    /// codec, writer-queue depth, inline-write cutoff, receive-buffer
-    /// pool size, and the rendezvous/send deadlines.
+    /// Like [`SocketTransport::new`] with an explicit [`CommConfig`]
+    /// (the wire codec).
     pub fn with_config(mode: SocketMode, stages: usize, config: CommConfig) -> Self {
         Self {
             mode,
@@ -201,7 +223,6 @@ struct TxState {
     err: Option<CommError>,
     shutdown: bool,
     pool: Vec<Vec<u8>>,
-    pool_cap: usize,
 }
 
 struct TxShared {
@@ -246,7 +267,7 @@ impl SocketTransport {
         // not cost milliseconds (endpoints are also rebuilt per
         // benchmark iteration, where a long retry sleep would dominate).
         for (peer, slot) in streams.iter_mut().enumerate().take(stage) {
-            let deadline = Instant::now() + self.config.connect_timeout;
+            let deadline = Instant::now() + CONNECT_TIMEOUT;
             let mut backoff = Duration::from_micros(100);
             let mut s = loop {
                 let attempt = match &self.mode {
@@ -315,7 +336,6 @@ impl SocketTransport {
                 err: None,
                 shutdown: false,
                 pool: Vec::new(),
-                pool_cap: self.config.rx_pool,
             }),
             cv_send: Condvar::new(),
             cv_room: Condvar::new(),
@@ -324,9 +344,6 @@ impl SocketTransport {
             stage,
             stages: p,
             codec: self.config.codec,
-            tx_depth: self.config.tx_depth.max(1),
-            inline_max: self.config.inline_max_bytes,
-            send_deadline: self.config.send_deadline,
             tx,
             writers,
             writer: None,
@@ -334,7 +351,6 @@ impl SocketTransport {
             rx,
             rx_cursor: 0,
             rx_pool: Vec::new(),
-            rx_pool_cap: self.config.rx_pool,
             peer_closed: vec![false; p],
             next_seq: vec![0; p],
             stats: CommStats::new(stage, p),
@@ -427,7 +443,7 @@ fn write_loop(writers: &[Option<Arc<Mutex<Stream>>>], tx: &TxShared) {
         st.in_flight -= 1;
         match res {
             Ok(()) => {
-                if st.pool.len() < st.pool_cap {
+                if st.pool.len() < POOL_BUFFERS {
                     let mut b = buf;
                     b.clear();
                     st.pool.push(b);
@@ -577,9 +593,6 @@ pub struct SocketEndpoint {
     stage: usize,
     stages: usize,
     codec: CodecId,
-    tx_depth: usize,
-    inline_max: usize,
-    send_deadline: Duration,
     tx: Arc<TxShared>,
     /// Write halves, shared with the writer thread. The stream mutex is
     /// uncontended on the inline path: the writer only locks a stream
@@ -598,7 +611,6 @@ pub struct SocketEndpoint {
     rx_cursor: usize,
     /// Recycled receive-frame buffers.
     rx_pool: Vec<Vec<u8>>,
-    rx_pool_cap: usize,
     peer_closed: Vec<bool>,
     next_seq: Vec<u64>,
     stats: CommStats,
@@ -620,8 +632,8 @@ impl SocketEndpoint {
         }
         let start = Instant::now();
         let mut st = self.tx.state.lock().expect("tx lock");
-        while st.err.is_none() && !st.shutdown && st.in_flight >= self.tx_depth {
-            if start.elapsed() > self.send_deadline {
+        while st.err.is_none() && !st.shutdown && st.in_flight >= TX_DEPTH {
+            if start.elapsed() > SEND_DEADLINE {
                 drop(st);
                 self.stats.links[to].send_stall_ns += start.elapsed().as_nanos() as u64;
                 return Err(CommError::Backpressure { peer: to });
@@ -634,7 +646,7 @@ impl SocketEndpoint {
         if st.shutdown {
             return Err(CommError::Closed { stage: self.stage });
         }
-        if st.in_flight == 0 && buf.len() <= self.inline_max {
+        if st.in_flight == 0 && buf.len() <= INLINE_MAX_BYTES {
             // Inline fast path. The queue is empty and this thread is
             // the only enqueuer, so the writer stays parked and frame
             // order is preserved.
@@ -642,7 +654,7 @@ impl SocketEndpoint {
             let w = Arc::clone(self.writers[to].as_ref().expect("connected stream"));
             let res = write_frame(&mut w.lock().expect("stream lock"), &buf);
             let mut st = self.tx.state.lock().expect("tx lock");
-            if st.pool.len() < st.pool_cap {
+            if st.pool.len() < POOL_BUFFERS {
                 let mut b = buf;
                 b.clear();
                 st.pool.push(b);
@@ -704,7 +716,7 @@ impl SocketEndpoint {
 
     /// Returns a consumed receive buffer to the receive pool.
     fn recycle_rx_buf(&mut self, mut buf: Vec<u8>) {
-        if self.rx_pool.len() < self.rx_pool_cap {
+        if self.rx_pool.len() < POOL_BUFFERS {
             buf.clear();
             self.rx_pool.push(buf);
         }
@@ -880,7 +892,7 @@ impl Endpoint for SocketEndpoint {
         {
             let start = Instant::now();
             let mut st = self.tx.state.lock().expect("tx lock");
-            while st.err.is_none() && st.in_flight > 0 && start.elapsed() < self.send_deadline {
+            while st.err.is_none() && st.in_flight > 0 && start.elapsed() < SEND_DEADLINE {
                 st = self.tx.cv_room.wait_timeout(st, POLL).expect("tx lock").0;
             }
             st.shutdown = true;
@@ -1051,18 +1063,20 @@ mod tests {
         // thread; back-to-back sends then overlap encode with wire
         // time, which the stats witness.
         let dir = tmp_dir("async");
-        let t = SocketTransport::with_config(
-            SocketMode::Uds(dir.clone()),
-            2,
-            CommConfig::new().with_inline_max_bytes(0).with_tx_depth(4),
-        );
+        let t = SocketTransport::new(SocketMode::Uds(dir.clone()), 2);
+        let n = INLINE_MAX_BYTES / 2;
+        let big = |v: f32| StageMsg {
+            tensor: Tensor::from_vec(1, n, vec![v; n]),
+            ..msg(v, 1)
+        };
         std::thread::scope(|s| {
             let t0 = &t;
             s.spawn(move || {
-                let mut e = t0.endpoint(0).unwrap();
+                let mut e = t0.open(0).unwrap();
                 for i in 0..16 {
-                    e.send(1, msg(i as f32, 1)).unwrap();
+                    e.send(1, big(i as f32)).unwrap();
                 }
+                assert!(e.writer.is_some(), "no frame reached the writer thread");
                 e.close();
             });
             let mut e = t0.endpoint(1).unwrap();

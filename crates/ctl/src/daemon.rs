@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use mepipe_comm::control::{Request, Response};
+use mepipe_comm::TransportConfig;
 use mepipe_hw::accelerator::AcceleratorSpec;
 use mepipe_hw::link::LinkSpec;
 use mepipe_hw::topology::ClusterSpec;
@@ -34,7 +35,7 @@ use mepipe_model::partition::{PartitionSpec, SequenceSplit};
 use mepipe_strategy::{ScheduleSpec, SearchEngine};
 use mepipe_trace::chrome::{push_json_string, traces_to_chrome};
 use mepipe_trace::{
-    dump, EventLog, IterationTrace, Level, MetricsRegistry, PidKey, StragglerDetector,
+    bubble, dump, EventLog, IterationTrace, Level, MetricsRegistry, PidKey, StragglerDetector,
     StragglerFlag, DEFAULT_STRAGGLER_FACTOR, DEFAULT_STRAGGLER_ROUNDS,
 };
 use mepipe_train::data::batch_for_iter;
@@ -275,10 +276,12 @@ pub fn restore_point(epoch_dir: &Path, stages: usize) -> usize {
 /// Replays a job's full iteration history in-process and returns the
 /// final-iteration loss. One runtime per segment, the model carried
 /// across shape changes; because workers regenerate identical schedules
-/// from the same `ScheduleSpec` and batches derive from
-/// `(seed, iteration)`, the result must be bit-identical to what the
-/// gang reported — the end-to-end correctness check for the whole
-/// recovery and re-sharding machinery.
+/// from the same `ScheduleSpec`, batches derive from
+/// `(seed, iteration)`, and the in-process transport applies the job's
+/// wire codec as an encode/decode round trip, the result must be
+/// bit-identical to what the gang reported — the end-to-end correctness
+/// check for the multi-process runtime and for the whole recovery and
+/// re-sharding machinery.
 ///
 /// # Errors
 ///
@@ -297,7 +300,8 @@ pub fn verify_replay(spec: &JobSpec, segments: &[Segment]) -> Result<f64, String
             .schedule
             .generate()
             .map_err(|e| format!("schedule generation for {:?}: {e}", seg.schedule))?;
-        let mut rt = PipelineRuntime::new(model, seg.schedule.dims.p, seg.schedule.dims.v);
+        let mut rt = PipelineRuntime::new(model, seg.schedule.dims.p, seg.schedule.dims.v)
+            .with_transport(TransportConfig::in_proc().with_codec(spec.codec));
         for k in seg.start_iter..end {
             let batch = batch_for_iter(&cfg, spec.micro_batches, spec.seed, k);
             let stats = rt
@@ -470,8 +474,7 @@ impl Daemon {
         for i in 0..self.jobs.len() {
             let holds = matches!(self.jobs[i].state, JobState::Running | JobState::Recovering)
                 && self.jobs[i].alloc.as_ref().is_some_and(|a| a.uses(node));
-            if holds {
-                self.displace(i, format!("node {node} drained"));
+            if holds && self.displace(i, format!("node {node} drained")) {
                 displaced += 1;
             }
         }
@@ -492,8 +495,9 @@ impl Daemon {
             let Ok(best) = best_shape(&self.engine, &self.jobs[i].spec, ceiling) else {
                 continue;
             };
-            if best.dims.p > self.jobs[i].schedule.dims.p {
-                self.displace(i, "fleet grew".to_string());
+            if best.dims.p > self.jobs[i].schedule.dims.p
+                && self.displace(i, "fleet grew".to_string())
+            {
                 expanded += 1;
             }
         }
@@ -502,9 +506,19 @@ impl Daemon {
 
     /// Kills job `i`'s gang, releases its slots and marks it
     /// re-sharding. Loss accounting happens at relaunch, where the
-    /// restore point is known.
-    fn displace(&mut self, i: usize, why: String) {
+    /// restore point is known. A gang every stage of which has logged
+    /// the job's last iteration is left to exit instead: it holds the
+    /// final loss, and a re-shard from its last checkpoint would have no
+    /// iteration left to run. Returns whether the job was displaced.
+    fn displace(&mut self, i: usize, why: String) -> bool {
         let job = &mut self.jobs[i];
+        if job
+            .gang
+            .as_ref()
+            .is_some_and(|g| g.completed_iters() >= job.spec.iters)
+        {
+            return false;
+        }
         if let Some(mut gang) = job.gang.take() {
             gang.kill();
             job.completed = gang.completed_iters().max(job.epoch_base.0);
@@ -520,6 +534,7 @@ impl Daemon {
             &[],
         );
         job.state = JobState::Resharding;
+        true
     }
 
     /// One scheduler pass: poll gangs, recover, re-shard, admit.
@@ -565,7 +580,8 @@ impl Daemon {
     /// (`max - mine + 1`, so a fully level gang observes all-ones). A
     /// stage persistently lagging the median by more than the factor for
     /// the persistence window gets flagged — the cross-process analog of
-    /// the latency-histogram detector the in-process launcher runs.
+    /// the iteration-latency quantiles each worker publishes on
+    /// `/status`.
     fn detect_stragglers(&mut self, i: usize) {
         let job = &mut self.jobs[i];
         if job.stage_progress.is_empty() {
@@ -657,10 +673,10 @@ impl Daemon {
         }
     }
 
-    /// Dumps the flight recorder — last events, open spans, and a
-    /// metrics snapshot — to `out_dir/postmortem-<job>.json`. Called on
-    /// gang death, verification failure, and restart-budget exhaustion
-    /// so the last recorded events name what died.
+    /// Dumps the flight recorder — last events and a metrics snapshot —
+    /// to `out_dir/postmortem-<job>.json`. Called on gang death,
+    /// verification failure, and restart-budget exhaustion so the last
+    /// recorded events name what died.
     fn dump_postmortem(&mut self, name: &str, reason: &str) {
         let reg = self.metrics();
         let path = self.out_dir.join(format!("postmortem-{name}.json"));
@@ -676,7 +692,9 @@ impl Daemon {
     }
 
     /// Merges the gang's per-stage span dumps (each stage's last
-    /// iteration) into one Chrome trace at `out_dir/job-NAME.trace.json`.
+    /// iteration) into one Chrome trace at `out_dir/job-NAME.trace.json`,
+    /// and writes the merged iteration's bubble attribution beside it
+    /// at `out_dir/job-NAME.bubbles.txt`.
     fn write_merged_trace(&mut self, i: usize) {
         let job = &self.jobs[i];
         let Some(gang) = job.gang.as_ref() else {
@@ -688,11 +706,14 @@ impl Daemon {
             .collect();
         match stages {
             Ok(stages) => {
-                let json = traces_to_chrome(&IterationTrace { stages }, PidKey::Stage);
-                let path = self
-                    .out_dir
-                    .join(format!("job-{}.trace.json", job.spec.name));
-                if let Err(e) = std::fs::write(&path, json) {
+                let trace = IterationTrace { stages };
+                let path = |ext: &str| self.out_dir.join(format!("job-{}.{ext}", job.spec.name));
+                let written =
+                    std::fs::write(path("trace.json"), traces_to_chrome(&trace, PidKey::Stage))
+                        .and_then(|()| {
+                            std::fs::write(path("bubbles.txt"), bubble::attribute(&trace).render())
+                        });
+                if let Err(e) = written {
                     self.events.event(
                         Level::Error,
                         Some(&job.spec.name),
@@ -967,7 +988,7 @@ impl Daemon {
             work_dir: job_dir.join(format!("attempt-{}", job.attempt)),
             restore_from,
             kill: job.chaos.take(),
-            traced: true,
+            codec: job.spec.codec,
         };
         match Gang::launch(cfg) {
             Ok(gang) => {
@@ -1587,6 +1608,62 @@ mod tests {
             d.metrics().to_prometheus_text()
         );
         let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn a_drain_after_the_last_iteration_lets_the_gang_finish() {
+        // A stand-in worker logs every iteration at once, then waits for
+        // a release file before it reports its loss share: a gang that
+        // has trained to the end but not exited yet when a drain lands.
+        let dir = std::env::temp_dir().join(format!("mepipe-ctl-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let release = dir.join("release");
+        let worker = dir.join("worker.sh");
+        std::fs::write(
+            &worker,
+            format!(
+                "#!/bin/sh\nfor a in \"$@\"; do\n  case \"$prev\" in\n    --stage) stage=$a ;;\n    \
+                 --iters) iters=$a ;;\n    --progress) progress=$a ;;\n  esac\n  prev=$a\ndone\n\
+                 i=0\nwhile [ $i -lt $iters ]; do echo \"iter $i loss_bits 0\" >> \"$progress\"; \
+                 i=$((i + 1)); done\nwhile [ ! -e {} ]; do sleep 0.01; done\n\
+                 echo \"RESULT stage=$stage loss_bits={}\"\n",
+                release.display(),
+                0.5f64.to_bits()
+            ),
+        )
+        .unwrap();
+        let mut perms = std::fs::metadata(&worker).unwrap().permissions();
+        std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
+        std::fs::set_permissions(&worker, perms).unwrap();
+        let mut d = Daemon::new(Fleet::homogeneous(1, 2), worker, dir.join("out")).unwrap();
+        d.events = EventLog::silent("ctl");
+        d.submit("name = \"late\"\niters = 3\ncheckpoint_interval = 1\n")
+            .unwrap();
+        let tick_until = |d: &mut Daemon, done: &dyn Fn(&Daemon) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done(d) {
+                assert!(Instant::now() < deadline, "{}", d.status_text());
+                d.tick();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        tick_until(&mut d, &|d| d.jobs()[0].completed >= 3);
+        let resp = d.handle(&Request::Drain {
+            node: "node-0".to_string(),
+        });
+        assert_eq!(
+            resp,
+            Response::Ok("node-0 drained; 0 running job(s) re-sharding off it".to_string())
+        );
+        std::fs::write(&release, b"").unwrap();
+        tick_until(&mut d, &Daemon::all_done);
+        let job = &d.jobs()[0];
+        assert_eq!(job.state, JobState::Completed, "{}", d.status_text());
+        assert_eq!(job.reshards, 0);
+        // Two stages each report 0.5: the gang's own loss, not a re-run's.
+        assert_eq!(job.final_loss, Some(1.0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

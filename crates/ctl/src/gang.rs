@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
+use mepipe_comm::CodecId;
 use mepipe_strategy::ScheduleSpec;
 
 /// Everything needed to launch one gang attempt.
@@ -50,8 +51,8 @@ pub struct GangConfig {
     pub restore_from: Vec<Option<PathBuf>>,
     /// Chaos: `(stage, iteration)` — that stage aborts at that iteration.
     pub kill: Option<(usize, usize)>,
-    /// Record spans so the control plane can merge a Chrome trace.
-    pub traced: bool,
+    /// Wire codec on every link of the gang's mesh.
+    pub codec: CodecId,
 }
 
 impl GangConfig {
@@ -60,7 +61,8 @@ impl GangConfig {
         self.work_dir.join(format!("progress-stage-{stage}.txt"))
     }
 
-    /// Where stage `stage` dumps its latest iteration's span trace.
+    /// Where stage `stage` dumps its last iteration's span trace, which
+    /// the control plane merges into the job's Chrome trace.
     pub fn trace_path(&self, stage: usize) -> PathBuf {
         self.work_dir.join(format!("trace-stage-{stage}.txt"))
     }
@@ -79,6 +81,8 @@ impl GangConfig {
             .arg(self.seed.to_string())
             .arg("--lr")
             .arg(self.lr.to_string())
+            .arg("--codec")
+            .arg(self.codec.name())
             .arg("--iters")
             .arg(self.iters.to_string())
             .arg("--start-iter")
@@ -90,7 +94,9 @@ impl GangConfig {
             .arg("--dir")
             .arg(self.work_dir.join("mesh"))
             .arg("--progress")
-            .arg(self.progress_path(stage));
+            .arg(self.progress_path(stage))
+            .arg("--trace-out")
+            .arg(self.trace_path(stage));
         if let Some(path) = self.restore_from.get(stage).and_then(Option::as_ref) {
             cmd.arg("--restore-from").arg(path);
         }
@@ -98,9 +104,6 @@ impl GangConfig {
             if kill_stage == stage {
                 cmd.arg("--kill-at-iter").arg(at_iter.to_string());
             }
-        }
-        if self.traced {
-            cmd.arg("--trace-out").arg(self.trace_path(stage));
         }
         cmd.stdout(Stdio::piped());
         cmd
@@ -378,7 +381,7 @@ mod tests {
             work_dir: dir.join("work"),
             restore_from: Vec::new(),
             kill: None,
-            traced: false,
+            codec: CodecId::F32,
         })
         .unwrap();
         // Let both stages exit before the one poll that sees them.

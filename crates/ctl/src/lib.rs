@@ -7,14 +7,16 @@
 //! by checkpoint-restart with bounded loss, and capacity changes —
 //! a node drained for maintenance, a node added — answered by
 //! re-running the strategy search and re-sharding the pipeline live.
-//! This crate is that operator. It composes pieces the rest of the
+//! This crate is that operator, and the repository's one way to run
+//! stages as separate processes. It composes pieces the rest of the
 //! workspace already proves correct: `mepipe-worker job` stage
-//! processes (each regenerates its schedule bit-identically from a
-//! `mepipe_strategy::ScheduleSpec`'s flags, as the replay verifier
-//! does in-process), per-stage checkpoints with
-//! `merge_stage_parts` for shape changes, Young's formula for the
-//! checkpoint interval, the re-shard strategy search, and the metrics
-//! and Chrome-trace plumbing in `mepipe-trace`.
+//! processes (each regenerates the job's schedule bit-identically from
+//! a `mepipe_strategy::ScheduleSpec`'s flags and speaks the job's wire
+//! codec, as the replay verifier does in-process), per-stage
+//! checkpoints with `merge_stage_parts` for shape changes, Young's
+//! formula for the checkpoint interval, the re-shard strategy search,
+//! and the metrics, Chrome-trace and bubble-attribution plumbing in
+//! `mepipe-trace`.
 //!
 //! Modules: [`spec`] (job documents and interval derivation), [`gang`]
 //! (stage-process supervision: spawn, heartbeat, reap-as-a-unit),

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use mepipe_comm::CodecId;
 use mepipe_model::config::TransformerConfig;
 use mepipe_schedule::generator::Dims;
 use mepipe_strategy::{Method, ScheduleSpec};
@@ -32,9 +33,19 @@ pub struct JobSpec {
     pub micro_batches: usize,
     /// Sequence slices per micro-batch.
     pub slices: usize,
+    /// Scheduling method, from the `schedule` key: a lower-case method
+    /// name, `mepipe` by default.
+    pub method: Method,
+    /// The schedule's memory knob (`None` = the generator's default).
+    pub warmup: Option<usize>,
+    /// Polish the schedule with backward rescheduling.
+    pub reschedule: bool,
+    /// Wire codec on every link of the gang and in the verify replay.
+    pub codec: CodecId,
     /// Sequence length.
     pub seq_len: usize,
-    /// Decoder layers (must divide evenly over the stages).
+    /// Decoder layers (must divide evenly over the schedule's model
+    /// blocks).
     pub layers: usize,
     /// Model-init and batch-derivation seed.
     pub seed: u64,
@@ -144,6 +155,10 @@ impl JobSpec {
             "stages",
             "micro_batches",
             "slices",
+            "schedule",
+            "warmup",
+            "reschedule",
+            "codec",
             "seq_len",
             "layers",
             "seed",
@@ -183,6 +198,21 @@ impl JobSpec {
         };
 
         let stages = usize_field("stages")?.unwrap_or(2);
+        let method = match str_field("schedule")? {
+            Some(name) => Method::from_name(&name).ok_or_else(|| {
+                let names: Vec<String> = Method::all()
+                    .iter()
+                    .map(|m| m.name().to_lowercase())
+                    .collect();
+                format!("`schedule` {name:?} is not one of {}", names.join(", "))
+            })?,
+            None => Method::Mepipe,
+        };
+        let codec = match str_field("codec")? {
+            Some(name) => CodecId::parse(&name)
+                .ok_or_else(|| format!("`codec` {name:?} is not f32, bf16 or lossy"))?,
+            None => CodecId::F32,
+        };
         let spec = JobSpec {
             name: str_field("name")?.ok_or("job spec needs a `name`")?,
             iters: usize_field("iters")?.ok_or("job spec needs `iters`")?,
@@ -190,6 +220,10 @@ impl JobSpec {
             stages,
             micro_batches: usize_field("micro_batches")?.unwrap_or(stages.max(2)),
             slices: usize_field("slices")?.unwrap_or(2),
+            method,
+            warmup: usize_field("warmup")?,
+            reschedule: bool_field("reschedule")?.unwrap_or(false),
+            codec,
             seq_len: usize_field("seq_len")?.unwrap_or(16),
             layers: usize_field("layers")?.unwrap_or(stages.max(2)),
             seed: usize_field("seed")?.unwrap_or(7) as u64,
@@ -217,17 +251,14 @@ impl JobSpec {
         if self.stages == 0 {
             return Err("`stages` must be positive".into());
         }
-        if self.layers < 2 || !self.layers.is_multiple_of(self.stages) {
-            return Err(format!(
-                "`layers` ({}) must be >= 2 and divisible by `stages` ({})",
-                self.layers, self.stages
-            ));
-        }
         if self.micro_batches < self.stages {
             return Err(format!(
                 "`micro_batches` ({}) must be >= `stages` ({})",
                 self.micro_batches, self.stages
             ));
+        }
+        if self.seq_len == 0 {
+            return Err("`seq_len` must be positive".into());
         }
         if self.slices == 0 || !self.seq_len.is_multiple_of(self.slices) {
             return Err(format!(
@@ -242,6 +273,9 @@ impl JobSpec {
         if self.mtbf_seconds <= 0.0 || self.mtbf_seconds.is_nan() {
             return Err("`mtbf_seconds` must be positive".into());
         }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(format!("`lr` ({}) must be finite and positive", self.lr));
+        }
         if self.kill_stage.is_some() != self.kill_at_iter.is_some() {
             return Err("`kill_stage` and `kill_at_iter` must be given together".into());
         }
@@ -249,6 +283,24 @@ impl JobSpec {
             if s >= self.stages {
                 return Err(format!("`kill_stage` ({s}) out of range"));
             }
+        }
+        if self.reschedule && self.method == Method::DualPipe {
+            return Err("`reschedule` is not defined for `schedule = \"dualpipe\"`".into());
+        }
+        let blocks = self
+            .schedule()
+            .generate()
+            .map_err(|e| {
+                let name = self.method.name().to_lowercase();
+                format!("`schedule` {name:?} does not generate at this shape: {e}")
+            })?
+            .meta
+            .model_blocks();
+        if self.layers < 2 || !self.layers.is_multiple_of(blocks) {
+            return Err(format!(
+                "`layers` ({}) must be >= 2 and divisible by the schedule's {blocks} model blocks",
+                self.layers
+            ));
         }
         Ok(())
     }
@@ -261,13 +313,17 @@ impl JobSpec {
         }
     }
 
-    /// The schedule the job asks for: MEPipe at the requested stages,
-    /// micro-batches and slices, with the generator's default knob.
+    /// The schedule the job asks for: its method at the requested
+    /// stages, micro-batches and slices, with its knob and rescheduling.
     pub fn schedule(&self) -> ScheduleSpec {
-        ScheduleSpec::new(
-            Method::Mepipe,
-            Dims::new(self.stages, self.micro_batches).slices(self.slices),
-        )
+        ScheduleSpec {
+            warmup: self.warmup,
+            reschedule: self.reschedule,
+            ..ScheduleSpec::new(
+                self.method,
+                Dims::new(self.stages, self.micro_batches).slices(self.slices),
+            )
+        }
     }
 }
 
@@ -369,6 +425,41 @@ verify = true
     }
 
     #[test]
+    fn schedule_and_codec_keys_parse_identically_in_toml_and_json() {
+        let toml = "name = \"s\"\niters = 3\nstages = 4\nlayers = 4\nmicro_batches = 4\n\
+                    slices = 2\nseq_len = 32\nschedule = \"synth\"\nwarmup = 6\n\
+                    reschedule = true\ncodec = \"bf16\"\n";
+        let json = r#"{"name":"s","iters":3,"stages":4,"layers":4,"micro_batches":4,
+            "slices":2,"seq_len":32,"schedule":"synth","warmup":6,"reschedule":true,
+            "codec":"bf16"}"#;
+        let a = JobSpec::parse(toml).unwrap();
+        assert_eq!(a, JobSpec::parse(json).unwrap());
+        assert_eq!(a.method, Method::Synth);
+        assert_eq!(a.codec, CodecId::Bf16);
+        let schedule = a.schedule();
+        assert_eq!(schedule.method, Method::Synth);
+        assert_eq!(schedule.warmup, Some(6));
+        assert!(schedule.reschedule);
+        assert_eq!(
+            (schedule.dims.p, schedule.dims.n, schedule.dims.s),
+            (4, 4, 2)
+        );
+    }
+
+    #[test]
+    fn omitted_schedule_keys_request_default_mepipe_over_f32() {
+        let spec = JobSpec::parse(
+            "name = \"j\"\niters = 4\nstages = 4\nlayers = 4\nmicro_batches = 8\nslices = 4\n",
+        )
+        .unwrap();
+        assert_eq!(
+            spec.schedule(),
+            ScheduleSpec::new(Method::Mepipe, Dims::new(4, 8).slices(4))
+        );
+        assert_eq!(spec.codec, CodecId::F32);
+    }
+
+    #[test]
     fn invalid_specs_are_rejected_with_context() {
         for (doc, needle) in [
             ("iters = 4", "name"),
@@ -388,6 +479,28 @@ verify = true
             (
                 "name = \"j\"\niters = 4\nmicro_batches = 1\nstages = 2",
                 "micro_batches",
+            ),
+            ("name = \"j\"\niters = 4\nlr = nan", "`lr`"),
+            ("name = \"j\"\niters = 4\nlr = inf", "`lr`"),
+            ("name = \"j\"\niters = 4\nlr = -1", "`lr`"),
+            ("name = \"j\"\niters = 4\nlr = 0", "`lr`"),
+            ("name = \"j\"\niters = 4\nseq_len = 0", "`seq_len`"),
+            (
+                "name = \"j\"\niters = 4\nschedule = \"gpipe\"",
+                "`schedule`",
+            ),
+            ("name = \"j\"\niters = 4\ncodec = \"fp8\"", "`codec`"),
+            (
+                "name = \"j\"\niters = 4\nschedule = \"dualpipe\"\nreschedule = true",
+                "`reschedule`",
+            ),
+            (
+                "name = \"j\"\niters = 4\nschedule = \"dualpipe\"\nmicro_batches = 3\nstages = 2",
+                "`schedule`",
+            ),
+            (
+                "name = \"j\"\niters = 4\nschedule = \"zbv\"\nstages = 2\nslices = 1\nlayers = 2",
+                "`layers`",
             ),
         ] {
             let err = JobSpec::parse(doc).unwrap_err();

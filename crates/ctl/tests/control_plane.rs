@@ -57,6 +57,25 @@ fn drive(d: &mut Daemon, budget: Duration) {
     }
 }
 
+/// Parses a merged Chrome trace and returns how many compute tracks
+/// (`pid`, `tid < 1000`) its complete events use; comm spans sit on
+/// `tid + 1000` sub-tracks.
+fn compute_tracks(json: &str) -> usize {
+    let v: serde_json::Value = serde_json::from_str(json).expect("trace JSON parses");
+    let events = v.as_array().expect("trace is a JSON array");
+    let mut tracks: Vec<(u64, u64)> = Vec::new();
+    for e in events.iter().filter(|e| e["ph"].as_str() == Some("X")) {
+        let track = (
+            e["pid"].as_u64().expect("pid"),
+            e["tid"].as_u64().expect("tid"),
+        );
+        if track.1 < 1000 && !tracks.contains(&track) {
+            tracks.push(track);
+        }
+    }
+    tracks.len()
+}
+
 #[test]
 fn two_jobs_gang_schedule_complete_and_verify() {
     let out = scratch("complete");
@@ -90,7 +109,10 @@ fn two_jobs_gang_schedule_complete_and_verify() {
         );
         let trace = out.join(format!("job-{}.trace.json", job.spec.name));
         let json = std::fs::read_to_string(&trace).expect("merged Chrome trace written");
-        assert!(json.contains("\"ph\""), "trace has events");
+        assert_eq!(compute_tracks(&json), job.schedule.dims.p);
+        let bubbles = out.join(format!("job-{}.bubbles.txt", job.spec.name));
+        let report = std::fs::read_to_string(&bubbles).expect("bubble attribution written");
+        assert!(!report.is_empty(), "empty bubble attribution");
     }
     assert_eq!(d.fleet.free_slots(), 4, "slots returned");
     // Different seeds, different trajectories.

@@ -1,9 +1,9 @@
 //! Line-oriented stage-trace dumps crossing process boundaries.
 //!
 //! A worker process records its [`StageTrace`] locally and dumps it as a
-//! small text file; whoever launched it (the `mepipe-worker` launcher,
-//! the `mepipe-ctl` control plane) reads the dumps back and merges them
-//! onto one time axis via each trace's clock-anchor epoch. Text rather
+//! small text file; the supervisor that launched it (the `mepipe-ctl`
+//! control plane) reads the dumps back and merges them onto one time
+//! axis via each trace's clock-anchor epoch. Text rather
 //! than JSON so the dump path needs no serializer and the merge path
 //! exercises the same epoch-alignment code the in-process writer uses.
 //!

@@ -11,9 +11,8 @@
 //!
 //! The ring is the **flight recorder**: when something dies — a worker
 //! process, a verification pass, a transport — the owner calls
-//! [`EventLog::dump_postmortem`], which snapshots the last N events,
-//! whatever spans are open, and an optional metrics-registry snapshot
-//! into a postmortem JSON file. The crash artifact answers "what was it
+//! [`EventLog::dump_postmortem`], which snapshots the last N events and
+//! an optional metrics-registry snapshot into a postmortem JSON file. The crash artifact answers "what was it
 //! doing right before?" without anyone having had to foresee the crash
 //! and turn logging up.
 
@@ -119,7 +118,6 @@ pub struct EventLog {
     capacity: usize,
     dropped: u64,
     sink: Option<Box<dyn Write + Send>>,
-    open_spans: Vec<String>,
 }
 
 impl fmt::Debug for EventLog {
@@ -156,7 +154,6 @@ impl EventLog {
             capacity: DEFAULT_RECORDER_CAPACITY,
             dropped: 0,
             sink,
-            open_spans: Vec::new(),
         }
     }
 
@@ -229,17 +226,6 @@ impl EventLog {
         self.event(Level::Error, None, None, message, &[]);
     }
 
-    /// Marks a long-running operation as open; it appears in
-    /// postmortems until [`EventLog::span_close`] pops it.
-    pub fn span_open(&mut self, name: impl Into<String>) {
-        self.open_spans.push(name.into());
-    }
-
-    /// Closes the most recently opened span.
-    pub fn span_close(&mut self) {
-        self.open_spans.pop();
-    }
-
     /// Events currently retained in the ring, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.ring.iter()
@@ -251,8 +237,8 @@ impl EventLog {
     }
 
     /// Renders the flight-recorder contents as one postmortem JSON
-    /// document: the trigger reason, ring stats, open spans, the last N
-    /// events, and an optional metrics snapshot.
+    /// document: the trigger reason, ring stats, the last N events, and
+    /// an optional metrics snapshot.
     pub fn postmortem_json(&self, reason: &str, registry: Option<&MetricsRegistry>) -> String {
         let mut out = String::from("{\"reason\":");
         push_json_string(&mut out, reason);
@@ -260,16 +246,9 @@ impl EventLog {
         push_json_string(&mut out, &self.component);
         let _ = write!(
             out,
-            ",\"epoch_ns\":{},\"dropped\":{},\"open_spans\":[",
+            ",\"epoch_ns\":{},\"dropped\":{},\"events\":[",
             self.anchor.epoch_ns, self.dropped
         );
-        for (i, s) in self.open_spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, s);
-        }
-        out.push_str("],\"events\":[");
         for (i, ev) in self.ring.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -363,22 +342,18 @@ mod tests {
     }
 
     #[test]
-    fn postmortem_includes_events_spans_and_metrics() {
+    fn postmortem_includes_events_and_metrics() {
         let mut log = EventLog::silent("worker");
-        log.span_open("iteration 3");
         log.event(Level::Error, Some("j"), Some(1), "stage 1 died", &[]);
         let mut reg = MetricsRegistry::new();
         reg.counter("mepipe_test_total", "t", &[], 1.0);
         let doc = log.postmortem_json("chaos kill", Some(&reg));
         let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
         assert_eq!(v["reason"].as_str(), Some("chaos kill"));
-        assert_eq!(v["open_spans"][0].as_str(), Some("iteration 3"));
         assert_eq!(v["events"][0]["msg"].as_str(), Some("stage 1 died"));
         assert!(v["metrics"]["mepipe_test_total"].as_object().is_some());
-        log.span_close();
         let doc = log.postmortem_json("later", None);
         let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
-        assert_eq!(v["open_spans"].as_array().unwrap().len(), 0);
         assert!(matches!(v["metrics"], serde_json::Value::Null));
     }
 

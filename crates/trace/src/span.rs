@@ -67,7 +67,7 @@ impl SpanKind {
     }
 
     /// Inverse of [`SpanKind::letter`] — used when traces round-trip
-    /// through text files (per-process dumps merged by a launcher).
+    /// through text files (per-process dumps merged by a supervisor).
     pub fn from_letter(letter: char) -> Option<Self> {
         Some(match letter {
             'F' => SpanKind::Forward,

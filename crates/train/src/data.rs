@@ -12,8 +12,8 @@ use mepipe_tensor::init::synthetic_tokens;
 
 /// Offset separating batch seeds from the model-init seed space (the
 /// single-iteration scenarios use `seed + 1000 + mb`; iteration 0 of a
-/// job reproduces exactly that, so a one-iteration job equals a
-/// `launch` run).
+/// job reproduces exactly that, so a one-iteration job sees their
+/// batch).
 const BATCH_SEED_BASE: u64 = 1000;
 
 /// Large odd stride separating the seed ranges of consecutive
@@ -62,14 +62,15 @@ mod tests {
 
     #[test]
     fn iteration_zero_matches_the_single_shot_scenarios() {
-        // `mepipe-worker launch` builds `synthetic_tokens(seq + 1,
-        // vocab, seed + 1000 + mb)`; a job's iteration 0 must reproduce
-        // it so one-iteration jobs are comparable with launch runs.
+        // The single-iteration scenarios (the fidelity test, the `train`
+        // and `comm` benches) build `synthetic_tokens(seq + 1, vocab,
+        // seed + 1000 + mb)`; a job's iteration 0 must reproduce it so
+        // one-iteration jobs are comparable with them.
         let cfg = TransformerConfig::tiny(2);
         let job = batch_for_iter(&cfg, 2, 42, 0);
-        let launch: Vec<Vec<usize>> = (0..2)
+        let single_shot: Vec<Vec<usize>> = (0..2)
             .map(|mb| synthetic_tokens(cfg.seq_len + 1, cfg.vocab, 42 + 1000 + mb as u64))
             .collect();
-        assert_eq!(job, launch);
+        assert_eq!(job, single_shot);
     }
 }

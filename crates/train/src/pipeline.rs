@@ -525,7 +525,7 @@ impl PipelineRuntime {
             let out = {
                 let _arena_scope = arena.as_mut().map(|a| a.install());
                 // Per-process anchor: the epoch position it captures is
-                // what lets a launcher merge this stage's trace with its
+                // what lets a supervisor merge this stage's trace with its
                 // peers'.
                 let mut ctx = WorkerCtx::new(
                     &self.model,

@@ -46,43 +46,104 @@ cargo bench -p mepipe-bench --bench comm -- --smoke
 echo "==> comm bench gate (socket_uds <= 1.10x inproc, bf16 codec parity)"
 cargo bench -p mepipe-bench --bench comm -- --gate
 
-echo "==> multi-process smoke (4 worker processes over Unix sockets)"
-cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4
-
-echo "==> multi-process codec smoke (2 workers, bf16 wire codec)"
-cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 2 --codec bf16
-
-echo "==> merged-trace smoke (4 worker processes, one epoch-aligned Chrome JSON)"
-MERGE_DIR="$(mktemp -d)"
-cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4 \
-  --trace-out "$MERGE_DIR/merged.trace.json" --metrics-out "$MERGE_DIR/metrics.prom"
-test -s "$MERGE_DIR/merged.trace.json" || { echo "launch did not write a merged trace"; exit 1; }
-test -s "$MERGE_DIR/metrics.prom" || { echo "launch did not write metrics"; exit 1; }
-rm -rf "$MERGE_DIR"
-
-echo "==> regenerated-schedule smoke (4 workers rebuild a synthesized, rescheduled schedule from flags)"
-# Every process regenerates the solver's schedule and the backward
-# rescheduling polish from --schedule/--warmup/--reschedule alone — the
-# way a calibrated proposal crosses process boundaries; the loss must
-# stay bit-identical to in-process.
-cargo run --release -p mepipe-train --bin mepipe-worker -- launch --stages 4 --slices 2 \
-  --schedule synth --warmup 6 --reschedule
-
-echo "==> DualPipe, Blocks and ZBV flag smokes (4 workers regenerate each family from --schedule flags)"
+echo "==> multi-process job smokes (one verified job per schedule family and wire codec, one oneshot serve)"
+# Every job runs one mepipe-worker process per stage over Unix sockets,
+# rebuilding its schedule from the spec's schedule/warmup/reschedule
+# keys. `verify = true` replays the job in-process under the same
+# schedule and codec, and the serve exit code is the assertion: 0 only
+# if every job completed with its final loss bit-identical to the
+# replay. The daemon merges each job's per-stage traces into
+# job-NAME.trace.json and writes their bubble attribution beside it.
+cargo build --release -p mepipe-ctl -p mepipe-train --bins
+CTL_BIN=target/release/mepipe-ctl
 SMOKE_DIR="$(mktemp -d)"
-target/release/mepipe-worker launch --stages 4 --schedule dualpipe --dir "$SMOKE_DIR/dualpipe"
-target/release/mepipe-worker launch --stages 4 --schedule blocks --warmup 0 --dir "$SMOKE_DIR/blocks"
+mkdir -p "$SMOKE_DIR/spool"
+# spool NAME: the job's shape on stdin, plus the keys every smoke shares.
+spool() {
+  { cat; printf 'name = "%s"\ncheckpoint_interval = 2\nverify = true\n' "$1"; } \
+    > "$SMOKE_DIR/spool/$1.toml"
+}
+spool mepipe <<'EOF'
+iters = 3
+stages = 4
+layers = 4
+micro_batches = 4
+slices = 4
+seq_len = 32
+EOF
+spool bf16 <<'EOF'
+iters = 3
+stages = 2
+layers = 4
+micro_batches = 4
+slices = 4
+seq_len = 32
+codec = "bf16"
+EOF
+# The solver's schedule plus the backward-rescheduling polish.
+spool synth <<'EOF'
+iters = 3
+stages = 4
+layers = 4
+micro_batches = 4
+slices = 2
+seq_len = 32
+schedule = "synth"
+warmup = 6
+reschedule = true
+EOF
+# One iteration only: a DualPipe job steps each mirror stage with only
+# its own half of the shared blocks' gradient (ROADMAP item 4), so from
+# its second iteration on the replay would differ.
+spool dualpipe <<'EOF'
+iters = 1
+stages = 4
+layers = 4
+micro_batches = 4
+slices = 4
+seq_len = 32
+schedule = "dualpipe"
+EOF
+spool blocks <<'EOF'
+iters = 3
+stages = 4
+layers = 4
+micro_batches = 4
+slices = 4
+seq_len = 32
+schedule = "blocks"
+warmup = 0
+EOF
 # ZBV's V turns on the last stage, which hands a tensor to itself.
-target/release/mepipe-worker launch --stages 4 --schedule zbv --micro-batches 8 --slices 1 \
-  --layers 8 --seq-len 32 --dir "$SMOKE_DIR/zbv"
+spool zbv <<'EOF'
+iters = 3
+stages = 4
+layers = 8
+micro_batches = 8
+slices = 1
+seq_len = 32
+schedule = "zbv"
+EOF
+# 22 slots run all six gangs at once, so none is admitted shrunk.
+timeout 300 "$CTL_BIN" serve --socket "$SMOKE_DIR/ctl.sock" --spool "$SMOKE_DIR/spool" \
+  --out "$SMOKE_DIR/out" --nodes 1 --slots-per-node 22 --tick-ms 20 \
+  --oneshot --expect-jobs 6
+test -s "$SMOKE_DIR/out/metrics.prom" || { echo "serve wrote no metrics.prom"; exit 1; }
+for JOB in mepipe:4 bf16:2 synth:4 dualpipe:4 blocks:4 zbv:4; do
+  NAME=${JOB%%:*}
+  grep -q "mepipe_ctl_job_stages{job=\"$NAME\"} ${JOB##*:}" "$SMOKE_DIR/out/metrics.prom" \
+    || { echo "job $NAME did not run at its requested stage count"; exit 1; }
+  test -s "$SMOKE_DIR/out/job-$NAME.trace.json" || { echo "job $NAME wrote no merged trace"; exit 1; }
+  test -s "$SMOKE_DIR/out/job-$NAME.bubbles.txt" \
+    || { echo "job $NAME wrote no bubble attribution"; exit 1; }
+done
+cat "$SMOKE_DIR/out/job-mepipe.bubbles.txt"
 rm -rf "$SMOKE_DIR"
 
 echo "==> control-plane smoke 1/2 (oneshot: 2 spooled jobs, one chaos-killed, on a 1x4 fleet)"
 # The serve exit code is the assertion: 0 only if every job completed
 # with zero iterations lost beyond its checkpoint interval and every
 # requested replay verification was bit-identical.
-cargo build --release -p mepipe-ctl --bin mepipe-ctl
-CTL_BIN=target/release/mepipe-ctl
 CTL_DIR="$(mktemp -d)"
 mkdir -p "$CTL_DIR/spool"
 cat > "$CTL_DIR/spool/steady.toml" <<'EOF'
@@ -127,10 +188,12 @@ grep -q '"stage":1' "$CTL_DIR/out/postmortem-chaotic.json" \
 rm -rf "$CTL_DIR"
 
 echo "==> control-plane smoke 2/2 (drain mid-run: live re-shard off the drained node)"
+# Long enough that the drain lands mid-run: the script drains ~0.1 s
+# after iteration 3, and an iteration takes ~3 ms on an idle host.
 CTL_DIR="$(mktemp -d)"
 cat > "$CTL_DIR/elastic.toml" <<'EOF'
 name = "elastic"
-iters = 40
+iters = 200
 stages = 2
 layers = 4
 micro_batches = 4
