@@ -40,7 +40,7 @@
 //!   observability endpoints (`mepipe-ctl serve --http`, `job --http`):
 //!   prints the response body, exits 0 only on HTTP 200.
 //!
-//! `job` grows two observability flags: `--http ADDR` mounts a
+//! Two more `job` flags serve observability: `--http ADDR` mounts a
 //! per-stage HTTP exporter (`/metrics` with iteration-latency
 //! histograms, `/status` with p50/p99, `/healthz`), and
 //! `--postmortem F` arms the flight recorder — on a chaos abort or a
@@ -98,7 +98,7 @@ impl Scenario {
 struct Args {
     scenario: Scenario,
     stage: Option<usize>,
-    dir: PathBuf,
+    dir: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     /// Target iteration count (exclusive upper bound).
     iters: usize,
@@ -135,7 +135,7 @@ fn parse_args(rest: &[String]) -> Result<Args, ScheduleArgError> {
     // decode through `ScheduleSpec::from_args`.
     let mut schedule_args = scenario.schedule.to_args();
     let mut stage = None;
-    let mut dir = std::env::temp_dir().join(format!("mepipe-mesh-{}", std::process::id()));
+    let mut dir = None;
     let mut trace_out = None;
     let mut iters = 1usize;
     let mut start_iter = 0usize;
@@ -169,7 +169,7 @@ fn parse_args(rest: &[String]) -> Result<Args, ScheduleArgError> {
             "--lr" => lr = value().parse().expect("--lr"),
             "--http" => http = Some(value()),
             "--postmortem" => postmortem = Some(PathBuf::from(value())),
-            "--dir" => dir = PathBuf::from(value()),
+            "--dir" => dir = Some(PathBuf::from(value())),
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
             "--codec" => {
                 let v = value();
@@ -215,6 +215,7 @@ fn parse_args(rest: &[String]) -> Result<Args, ScheduleArgError> {
 /// see the dead stage's streams close and fail too.
 fn run_job(args: &Args) {
     let stage = args.stage.expect("job needs --stage");
+    let dir = args.dir.clone().expect("job needs --dir");
     let sc = &args.scenario;
     let cfg = sc.config();
     let mut events = EventLog::stderr("worker");
@@ -262,9 +263,9 @@ fn run_job(args: &Args) {
         }
         panic!("{why}");
     };
-    std::fs::create_dir_all(&args.dir).expect("mesh dir");
+    std::fs::create_dir_all(&dir).expect("mesh dir");
     let transport = SocketTransport::with_config(
-        SocketMode::Uds(args.dir.clone()),
+        SocketMode::Uds(dir),
         sc.schedule.dims.p,
         CommConfig::new().with_codec(sc.codec),
     );

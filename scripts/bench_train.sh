@@ -3,7 +3,8 @@
 # BENCH_train.json at the repo root: whole `train_step` iterations of the
 # threaded pipeline runtime on a mini-Llama (2 stages x 8 slices x 4
 # micro-batches), the data-parallel replica scenario, the multi-process
-# launch scenario, the online-autotune scenario (calibration loop on
+# job scenario (one verified iteration of a 4-stage mepipe-ctl job,
+# `job_s`), the online-autotune scenario (calibration loop on
 # an emulated 2 ms/message link; `autotune_speedup` records iteration
 # time before vs after the calibrated hot-swap), and the chaos-recovery
 # scenario (the same job clean vs chaos-killed under the mepipe-ctl
@@ -21,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The launch scenario shells out to the release worker binary.
+# The job and recovery scenarios spawn the release worker binary.
 cargo build --release -p mepipe-train --bin mepipe-worker
 
 cargo bench -p mepipe-bench --bench train
